@@ -3,11 +3,12 @@
 //!
 //! Three measurements, all on the `counter_reset` scenario:
 //!
-//! 1. **Throughput** — a serial `evaluate_many` over ≥256 single-edit
-//!    patches, reporting `evals_per_s` and `events_per_s` (simulator
-//!    events retired per second, summed from each evaluation's
-//!    [`SimMetrics`]).
-//! 2. **Phase attribution** — a bounded brute-force run with the span
+//! 1. **Throughput** — a serial `evaluate_many` over the 69 distinct
+//!    single-edit patches, reporting `evals_per_s` and `events_per_s`
+//!    (simulator events retired per second, summed from each
+//!    evaluation's [`SimMetrics`]). Every counted evaluation is a
+//!    simulation: no patch repeats, so dedupe copies cannot inflate it.
+//! 2. **Phase attribution** — a 256-evaluation brute-force run with the span
 //!    profiler enabled, folded through [`RunReport`] so the per-phase
 //!    busy breakdown comes from the same introspection path users see.
 //! 3. **Profiler overhead** — the same bounded run with a disabled
@@ -20,10 +21,8 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cirfix::{
-    all_stmt_ids, applicable_templates, brute_force_repair, evaluate_many, BruteConfig, Edit,
-    FaultLoc, FitnessParams, Observer, Patch, RunReport,
-};
+use cirfix::{brute_force_repair, evaluate_many, BruteConfig, FitnessParams, Observer, RunReport};
+use cirfix_bench::{unique_single_edits, COUNTER_RESET_SINGLE_EDITS};
 use cirfix_benchmarks::scenario;
 use cirfix_telemetry::JsonLinesSink;
 
@@ -46,29 +45,18 @@ fn main() {
     let s = scenario("counter_reset").expect("scenario");
     let problem = s.problem().expect("problem builds");
 
-    // The same workload as the speedup bench: every systematic single
-    // edit, repeated to amortize startup.
-    let fl = FaultLoc::default();
-    let mut edits: Vec<Edit> = applicable_templates(&problem.source, &problem.design_modules, &fl);
-    edits.extend(
-        all_stmt_ids(&problem.source, &problem.design_modules)
-            .into_iter()
-            .map(|target| Edit::DeleteStmt { target }),
-    );
-    let singles: Vec<Patch> = edits.into_iter().map(Patch::single).collect();
-    // Exactly as many evaluations as the brute-force phase below, so
-    // every record in the artifact reports the same workload size.
-    const EVALS: usize = 256;
-    let mut patches: Vec<Patch> = Vec::new();
-    while patches.len() < EVALS {
-        patches.extend(singles.iter().cloned());
-    }
-    patches.truncate(EVALS);
+    // The same workload as the speedup bench: every distinct systematic
+    // single edit. Repeating patches would not add simulations —
+    // `evaluate_many` runs each distinct patch once — only uncounted
+    // copies.
+    let patches = unique_single_edits(&problem);
+    const EVALS: usize = COUNTER_RESET_SINGLE_EDITS;
+    assert_eq!(patches.len(), EVALS, "throughput workload drifted");
     let params = FitnessParams::default();
 
     // Warm-up before any timing.
-    let warm = evaluate_many(&problem, &patches[..singles.len()], params, 1);
-    assert_eq!(warm.len(), singles.len());
+    let warm = evaluate_many(&problem, &patches, params, 1);
+    assert_eq!(warm.len(), EVALS);
 
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -129,8 +117,11 @@ fn main() {
     ));
 
     // 2. Phase attribution through the profiler + report pipeline.
+    // The brute-force search draws its own candidates, mostly distinct
+    // multi-edit patches, and stops at this many simulations.
+    const BRUTE_EVALS: usize = 256;
     let brute_config = |observer: Observer| BruteConfig {
-        max_evals: 256,
+        max_evals: BRUTE_EVALS as u64,
         seed: 1,
         observer,
         ..BruteConfig::default()
@@ -157,8 +148,8 @@ fn main() {
     }
     if let Some(h) = &report.heartbeat {
         assert_eq!(
-            h.fitness_evals as usize, EVALS,
-            "throughput and brute-force records must report the same workload size"
+            h.fitness_evals as usize, BRUTE_EVALS,
+            "brute-force workload drifted"
         );
         records.push(format!(
             "{{\"bench\":\"sim_baseline_heartbeat\",\"fitness_evals\":{},\

@@ -19,9 +19,13 @@
 
 pub mod stats;
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use cirfix::{apply_patch, repair, verify_repair, RepairConfig, RepairResult};
+use cirfix::{
+    all_stmt_ids, applicable_templates, apply_patch, repair, verify_repair, Edit, FaultLoc, Patch,
+    RepairConfig, RepairProblem, RepairResult,
+};
 use cirfix_benchmarks::{project, PaperOutcome, Scenario};
 
 /// The outcome of running one defect scenario through the harness.
@@ -137,6 +141,30 @@ pub fn run_scenario(s: &Scenario, base: &RepairConfig, trials: u32) -> ScenarioO
     }
 }
 
+/// Distinct single-edit candidates of `counter_reset`, the throughput
+/// benches' workload. `evaluate_many` simulates each distinct patch
+/// once, so only distinct patches count as evaluations.
+pub const COUNTER_RESET_SINGLE_EDITS: usize = 69;
+
+/// Every distinct systematic single edit of `problem`'s design (all
+/// applicable Table 1 templates, then every statement deletion), in
+/// enumeration order.
+pub fn unique_single_edits(problem: &RepairProblem) -> Vec<Patch> {
+    let fl = FaultLoc::default();
+    let mut edits = applicable_templates(&problem.source, &problem.design_modules, &fl);
+    edits.extend(
+        all_stmt_ids(&problem.source, &problem.design_modules)
+            .into_iter()
+            .map(|target| Edit::DeleteStmt { target }),
+    );
+    let mut seen = HashSet::new();
+    edits
+        .into_iter()
+        .map(Patch::single)
+        .filter(|p| seen.insert(p.clone()))
+        .collect()
+}
+
 /// Formats a [`PaperOutcome`] like Table 3 does.
 pub fn paper_cell(outcome: PaperOutcome) -> String {
     match outcome {
@@ -200,6 +228,13 @@ mod tests {
         assert_eq!(paper_cell(PaperOutcome::Correct(19.8)), "\u{2713}19.8");
         assert_eq!(paper_cell(PaperOutcome::Plausible(57.9)), "57.9");
         assert_eq!(paper_cell(PaperOutcome::NotRepaired), "-");
+    }
+
+    #[test]
+    fn throughput_workload_is_distinct_single_edits() {
+        let s = cirfix_benchmarks::scenario("counter_reset").unwrap();
+        let patches = unique_single_edits(&s.problem().unwrap());
+        assert_eq!(patches.len(), COUNTER_RESET_SINGLE_EDITS);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::mutation::{all_stmt_ids, mutate, MutationParams};
 use crate::oracle::RepairProblem;
 use crate::patch::{apply_patch, Edit, Patch};
 use crate::repair::{
-    evaluate_profiled, panicked_evaluation, RepairResult, RepairStatus, RunTotals,
+    evaluate_profiled, node_count, panicked_evaluation, RepairResult, RepairStatus, RunTotals,
 };
 use crate::templates::applicable_templates;
 
@@ -81,6 +81,7 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
     let mut busy = Duration::ZERO;
     let mut best = (Patch::empty(), 0.0f64);
     let empty_fl = FaultLoc::default();
+    let original_nodes = node_count(&problem.source);
 
     let observer = &config.observer;
     let profiler = config.observer.enabled().then(Profiler::new);
@@ -150,7 +151,7 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         }
         let (mut results, batch_busy, panicked) =
             run_batch(jobs, deadline, &patches[..admit], |patch| {
-                evaluate_profiled(problem, patch, config.fitness, profiler)
+                evaluate_profiled(problem, patch, config.fitness, original_nodes, profiler)
             });
         *busy += batch_busy;
         // Same containment as the GP loop: a panicking candidate is

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crate::fitness::FitnessParams;
 use crate::oracle::RepairProblem;
 use crate::patch::Patch;
-use crate::repair::{evaluate, panicked_evaluation, Evaluation};
+use crate::repair::{evaluate_profiled, node_count, panicked_evaluation, Evaluation};
 
 /// Renders a panic payload (whatever was passed to `panic!`) as text
 /// for the contained candidate's error message.
@@ -173,8 +173,9 @@ pub fn evaluate_many(
         });
         slot_of.push(slot);
     }
+    let original_nodes = node_count(&problem.source);
     let (mut results, _, panicked) = run_batch(resolve_jobs(jobs), None, &unique, |p| {
-        evaluate(problem, p, params)
+        evaluate_profiled(problem, p, params, original_nodes, None)
     });
     let panic_msg: HashMap<usize, String> = panicked.into_iter().collect();
     // Each unique result is *moved* into its last output slot and cloned

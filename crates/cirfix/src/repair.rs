@@ -3,12 +3,14 @@
 //! Genetic programming over repair patches: tournament-selected parents
 //! reproduce through repair templates, mutation, or crossover; children
 //! are scored by the hardware fitness function; fault localization is
-//! recomputed for every parent (supporting multi-edit repairs); the
-//! search stops at the first plausible repair (fitness 1.0) or when
-//! resources are exhausted, and the winning patch is minimized.
+//! recomputed for every parent (supporting multi-edit repairs), once per
+//! distinct parent per generation; the search stops at the first
+//! plausible repair (fitness 1.0) or when resources are exhausted, and
+//! the winning patch is minimized.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use cirfix_ast::print;
@@ -312,20 +314,23 @@ pub(crate) const TIMEOUT_ERROR: &str = "evaluation exceeded its wall-clock budge
 /// Evaluates one patch against a repair problem: apply → simulate →
 /// fitness. Compile failures and runtime errors score 0.
 pub fn evaluate(problem: &RepairProblem, patch: &Patch, params: FitnessParams) -> Evaluation {
-    evaluate_profiled(problem, patch, params, None)
+    evaluate_profiled(problem, patch, params, node_count(&problem.source), None)
 }
 
 /// [`evaluate`] with optional per-phase busy attribution (the
-/// brute-force baseline's instrumentation hook).
+/// brute-force baseline's instrumentation hook). `original_nodes` is
+/// [`node_count`] of `problem.source`, which bulk callers compute once
+/// rather than once per patch.
 pub(crate) fn evaluate_profiled(
     problem: &RepairProblem,
     patch: &Patch,
     params: FitnessParams,
+    original_nodes: usize,
     profiler: Option<&Profiler>,
 ) -> Evaluation {
     let parse_span = profiler.map(|p| p.span(Phase::Parse));
     let (variant, _) = apply_patch(&problem.source, &problem.design_modules, patch);
-    let growth = node_count(&variant) as f64 / node_count(&problem.source).max(1) as f64;
+    let growth = node_count(&variant) as f64 / original_nodes.max(1) as f64;
     drop(parse_span);
     evaluate_variant(problem, &variant, growth, params, None, None, profiler)
 }
@@ -493,7 +498,7 @@ pub fn strip_hierarchy(name: &str) -> String {
 }
 
 /// Total AST node count of a source file (for bloat control).
-fn node_count(file: &cirfix_ast::SourceFile) -> usize {
+pub(crate) fn node_count(file: &cirfix_ast::SourceFile) -> usize {
     let mut n = 0;
     cirfix_ast::visit::walk_source(file, &mut |_| n += 1);
     n
@@ -558,6 +563,8 @@ pub struct Repairer<'a> {
     original_nodes: usize,
     // Patch applications performed (AST work; cache hits do none).
     patch_applies: u64,
+    // Fault localization passes run (Algorithm 2), original included.
+    localizations: u64,
     // Resolved worker count and cumulative worker busy time.
     jobs: usize,
     busy: Duration,
@@ -573,7 +580,8 @@ pub struct Repairer<'a> {
     store_writes: u64,
     // L1 inserts since the last checkpoint, as (patch, fingerprint):
     // logged as a cache-delta record so a resumed run can restore the
-    // trial cache exactly.
+    // trial cache exactly. Only filled when a session is attached, the
+    // one reader.
     pending_delta: Vec<(Patch, Digest)>,
     // Session log writer; checkpoints are written at every generation
     // boundary when present.
@@ -624,6 +632,37 @@ struct OperatorMix {
     crossover: u64,
 }
 
+/// What reproduction derives from one parent. Both fields are pure
+/// functions of the parent patch and its cached evaluation, so they are
+/// computed at most once per generation however often tournament
+/// selection draws the parent. No AST is kept: holding applied
+/// variants costs more memory than re-applying saves.
+struct ParentContext {
+    /// The applied parent outgrows the node budget, so it reproduces
+    /// from the original design instead.
+    bloated: bool,
+    /// Fault localization of the applied parent, computed on first use
+    /// by a template or mutation (crossover never reads it).
+    fault_loc: Option<Rc<FaultLoc>>,
+}
+
+/// The reproduction state of one population: its fitness vector and a
+/// [`ParentContext`] per distinct non-empty parent. Built afresh
+/// whenever the population is replaced.
+struct ParentMemo {
+    fitnesses: Vec<f64>,
+    contexts: HashMap<Patch, ParentContext>,
+}
+
+impl ParentMemo {
+    fn new(popn: &[(Patch, Evaluation)]) -> ParentMemo {
+        ParentMemo {
+            fitnesses: popn.iter().map(|(_, e)| e.score).collect(),
+            contexts: HashMap::new(),
+        }
+    }
+}
+
 impl<'a> Repairer<'a> {
     /// Creates a repair engine for one trial.
     pub fn new(problem: &'a RepairProblem, config: RepairConfig) -> Repairer<'a> {
@@ -672,6 +711,7 @@ impl<'a> Repairer<'a> {
             node_budget,
             original_nodes,
             patch_applies: 0,
+            localizations: 0,
             jobs,
             busy: Duration::ZERO,
             mix: OperatorMix::default(),
@@ -890,14 +930,16 @@ impl<'a> Repairer<'a> {
     }
 
     /// Inserts a settled evaluation into the trial cache and, when a
-    /// key is known, records the (patch, fingerprint) pair for the next
-    /// cache-delta log record and writes the evaluation through to the
-    /// shared cache. Returns without any store work when no store is
-    /// attached.
+    /// key is known, writes the evaluation through to the shared cache
+    /// and (in a session) records the (patch, fingerprint) pair for the
+    /// next cache-delta log record. Returns without any store work when
+    /// no store is attached.
     fn insert_evaluation(&mut self, patch: &Patch, eval: &Evaluation, key: Option<Digest>) {
         self.cache.insert(patch.clone(), eval.clone());
         let Some(key) = key else { return };
-        self.pending_delta.push((patch.clone(), key));
+        if self.session.is_some() {
+            self.pending_delta.push((patch.clone(), key));
+        }
         if let Some(shared) = &self.shared {
             let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
             if shared.insert(key, eval) {
@@ -1213,7 +1255,12 @@ impl<'a> Repairer<'a> {
         out
     }
 
-    fn localize_variant(&self, variant: &cirfix_ast::SourceFile, eval: &Evaluation) -> FaultLoc {
+    fn localize_variant(
+        &mut self,
+        variant: &cirfix_ast::SourceFile,
+        eval: &Evaluation,
+    ) -> FaultLoc {
+        self.localizations += 1;
         let modules: Vec<&cirfix_ast::Module> = variant
             .modules
             .iter()
@@ -1222,14 +1269,16 @@ impl<'a> Repairer<'a> {
         fault_localization(&modules, &eval.mismatched)
     }
 
-    fn localize(&mut self, patch: &Patch, eval: &Evaluation) -> FaultLoc {
-        let (variant, _) = apply_patch(&self.problem.source, &self.problem.design_modules, patch);
-        let fl = self.localize_variant(&variant, eval);
+    /// Localizes the original design and reports it in telemetry.
+    fn localize_original(&mut self, eval: &Evaluation) -> FaultLoc {
+        let problem = self.problem;
+        let fl = self.localize_variant(&problem.source, eval);
         self.config.observer.emit(|| {
-            let modules: Vec<&cirfix_ast::Module> = variant
+            let modules: Vec<&cirfix_ast::Module> = problem
+                .source
                 .modules
                 .iter()
-                .filter(|m| self.problem.design_modules.contains(&m.name))
+                .filter(|m| problem.design_modules.contains(&m.name))
                 .collect();
             Event::FaultLoc(fault_loc_event(&fl, &modules))
         });
@@ -1238,51 +1287,98 @@ impl<'a> Repairer<'a> {
 
     /// Produces one or two children from the population (lines 5–17 of
     /// Algorithm 1), each labeled with the operator that proposed it.
+    /// `memo` must have been built from this `popn`.
     fn reproduce(
         &mut self,
         popn: &[(Patch, Evaluation)],
-        original_fl: &FaultLoc,
+        memo: &mut ParentMemo,
+        original_fl: &Rc<FaultLoc>,
     ) -> Vec<(Patch, &'static str)> {
-        let fitnesses: Vec<f64> = popn.iter().map(|(_, e)| e.score).collect();
-        let pi = tournament_select(&fitnesses, self.config.tournament_size, &mut self.rng);
-        let (mut parent, mut parent_eval) = (popn[pi].0.clone(), popn[pi].1.clone());
-        // Bloat control: over-long lineages reproduce from the original.
-        // (The empty patch is always cached — the original is evaluated
+        let problem = self.problem;
+        let pi = tournament_select(&memo.fitnesses, self.config.tournament_size, &mut self.rng);
+        let mut parent = popn[pi].0.clone();
+        // The applied parent, when the bloat check below had to build it.
+        let mut applied = None;
+        // Bloat control: over-long lineages, and parents whose variant
+        // outgrows the node budget, reproduce from the original. (The
+        // empty patch is always cached — the original is evaluated
         // before any reproduction — so these lookups do no AST work and
         // stay on the coordinating thread.)
-        if parent.len() > self.config.max_patch_len {
-            parent = Patch::empty();
-            parent_eval = self.evaluate_patch(&parent);
-        }
-        let (mut variant, _) =
-            apply_patch(&self.problem.source, &self.problem.design_modules, &parent);
-        if node_count(&variant) > self.node_budget {
-            parent = Patch::empty();
-            parent_eval = self.evaluate_patch(&parent);
-            variant = self.problem.source.clone();
-        }
-        let fl = if self.config.relocalize {
-            self.localize_variant(&variant, &parent_eval)
+        let bloated = if parent.len() > self.config.max_patch_len {
+            true
+        } else if parent.is_empty() {
+            false
+        } else if let Some(ctx) = memo.contexts.get(&parent) {
+            ctx.bloated
         } else {
-            original_fl.clone()
+            let (variant, _) = apply_patch(&problem.source, &problem.design_modules, &parent);
+            let bloated = node_count(&variant) > self.node_budget;
+            memo.contexts.insert(
+                parent.clone(),
+                ParentContext {
+                    bloated,
+                    fault_loc: None,
+                },
+            );
+            applied = (!bloated).then_some(variant);
+            bloated
         };
+        if bloated {
+            parent = Patch::empty();
+            self.evaluate_patch(&parent);
+        }
         let parent = &parent;
 
         let roll: f64 = self.rng.gen();
-        if roll <= self.config.rt_threshold {
+        let template = roll <= self.config.rt_threshold;
+        if !template && self.rng.gen::<f64>() > self.config.mut_threshold {
+            self.mix.crossover += 2;
+            let pj = tournament_select(&memo.fitnesses, self.config.tournament_size, &mut self.rng);
+            let parent2 = &popn[pj].0;
+            let (c1, c2) = crossover(parent, parent2, &mut self.rng);
+            return vec![(c1, "crossover"), (c2, "crossover")];
+        }
+
+        // Templates and mutations edit the applied parent at its fault
+        // localization. The original is borrowed rather than copied.
+        let variant = if parent.is_empty() {
+            &problem.source
+        } else {
+            &*applied.get_or_insert_with(|| {
+                apply_patch(&problem.source, &problem.design_modules, parent).0
+            })
+        };
+        let fl = if !self.config.relocalize || parent.is_empty() {
+            Rc::clone(original_fl)
+        } else {
+            let ctx = memo
+                .contexts
+                .get_mut(parent)
+                .expect("the bloat check memoized every non-empty parent");
+            match &ctx.fault_loc {
+                Some(fl) => Rc::clone(fl),
+                None => {
+                    let fl = Rc::new(self.localize_variant(variant, &popn[pi].1));
+                    ctx.fault_loc = Some(Rc::clone(&fl));
+                    fl
+                }
+            }
+        };
+
+        if template {
             // Repair templates. Without mined patterns this is the
             // paper's uniform draw; with them, endorsed Table 1
             // instances are over-weighted by support.
             self.mix.template += 1;
             if self.config.mined_patterns.is_empty() {
-                match random_template(&variant, &self.problem.design_modules, &fl, &mut self.rng) {
+                match random_template(variant, &problem.design_modules, &fl, &mut self.rng) {
                     Some(edit) => vec![(parent.with(edit), "template")],
                     None => vec![(parent.clone(), "template")],
                 }
             } else {
                 match mined_random_template(
-                    &variant,
-                    &self.problem.design_modules,
+                    variant,
+                    &problem.design_modules,
                     &fl,
                     &self.config.mined_patterns,
                     &mut self.rng,
@@ -1304,11 +1400,11 @@ impl<'a> Repairer<'a> {
                     None => vec![(parent.clone(), "template")],
                 }
             }
-        } else if self.rng.gen::<f64>() <= self.config.mut_threshold {
+        } else {
             self.mix.mutation += 1;
             match mutate_with_prior(
-                &variant,
-                &self.problem.design_modules,
+                variant,
+                &problem.design_modules,
                 &fl,
                 self.config.mutation,
                 &mut self.rng,
@@ -1317,12 +1413,6 @@ impl<'a> Repairer<'a> {
                 Some(edit) => vec![(parent.with(edit), "mutation")],
                 None => vec![(parent.clone(), "mutation")],
             }
-        } else {
-            self.mix.crossover += 2;
-            let pj = tournament_select(&fitnesses, self.config.tournament_size, &mut self.rng);
-            let parent2 = &popn[pj].0;
-            let (c1, c2) = crossover(parent, parent2, &mut self.rng);
-            vec![(c1, "crossover"), (c2, "crossover")]
         }
     }
 
@@ -1461,7 +1551,7 @@ impl<'a> Repairer<'a> {
         let mut found: Option<Patch>;
         let mut popn: Vec<(Patch, Evaluation)>;
         let mut generations: u32;
-        let original_fl: FaultLoc;
+        let original_fl: Rc<FaultLoc>;
 
         if let Some(state) = self.resume.take() {
             // Restore the checkpoint: RNG, counters, clock, the trial
@@ -1502,7 +1592,8 @@ impl<'a> Repairer<'a> {
                 .get(&original)
                 .expect("checkpointed cache always holds the original")
                 .clone();
-            original_fl = self.localize_variant(&self.problem.source, &original_eval);
+            let problem = self.problem;
+            original_fl = Rc::new(self.localize_variant(&problem.source, &original_eval));
             let restored = u64::from(generations);
             obs.emit(|| {
                 Event::Store(StoreEvent {
@@ -1513,7 +1604,7 @@ impl<'a> Repairer<'a> {
             });
         } else {
             let original_eval = self.evaluate_patch(&original);
-            original_fl = self.localize(&original, &original_eval);
+            original_fl = Rc::new(self.localize_original(&original_eval));
 
             best = (original.clone(), original_eval.score);
             improvement_steps = vec![original_eval.score];
@@ -1531,6 +1622,9 @@ impl<'a> Repairer<'a> {
             // first plausible child ends the phase without paying for
             // anything beyond its own batch.
             popn = vec![(original.clone(), original_eval)];
+            // Every seed child's parent is the original, the first
+            // entry of the growing population.
+            let mut memo = ParentMemo::new(&popn);
             'seed: while popn.len() < self.config.popn_size
                 && !self.out_of_budget()
                 && found.is_none()
@@ -1549,7 +1643,7 @@ impl<'a> Repairer<'a> {
                 while popn.len() + pending.len() < self.config.popn_size
                     && pending.len() < batch_size
                 {
-                    pending.extend(self.reproduce(&popn[..1], &original_fl));
+                    pending.extend(self.reproduce(&popn[..1], &mut memo, &original_fl));
                 }
                 let (batch, ops): (Vec<Patch>, Vec<&'static str>) = pending.into_iter().unzip();
                 let evals = self.evaluate_batch_ops(&batch, &ops);
@@ -1583,6 +1677,7 @@ impl<'a> Repairer<'a> {
             && generations < self.config.max_generations
             && !self.out_of_budget()
         {
+            let mut memo = ParentMemo::new(&popn);
             let mut children: Vec<(Patch, Evaluation)> = Vec::new();
             while children.len() < self.config.popn_size && found.is_none() {
                 if self.out_of_budget() {
@@ -1603,7 +1698,7 @@ impl<'a> Repairer<'a> {
                 while children.len() + pending.len() < self.config.popn_size
                     && pending.len() < batch_size
                 {
-                    pending.extend(self.reproduce(&popn, &original_fl));
+                    pending.extend(self.reproduce(&popn, &mut memo, &original_fl));
                 }
                 let (batch, ops): (Vec<Patch>, Vec<&'static str>) = pending.into_iter().unzip();
                 let evals = self.evaluate_batch_ops(&batch, &ops);
@@ -1622,8 +1717,7 @@ impl<'a> Repairer<'a> {
                 }
             }
             // Elitism: the top e% of the current population survive.
-            let fitnesses: Vec<f64> = popn.iter().map(|(_, e)| e.score).collect();
-            let elite = elite_indices(&fitnesses, self.config.elitism_pct);
+            let elite = elite_indices(&memo.fitnesses, self.config.elitism_pct);
             let elites = elite.len() as u64;
             let mut next: Vec<(Patch, Evaluation)> =
                 elite.into_iter().map(|i| popn[i].clone()).collect();
@@ -1736,6 +1830,8 @@ impl<'a> Repairer<'a> {
         let timeouts = &mut self.timeouts;
         let panics = &mut self.panics;
         let exhausted = &mut self.exhausted;
+        let original_nodes = self.original_nodes;
+        let in_session = self.session.is_some();
         let pending_delta = &mut self.pending_delta;
         let profiler = self.profiler.as_deref();
         minimize(patch, |p| {
@@ -1768,12 +1864,13 @@ impl<'a> Repairer<'a> {
                                 })
                             });
                             cache.insert(p.clone(), e.clone());
-                            pending_delta.push((p.clone(), k));
+                            if in_session {
+                                pending_delta.push((p.clone(), k));
+                            }
                             (e, true)
                         }
                         None => {
-                            let growth = node_count(&variant) as f64
-                                / node_count(&problem.source).max(1) as f64;
+                            let growth = node_count(&variant) as f64 / original_nodes.max(1) as f64;
                             // Minimization probes run under the same
                             // containment as the search: a hanging or
                             // panicking candidate is classified and the
@@ -1813,7 +1910,9 @@ impl<'a> Repairer<'a> {
                             });
                             cache.insert(p.clone(), e.clone());
                             if let Some(k) = key {
-                                pending_delta.push((p.clone(), k));
+                                if in_session {
+                                    pending_delta.push((p.clone(), k));
+                                }
                                 if shared.as_ref().is_some_and(|sh| sh.insert(k, &e)) {
                                     *store_writes += 1;
                                     observer.emit(|| {
@@ -2006,5 +2105,36 @@ endmodule";
         assert!(out[0].is_some(), "cache hits bypass the exhausted budget");
         assert_eq!(r.fitness_evals(), 1);
         assert_eq!(r.cache_hits(), 1);
+    }
+
+    #[test]
+    fn seed_phase_localizes_the_original_exactly_once() {
+        let problem = problem();
+        let config = RepairConfig {
+            popn_size: 40,
+            halt_after: Some(0),
+            ..RepairConfig::fast(3)
+        };
+        assert!(config.relocalize);
+        let mut r = Repairer::new(&problem, config);
+        r.run();
+        assert!(
+            r.fitness_evals() + r.cache_hits() > 2,
+            "the seed phase reproduced several children"
+        );
+        assert_eq!(r.localizations, 1, "every seed child reuses the original's");
+    }
+
+    #[test]
+    fn cache_delta_is_not_recorded_without_a_session() {
+        let problem = problem();
+        let config = RepairConfig::fast(1);
+        let scenario = crate::persist::problem_digest(&problem, &config);
+        let shared = SharedEvalCache::memory();
+        let mut r = Repairer::new(&problem, config).with_store(shared.clone(), scenario);
+        let result = r.run();
+        assert!(result.is_plausible(), "minimization probes ran too");
+        assert!(shared.len() > 1, "evaluations were written through");
+        assert!(r.pending_delta.is_empty(), "no session reads the delta");
     }
 }
