@@ -1,6 +1,5 @@
 //! Fuzzer throughput bench: how fast do we mint defect scenarios, and
-//! how fast does the differential robustness harness chew through
-//! inputs?
+//! how fast does the robustness harness chew through inputs?
 //!
 //! Three measurements:
 //!
@@ -8,7 +7,7 @@
 //!    projects (no classification), reporting `scenarios_per_s` and
 //!    the candidate-evaluation rate behind it.
 //! 2. **Fuzzing** — a complete `run_fuzz` pass (generated scenarios +
-//!    grammar mutations, both differential phases, shrinking armed),
+//!    grammar mutations, each simulated once, shrinking armed),
 //!    reporting `inputs_per_s` and the finding count — which must be
 //!    zero on a healthy tree, and the committed artifact records that.
 //! 3. **Replay** — the committed crash corpus re-driven through the
@@ -50,7 +49,7 @@ fn main() {
     ));
 
     // 2. A full fuzz pass: half generated scenarios, half grammar
-    //    mutations, differential oracle on, shrinking armed (free when
+    //    mutations, each simulated once, shrinking armed (free when
     //    the tree is healthy). One pass — run_fuzz amortizes nothing
     //    across reruns, so repeating only burns CI minutes.
     let fuzz_config = FuzzConfig {

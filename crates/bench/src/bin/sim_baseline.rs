@@ -94,28 +94,6 @@ fn main() {
         events as f64 / wall,
     ));
 
-    // 1b. The same workload with compiled expression execution switched
-    //     off, isolating the bytecode dispatch loop's contribution from
-    //     the packed-vector contribution (both records run on the
-    //     packed two-plane LogicVec).
-    cirfix_sim::set_exec_mode(cirfix_sim::ExecMode::TreeWalk);
-    let mut tw_wall = f64::INFINITY;
-    let mut tw_results = Vec::new();
-    for _ in 0..PASSES {
-        let t0 = Instant::now();
-        let pass = evaluate_many(&problem, &patches, params, 1);
-        tw_wall = tw_wall.min(t0.elapsed().as_secs_f64());
-        tw_results = pass;
-    }
-    cirfix_sim::set_exec_mode(cirfix_sim::ExecMode::Bytecode);
-    assert_eq!(tw_results.len(), EVALS, "tree-walk workload drifted");
-    records.push(format!(
-        "{{\"bench\":\"sim_baseline_treewalk\",\"jobs\":1,\"evals\":{},\
-         \"wall_s\":{tw_wall:.4},\"evals_per_s\":{:.2}}}",
-        tw_results.len(),
-        tw_results.len() as f64 / tw_wall,
-    ));
-
     // 2. Phase attribution through the profiler + report pipeline.
     // The brute-force search draws its own candidates, mostly distinct
     // multi-edit patches, and stops at this many simulations.

@@ -29,7 +29,7 @@ use crate::repair::{evaluate_profiled, node_count, panicked_evaluation, Evaluati
 
 /// Renders a panic payload (whatever was passed to `panic!`) as text
 /// for the contained candidate's error message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -91,7 +91,7 @@ pub use brute::{brute_force_repair, BruteConfig};
 pub use cirfix_telemetry::Observer;
 pub use control::{BatchGate, SearchControl};
 pub use crossover::crossover;
-pub use engine::{evaluate_many, resolve_jobs};
+pub use engine::{evaluate_many, panic_message, resolve_jobs};
 pub use faultloc::{fault_loc_event, fault_localization, FaultLoc};
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};

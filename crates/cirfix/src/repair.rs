@@ -369,6 +369,26 @@ pub(crate) fn evaluate_variant(
     }
 }
 
+/// [`evaluate_variant`] with a panic contained: a panicking candidate
+/// is classified [`EvalOutcome::Panicked`] at worst fitness instead of
+/// unwinding into the caller. The synchronous evaluations (the original
+/// design, minimization probes) go through here; the worker pool
+/// contains each batch item itself ([`crate::engine::run_batch`]).
+pub(crate) fn evaluate_contained(
+    problem: &RepairProblem,
+    variant: &cirfix_ast::SourceFile,
+    growth: f64,
+    params: FitnessParams,
+    budget: Option<Duration>,
+    fault: Option<FaultKind>,
+    profiler: Option<&Profiler>,
+) -> Evaluation {
+    catch_unwind(AssertUnwindSafe(|| {
+        evaluate_variant(problem, variant, growth, params, budget, fault, profiler)
+    }))
+    .unwrap_or_else(|payload| panicked_evaluation(problem, &panic_message(payload), growth))
+}
+
 fn evaluate_variant_inner(
     problem: &RepairProblem,
     variant: &cirfix_ast::SourceFile,
@@ -470,9 +490,9 @@ fn failure_evaluation(problem: &RepairProblem, growth: f64, e: &SimError) -> Eva
 }
 
 /// The worst-fitness evaluation for a candidate whose worker panicked.
-/// The panic was contained by the pool ([`catch_unwind`]); the
-/// candidate is classified [`EvalOutcome::Panicked`] and the search
-/// continues.
+/// The panic was contained ([`catch_unwind`]) by the pool or by
+/// [`evaluate_contained`]; the candidate is classified
+/// [`EvalOutcome::Panicked`] and the search continues.
 pub(crate) fn panicked_evaluation(problem: &RepairProblem, msg: &str, growth: f64) -> Evaluation {
     Evaluation {
         score: 0.0,
@@ -1080,23 +1100,15 @@ impl<'a> Repairer<'a> {
                 // Synchronous evaluations occupy the worker pool too:
                 // take a scheduling turn for the duration of the sim.
                 let _turn = self.config.control.turn();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    evaluate_variant(
-                        self.problem,
-                        variant,
-                        growth,
-                        self.config.fitness,
-                        budget,
-                        fault,
-                        profiler,
-                    )
-                }));
-                Some(match r {
-                    Ok(eval) => eval,
-                    Err(payload) => {
-                        panicked_evaluation(self.problem, &panic_message(payload), growth)
-                    }
-                })
+                Some(evaluate_contained(
+                    self.problem,
+                    variant,
+                    growth,
+                    self.config.fitness,
+                    budget,
+                    fault,
+                    profiler,
+                ))
             }
             _ => None,
         };
@@ -1877,22 +1889,15 @@ impl<'a> Repairer<'a> {
                             // ddmin loop keeps going.
                             let fault = faults.as_ref().and_then(|f| f.next_eval_fault());
                             let turn = control.turn();
-                            let e = match catch_unwind(AssertUnwindSafe(|| {
-                                evaluate_variant(
-                                    problem,
-                                    &variant,
-                                    growth,
-                                    params,
-                                    eval_timeout,
-                                    fault,
-                                    profiler,
-                                )
-                            })) {
-                                Ok(e) => e,
-                                Err(payload) => {
-                                    panicked_evaluation(problem, &panic_message(payload), growth)
-                                }
-                            };
+                            let e = evaluate_contained(
+                                problem,
+                                &variant,
+                                growth,
+                                params,
+                                eval_timeout,
+                                fault,
+                                profiler,
+                            );
                             drop(turn);
                             *evals += 1;
                             *minimize_evals += 1;

@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use cirfix::{
     brute_force_repair, evaluate, evaluate_many, oracle_from_golden, repair, BruteConfig,
-    FitnessParams, Observer, Patch, RepairConfig, RepairProblem, RepairResult, Repairer,
+    Evaluation, FitnessParams, Observer, Patch, RepairConfig, RepairProblem, RepairResult,
+    Repairer,
 };
 use cirfix_parser::parse;
 use cirfix_sim::{ProbeSpec, SimConfig};
@@ -211,21 +212,25 @@ fn cache_hits_do_zero_ast_work_and_zero_simulation() {
 fn evaluate_many_matches_serial_evaluation() {
     let problem = problem_for(FAULTY_NEGATED);
     let params = FitnessParams::default();
-    // A few distinct single-edit patches over the design's statements.
-    let patches: Vec<Patch> = cirfix::all_stmt_ids(&problem.source, &problem.design_modules)
-        .into_iter()
-        .take(6)
-        .map(|target| Patch::single(cirfix::Edit::DeleteStmt { target }))
-        .collect();
-    assert!(!patches.is_empty());
-    let serial: Vec<u64> = patches
+    // The original design plus a few distinct single-edit patches over
+    // the design's statements.
+    let mut patches = vec![Patch::empty()];
+    patches.extend(
+        cirfix::all_stmt_ids(&problem.source, &problem.design_modules)
+            .into_iter()
+            .take(6)
+            .map(|target| Patch::single(cirfix::Edit::DeleteStmt { target })),
+    );
+    assert!(patches.len() > 1);
+    let summarize = |e: &Evaluation| (e.score.to_bits(), e.compiled, e.outcome);
+    let serial: Vec<_> = patches
         .iter()
-        .map(|p| evaluate(&problem, p, params).score.to_bits())
+        .map(|p| summarize(&evaluate(&problem, p, params)))
         .collect();
     for jobs in [1, 4] {
-        let parallel: Vec<u64> = evaluate_many(&problem, &patches, params, jobs)
+        let parallel: Vec<_> = evaluate_many(&problem, &patches, params, jobs)
             .iter()
-            .map(|e| e.score.to_bits())
+            .map(summarize)
             .collect();
         assert_eq!(serial, parallel, "jobs={jobs} must match serial order");
     }

@@ -922,7 +922,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 ///
 /// ```text
 /// cirfix fuzz [--seed N] [--budget N] [--jobs N] [--out FILE]
-///             [--store DIR] [--no-differential] [--no-shrink] [--json]
+///             [--store DIR] [--no-shrink] [--json]
 /// cirfix fuzz replay <store-dir|crashes.jsonl> [--jobs N]
 /// cirfix fuzz gen --out DIR [--seed N] [--count N] [--per-project N]
 ///                 [--classify] [--jobs N]
@@ -971,10 +971,6 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     args.get(i + 1).ok_or("--store needs a value")?,
                 ));
                 i += 2;
-            }
-            "--no-differential" => {
-                config.differential = false;
-                i += 1;
             }
             "--no-shrink" => {
                 config.shrink = false;
@@ -1028,8 +1024,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `cirfix fuzz replay`: re-drive the shrunk crash corpus through the
-/// full differential harness; every record must now be handled
-/// cleanly.
+/// harness; every record must now be handled cleanly.
 fn cmd_fuzz_replay(args: &[String], fuzz_usage: &str) -> Result<(), Box<dyn std::error::Error>> {
     let (input, flags) = args.split_first().ok_or(fuzz_usage.to_string())?;
     let mut jobs = 0usize;

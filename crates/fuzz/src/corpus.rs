@@ -4,8 +4,8 @@
 //!
 //! Replay semantics are inverted from discovery: a corpus record is a
 //! finding that has been *fixed*, so replay asserts the pipeline now
-//! handles the input cleanly — any recurrence (panic, hang, or
-//! divergence) fails the replay.
+//! handles the input cleanly — any recurrence (panic or hang) fails
+//! the replay.
 
 use crate::harness::{run_harness, FuzzInput, HarnessConfig, InputOrigin};
 use cirfix_sim::{ProbeSpec, SimConfig};
@@ -17,7 +17,7 @@ use cirfix_telemetry::JsonValue;
 pub struct CrashRecord {
     /// Content digest (hex) — stable id, independent of discovery order.
     pub id: String,
-    /// Finding class at discovery time (`panic`, `hang`, `divergence`).
+    /// Finding class at discovery time (`panic` or `hang`).
     pub class: String,
     /// Seed of the run that found it.
     pub seed: u64,
@@ -107,9 +107,9 @@ impl ReplayReport {
     }
 }
 
-/// Replays every record through the full differential harness and
-/// reports any that still trigger a finding of *any* class (a fixed
-/// panic that resurfaces as a divergence is still a regression).
+/// Replays every record through the harness and reports any that still
+/// trigger a finding of *any* class (a fixed panic that resurfaces as a
+/// hang is still a regression).
 pub fn replay(records: &[CrashRecord], jobs: usize) -> ReplayReport {
     let inputs: Vec<FuzzInput> = records.iter().map(CrashRecord::to_input).collect();
     let report = run_harness(

@@ -1,20 +1,11 @@
 //! Robustness harness: drives inputs through the full frontend
-//! (parse → lint → elaborate → compile → simulate) with every panic
-//! contained, then cross-checks the two logic backends and the two
-//! expression execution modes against each other.
-//!
-//! The backend (`cirfix_logic::set_backend`) and execution mode
-//! (`cirfix_sim::set_exec_mode`) are process-wide atomics, so the
-//! differential oracle runs in sequential *phases*: phase A simulates
-//! every input under the production pair (packed words + bytecode),
-//! phase B re-simulates under the reference pair (per-bit + tree-walk),
-//! and the per-input outcomes are compared afterwards. Each phase is
-//! internally parallel; the two configurations are never mixed across
-//! threads.
+//! (parse → lint → elaborate → compile → simulate) once each, with
+//! every panic contained and a wall-clock backstop. The simulator has
+//! one implementation, so there is nothing to cross-check at run time:
+//! operator-level oracles live in the logic and simulator test suites.
 
-use cirfix::simulate_with_probe_cancellable;
-use cirfix_logic::Backend;
-use cirfix_sim::{CancelToken, ExecMode, ProbeSpec, SimConfig, SimError};
+use cirfix::{panic_message, simulate_with_probe_cancellable};
+use cirfix_sim::{CancelToken, ProbeSpec, SimConfig, SimError};
 use cirfix_store::Fnv128;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,10 +53,9 @@ pub struct FuzzInput {
     pub origin: InputOrigin,
 }
 
-/// Outcome of running one input through the pipeline under one
-/// backend/exec-mode configuration. Everything in here is a pure
-/// function of the input (wall-clock cancellation aside), so two
-/// configurations can be compared field by field.
+/// Outcome of running one input through the pipeline. Everything in
+/// here is a pure function of the input (wall-clock cancellation
+/// aside).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunStatus {
     /// The frontend rejected the source (expected for mutated inputs).
@@ -75,8 +65,7 @@ pub enum RunStatus {
     /// A deterministic simulator error (elaboration, oscillation,
     /// runaway, step-limit, runtime), by stable kind label.
     SimError(&'static str),
-    /// The wall-clock backstop fired. Excluded from differential
-    /// comparison (machine-dependent) but reported as a hang finding.
+    /// The wall-clock backstop fired; reported as a hang finding.
     Cancelled,
     /// A contained panic; carries the (truncated) panic message.
     Panic(String),
@@ -89,25 +78,23 @@ pub struct Finding {
     pub input_id: String,
     /// Provenance of the offending input.
     pub origin: InputOrigin,
-    /// Finding class: `panic`, `hang`, or `divergence`.
+    /// Finding class: `panic` or `hang`.
     pub class: &'static str,
     /// Offending source text (pre-shrink).
     pub source: String,
-    /// Human-readable detail (panic message, diverging statuses).
+    /// Human-readable detail (panic message, backstop note).
     pub detail: String,
 }
 
 /// Harness knobs.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
-    /// Worker threads per phase (`0` = auto).
+    /// Worker threads (`0` = auto).
     pub jobs: usize,
     /// Wall-clock backstop per input. The simulator's own operation
     /// budgets are expected to bind long before this does; if this
     /// fires it *is* a finding (class `hang`).
     pub per_input_timeout: Duration,
-    /// Cross-check packed/bytecode against reference/tree-walk.
-    pub differential: bool,
 }
 
 impl Default for HarnessConfig {
@@ -115,121 +102,51 @@ impl Default for HarnessConfig {
         HarnessConfig {
             jobs: 0,
             per_input_timeout: Duration::from_secs(10),
-            differential: true,
         }
     }
 }
 
-/// Result of a harness run: per-input statuses (production phase,
-/// input order) plus the findings distilled from both phases.
+/// Result of a harness run: per-input statuses (input order) plus the
+/// findings distilled from them.
 #[derive(Debug, Clone)]
 pub struct HarnessReport {
-    /// Phase-A (packed + bytecode) status per input, in input order.
+    /// Status per input, in input order.
     pub statuses: Vec<RunStatus>,
     /// Confirmed findings, in input order.
     pub findings: Vec<Finding>,
 }
 
-/// Serializes harness runs within one process: the differential phases
-/// flip process-wide backend state, so two concurrent harnesses (e.g.
-/// two tests in one binary) must not interleave.
-static HARNESS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs every input through both differential phases and distills
-/// findings. Restores the production backend/exec-mode on exit.
+/// Runs every input through the pipeline and distills findings.
 pub fn run_harness(inputs: &[FuzzInput], config: &HarnessConfig) -> HarnessReport {
-    let _guard = HARNESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let jobs = cirfix::resolve_jobs(config.jobs);
-
-    cirfix_logic::set_backend(Backend::Packed);
-    cirfix_sim::set_exec_mode(ExecMode::Bytecode);
-    let phase_a = run_phase(inputs, jobs, config.per_input_timeout);
-
-    let phase_b = if config.differential {
-        cirfix_logic::set_backend(Backend::Reference);
-        cirfix_sim::set_exec_mode(ExecMode::TreeWalk);
-        // Parsing and linting are backend-independent; only inputs
-        // that reached the simulator need a reference run.
-        let rerun: Vec<bool> = phase_a
-            .iter()
-            .map(|s| !matches!(s, RunStatus::ParseError))
-            .collect();
-        let statuses = run_phase_filtered(inputs, &rerun, jobs, config.per_input_timeout);
-        cirfix_logic::set_backend(Backend::Packed);
-        cirfix_sim::set_exec_mode(ExecMode::Bytecode);
-        Some(statuses)
-    } else {
-        None
-    };
-
-    let mut findings = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        let a = &phase_a[i];
-        let b = phase_b.as_ref().map(|p| &p[i]);
-        collect_findings(input, a, b, &mut findings);
-    }
-    HarnessReport {
-        statuses: phase_a,
-        findings,
-    }
+    let statuses = run_all(
+        inputs,
+        cirfix::resolve_jobs(config.jobs),
+        config.per_input_timeout,
+    );
+    let findings = inputs
+        .iter()
+        .zip(&statuses)
+        .filter_map(|(input, status)| {
+            let (class, detail) = match status {
+                RunStatus::Panic(msg) => ("panic", msg.clone()),
+                RunStatus::Cancelled => ("hang", "wall-clock backstop fired".to_string()),
+                _ => return None,
+            };
+            Some(Finding {
+                input_id: input.id.clone(),
+                origin: input.origin,
+                class,
+                source: input.source.clone(),
+                detail,
+            })
+        })
+        .collect();
+    HarnessReport { statuses, findings }
 }
 
-/// Distills findings for one input from its phase outcomes.
-fn collect_findings(
-    input: &FuzzInput,
-    a: &RunStatus,
-    b: Option<&RunStatus>,
-    findings: &mut Vec<Finding>,
-) {
-    let mut push = |class, detail: String| {
-        findings.push(Finding {
-            input_id: input.id.clone(),
-            origin: input.origin,
-            class,
-            source: input.source.clone(),
-            detail,
-        });
-    };
-    for (phase, status) in [("packed/bytecode", Some(a)), ("reference/tree-walk", b)] {
-        match status {
-            Some(RunStatus::Panic(msg)) => push("panic", format!("{phase}: {msg}")),
-            Some(RunStatus::Cancelled) => {
-                push("hang", format!("{phase}: wall-clock backstop fired"));
-            }
-            _ => {}
-        }
-    }
-    if let Some(b) = b {
-        let comparable = |s: &RunStatus| {
-            !matches!(
-                s,
-                RunStatus::Cancelled | RunStatus::Panic(_) | RunStatus::ParseError
-            )
-        };
-        if comparable(a) && comparable(b) && a != b {
-            push(
-                "divergence",
-                format!("packed/bytecode: {a:?} vs reference/tree-walk: {b:?}"),
-            );
-        }
-    }
-}
-
-/// Runs one phase over all inputs on a scoped worker pool, returning
+/// Drives every input on a scoped pool of `jobs` workers, returning
 /// statuses in input order (independent of worker scheduling).
-fn run_phase(inputs: &[FuzzInput], jobs: usize, timeout: Duration) -> Vec<RunStatus> {
-    let all = vec![true; inputs.len()];
-    run_phase_filtered(inputs, &all, jobs, timeout)
-}
-
-/// Like [`run_phase`], but skips inputs whose `selected` flag is
-/// false (their slot repeats [`RunStatus::ParseError`]).
-fn run_phase_filtered(
-    inputs: &[FuzzInput],
-    selected: &[bool],
-    jobs: usize,
-    timeout: Duration,
-) -> Vec<RunStatus> {
+fn run_all(inputs: &[FuzzInput], jobs: usize, timeout: Duration) -> Vec<RunStatus> {
     if inputs.is_empty() {
         return Vec::new();
     }
@@ -243,11 +160,7 @@ fn run_phase_filtered(
                 if i >= inputs.len() {
                     break;
                 }
-                let status = if selected[i] {
-                    run_one(&inputs[i], timeout)
-                } else {
-                    RunStatus::ParseError
-                };
+                let status = run_one(&inputs[i], timeout);
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
             });
         }
@@ -307,17 +220,6 @@ fn run_one_inner(input: &FuzzInput, timeout: Duration) -> RunStatus {
     }
 }
 
-/// Extracts the human-readable part of a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn truncate(s: &str, limit: usize) -> String {
     if s.len() <= limit {
         return s.to_string();
@@ -353,7 +255,7 @@ mod tests {
     const TB: &str = "module tb; reg q; initial begin q = 0; #1 q = 1; #1 $finish; end endmodule";
 
     #[test]
-    fn valid_source_simulates_identically_in_both_phases() {
+    fn valid_source_simulates_without_findings() {
         let inputs = vec![input(TB)];
         let report = run_harness(&inputs, &HarnessConfig::default());
         assert!(matches!(report.statuses[0], RunStatus::SimOk(_)));

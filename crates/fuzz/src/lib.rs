@@ -8,9 +8,7 @@
 //!    variants whose testbench catches the transplanted defect.
 //! 2. **Harness** ([`harness`]) — drives generated variants plus
 //!    byte/token mutations of valid sources through the whole
-//!    frontend with panics contained and a differential oracle
-//!    cross-checking the packed and per-bit logic backends and the
-//!    bytecode and tree-walk executors.
+//!    frontend with panics contained and a wall-clock backstop.
 //! 3. **Triage** ([`shrink`], [`corpus`]) — delta-debugs each finding
 //!    to a minimal reproducer and persists it as a checksummed store
 //!    record, replayed afterwards as a gating regression test.
@@ -51,8 +49,6 @@ pub struct FuzzConfig {
     pub generator: GenConfig,
     /// Per-input wall-clock backstop.
     pub per_input_timeout: Duration,
-    /// Run the reference-backend differential phase.
-    pub differential: bool,
     /// Shrink findings to minimal reproducers (slow when findings
     /// exist; free when there are none).
     pub shrink: bool,
@@ -66,13 +62,12 @@ impl Default for FuzzConfig {
             jobs: 0,
             generator: GenConfig::default(),
             per_input_timeout: Duration::from_secs(10),
-            differential: true,
             shrink: true,
         }
     }
 }
 
-/// Aggregated outcome counts over one phase-A pass, in input order.
+/// Aggregated outcome counts over one harness pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuzzStats {
     /// Inputs driven through the harness.
@@ -177,7 +172,6 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     let harness_config = HarnessConfig {
         jobs: config.jobs,
         per_input_timeout: config.per_input_timeout,
-        differential: config.differential,
     };
     let report = run_harness(&inputs, &harness_config);
 
@@ -230,7 +224,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 
 /// Shrinks one finding with a class-preserving predicate: a candidate
 /// reduction is interesting iff replaying it through the (single-input)
-/// differential harness still yields a finding of the same class.
+/// harness still yields a finding of the same class.
 fn shrink_finding(input: &FuzzInput, finding: &Finding, config: &HarnessConfig) -> String {
     let probe_config = HarnessConfig {
         jobs: 1,

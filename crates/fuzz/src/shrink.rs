@@ -3,7 +3,7 @@
 //!
 //! The predicate is abstract (`&str → bool`, "does this reduced source
 //! still trigger the original finding class"), so the same shrinker
-//! serves panics, hangs, and backend divergences — and is testable
+//! serves panics and hangs alike — and is testable
 //! with synthetic predicates that never touch the simulator.
 
 use cirfix_ast::print::source_to_string;

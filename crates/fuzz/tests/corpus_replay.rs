@@ -3,9 +3,9 @@
 //! `crates/fuzz/corpus/crashes.jsonl` is a committed, checksummed
 //! store segment holding every finding the fuzzer (or hand analysis)
 //! has surfaced, shrunk to a minimal reproducer, after the underlying
-//! defect was fixed. Replaying it through the full differential
-//! harness must be clean: any recurrence is a regression and fails
-//! this test (and the matching CI step).
+//! defect was fixed. Replaying it through the harness must be clean:
+//! any recurrence is a regression and fails this test (and the matching
+//! CI step).
 //!
 //! To add a record, append it to `canonical_records` and run
 //! `cargo test -p cirfix-fuzz --test corpus_replay -- --ignored` to

@@ -25,15 +25,12 @@
 //! assert!(a.add(&unknown).has_unknown());
 //! ```
 
-mod backend;
 mod bit;
 mod edge;
 mod literal;
 mod ops;
-pub mod reference;
 mod vec;
 
-pub use backend::{backend, set_backend, Backend};
 pub use bit::{Logic, Truth};
 pub use edge::{is_negedge, is_posedge, EdgeKind};
 pub use literal::{LiteralBase, ParseLiteralError};

@@ -4,11 +4,13 @@
 //! Each operator is exercised on ≥ 10,000 seeded random vector pairs,
 //! swept across x/z densities of 0%, 25% and 50% and widths from 1 to
 //! 256 bits (so multiword and >128-bit paths are always hit). The
-//! reference implementations are called directly from
-//! `cirfix_logic::reference`; the packed methods run through the
-//! default backend, so no global state is flipped here.
+//! reference implementations live in test support (`reference/mod.rs`)
+//! and are called directly; the packed methods are the library's only
+//! implementation.
 
-use cirfix_logic::{reference, Logic, LogicVec};
+mod reference;
+
+use cirfix_logic::{Logic, LogicVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

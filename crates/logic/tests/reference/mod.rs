@@ -1,21 +1,16 @@
 //! Per-bit reference implementations of every [`LogicVec`] operator.
 //!
 //! These functions compute IEEE 1364 semantics one bit at a time, using
-//! only the scalar truth tables in [`crate::Logic`] and the public
-//! bit-level accessors — never the packed word operators. They exist to
-//! be *differentially tested* against the word-packed backend: the
-//! property suites drive both over random vectors dense in `x`/`z` and
-//! assert bit-identical results, and the simulator can be flipped to
-//! run entirely on these algorithms via
-//! [`crate::set_backend`]`(`[`crate::Backend::Reference`]`)` for
-//! whole-run equivalence checks.
+//! only the scalar truth tables in [`Logic`] and the public bit-level
+//! accessors — never the packed word operators. They are a test oracle:
+//! `differential.rs` drives both over random vectors dense in `x`/`z`
+//! and asserts bit-identical results.
 //!
 //! Operand-width conventions match the operator docs in `ops.rs`:
 //! binary operators work at `max(lhs, rhs)` width with zero extension;
 //! shifts keep the left operand's width.
 
-use crate::bit::{Logic, Truth};
-use crate::vec::LogicVec;
+use cirfix_logic::{Logic, LogicVec, Truth};
 
 /// Zero-extended bit read: bits at or beyond `v.width()` read as `0`
 /// (the extension Verilog applies to the narrower binary operand).

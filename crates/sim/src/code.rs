@@ -1,9 +1,9 @@
-//! Compiled expression bytecode and the process-code cache.
+//! Compiled expression bytecode.
 //!
 //! The [`Op`]s produced by `compile.rs` still embed [`Expr`] trees; the
 //! tree-walking evaluator re-dispatches on every node, every time a
 //! process resumes. This module compiles each expression site into a
-//! flat postfix [`ExprCode`] once per elaboration: identifier slots are
+//! flat postfix [`ExprCode`] once per simulator: identifier slots are
 //! resolved to signal/memory ids, parameters and static part-selects
 //! are folded to constants, and execution becomes a tight dispatch loop
 //! over [`Inst`]s with a reused value stack.
@@ -16,21 +16,11 @@
 //! the compiler does not handle is left uncompiled and falls back to
 //! the tree walker at that site — all-or-nothing per expression.
 //!
-//! # Cache and per-process invalidation
-//!
-//! CirFix builds a fresh [`crate::Simulator`] for every candidate
-//! evaluation, but a mutant differs from its parent in exactly one
-//! process; the testbench processes are structurally identical across
-//! thousands of evaluations. [`compiled_program`] therefore caches
-//! compiled programs in a thread-local table keyed by a 128-bit
-//! structural hash of the program *and* the scope bindings it compiles
-//! against (node ids are excluded — renumbered clones hash the same).
-//! Only the edited process misses and recompiles.
+//! [`crate::Simulator`] compiles its design once, when it is built, and
+//! the code lives and dies with that simulator, so a simulation stays a
+//! pure function of (design, config).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use cirfix_ast::{BinaryOp, Expr, UnaryOp};
 use cirfix_logic::{Logic, LogicVec};
@@ -38,39 +28,6 @@ use cirfix_logic::{Logic, LogicVec};
 use crate::compile::{Op, Program};
 use crate::design::{MemId, Scope, ScopeEntry, SignalId};
 use crate::eval::{apply_binary, apply_unary, EvalCtx, EvalFault, MAX_SELECT_WIDTH};
-
-// ---------------------------------------------------------------------
-// Execution-mode switch
-// ---------------------------------------------------------------------
-
-/// How the simulator executes expressions at compiled sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Run compiled postfix bytecode where available (production).
-    Bytecode,
-    /// Always tree-walk the original `Expr` (equivalence testing).
-    TreeWalk,
-}
-
-static EXEC_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the expression execution mode for the whole process. Like
-/// the logic-backend switch, this is deliberately not a [`crate::SimConfig`]
-/// field: configs are folded into persisted digests and the mode must
-/// stay unobservable.
-pub fn set_exec_mode(mode: ExecMode) {
-    EXEC_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The currently selected execution mode.
-#[inline]
-pub fn exec_mode() -> ExecMode {
-    if EXEC_MODE.load(Ordering::Relaxed) == 0 {
-        ExecMode::Bytecode
-    } else {
-        ExecMode::TreeWalk
-    }
-}
 
 // ---------------------------------------------------------------------
 // Bytecode
@@ -520,242 +477,6 @@ pub fn exec_code(
     Ok(stack.pop().expect("result value"))
 }
 
-// ---------------------------------------------------------------------
-// Structural hashing and the per-process compile cache
-// ---------------------------------------------------------------------
-
-/// FNV-1a over 128 bits — the same construction the store digests use,
-/// wide enough that cross-process collisions are not a practical
-/// concern.
-struct Fnv128(u128);
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-
-    fn new() -> Fnv128 {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u128::from(b)).wrapping_mul(Self::PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for b in bs {
-            self.byte(*b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-}
-
-/// Hashes everything [`compile_expr`] depends on: the expression
-/// structure (node ids excluded — apply-patch renumbering must not
-/// defeat the cache) and the resolution of every name it mentions,
-/// including parameter *values* and the declared LSB of sliced signals.
-fn hash_expr(h: &mut Fnv128, e: &Expr, scope: &Scope, sig_lsb: &[usize]) {
-    let name_res = |h: &mut Fnv128, name: &str| match scope.lookup(name) {
-        Some(ScopeEntry::Sig(id)) => {
-            h.byte(1);
-            h.u64(*id as u64);
-            h.u64(sig_lsb[*id] as u64);
-        }
-        Some(ScopeEntry::Mem(mid)) => {
-            h.byte(2);
-            h.u64(*mid as u64);
-            // Fault messages embed the source name.
-            h.str(name);
-        }
-        Some(ScopeEntry::Param(v)) => {
-            h.byte(3);
-            hash_value(h, v);
-        }
-        None => {
-            h.byte(4);
-            h.str(name);
-        }
-    };
-    match e {
-        Expr::Literal { value, .. } => {
-            h.byte(10);
-            hash_value(h, value);
-        }
-        Expr::Str { .. } => h.byte(11),
-        Expr::Ident { name, .. } => {
-            h.byte(12);
-            name_res(h, name);
-        }
-        Expr::Unary { op, arg, .. } => {
-            h.byte(13);
-            h.byte(*op as u8);
-            hash_expr(h, arg, scope, sig_lsb);
-        }
-        Expr::Binary { op, lhs, rhs, .. } => {
-            h.byte(14);
-            h.byte(*op as u8);
-            hash_expr(h, lhs, scope, sig_lsb);
-            hash_expr(h, rhs, scope, sig_lsb);
-        }
-        Expr::Cond {
-            cond,
-            then_e,
-            else_e,
-            ..
-        } => {
-            h.byte(15);
-            hash_expr(h, cond, scope, sig_lsb);
-            hash_expr(h, then_e, scope, sig_lsb);
-            hash_expr(h, else_e, scope, sig_lsb);
-        }
-        Expr::Index { base, index, .. } => {
-            h.byte(16);
-            name_res(h, base);
-            hash_expr(h, index, scope, sig_lsb);
-        }
-        Expr::Range { base, msb, lsb, .. } => {
-            h.byte(17);
-            name_res(h, base);
-            hash_expr(h, msb, scope, sig_lsb);
-            hash_expr(h, lsb, scope, sig_lsb);
-        }
-        Expr::Concat { parts, .. } => {
-            h.byte(18);
-            h.u64(parts.len() as u64);
-            for p in parts {
-                hash_expr(h, p, scope, sig_lsb);
-            }
-        }
-        Expr::Repeat { count, parts, .. } => {
-            h.byte(19);
-            hash_expr(h, count, scope, sig_lsb);
-            h.u64(parts.len() as u64);
-            for p in parts {
-                hash_expr(h, p, scope, sig_lsb);
-            }
-        }
-        Expr::SysCall { name, .. } => {
-            h.byte(20);
-            h.str(name);
-        }
-    }
-}
-
-fn hash_value(h: &mut Fnv128, v: &LogicVec) {
-    h.u64(v.width() as u64);
-    for b in v.bits_lsb() {
-        h.byte(b as u8);
-    }
-}
-
-/// Hashes the parts of a program that determine its [`ProcCode`]: op
-/// kinds, arities and expressions. Targets and wait lists are *not*
-/// compiled, so two programs differing only there may legitimately
-/// share compiled code.
-fn hash_program(prog: &Program, scope: &Scope, sig_lsb: &[usize]) -> u128 {
-    let mut h = Fnv128::new();
-    h.u64(prog.ops.len() as u64);
-    for op in &prog.ops {
-        match op {
-            Op::Assign { rhs, .. } => {
-                h.byte(30);
-                hash_expr(&mut h, rhs, scope, sig_lsb);
-            }
-            Op::EvalPending { rhs } => {
-                h.byte(31);
-                hash_expr(&mut h, rhs, scope, sig_lsb);
-            }
-            Op::NonBlocking { rhs, delay, .. } => {
-                h.byte(32);
-                hash_expr(&mut h, rhs, scope, sig_lsb);
-                match delay {
-                    Some(d) => {
-                        h.byte(1);
-                        hash_expr(&mut h, d, scope, sig_lsb);
-                    }
-                    None => h.byte(0),
-                }
-            }
-            Op::WaitDelay { amount } => {
-                h.byte(33);
-                hash_expr(&mut h, amount, scope, sig_lsb);
-            }
-            Op::WaitCond { cond, .. } => {
-                h.byte(34);
-                hash_expr(&mut h, cond, scope, sig_lsb);
-            }
-            Op::JumpIfFalse { cond, .. } => {
-                h.byte(35);
-                hash_expr(&mut h, cond, scope, sig_lsb);
-            }
-            Op::RepeatInit { count } => {
-                h.byte(36);
-                hash_expr(&mut h, count, scope, sig_lsb);
-            }
-            Op::CaseJump { subject, arms, .. } => {
-                h.byte(37);
-                hash_expr(&mut h, subject, scope, sig_lsb);
-                h.u64(arms.len() as u64);
-                for (labels, _) in arms {
-                    h.u64(labels.len() as u64);
-                    for l in labels {
-                        hash_expr(&mut h, l, scope, sig_lsb);
-                    }
-                }
-            }
-            Op::CommitPending { .. } => h.byte(38),
-            Op::WaitEvent { .. } => h.byte(39),
-            Op::Trigger { .. } => h.byte(40),
-            Op::SysTask { .. } => h.byte(41),
-            Op::Jump { .. } => h.byte(42),
-            Op::RepeatTest { .. } => h.byte(43),
-            Op::End => h.byte(44),
-        }
-    }
-    h.0
-}
-
-thread_local! {
-    static PROC_CACHE: RefCell<HashMap<u128, Rc<ProcCode>>> = RefCell::new(HashMap::new());
-}
-
-/// Entries kept before the cache is flushed wholesale — a backstop
-/// against unbounded growth over very long repair sessions, far above
-/// the working set of one search (a handful of processes per variant).
-const PROC_CACHE_LIMIT: usize = 16_384;
-
-/// Returns compiled code for a process, reusing the thread-local cache
-/// when a structurally identical (program, bindings) pair was compiled
-/// before. In a repair loop this means only the mutated process
-/// recompiles between candidate evaluations.
-pub fn compiled_program(prog: &Program, scope: &Scope, sig_lsb: &[usize]) -> Rc<ProcCode> {
-    let key = hash_program(prog, scope, sig_lsb);
-    PROC_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() >= PROC_CACHE_LIMIT {
-            cache.clear();
-        }
-        Rc::clone(
-            cache
-                .entry(key)
-                .or_insert_with(|| Rc::new(compile_program(prog, scope, sig_lsb))),
-        )
-    })
-}
-
-/// Test hook: entries currently cached on this thread.
-#[cfg(test)]
-pub fn proc_cache_len() -> usize {
-    PROC_CACHE.with(|c| c.borrow().len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,48 +560,5 @@ mod tests {
         let code = compile_expr(&e, &scope, &[0]).expect("compiles");
         let err = run(&code, &scope, &store).unwrap_err();
         assert_eq!(err.0, "bad replication count 5000");
-    }
-
-    #[test]
-    fn node_renumbering_hits_the_cache() {
-        let mk = |g: &mut NodeIdGen| {
-            let a = Expr::ident(g, "a");
-            let one = Expr::literal_u64(g, 1, 4);
-            let rhs = Expr::binary(g, BinaryOp::Add, a, one);
-            Program {
-                ops: vec![
-                    Op::Assign {
-                        target: crate::design::Target::Sig(0),
-                        rhs,
-                    },
-                    Op::End,
-                ],
-            }
-        };
-        let scope = scope_with_sig("a", 0);
-        let mut g1 = NodeIdGen::new();
-        let p1 = mk(&mut g1);
-        // Different node ids, same structure.
-        let mut g2 = NodeIdGen::starting_at(1000);
-        let p2 = mk(&mut g2);
-        let c1 = compiled_program(&p1, &scope, &[0]);
-        let c2 = compiled_program(&p2, &scope, &[0]);
-        assert!(Rc::ptr_eq(&c1, &c2), "renumbered clone must hit the cache");
-        // A structural change misses.
-        let mut g3 = NodeIdGen::new();
-        let a = Expr::ident(&mut g3, "a");
-        let two = Expr::literal_u64(&mut g3, 2, 4);
-        let rhs = Expr::binary(&mut g3, BinaryOp::Add, a, two);
-        let p3 = Program {
-            ops: vec![
-                Op::Assign {
-                    target: crate::design::Target::Sig(0),
-                    rhs,
-                },
-                Op::End,
-            ],
-        };
-        let c3 = compiled_program(&p3, &scope, &[0]);
-        assert!(!Rc::ptr_eq(&c1, &c3), "edited process must recompile");
     }
 }

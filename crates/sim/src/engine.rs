@@ -13,9 +13,7 @@ use cirfix_ast::{Expr, SourceFile};
 use cirfix_logic::{EdgeKind, Logic, LogicVec};
 
 use crate::cancel::CancelToken;
-use crate::code::{
-    compile_expr, compiled_program, exec_code, exec_mode, ExecMode, ExprCode, ProcCode,
-};
+use crate::code::{compile_expr, compile_program, exec_code, ExprCode, ProcCode};
 use crate::compile::{Op, Program};
 use crate::design::{Design, Scope, SignalId, Store, Target};
 use crate::elab::elaborate;
@@ -307,13 +305,10 @@ impl Simulator {
             }
         }
         let sig_lsb: Vec<usize> = design.signals.iter().map(|s| s.lsb).collect();
-        // Compile every process to bytecode up front; the thread-local
-        // cache makes this free for the (unmutated) majority of
-        // processes across candidate evaluations.
         let codes = design
             .processes
             .iter()
-            .map(|p| compiled_program(&p.program, &p.scope, &sig_lsb))
+            .map(|p| Rc::new(compile_program(&p.program, &p.scope, &sig_lsb)))
             .collect();
         let cassign_codes = design
             .cassigns
@@ -715,9 +710,9 @@ impl Simulator {
         eval_expr(expr, &mut ctx)
     }
 
-    /// Runs compiled bytecode when available (and bytecode execution is
-    /// selected), else tree-walks `expr`. Both paths are semantically
-    /// identical, including fault messages and `$random` LCG draws.
+    /// Runs compiled bytecode when the site compiled, else tree-walks
+    /// `expr`. Both paths are semantically identical, including fault
+    /// messages and `$random` LCG draws.
     fn eval_either(
         &mut self,
         expr: &Expr,
@@ -725,8 +720,8 @@ impl Simulator {
         scope: &Scope,
     ) -> Result<LogicVec, EvalFault> {
         match code {
-            Some(code) if exec_mode() == ExecMode::Bytecode => self.exec_compiled(code, scope),
-            _ => self.eval_in(expr, scope),
+            Some(code) => self.exec_compiled(code, scope),
+            None => self.eval_in(expr, scope),
         }
     }
 
@@ -941,7 +936,7 @@ impl Simulator {
         self.cassign_queued[ci] = false;
         let scope = Rc::clone(&self.design.cassigns[ci].scope);
         let code = self.cassign_codes[ci].clone();
-        let value = match code.filter(|_| exec_mode() == ExecMode::Bytecode) {
+        let value = match code {
             Some(code) => self.exec_compiled(&code, &scope),
             None => {
                 let rhs = self.design.cassigns[ci].rhs.clone();

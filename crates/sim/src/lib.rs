@@ -50,7 +50,6 @@ pub mod vcd;
 pub mod width;
 
 pub use cancel::CancelToken;
-pub use code::{exec_mode, set_exec_mode, ExecMode};
 pub use compile::{CompileError, Op, Program, WaitSpec};
 pub use design::{
     ContAssign, Design, FnvHasher, Memory, NameMap, Process, ProcessKind, Scope, ScopeEntry,
