@@ -16,7 +16,9 @@
 //! Emits JSON lines to stdout and `BENCH_fuzz.json` (override with
 //! `CIRFIX_BENCH_OUT`).
 
+use cirfix_bench::{fixed, write_records};
 use cirfix_fuzz::{replay, run_fuzz, FuzzConfig, GenConfig};
+use cirfix_telemetry::JsonValue;
 use std::time::Instant;
 
 fn main() {
@@ -27,7 +29,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<JsonValue> = Vec::new();
 
     // 1. Scenario generation over every project. Warm once (parser and
     //    elaboration caches), then keep the fastest of three passes —
@@ -42,11 +44,13 @@ fn main() {
         gen_wall = gen_wall.min(t0.elapsed().as_secs_f64());
         generated = scenarios.len();
     }
-    records.push(format!(
-        "{{\"bench\":\"fuzz_gen\",\"scenarios\":{generated},\"wall_s\":{gen_wall:.4},\
-         \"scenarios_per_s\":{:.2},\"host_cores\":{host_cores}}}",
-        generated as f64 / gen_wall,
-    ));
+    records.push(JsonValue::obj(vec![
+        ("bench", JsonValue::Str("fuzz_gen".into())),
+        ("scenarios", JsonValue::Uint(generated as u64)),
+        ("wall_s", fixed(gen_wall, 4)),
+        ("scenarios_per_s", fixed(generated as f64 / gen_wall, 2)),
+        ("host_cores", JsonValue::Uint(host_cores as u64)),
+    ]));
 
     // 2. A full fuzz pass: half generated scenarios, half grammar
     //    mutations, each simulated once, shrinking armed (free when
@@ -60,19 +64,19 @@ fn main() {
     let t0 = Instant::now();
     let report = run_fuzz(&fuzz_config);
     let fuzz_wall = t0.elapsed().as_secs_f64();
-    records.push(format!(
-        "{{\"bench\":\"fuzz_run\",\"seed\":{},\"inputs\":{},\"generated\":{},\
-         \"parse_errors\":{},\"sim_ok\":{},\"sim_errors\":{},\"findings\":{},\
-         \"wall_s\":{fuzz_wall:.4},\"inputs_per_s\":{:.2}}}",
-        report.seed,
-        report.stats.inputs,
-        report.stats.generated,
-        report.stats.parse_errors,
-        report.stats.sim_ok,
-        report.stats.sim_errors,
-        report.findings.len(),
-        report.stats.inputs as f64 / fuzz_wall,
-    ));
+    let stats = &report.stats;
+    records.push(JsonValue::obj(vec![
+        ("bench", JsonValue::Str("fuzz_run".into())),
+        ("seed", JsonValue::Uint(report.seed)),
+        ("inputs", JsonValue::Uint(stats.inputs as u64)),
+        ("generated", JsonValue::Uint(stats.generated as u64)),
+        ("parse_errors", JsonValue::Uint(stats.parse_errors as u64)),
+        ("sim_ok", JsonValue::Uint(stats.sim_ok as u64)),
+        ("sim_errors", JsonValue::Uint(stats.sim_errors as u64)),
+        ("findings", JsonValue::Uint(report.findings.len() as u64)),
+        ("wall_s", fixed(fuzz_wall, 4)),
+        ("inputs_per_s", fixed(stats.inputs as f64 / fuzz_wall, 2)),
+    ]));
 
     // 3. The committed regression corpus, replayed exactly as CI gates
     //    on it.
@@ -87,21 +91,16 @@ fn main() {
     let t0 = Instant::now();
     let replay_report = replay(&corpus, 0);
     let replay_wall = t0.elapsed().as_secs_f64();
-    records.push(format!(
-        "{{\"bench\":\"fuzz_replay\",\"records\":{},\"regressions\":{},\"wall_s\":{replay_wall:.4}}}",
-        replay_report.replayed,
-        replay_report.regressions.len(),
-    ));
+    records.push(JsonValue::obj(vec![
+        ("bench", JsonValue::Str("fuzz_replay".into())),
+        ("records", JsonValue::Uint(replay_report.replayed as u64)),
+        (
+            "regressions",
+            JsonValue::Uint(replay_report.regressions.len() as u64),
+        ),
+        ("wall_s", fixed(replay_wall, 4)),
+    ]));
 
     let _ = std::panic::take_hook();
-    for record in &records {
-        println!("{record}");
-    }
-    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| "BENCH_fuzz.json".into());
-    let body = records.join("\n") + "\n";
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("fuzz: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("fuzz: wrote {out}");
+    write_records("fuzz", "BENCH_fuzz.json", &records);
 }

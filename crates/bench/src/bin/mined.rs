@@ -15,9 +15,11 @@
 use std::time::{Duration, Instant};
 
 use cirfix::{repair_session, repair_with_trials, RepairConfig};
+use cirfix_bench::{fixed, write_records};
 use cirfix_benchmarks::scenario;
 use cirfix_mine::mine_corpus;
 use cirfix_store::Store;
+use cirfix_telemetry::JsonValue;
 
 const TRAIN: &[&str] = &["counter_sens_list", "counter_increment", "counter_reset"];
 const EVAL: &[&str] = &["flip_flop_cond", "lshift_sens"];
@@ -55,7 +57,7 @@ fn main() {
         report.records
     );
 
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<JsonValue> = Vec::new();
     for id in EVAL {
         let s = scenario(id).expect("scenario");
         let problem = s.problem().expect("problem builds");
@@ -76,27 +78,20 @@ fn main() {
             } else {
                 baseline_evals as f64 / result.totals.fitness_evals as f64
             };
-            let record = format!(
-                "{{\"bench\":\"mined\",\"arm\":\"{arm}\",\"scenario\":\"{}\",\
-                 \"patterns\":{},\"plausible\":{},\"wall_s\":{wall:.4},\
-                 \"simulations\":{},\"pattern_hits\":{},\"eval_ratio\":{ratio:.3}}}",
-                s.id,
-                report.patterns.len(),
-                result.is_plausible(),
-                result.totals.fitness_evals,
-                result.totals.pattern_hits,
-            );
-            println!("{record}");
-            records.push(record);
+            records.push(JsonValue::obj(vec![
+                ("bench", JsonValue::Str("mined".into())),
+                ("arm", JsonValue::Str(arm.into())),
+                ("scenario", JsonValue::Str(s.id.into())),
+                ("patterns", JsonValue::Uint(report.patterns.len() as u64)),
+                ("plausible", JsonValue::Bool(result.is_plausible())),
+                ("wall_s", fixed(wall, 4)),
+                ("simulations", JsonValue::Uint(result.totals.fitness_evals)),
+                ("pattern_hits", JsonValue::Uint(result.totals.pattern_hits)),
+                ("eval_ratio", fixed(ratio, 3)),
+            ]));
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| "BENCH_mined.json".into());
-    let body = records.join("\n") + "\n";
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("mined: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("mined: wrote {out}");
+    write_records("mined", "BENCH_mined.json", &records);
 }

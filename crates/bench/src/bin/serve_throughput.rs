@@ -14,6 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use cirfix_bench::{fixed, write_records};
 use cirfix_serve::{serve, Client, Request, ServeAddr, ServeOpts};
 use cirfix_store::field;
 use cirfix_telemetry::JsonValue;
@@ -154,24 +155,18 @@ fn main() {
     let mut ttfh: Vec<f64> = timings.iter().filter_map(|t| t.first_heartbeat_s).collect();
     ttfh.sort_by(f64::total_cmp);
 
-    let record = format!(
-        "{{\"bench\":\"serve_throughput\",\"clients\":{CLIENTS},\
-         \"jobs\":{jobs},\"wall_s\":{wall_s:.4},\
-         \"jobs_per_s\":{:.3},\"ttfh_p50_s\":{:.4},\
-         \"submit_done_p50_s\":{:.4},\"submit_done_p99_s\":{:.4},\
-         \"admission_rejections\":{rejections}}}",
-        jobs as f64 / wall_s,
-        percentile(&ttfh, 0.50),
-        percentile(&done, 0.50),
-        percentile(&done, 0.99),
-    );
-    println!("{record}");
+    let record = JsonValue::obj(vec![
+        ("bench", JsonValue::Str("serve_throughput".into())),
+        ("clients", JsonValue::Uint(CLIENTS as u64)),
+        ("jobs", JsonValue::Uint(jobs as u64)),
+        ("wall_s", fixed(wall_s, 4)),
+        ("jobs_per_s", fixed(jobs as f64 / wall_s, 3)),
+        ("ttfh_p50_s", fixed(percentile(&ttfh, 0.50), 4)),
+        ("submit_done_p50_s", fixed(percentile(&done, 0.50), 4)),
+        ("submit_done_p99_s", fixed(percentile(&done, 0.99), 4)),
+        ("admission_rejections", JsonValue::Uint(rejections as u64)),
+    ]);
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    if let Err(e) = std::fs::write(&out, format!("{record}\n")) {
-        eprintln!("serve_throughput: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("serve_throughput: wrote {out}");
+    write_records("serve_throughput", "BENCH_serve.json", &[record]);
 }

@@ -22,9 +22,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cirfix::{brute_force_repair, evaluate_many, BruteConfig, FitnessParams, Observer, RunReport};
-use cirfix_bench::{unique_single_edits, COUNTER_RESET_SINGLE_EDITS};
+use cirfix_bench::{fixed, unique_single_edits, write_records, COUNTER_RESET_SINGLE_EDITS};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::JsonLinesSink;
+use cirfix_telemetry::{JsonLinesSink, JsonValue};
 
 /// An in-memory trace destination the observer can write through.
 #[derive(Clone, Default)]
@@ -61,7 +61,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<JsonValue> = Vec::new();
 
     // Timed sections repeat and keep the fastest pass: the host is a
     // shared single-core container, so any individual pass can absorb
@@ -85,14 +85,17 @@ fn main() {
             timesteps += m.timesteps;
         }
     }
-    records.push(format!(
-        "{{\"bench\":\"sim_baseline\",\"jobs\":1,\"evals\":{},\"wall_s\":{wall:.4},\
-         \"evals_per_s\":{:.2},\"sim_events\":{events},\"events_per_s\":{:.2},\
-         \"timesteps\":{timesteps},\"host_cores\":{host_cores}}}",
-        results.len(),
-        results.len() as f64 / wall,
-        events as f64 / wall,
-    ));
+    records.push(JsonValue::obj(vec![
+        ("bench", JsonValue::Str("sim_baseline".into())),
+        ("jobs", JsonValue::Uint(1)),
+        ("evals", JsonValue::Uint(results.len() as u64)),
+        ("wall_s", fixed(wall, 4)),
+        ("evals_per_s", fixed(results.len() as f64 / wall, 2)),
+        ("sim_events", JsonValue::Uint(events)),
+        ("events_per_s", fixed(events as f64 / wall, 2)),
+        ("timesteps", JsonValue::Uint(timesteps)),
+        ("host_cores", JsonValue::Uint(host_cores as u64)),
+    ]));
 
     // 2. Phase attribution through the profiler + report pipeline.
     // The brute-force search draws its own candidates, mostly distinct
@@ -115,25 +118,28 @@ fn main() {
     let report = RunReport::from_trace(&text).expect("trace folds");
     let total_busy: u64 = report.phases.iter().map(|p| p.nanos).sum();
     for p in &report.phases {
-        records.push(format!(
-            "{{\"bench\":\"sim_baseline_phase\",\"phase\":\"{}\",\"count\":{},\
-             \"busy_ns\":{},\"busy_share\":{:.4}}}",
-            p.name,
-            p.count,
-            p.nanos,
-            p.nanos as f64 / (total_busy.max(1)) as f64,
-        ));
+        records.push(JsonValue::obj(vec![
+            ("bench", JsonValue::Str("sim_baseline_phase".into())),
+            ("phase", JsonValue::Str(p.name.clone())),
+            ("count", JsonValue::Uint(p.count)),
+            ("busy_ns", JsonValue::Uint(p.nanos)),
+            (
+                "busy_share",
+                fixed(p.nanos as f64 / total_busy.max(1) as f64, 4),
+            ),
+        ]));
     }
     if let Some(h) = &report.heartbeat {
         assert_eq!(
             h.fitness_evals as usize, BRUTE_EVALS,
             "brute-force workload drifted"
         );
-        records.push(format!(
-            "{{\"bench\":\"sim_baseline_heartbeat\",\"fitness_evals\":{},\
-             \"evals_per_s\":{:.2},\"best_fitness\":{}}}",
-            h.fitness_evals, h.evals_per_s, h.best_fitness,
-        ));
+        records.push(JsonValue::obj(vec![
+            ("bench", JsonValue::Str("sim_baseline_heartbeat".into())),
+            ("fitness_evals", JsonValue::Uint(h.fitness_evals)),
+            ("evals_per_s", fixed(h.evals_per_s, 2)),
+            ("best_fitness", JsonValue::Float(h.best_fitness)),
+        ]));
     }
 
     // 3. Profiler overhead: disabled observer (no profiler allocated)
@@ -145,21 +151,16 @@ fn main() {
         base.fitness_evals, outcome.fitness_evals,
         "observer must not change the search"
     );
-    records.push(format!(
-        "{{\"bench\":\"profiler_overhead\",\"evals\":{},\"nullsink_wall_s\":{null_wall:.4},\
-         \"enabled_wall_s\":{enabled_wall:.4},\"overhead_pct\":{:.2}}}",
-        base.fitness_evals,
-        100.0 * (enabled_wall - null_wall) / null_wall,
-    ));
+    records.push(JsonValue::obj(vec![
+        ("bench", JsonValue::Str("profiler_overhead".into())),
+        ("evals", JsonValue::Uint(base.fitness_evals)),
+        ("nullsink_wall_s", fixed(null_wall, 4)),
+        ("enabled_wall_s", fixed(enabled_wall, 4)),
+        (
+            "overhead_pct",
+            fixed(100.0 * (enabled_wall - null_wall) / null_wall, 2),
+        ),
+    ]));
 
-    for record in &records {
-        println!("{record}");
-    }
-    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim.json".into());
-    let body = records.join("\n") + "\n";
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("sim_baseline: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("sim_baseline: wrote {out}");
+    write_records("sim_baseline", "BENCH_sim.json", &records);
 }

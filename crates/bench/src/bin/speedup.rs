@@ -13,8 +13,9 @@
 use std::time::Instant;
 
 use cirfix::{evaluate_many, FitnessParams};
-use cirfix_bench::{unique_single_edits, COUNTER_RESET_SINGLE_EDITS};
+use cirfix_bench::{fixed, unique_single_edits, write_records, COUNTER_RESET_SINGLE_EDITS};
 use cirfix_benchmarks::scenario;
+use cirfix_telemetry::JsonValue;
 
 fn main() {
     let s = scenario("counter_reset").expect("scenario");
@@ -37,7 +38,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<JsonValue> = Vec::new();
     let mut serial_rate = 0.0f64;
     // One pass is a few milliseconds: keep the fastest of several so a
     // single scheduling stall does not decide the figure.
@@ -55,24 +56,20 @@ fn main() {
             serial_rate = rate;
         }
         let speedup = if host_cores < 2 {
-            "null".to_string()
+            JsonValue::Null
         } else {
-            format!("{:.3}", rate / serial_rate)
+            fixed(rate / serial_rate, 3)
         };
-        let record = format!(
-            "{{\"bench\":\"speedup\",\"jobs\":{jobs},\"evals\":{},\"wall_s\":{wall:.4},\
-             \"evals_per_s\":{rate:.2},\"speedup\":{speedup},\"host_cores\":{host_cores}}}",
-            patches.len(),
-        );
-        println!("{record}");
-        records.push(record);
+        records.push(JsonValue::obj(vec![
+            ("bench", JsonValue::Str("speedup".into())),
+            ("jobs", JsonValue::Uint(jobs as u64)),
+            ("evals", JsonValue::Uint(patches.len() as u64)),
+            ("wall_s", fixed(wall, 4)),
+            ("evals_per_s", fixed(rate, 2)),
+            ("speedup", speedup),
+            ("host_cores", JsonValue::Uint(host_cores as u64)),
+        ]));
     }
 
-    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| "BENCH_speedup.json".into());
-    let body = records.join("\n") + "\n";
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("speedup: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("speedup: wrote {out}");
+    write_records("speedup", "BENCH_speedup.json", &records);
 }

@@ -12,7 +12,9 @@
 use std::time::{Duration, Instant};
 
 use cirfix::{repair_session, RepairConfig};
+use cirfix_bench::{fixed, write_records};
 use cirfix_benchmarks::scenario;
+use cirfix_telemetry::JsonValue;
 
 fn main() {
     let s = scenario("flip_flop_cond").expect("scenario");
@@ -28,7 +30,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("cirfix-bench-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<JsonValue> = Vec::new();
     let mut cold_wall = 0.0f64;
     for phase in ["cold", "warm"] {
         let t0 = Instant::now();
@@ -43,26 +45,19 @@ fn main() {
         } else {
             result.totals.store_hits as f64 / probes as f64
         };
-        let record = format!(
-            "{{\"bench\":\"warm_store\",\"phase\":\"{phase}\",\"scenario\":\"{}\",\
-             \"wall_s\":{wall:.4},\"simulations\":{},\"store_hits\":{},\
-             \"store_writes\":{},\"hit_rate\":{hit_rate:.4},\"speedup\":{:.3}}}",
-            s.id,
-            result.totals.fitness_evals,
-            result.totals.store_hits,
-            result.totals.store_writes,
-            cold_wall / wall,
-        );
-        println!("{record}");
-        records.push(record);
+        records.push(JsonValue::obj(vec![
+            ("bench", JsonValue::Str("warm_store".into())),
+            ("phase", JsonValue::Str(phase.into())),
+            ("scenario", JsonValue::Str(s.id.into())),
+            ("wall_s", fixed(wall, 4)),
+            ("simulations", JsonValue::Uint(result.totals.fitness_evals)),
+            ("store_hits", JsonValue::Uint(result.totals.store_hits)),
+            ("store_writes", JsonValue::Uint(result.totals.store_writes)),
+            ("hit_rate", fixed(hit_rate, 4)),
+            ("speedup", fixed(cold_wall / wall, 3)),
+        ]));
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| "BENCH_warm_store.json".into());
-    let body = records.join("\n") + "\n";
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("warm_store: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("warm_store: wrote {out}");
+    write_records("warm_store", "BENCH_warm_store.json", &records);
 }

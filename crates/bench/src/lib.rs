@@ -27,6 +27,7 @@ use cirfix::{
     RepairConfig, RepairProblem, RepairResult,
 };
 use cirfix_benchmarks::{project, PaperOutcome, Scenario};
+use cirfix_telemetry::JsonValue;
 
 /// The outcome of running one defect scenario through the harness.
 #[derive(Debug, Clone)]
@@ -165,6 +166,30 @@ pub fn unique_single_edits(problem: &RepairProblem) -> Vec<Patch> {
         .collect()
 }
 
+/// Prints each bench record as one JSON line on stdout and writes them
+/// all to the file named by `CIRFIX_BENCH_OUT`, or to `default_out`
+/// when that is unset. `bin` prefixes the status messages. Exits with
+/// status 1 when the file cannot be written.
+pub fn write_records(bin: &str, default_out: &str, records: &[JsonValue]) {
+    let lines: Vec<String> = records.iter().map(JsonValue::to_json).collect();
+    for line in &lines {
+        println!("{line}");
+    }
+    let out = std::env::var("CIRFIX_BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
+    if let Err(e) = std::fs::write(&out, lines.join("\n") + "\n") {
+        eprintln!("{bin}: cannot write {out}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("{bin}: wrote {out}");
+}
+
+/// `x` rounded to `digits` decimal places, as a JSON number — the fixed
+/// precision bench records report timings and rates at.
+pub fn fixed(x: f64, digits: i32) -> JsonValue {
+    let scale = 10f64.powi(digits);
+    JsonValue::Float((x * scale).round() / scale)
+}
+
 /// Formats a [`PaperOutcome`] like Table 3 does.
 pub fn paper_cell(outcome: PaperOutcome) -> String {
     match outcome {
@@ -221,6 +246,13 @@ mod tests {
         assert!((c.rt_threshold - 0.2).abs() < 1e-9);
         assert!((c.mut_threshold - 0.7).abs() < 1e-9);
         assert_eq!(c.tournament_size, 5);
+    }
+
+    #[test]
+    fn fixed_rounds_to_the_requested_digits() {
+        assert_eq!(fixed(0.123456, 4).to_json(), "0.1235");
+        assert_eq!(fixed(14523.126, 2).to_json(), "14523.13");
+        assert_eq!(fixed(3.0, 3).to_json(), "3.0");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::mutation::{all_stmt_ids, mutate, MutationParams};
 use crate::oracle::RepairProblem;
 use crate::patch::{apply_patch, Edit, Patch};
 use crate::repair::{
-    evaluate_profiled, node_count, panicked_evaluation, RepairResult, RepairStatus, RunTotals,
+    contained, evaluate_profiled, node_count, RepairResult, RepairStatus, RunTotals,
 };
 use crate::templates::applicable_templates;
 
@@ -149,16 +149,14 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         if admit < patches.len() {
             *cut = true;
         }
-        let (mut results, batch_busy, panicked) =
-            run_batch(jobs, deadline, &patches[..admit], |patch| {
-                evaluate_profiled(problem, patch, config.fitness, original_nodes, profiler)
-            });
-        *busy += batch_busy;
         // Same containment as the GP loop: a panicking candidate is
         // classified worst-fitness, not mistaken for a deadline cut.
-        for (i, msg) in panicked {
-            results[i] = Some(panicked_evaluation(problem, &msg, 1.0));
-        }
+        let (results, batch_busy) = run_batch(jobs, deadline, &patches[..admit], |patch| {
+            contained(problem, 1.0, || {
+                evaluate_profiled(problem, patch, config.fitness, original_nodes, profiler)
+            })
+        });
+        *busy += batch_busy;
         for (patch, result) in patches[..admit].iter().zip(results) {
             let Some(eval) = result else {
                 // Deadline cancelled the rest of the batch.

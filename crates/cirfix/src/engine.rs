@@ -17,7 +17,6 @@
 //! `jobs = 8` produce identical `RepairResult`s for the same seed.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -25,19 +24,7 @@ use std::time::{Duration, Instant};
 use crate::fitness::FitnessParams;
 use crate::oracle::RepairProblem;
 use crate::patch::Patch;
-use crate::repair::{evaluate_profiled, node_count, panicked_evaluation, Evaluation};
-
-/// Renders a panic payload (whatever was passed to `panic!`) as text
-/// for the contained candidate's error message.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
+use crate::repair::{contained, evaluate_profiled, node_count, Evaluation};
 
 /// Resolves a requested worker count: `0` means "auto" — the
 /// `CIRFIX_JOBS` environment variable when set, otherwise
@@ -65,34 +52,30 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// Workers pull items from a shared queue in submission order, so one
 /// slow simulation never blocks the others. An item whose turn comes
 /// after `deadline` is *skipped*: its slot stays `None` and no work
-/// runs for it. When no deadline fires every slot is `Some` or appears
-/// in the panic list, whatever the worker count — the property the
-/// determinism suite pins down.
+/// runs for it. When no deadline fires every slot is `Some`, whatever
+/// the worker count — the property the determinism suite pins down.
 ///
-/// Each call to `work` runs under [`catch_unwind`], so a panicking
-/// candidate never tears down its worker or poisons the pool: the
-/// worker stays alive, records `(index, panic message)` in the third
-/// return slot, and keeps draining the queue. Callers classify the
-/// panicked slots (worst fitness) instead of crashing.
+/// `work` must be total: every evaluating caller wraps its work in
+/// [`contained`](crate::repair::contained), so a panic here is a bug
+/// and propagates to the caller.
 pub(crate) fn run_batch<T, R, F>(
     jobs: usize,
     deadline: Option<Instant>,
     items: &[T],
     work: F,
-) -> (Vec<Option<R>>, Duration, Vec<(usize, String)>)
+) -> (Vec<Option<R>>, Duration)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     if items.is_empty() {
-        return (Vec::new(), Duration::ZERO, Vec::new());
+        return (Vec::new(), Duration::ZERO);
     }
     let workers = jobs.max(1).min(items.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let busy_total = Mutex::new(Duration::ZERO);
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -108,22 +91,9 @@ where
                         continue;
                     }
                     let t0 = Instant::now();
-                    // `work` borrows only shared state (`&T`, `Fn`), so
-                    // observing it after an unwind is safe; the slot for
-                    // a panicked item is simply never written.
-                    let r = catch_unwind(AssertUnwindSafe(|| work(&items[i])));
+                    let r = work(&items[i]);
                     busy += t0.elapsed();
-                    match r {
-                        Ok(r) => {
-                            *slots[i].lock().expect("worker slot poisoned") = Some(r);
-                        }
-                        Err(payload) => {
-                            panics
-                                .lock()
-                                .expect("panic list poisoned")
-                                .push((i, panic_message(payload)));
-                        }
-                    }
+                    *slots[i].lock().expect("worker slot poisoned") = Some(r);
                 }
                 *busy_total.lock().expect("busy counter poisoned") += busy;
             });
@@ -133,13 +103,9 @@ where
         .into_iter()
         .map(|m| m.into_inner().expect("worker slot poisoned"))
         .collect();
-    let mut panicked = panics.into_inner().expect("panic list poisoned");
-    // Workers race to append; sort so callers see deterministic order.
-    panicked.sort_unstable_by_key(|&(i, _)| i);
     (
         results,
         busy_total.into_inner().expect("busy counter poisoned"),
-        panicked,
     )
 }
 
@@ -174,10 +140,11 @@ pub fn evaluate_many(
         slot_of.push(slot);
     }
     let original_nodes = node_count(&problem.source);
-    let (mut results, _, panicked) = run_batch(resolve_jobs(jobs), None, &unique, |p| {
-        evaluate_profiled(problem, p, params, original_nodes, None)
+    let (mut results, _) = run_batch(resolve_jobs(jobs), None, &unique, |p| {
+        contained(problem, 1.0, || {
+            evaluate_profiled(problem, p, params, original_nodes, None)
+        })
     });
-    let panic_msg: HashMap<usize, String> = panicked.into_iter().collect();
     // Each unique result is *moved* into its last output slot and cloned
     // into any earlier ones.
     let mut last_use: Vec<usize> = vec![0; unique.len()];
@@ -188,18 +155,12 @@ pub fn evaluate_many(
         .iter()
         .enumerate()
         .map(|(i, &u)| {
-            if results[u].is_none() {
-                return panicked_evaluation(
-                    problem,
-                    panic_msg.get(&u).map_or("worker lost", String::as_str),
-                    1.0,
-                );
-            }
-            if last_use[u] == i {
-                results[u].take().expect("present")
+            let result = if last_use[u] == i {
+                results[u].take()
             } else {
-                results[u].as_ref().expect("present").clone()
-            }
+                results[u].clone()
+            };
+            result.expect("a dispatch without a deadline settles every item")
         })
         .collect()
 }
@@ -212,8 +173,7 @@ mod tests {
     fn run_batch_preserves_submission_order() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 3, 8] {
-            let (out, _, panicked) = run_batch(jobs, None, &items, |&x| x * 2);
-            assert!(panicked.is_empty());
+            let (out, _) = run_batch(jobs, None, &items, |&x| x * 2);
             let got: Vec<u64> = out.into_iter().map(Option::unwrap).collect();
             assert_eq!(got, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
         }
@@ -223,44 +183,16 @@ mod tests {
     fn run_batch_skips_items_past_the_deadline() {
         let items: Vec<u64> = (0..64).collect();
         let deadline = Instant::now(); // already expired
-        let (out, busy, panicked) = run_batch(4, Some(deadline), &items, |&x| x);
+        let (out, busy) = run_batch(4, Some(deadline), &items, |&x| x);
         assert!(out.iter().all(Option::is_none), "all items skipped");
         assert_eq!(busy, Duration::ZERO);
-        assert!(panicked.is_empty());
     }
 
     #[test]
     fn run_batch_handles_empty_input() {
-        let (out, busy, panicked) = run_batch::<u64, u64, _>(4, None, &[], |&x| x);
+        let (out, busy) = run_batch::<u64, u64, _>(4, None, &[], |&x| x);
         assert!(out.is_empty());
         assert_eq!(busy, Duration::ZERO);
-        assert!(panicked.is_empty());
-    }
-
-    #[test]
-    fn run_batch_contains_panics_without_poisoning_workers() {
-        let items: Vec<u64> = (0..50).collect();
-        for jobs in [1, 4] {
-            let (out, _, panicked) = run_batch(jobs, None, &items, |&x| {
-                assert!(x % 7 != 3, "injected panic at {x}");
-                x * 2
-            });
-            // Every non-panicking item still completed — the workers
-            // survived their neighbours' panics.
-            let expect_panics: Vec<usize> = (0..50usize).filter(|&x| x % 7 == 3).collect();
-            let got_panics: Vec<usize> = panicked.iter().map(|&(i, _)| i).collect();
-            assert_eq!(got_panics, expect_panics, "jobs={jobs}");
-            for (i, slot) in out.iter().enumerate() {
-                if i % 7 == 3 {
-                    assert!(slot.is_none());
-                } else {
-                    assert_eq!(*slot, Some(i as u64 * 2));
-                }
-            }
-            for (i, msg) in &panicked {
-                assert!(msg.contains(&format!("injected panic at {i}")), "{msg}");
-            }
-        }
     }
 
     #[test]

@@ -91,14 +91,14 @@ pub use brute::{brute_force_repair, BruteConfig};
 pub use cirfix_telemetry::Observer;
 pub use control::{BatchGate, SearchControl};
 pub use crossover::crossover;
-pub use engine::{evaluate_many, panic_message, resolve_jobs};
+pub use engine::{evaluate_many, resolve_jobs};
 pub use faultloc::{fault_loc_event, fault_localization, FaultLoc};
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
 pub use mined::{
     compose_priors, load_mined_patterns, mined_prior, mined_template_candidates, MINED_BOOST_CAP,
 };
-pub use minimize::{minimize, minimize_observed};
+pub use minimize::minimize;
 pub use mutation::{all_stmt_ids, mutate, mutate_with_prior, MutationParams};
 pub use oracle::{
     degrade_oracle, oracle_from_golden, simulate_with_probe, simulate_with_probe_cancellable,
@@ -111,8 +111,8 @@ pub use persist::{
     variant_fingerprint,
 };
 pub use repair::{
-    evaluate, repair, repair_with_trials, strip_hierarchy, Evaluation, RepairConfig, RepairResult,
-    RepairStatus, Repairer, RunTotals,
+    evaluate, panic_message, repair, repair_with_trials, strip_hierarchy, Evaluation, RepairConfig,
+    RepairResult, RepairStatus, Repairer, RunTotals,
 };
 pub use report::RunReport;
 pub use select::{elite_indices, tournament_select};

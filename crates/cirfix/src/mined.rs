@@ -173,7 +173,7 @@ fn endorsements(patterns: &[FixPattern]) -> BTreeMap<TemplateClass, u64> {
 
 /// Enumerates the applicable Table 1 template instances with their
 /// mined weights: `1 + min(support, 16)` for instances of an endorsed
-/// class, 1 otherwise. Capped at [`MAX_CANDIDATES`] entries (endorsed
+/// class, 1 otherwise. Capped at `MAX_CANDIDATES` entries (endorsed
 /// instances are never the ones dropped: the cap trims uniform-weight
 /// instances first).
 pub fn mined_template_candidates(

@@ -26,7 +26,6 @@ use rand::SeedableRng;
 
 use crate::control::SearchControl;
 use crate::crossover::crossover;
-use crate::engine::panic_message;
 use crate::faultloc::{fault_loc_event, fault_localization, FaultLoc};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
@@ -262,6 +261,28 @@ pub struct RunTotals {
     pub corpus_skipped: u64,
 }
 
+impl RunTotals {
+    /// Adds one trial's resources to these run totals. The worker count
+    /// is taken from the trial rather than summed.
+    pub(crate) fn add_trial(&mut self, result: &RepairResult) {
+        let t = &result.totals;
+        self.trials += 1;
+        self.fitness_evals += result.fitness_evals;
+        self.wall_time += result.wall_time;
+        self.generations += result.generations;
+        self.mutants_rejected_static += result.rejected_static;
+        self.jobs = t.jobs;
+        self.eval_busy += t.eval_busy;
+        self.store_hits += t.store_hits;
+        self.store_writes += t.store_writes;
+        self.timeouts += t.timeouts;
+        self.panics += t.panics;
+        self.exhausted += t.exhausted;
+        self.pattern_hits += t.pattern_hits;
+        self.corpus_skipped += t.corpus_skipped;
+    }
+}
+
 /// The outcome of one repair trial.
 #[derive(Debug, Clone)]
 pub struct RepairResult {
@@ -320,7 +341,8 @@ pub fn evaluate(problem: &RepairProblem, patch: &Patch, params: FitnessParams) -
 /// [`evaluate`] with optional per-phase busy attribution (the
 /// brute-force baseline's instrumentation hook). `original_nodes` is
 /// [`node_count`] of `problem.source`, which bulk callers compute once
-/// rather than once per patch.
+/// rather than once per patch. A panic propagates; the bulk callers
+/// run this under [`contained`] at growth 1.0.
 pub(crate) fn evaluate_profiled(
     problem: &RepairProblem,
     patch: &Patch,
@@ -348,7 +370,7 @@ pub(crate) fn evaluate_profiled(
 /// receives elaborate/simulate/score busy attribution and one
 /// whole-evaluation latency sample (atomics only, so worker threads
 /// record concurrently).
-pub(crate) fn evaluate_variant(
+fn evaluate_variant(
     problem: &RepairProblem,
     variant: &cirfix_ast::SourceFile,
     growth: f64,
@@ -369,24 +391,29 @@ pub(crate) fn evaluate_variant(
     }
 }
 
-/// [`evaluate_variant`] with a panic contained: a panicking candidate
-/// is classified [`EvalOutcome::Panicked`] at worst fitness instead of
-/// unwinding into the caller. The synchronous evaluations (the original
-/// design, minimization probes) go through here; the worker pool
-/// contains each batch item itself ([`crate::engine::run_batch`]).
-pub(crate) fn evaluate_contained(
+/// Runs one evaluation with its panics contained: a panic becomes an
+/// [`EvalOutcome::Panicked`] evaluation at worst fitness and the given
+/// `growth` instead of unwinding into the caller. Every evaluation the
+/// worker pool runs goes through here, so the pool never sees a panic.
+pub(crate) fn contained(
     problem: &RepairProblem,
-    variant: &cirfix_ast::SourceFile,
     growth: f64,
-    params: FitnessParams,
-    budget: Option<Duration>,
-    fault: Option<FaultKind>,
-    profiler: Option<&Profiler>,
+    evaluation: impl FnOnce() -> Evaluation,
 ) -> Evaluation {
-    catch_unwind(AssertUnwindSafe(|| {
-        evaluate_variant(problem, variant, growth, params, budget, fault, profiler)
-    }))
-    .unwrap_or_else(|payload| panicked_evaluation(problem, &panic_message(payload), growth))
+    catch_unwind(AssertUnwindSafe(evaluation))
+        .unwrap_or_else(|payload| panicked_evaluation(problem, &panic_message(payload), growth))
+}
+
+/// Renders a panic payload (whatever was passed to `panic!`) as text
+/// for the contained candidate's error message.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 fn evaluate_variant_inner(
@@ -489,11 +516,10 @@ fn failure_evaluation(problem: &RepairProblem, growth: f64, e: &SimError) -> Eva
     }
 }
 
-/// The worst-fitness evaluation for a candidate whose worker panicked.
-/// The panic was contained ([`catch_unwind`]) by the pool or by
-/// [`evaluate_contained`]; the candidate is classified
-/// [`EvalOutcome::Panicked`] and the search continues.
-pub(crate) fn panicked_evaluation(problem: &RepairProblem, msg: &str, growth: f64) -> Evaluation {
+/// The worst-fitness evaluation for a candidate whose evaluation
+/// panicked. The panic was contained by [`contained`]; the candidate is
+/// classified [`EvalOutcome::Panicked`] and the search continues.
+fn panicked_evaluation(problem: &RepairProblem, msg: &str, growth: f64) -> Evaluation {
     Evaluation {
         score: 0.0,
         compiled: true,
@@ -1080,46 +1106,64 @@ impl<'a> Repairer<'a> {
 
     /// Evaluates one patch synchronously through the trial cache — used
     /// for the original design and for guaranteed-cached lookups inside
-    /// reproduction. Never consults the evaluation budget. Panics are
-    /// contained here too: a panicking candidate is classified and
-    /// scored, exactly as on the worker pool.
+    /// reproduction. Never consults the evaluation budget. It takes the
+    /// same prepare → dispatch → commit path as a batch of one, so
+    /// panics, injected faults and scheduling turns are handled exactly
+    /// as on the worker pool.
     pub fn evaluate_patch(&mut self, patch: &Patch) -> Evaluation {
+        self.evaluate_labelled(patch, "original")
+    }
+
+    /// [`Repairer::evaluate_patch`] with the operator label `op` for
+    /// telemetry.
+    fn evaluate_labelled(&mut self, patch: &Patch, op: &str) -> Evaluation {
         let prepared = self.prepare(patch);
         let sim = match &prepared {
             Prepared::Sim {
                 variant, growth, ..
-            } => {
-                let fault = self
-                    .config
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.next_eval_fault());
-                let budget = self.config.eval_timeout;
-                let growth = *growth;
-                let profiler = self.prof();
-                // Synchronous evaluations occupy the worker pool too:
-                // take a scheduling turn for the duration of the sim.
-                let _turn = self.config.control.turn();
-                Some(evaluate_contained(
-                    self.problem,
-                    variant,
-                    growth,
-                    self.config.fitness,
-                    budget,
-                    fault,
-                    profiler,
-                ))
-            }
+            } => self
+                .dispatch(vec![(variant, *growth)], None)
+                .pop()
+                .flatten(),
             _ => None,
         };
-        match self.commit(patch, prepared, sim, "original") {
-            Some(eval) => eval,
-            // Unreachable in practice — the synchronous path always
-            // supplies a simulation result, so the commit cannot report
-            // a cut batch. Degrade to a worst-fitness classification
-            // rather than aborting the trial.
-            None => self.rejection("synchronous evaluation yielded no result".to_string(), 1.0),
-        }
+        self.commit(patch, prepared, sim, op)
+            .expect("a dispatch without a deadline settles every item")
+    }
+
+    /// Simulates applied variants `(variant, growth)` on the worker pool
+    /// and returns their evaluations in submission order; a `None` slot
+    /// means `deadline` cancelled that item before it started. Every
+    /// simulation of the trial goes through here: fault-injection
+    /// ordinals are claimed serially in submission order (so a chaos
+    /// plan hits the same candidates for every worker count), the
+    /// service-mode scheduling turn is held for exactly the span of the
+    /// dispatch (inert and free for batch runs), and worker busy time
+    /// accrues to the trial.
+    fn dispatch(
+        &mut self,
+        variants: Vec<(&cirfix_ast::SourceFile, f64)>,
+        deadline: Option<Instant>,
+    ) -> Vec<Option<Evaluation>> {
+        let faults = self.config.faults.as_ref();
+        let items: Vec<_> = variants
+            .into_iter()
+            .map(|(variant, growth)| (variant, growth, faults.and_then(|f| f.next_eval_fault())))
+            .collect();
+        let problem = self.problem;
+        let params = self.config.fitness;
+        let budget = self.config.eval_timeout;
+        let profiler = self.profiler.as_deref();
+        let (results, busy) = {
+            let _turn = self.config.control.turn();
+            crate::engine::run_batch(self.jobs, deadline, &items, |&(variant, growth, fault)| {
+                contained(problem, growth, || {
+                    evaluate_variant(problem, variant, growth, params, budget, fault, profiler)
+                })
+            })
+        };
+        self.busy += busy;
+        results
     }
 
     /// Evaluates a batch of patches across the worker pool and merges
@@ -1182,55 +1226,21 @@ impl<'a> Repairer<'a> {
             }
         }
         // Fan the simulations out; everything else never leaves the
-        // coordinating thread. Fault-injection ordinals are claimed
-        // here, serially, in submission order — so a chaos plan hits
-        // the same candidates for every worker count.
-        let deadline = self.started.checked_add(self.config.timeout);
-        let mut sims: Vec<(usize, &cirfix_ast::SourceFile, f64, Option<FaultKind>)> = Vec::new();
-        for (i, p) in prepared[..admitted].iter().enumerate() {
-            if let Prepared::Sim {
-                variant, growth, ..
-            } = p
-            {
-                let fault = self
-                    .config
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.next_eval_fault());
-                sims.push((i, variant, *growth, fault));
-            }
-        }
-        let problem = self.problem;
-        let params = self.config.fitness;
-        let budget = self.config.eval_timeout;
-        let profiler = self.profiler.as_deref();
-        // In service mode the worker pool is shared between sessions:
-        // hold a scheduling turn for exactly the span of the dispatch,
-        // so concurrent jobs interleave at batch granularity. The guard
-        // is inert (and free) for batch runs.
-        let turn = self.config.control.turn();
-        let (outcomes, busy, panicked) = crate::engine::run_batch(
-            self.jobs,
-            deadline,
-            &sims,
-            |&(_, variant, growth, fault)| {
-                evaluate_variant(problem, variant, growth, params, budget, fault, profiler)
-            },
-        );
-        drop(turn);
-        self.busy += busy;
-        let mut sim_results: HashMap<usize, Option<Evaluation>> = sims
+        // coordinating thread.
+        let (sim_index, variants): (Vec<usize>, Vec<_>) = prepared[..admitted]
             .iter()
-            .zip(outcomes)
-            .map(|(&(i, _, _, _), r)| (i, r))
-            .collect();
-        // Panicked workers leave their slot empty and report the panic
-        // separately; classify those candidates worst-fitness instead
-        // of mistaking them for deadline cuts.
-        for (si, msg) in panicked {
-            let (i, _, growth, _) = sims[si];
-            sim_results.insert(i, Some(panicked_evaluation(problem, &msg, growth)));
-        }
+            .enumerate()
+            .filter_map(|(i, p)| match p {
+                Prepared::Sim {
+                    variant, growth, ..
+                } => Some((i, (variant, *growth))),
+                _ => None,
+            })
+            .unzip();
+        let deadline = self.started.checked_add(self.config.timeout);
+        let results = self.dispatch(variants, deadline);
+        let mut sim_results: HashMap<usize, Option<Evaluation>> =
+            sim_index.into_iter().zip(results).collect();
         // Merge in submission order. The first unresolved item (budget
         // or deadline) ends the merge; later items are dropped rather
         // than committed out of order.
@@ -1504,6 +1514,26 @@ impl<'a> Repairer<'a> {
         });
     }
 
+    /// This trial's resource totals, as a one-trial [`RunTotals`].
+    fn trial_totals(&self, wall_time: Duration, generations: u32) -> RunTotals {
+        RunTotals {
+            trials: 1,
+            fitness_evals: self.evals,
+            wall_time,
+            generations,
+            mutants_rejected_static: self.rejected_static,
+            jobs: self.jobs as u32,
+            eval_busy: self.busy,
+            store_hits: self.store_hits,
+            store_writes: self.store_writes,
+            timeouts: self.timeouts,
+            panics: self.panics,
+            exhausted: self.exhausted,
+            pattern_hits: self.pattern_hits,
+            corpus_skipped: 0,
+        }
+    }
+
     /// Builds the terminal result for a [`RepairConfig::halt_after`]
     /// stop or an external [`SearchControl`] cancellation: the search
     /// state is on disk, not in the result.
@@ -1531,22 +1561,7 @@ impl<'a> Repairer<'a> {
             cache_hits: self.cache_hits,
             minimize_evals: self.minimize_evals,
             rejected_static: self.rejected_static,
-            totals: RunTotals {
-                trials: 1,
-                fitness_evals: self.evals,
-                wall_time,
-                generations,
-                mutants_rejected_static: self.rejected_static,
-                jobs: self.jobs as u32,
-                eval_busy: self.busy,
-                store_hits: self.store_hits,
-                store_writes: self.store_writes,
-                timeouts: self.timeouts,
-                panics: self.panics,
-                exhausted: self.exhausted,
-                pattern_hits: self.pattern_hits,
-                corpus_skipped: 0,
-            },
+            totals: self.trial_totals(wall_time, generations),
         }
     }
 
@@ -1799,153 +1814,24 @@ impl<'a> Repairer<'a> {
             cache_hits: self.cache_hits,
             minimize_evals: self.minimize_evals,
             rejected_static: self.rejected_static,
-            totals: RunTotals {
-                trials: 1,
-                fitness_evals: self.evals,
-                wall_time,
-                generations,
-                mutants_rejected_static: self.rejected_static,
-                jobs: self.jobs as u32,
-                eval_busy: self.busy,
-                store_hits: self.store_hits,
-                store_writes: self.store_writes,
-                timeouts: self.timeouts,
-                panics: self.panics,
-                exhausted: self.exhausted,
-                pattern_hits: self.pattern_hits,
-                corpus_skipped: 0,
-            },
+            totals: self.trial_totals(wall_time, generations),
         }
     }
 
-    /// Minimizes a winning patch, answering plausibility probes from
-    /// the trial-level evaluation cache first: patches already scored
-    /// during the search are never re-simulated, and every probe — hit
-    /// or miss — lands in the same cache and the same counters as the
-    /// search's own evaluations.
+    /// Minimizes a winning patch (§3.7). Each ddmin probe is an ordinary
+    /// synchronous evaluation labelled `"minimize"`: patches already
+    /// scored during the search are answered from the caches, and every
+    /// probe passes the same gates and lands in the same caches,
+    /// counters and telemetry as the search's own evaluations.
     fn minimize_patch(&mut self, patch: &Patch) -> Patch {
         let observer = self.config.observer.clone();
         let _span = Span::enter("minimize", observer.sink());
-        let problem = self.problem;
-        let params = self.config.fitness;
-        let scenario = self.scenario;
-        let shared = self.shared.clone();
-        let eval_timeout = self.config.eval_timeout;
-        let faults = self.config.faults.clone();
-        let control = self.config.control.clone();
-        let cache = &mut self.cache;
-        let cache_hits = &mut self.cache_hits;
-        let store_hits = &mut self.store_hits;
-        let store_writes = &mut self.store_writes;
-        let evals = &mut self.evals;
-        let minimize_evals = &mut self.minimize_evals;
-        let timeouts = &mut self.timeouts;
-        let panics = &mut self.panics;
-        let exhausted = &mut self.exhausted;
-        let original_nodes = self.original_nodes;
-        let in_session = self.session.is_some();
-        let pending_delta = &mut self.pending_delta;
-        let profiler = self.profiler.as_deref();
-        minimize(patch, |p| {
-            let (eval, cached) = match cache.get(p) {
-                Some(e) => {
-                    *cache_hits += 1;
-                    (e.clone(), true)
-                }
-                None => {
-                    // Minimization probes go through the same two-level
-                    // cache as the search: shared-cache hits are not
-                    // re-simulated, misses are written through.
-                    let parse_span = profiler.map(|pr| pr.span(Phase::Parse));
-                    let (variant, _) = apply_patch(&problem.source, &problem.design_modules, p);
-                    drop(parse_span);
-                    let key =
-                        scenario.map(|s| variant_fingerprint(s, &variant, &problem.design_modules));
-                    let hit = match (key, &shared) {
-                        (Some(k), Some(sh)) => sh.peek(k).map(|e| (k, e)),
-                        _ => None,
-                    };
-                    match hit {
-                        Some((k, e)) => {
-                            *store_hits += 1;
-                            observer.emit(|| {
-                                Event::Store(StoreEvent {
-                                    op: "hit".into(),
-                                    key: k.to_hex(),
-                                    records: 1,
-                                })
-                            });
-                            cache.insert(p.clone(), e.clone());
-                            if in_session {
-                                pending_delta.push((p.clone(), k));
-                            }
-                            (e, true)
-                        }
-                        None => {
-                            let growth = node_count(&variant) as f64 / original_nodes.max(1) as f64;
-                            // Minimization probes run under the same
-                            // containment as the search: a hanging or
-                            // panicking candidate is classified and the
-                            // ddmin loop keeps going.
-                            let fault = faults.as_ref().and_then(|f| f.next_eval_fault());
-                            let turn = control.turn();
-                            let e = evaluate_contained(
-                                problem,
-                                &variant,
-                                growth,
-                                params,
-                                eval_timeout,
-                                fault,
-                                profiler,
-                            );
-                            drop(turn);
-                            *evals += 1;
-                            *minimize_evals += 1;
-                            match e.outcome {
-                                EvalOutcome::Timeout => *timeouts += 1,
-                                EvalOutcome::Panicked => *panics += 1,
-                                EvalOutcome::ResourceExhausted => *exhausted += 1,
-                                _ => {}
-                            }
-                            observer.emit(|| {
-                                Event::EvalOutcome(EvalOutcomeEvent {
-                                    kind: e.outcome.as_str().into(),
-                                    error: e.error.clone().unwrap_or_default(),
-                                })
-                            });
-                            cache.insert(p.clone(), e.clone());
-                            if let Some(k) = key {
-                                if in_session {
-                                    pending_delta.push((p.clone(), k));
-                                }
-                                if shared.as_ref().is_some_and(|sh| sh.insert(k, &e)) {
-                                    *store_writes += 1;
-                                    observer.emit(|| {
-                                        Event::Store(StoreEvent {
-                                            op: "write".into(),
-                                            key: k.to_hex(),
-                                            records: 1,
-                                        })
-                                    });
-                                } else if shared.as_ref().is_some_and(|sh| sh.take_degraded_event())
-                                {
-                                    observer.emit(|| {
-                                        Event::Store(StoreEvent {
-                                            op: "degraded".into(),
-                                            key: String::new(),
-                                            records: 1,
-                                        })
-                                    });
-                                }
-                            }
-                            (e, false)
-                        }
-                    }
-                }
-            };
-            observer.emit(|| Event::Candidate(eval.candidate_event(p.len(), cached, "minimize")));
-            eval.score >= 1.0
-        })
+        let evals_before = self.evals;
+        let minimized = minimize(patch, |p| {
+            self.evaluate_labelled(p, "minimize").score >= 1.0
+        });
+        self.minimize_evals += self.evals - evals_before;
+        minimized
     }
 }
 
@@ -1981,20 +1867,7 @@ pub fn repair_with_trials(
         let mut result = Repairer::new(problem, config)
             .with_store(shared.clone(), scenario)
             .run();
-        totals.trials += 1;
-        totals.fitness_evals += result.fitness_evals;
-        totals.wall_time += result.wall_time;
-        totals.generations += result.generations;
-        totals.mutants_rejected_static += result.rejected_static;
-        totals.jobs = result.totals.jobs;
-        totals.eval_busy += result.totals.eval_busy;
-        totals.store_hits += result.totals.store_hits;
-        totals.store_writes += result.totals.store_writes;
-        totals.timeouts += result.totals.timeouts;
-        totals.panics += result.totals.panics;
-        totals.exhausted += result.totals.exhausted;
-        totals.pattern_hits += result.totals.pattern_hits;
-        totals.corpus_skipped += result.totals.corpus_skipped;
+        totals.add_trial(&result);
         result.totals = totals.clone();
         if result.is_plausible() {
             return result;
@@ -2110,6 +1983,22 @@ endmodule";
         assert!(out[0].is_some(), "cache hits bypass the exhausted budget");
         assert_eq!(r.fitness_evals(), 1);
         assert_eq!(r.cache_hits(), 1);
+    }
+
+    #[test]
+    fn contained_classifies_a_panic_at_worst_fitness() {
+        let problem = problem();
+        let eval = contained(&problem, 1.75, || panic!("injected panic at 7"));
+        assert_eq!(eval.outcome, EvalOutcome::Panicked);
+        assert_eq!(eval.score, 0.0);
+        assert_eq!(eval.growth, 1.75, "the caller's growth is kept");
+        let error = eval.error.expect("a panic carries its message");
+        assert!(error.contains("injected panic at 7"), "{error}");
+        // A total evaluation passes through untouched.
+        let ok = contained(&problem, 1.0, || {
+            evaluate(&problem, &Patch::empty(), FitnessParams::default())
+        });
+        assert_eq!(ok.outcome, EvalOutcome::Ok);
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl SharedEvalCache {
     /// and memory-only caches return `false`.
     ///
     /// Transient I/O failures are retried with a bounded backoff
-    /// ([`STORE_WRITE_ATTEMPTS`] attempts). A write that fails every
+    /// (`STORE_WRITE_ATTEMPTS` attempts). A write that fails every
     /// attempt degrades the whole cache to memory-only — the search
     /// continues, only durability is lost — rather than aborting the
     /// run.
@@ -812,44 +812,15 @@ pub fn repair_session(
             .take_session()
             .expect("the recorder survives the trial");
 
+        totals.add_trial(&result);
+        result.totals = totals.clone();
         if result.status == RepairStatus::Interrupted {
             // Deterministic halt (halt_after): the log stays open —
             // ending exactly at the last checkpoint — so a resumed run
             // picks up from here.
             recorder.sync();
-            totals.trials += 1;
-            totals.fitness_evals += result.fitness_evals;
-            totals.wall_time += result.wall_time;
-            totals.generations += result.generations;
-            totals.mutants_rejected_static += result.rejected_static;
-            totals.jobs = result.totals.jobs;
-            totals.eval_busy += result.totals.eval_busy;
-            totals.store_hits += result.totals.store_hits;
-            totals.store_writes += result.totals.store_writes;
-            totals.timeouts += result.totals.timeouts;
-            totals.panics += result.totals.panics;
-            totals.exhausted += result.totals.exhausted;
-            totals.pattern_hits += result.totals.pattern_hits;
-            totals.corpus_skipped += result.totals.corpus_skipped;
-            result.totals = totals;
             return Ok(result);
         }
-
-        totals.trials += 1;
-        totals.fitness_evals += result.fitness_evals;
-        totals.wall_time += result.wall_time;
-        totals.generations += result.generations;
-        totals.mutants_rejected_static += result.rejected_static;
-        totals.jobs = result.totals.jobs;
-        totals.eval_busy += result.totals.eval_busy;
-        totals.store_hits += result.totals.store_hits;
-        totals.store_writes += result.totals.store_writes;
-        totals.timeouts += result.totals.timeouts;
-        totals.panics += result.totals.panics;
-        totals.exhausted += result.totals.exhausted;
-        totals.pattern_hits += result.totals.pattern_hits;
-        totals.corpus_skipped += result.totals.corpus_skipped;
-        result.totals = totals.clone();
 
         if result.is_plausible() {
             // Corpus hygiene: an identical (scenario, patch) pair —

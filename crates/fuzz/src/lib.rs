@@ -9,7 +9,7 @@
 //! 2. **Harness** ([`harness`]) — drives generated variants plus
 //!    byte/token mutations of valid sources through the whole
 //!    frontend with panics contained and a wall-clock backstop.
-//! 3. **Triage** ([`shrink`], [`corpus`]) — delta-debugs each finding
+//! 3. **Triage** ([`shrink`](mod@shrink), [`corpus`]) — delta-debugs each finding
 //!    to a minimal reproducer and persists it as a checksummed store
 //!    record, replayed afterwards as a gating regression test.
 //!

@@ -9,7 +9,7 @@
 //!
 //! * [`protocol`] — the versioned JSON-lines wire protocol (framing,
 //!   parsing, response building), zero-dependency like everything
-//!   else: `cirfix-store`'s JSON reader, `cirfix-telemetry`'s writer.
+//!   else: `cirfix-telemetry`'s JSON writer and reader.
 //! * [`job`] — the job state machine and its crash-safe registry
 //!   records (`queued → running → plausible | failed`, with
 //!   `cancelled`/`interrupted` as *resumable* stops).

@@ -10,8 +10,6 @@
 //!
 //! * [`hash`] — a portable streaming 128-bit FNV-1a hasher and hex
 //!   [`Digest`] for content-addressing patched designs.
-//! * [`json`] — a hand-rolled JSON parser (the reading half of
-//!   `cirfix-telemetry`'s writer/validator pair).
 //! * [`record`] — per-line checksummed record framing.
 //! * [`segment`] — append-only JSON-lines segment files with
 //!   torn-write detection and recovery.
@@ -20,17 +18,17 @@
 //!   `gc`/compaction.
 //!
 //! Like every crate in this workspace, it is zero-dependency (the build
-//! environment has no crates.io access): hashing, JSON, and file
-//! formats are all hand-rolled on `std`.
+//! environment has no crates.io access): hashing and file formats are
+//! hand-rolled on `std`, and JSON is read and written with
+//! `cirfix-telemetry`'s parser and writer, re-exported here.
 
 pub mod hash;
-pub mod json;
 pub mod record;
 pub mod segment;
 pub mod store;
 
+pub use cirfix_telemetry::{field, field_f64, field_str, field_u64, json_f64, parse_json};
 pub use hash::{fnv64, Digest, Fnv128};
-pub use json::{field, field_f64, field_str, field_u64, json_f64, parse_json};
 pub use record::{decode_record, encode_record, RecordError};
 pub use segment::{read_segment, recover_segment, SegmentHealth, SegmentWriter};
 pub use store::{EvalWriter, FileReport, GcReport, Lease, Store, StoreHealth, StoreReport};

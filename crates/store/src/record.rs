@@ -15,7 +15,7 @@
 use cirfix_telemetry::JsonValue;
 
 use crate::hash::fnv64;
-use crate::json::parse_json;
+use crate::parse_json;
 
 /// `{"sum":"` `<16 hex>` `","body":` — the fixed offset of the body text.
 const BODY_OFFSET: usize = 8 + 16 + 9;

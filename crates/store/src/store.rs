@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 
 use cirfix_telemetry::JsonValue;
 
+use crate::field_str;
 use crate::hash::Digest;
-use crate::json::field_str;
 use crate::segment::{read_segment, recover_segment, SegmentHealth, SegmentWriter};
 
 /// Aggregate damage counts from reading a family of segments.
@@ -882,11 +882,7 @@ mod tests {
         let (entries, health) = store.load_evals().unwrap();
         assert!(health.is_clean());
         let one = entries.iter().find(|(k, _)| *k == Digest(1)).unwrap();
-        assert_eq!(
-            crate::json::field_u64(&one.1, "n"),
-            Some(1),
-            "first write wins"
-        );
+        assert_eq!(crate::field_u64(&one.1, "n"), Some(1), "first write wins");
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! A minimal JSON writer and line validator.
+//! A minimal JSON writer and its reading half.
 //!
 //! The build environment has no crates.io access, so serde is
 //! unavailable; events carry only strings, integers, floats, and bools,
-//! which this module serializes by hand. The validator exists so tests
-//! (and downstream consumers) can check that an emitted trace parses
-//! line-by-line without a full JSON library.
+//! which this module serializes by hand. [`parse_json`] reads them back
+//! into [`JsonValue`] trees: it accepts exactly the values
+//! [`JsonValue::to_json`] can produce (plus ordinary interchange JSON)
+//! and keeps object keys in file order, so a parsed record
+//! re-serializes canonically. [`validate_json_line`] lets tests (and
+//! downstream consumers) check that an emitted trace parses line by
+//! line.
 
 use std::fmt::Write as _;
 
@@ -112,22 +116,25 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Checks that `line` is one complete, well-formed JSON value.
-///
-/// This is a structural validator, not a parser: it verifies tokens,
-/// nesting, and separators, which is what the trace-format tests need.
+/// Checks that `line` is one complete, well-formed JSON value by
+/// parsing it with [`parse_json`] and discarding the tree.
 pub fn validate_json_line(line: &str) -> Result<(), String> {
+    parse_json(line).map(|_| ())
+}
+
+/// Parses one complete JSON value; trailing content is an error.
+pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
-        bytes: line.as_bytes(),
+        bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    p.value()?;
+    let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
-    Ok(())
+    Ok(v)
 }
 
 struct Parser<'a> {
@@ -155,105 +162,183 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str) -> Result<(), String> {
+    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(())
+            Ok(value)
         } else {
             Err(format!("expected '{word}' at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         self.skip_ws();
+        let mut pairs = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(JsonValue::Object(pairs));
         }
         loop {
             self.skip_ws();
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            self.value()?;
+            let val = self.value()?;
+            pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(JsonValue::Object(pairs));
                 }
                 other => return Err(format!("unexpected {other:?} in object")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
+    fn array(&mut self) -> Result<JsonValue, String> {
         self.expect(b'[')?;
         self.skip_ws();
+        let mut items = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(());
+            return Ok(JsonValue::Array(items));
         }
         loop {
             self.skip_ws();
-            self.value()?;
+            items.push(self.value()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(JsonValue::Array(items));
                 }
                 other => return Err(format!("unexpected {other:?} in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn hex4(&mut self) -> Result<u16, String> {
+        let mut v: u16 = 0;
+        for _ in 0..4 {
+            let d = match self.peek() {
+                Some(c @ b'0'..=b'9') => c - b'0',
+                Some(c @ b'a'..=b'f') => c - b'a' + 10,
+                Some(c @ b'A'..=b'F') => c - b'A' + 10,
+                _ => return Err("bad \\u escape".into()),
+            };
+            self.pos += 1;
+            v = (v << 4) | u16::from(d);
+        }
+        Ok(v)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let start = self.pos;
+        // Fast path: no escapes.
+        while let Some(b) = self.peek() {
+            match b {
+                b'"' => {
+                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "invalid UTF-8 in string".to_string())?
+                        .to_string();
+                    self.pos += 1;
+                    return Ok(s);
+                }
+                b'\\' => break,
+                _ => self.pos += 1,
+            }
+        }
+        let mut out = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "invalid UTF-8 in string".to_string())?
+            .to_string();
         while let Some(b) = self.peek() {
             self.pos += 1;
             match b {
-                b'"' => return Ok(()),
-                b'\\' => match self.peek() {
-                    Some(b'u') => {
-                        self.pos += 1;
-                        for _ in 0..4 {
-                            match self.peek() {
-                                Some(c) if c.is_ascii_hexdigit() => self.pos += 1,
-                                _ => return Err("bad \\u escape".into()),
-                            }
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let esc = self.peek().ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hi = self.hex4()?;
+                            let c = if (0xd800..0xdc00).contains(&hi) {
+                                // Surrogate pair: a second \uXXXX must follow.
+                                if self.peek() != Some(b'\\') {
+                                    return Err("lone high surrogate".into());
+                                }
+                                self.pos += 1;
+                                if self.peek() != Some(b'u') {
+                                    return Err("lone high surrogate".into());
+                                }
+                                self.pos += 1;
+                                let lo = self.hex4()?;
+                                if !(0xdc00..0xe000).contains(&lo) {
+                                    return Err("invalid low surrogate".into());
+                                }
+                                let cp = 0x10000
+                                    + ((u32::from(hi) - 0xd800) << 10)
+                                    + (u32::from(lo) - 0xdc00);
+                                char::from_u32(cp).ok_or("invalid surrogate pair")?
+                            } else if (0xdc00..0xe000).contains(&hi) {
+                                return Err("lone low surrogate".into());
+                            } else {
+                                char::from_u32(u32::from(hi)).ok_or("invalid \\u escape")?
+                            };
+                            out.push(c);
                         }
+                        other => return Err(format!("bad escape \\{}", other as char)),
                     }
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
+                }
+                _ => {
+                    // Multi-byte UTF-8 continues until the next special byte.
+                    let chunk_start = self.pos - 1;
+                    while let Some(c) = self.peek() {
+                        if c == b'"' || c == b'\\' {
+                            break;
+                        }
                         self.pos += 1;
                     }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                _ => {}
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[chunk_start..self.pos])
+                            .map_err(|_| "invalid UTF-8 in string".to_string())?,
+                    );
+                }
             }
         }
         Err("unterminated string".into())
     }
 
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let digits_start = self.pos;
@@ -263,7 +348,9 @@ impl Parser<'_> {
         if self.pos == digits_start {
             return Err(format!("expected digits at byte {}", self.pos));
         }
+        let mut float = false;
         if self.peek() == Some(b'.') {
+            float = true;
             self.pos += 1;
             let frac_start = self.pos;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -274,6 +361,7 @@ impl Parser<'_> {
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            float = true;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -286,8 +374,70 @@ impl Parser<'_> {
                 return Err("expected exponent digits".into());
             }
         }
-        Ok(())
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        if !float {
+            if negative {
+                if let Ok(i) = text.parse::<i64>() {
+                    return Ok(JsonValue::Int(i));
+                }
+            } else if let Ok(u) = text.parse::<u64>() {
+                return Ok(JsonValue::Uint(u));
+            }
+        }
+        text.parse::<f64>()
+            .map(JsonValue::Float)
+            .map_err(|e| format!("bad number {text:?}: {e}"))
     }
+}
+
+/// Looks up a field of a JSON object.
+pub fn field<'a>(value: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+    match value {
+        JsonValue::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// A field that must be a `u64` (accepting `Uint` and non-negative `Int`).
+pub fn field_u64(value: &JsonValue, key: &str) -> Option<u64> {
+    match field(value, key)? {
+        JsonValue::Uint(u) => Some(*u),
+        JsonValue::Int(i) if *i >= 0 => Some(*i as u64),
+        _ => None,
+    }
+}
+
+/// A field that must be a string.
+pub fn field_str<'a>(value: &'a JsonValue, key: &str) -> Option<&'a str> {
+    match field(value, key)? {
+        JsonValue::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Interprets a value as a float, accepting plain numbers and the
+/// tagged strings the telemetry writer uses for non-finite values
+/// (`"NaN"`, `"Infinity"`, `"-Infinity"`), so NaN/Inf fitness survives
+/// a trace round-trip.
+pub fn json_f64(value: &JsonValue) -> Option<f64> {
+    match value {
+        JsonValue::Float(f) => Some(*f),
+        JsonValue::Uint(u) => Some(*u as f64),
+        JsonValue::Int(i) => Some(*i as f64),
+        JsonValue::Str(s) => match s.as_str() {
+            "NaN" => Some(f64::NAN),
+            "Infinity" => Some(f64::INFINITY),
+            "-Infinity" => Some(f64::NEG_INFINITY),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A field read as a float via [`json_f64`].
+pub fn field_f64(value: &JsonValue, key: &str) -> Option<f64> {
+    json_f64(field(value, key)?)
 }
 
 #[cfg(test)]
@@ -354,8 +504,118 @@ mod tests {
             "{\"a\":1} extra",
             "01e",
             "1.",
+            r#""\ud83d""#,
         ] {
             assert!(validate_json_line(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn parses_writer_output_and_round_trips() {
+        let v = JsonValue::obj(vec![
+            ("s", JsonValue::Str("x\t\"y\"\\z".into())),
+            ("f", JsonValue::Float(0.5)),
+            ("neg", JsonValue::Int(-3)),
+            ("big", JsonValue::Uint(u64::MAX)),
+            (
+                "nested",
+                JsonValue::obj(vec![(
+                    "a",
+                    JsonValue::Array(vec![JsonValue::Null, JsonValue::Bool(true)]),
+                )]),
+            ),
+        ]);
+        let line = v.to_json();
+        let parsed = parse_json(&line).expect("parses");
+        assert_eq!(parsed.to_json(), line, "re-serialization is canonical");
+    }
+
+    #[test]
+    fn non_finite_floats_round_trip_losslessly() {
+        // The worst-fitness mapping can hand the trace NaN or ±Inf;
+        // the writer tags them as strings and `json_f64` maps them
+        // back, so no value degrades to null on a round-trip.
+        let v = JsonValue::obj(vec![
+            ("nan", JsonValue::Float(f64::NAN)),
+            ("pinf", JsonValue::Float(f64::INFINITY)),
+            ("ninf", JsonValue::Float(f64::NEG_INFINITY)),
+            ("plain", JsonValue::Float(0.25)),
+        ]);
+        let line = v.to_json();
+        let parsed = parse_json(&line).expect("parses");
+        assert_eq!(parsed.to_json(), line, "text round-trip is canonical");
+        assert!(field_f64(&parsed, "nan").expect("nan").is_nan());
+        assert_eq!(field_f64(&parsed, "pinf"), Some(f64::INFINITY));
+        assert_eq!(field_f64(&parsed, "ninf"), Some(f64::NEG_INFINITY));
+        assert_eq!(field_f64(&parsed, "plain"), Some(0.25));
+        // Arbitrary strings are not silently coerced to floats.
+        let odd = parse_json("{\"s\":\"Infinityish\"}").expect("parses");
+        assert_eq!(field_f64(&odd, "s"), None);
+    }
+
+    #[test]
+    fn float_bits_survive_a_round_trip() {
+        for bits in [
+            0x3fe0000000000000u64, // 0.5
+            0x3ff0000000000001,    // smallest > 1.0
+            0x0000000000000001,    // subnormal
+            0xc000000000000000,    // -2.0
+        ] {
+            let f = f64::from_bits(bits);
+            let line = JsonValue::Float(f).to_json();
+            match parse_json(&line).expect("parses") {
+                JsonValue::Float(g) => assert_eq!(g.to_bits(), bits, "{line}"),
+                other => panic!("expected float, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integers_keep_their_variant() {
+        assert_eq!(parse_json("7").unwrap(), JsonValue::Uint(7));
+        assert_eq!(parse_json("-7").unwrap(), JsonValue::Int(-7));
+        assert_eq!(
+            parse_json("18446744073709551615").unwrap(),
+            JsonValue::Uint(u64::MAX)
+        );
+        assert_eq!(parse_json("1.5e3").unwrap(), JsonValue::Float(1500.0));
+    }
+
+    #[test]
+    fn control_character_escapes_round_trip() {
+        let v = JsonValue::Str("\u{1}\u{1f}".into());
+        assert_eq!(parse_json(&v.to_json()).unwrap(), v);
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        assert_eq!(
+            parse_json(r#""é😀""#).unwrap(),
+            JsonValue::Str("é😀".into())
+        );
+        assert!(parse_json(r#""\ud83d""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
+        for bad in [
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "\"open",
+            "1.",
+            "01x",
+            "{\"a\":1} junk",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn field_accessors() {
+        let v = parse_json(r#"{"k":"s","n":3}"#).unwrap();
+        assert_eq!(field_str(&v, "k"), Some("s"));
+        assert_eq!(field_u64(&v, "n"), Some(3));
+        assert_eq!(field(&v, "missing"), None);
     }
 }

@@ -2,7 +2,7 @@
 
 //! Zero-dependency observability for the repair pipeline.
 //!
-//! The crate provides three layers:
+//! The crate provides these layers:
 //!
 //! * **Primitives** — [`Span`] wall-clock timers and atomic
 //!   [`Counter`]/[`Gauge`] registries ([`MetricsRegistry`]), safe to
@@ -22,6 +22,9 @@
 //!   end-of-run report), [`TimingFreeSink`] (scrubs wall-clock payloads
 //!   so traces are byte-identical across `--jobs`), and [`FanoutSink`]
 //!   (several at once).
+//! * **JSON** — the [`JsonValue`] writer every event serializes through,
+//!   and its reading half [`parse_json`] (with [`field`] accessors),
+//!   which the store, the trace reader and the daemon protocol share.
 //!
 //! Producers hold an [`Observer`] — a cloneable `Arc` handle that fits
 //! inside config structs — and call [`Observer::emit`] with a closure
@@ -39,7 +42,9 @@ pub use event::{
     CandidateEvent, EvalOutcomeEvent, Event, FaultLocEvent, GenerationStats, HeartbeatEvent,
     HistogramEvent, LintEvent, MineEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
 };
-pub use json::{validate_json_line, JsonValue};
+pub use json::{
+    field, field_f64, field_str, field_u64, json_f64, parse_json, validate_json_line, JsonValue,
+};
 pub use metrics::{Counter, Gauge, MetricsRegistry, Span};
 pub use observer::Observer;
 pub use profiler::{Phase, PhaseGuard, Profiler};

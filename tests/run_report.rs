@@ -7,7 +7,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use cirfix::{repair, Observer, RepairConfig, RunReport};
+use cirfix::{repair, Observer, RepairConfig, RepairResult, RunReport};
 use cirfix_benchmarks::scenario;
 use cirfix_telemetry::{validate_json_line, JsonLinesSink, TimingFreeSink};
 
@@ -30,13 +30,21 @@ impl Write for SharedBuf {
     }
 }
 
-/// Runs a seeded repair with a timing-free trace sink and `jobs`
-/// workers; returns the trace text.
-fn timing_free_trace(jobs: usize) -> String {
-    let s = scenario("counter_sens_list").expect("benchmark exists");
+/// The golden fixture's input: a seeded run that ends without
+/// minimizing.
+const GOLDEN_INPUT: (&str, u64) = ("counter_sens_list", 1);
+
+/// A seeded run whose winning patch goes through minimization, so its
+/// trace also covers the ddmin probes.
+const MINIMIZING_INPUT: (&str, u64) = ("counter_reset", 3);
+
+/// Runs the seeded repair `(scenario, seed)` with a timing-free trace
+/// sink and `jobs` workers; returns the trace text and the result.
+fn timing_free_trace((id, seed): (&str, u64), jobs: usize) -> (String, RepairResult) {
+    let s = scenario(id).expect("benchmark exists");
     let problem = s.problem().expect("sources parse");
     let buf = SharedBuf::default();
-    let mut config = RepairConfig::fast(1);
+    let mut config = RepairConfig::fast(seed);
     config.jobs = jobs;
     config.observer = Observer::new(Arc::new(TimingFreeSink::new(JsonLinesSink::new(
         buf.clone(),
@@ -44,17 +52,28 @@ fn timing_free_trace(jobs: usize) -> String {
     let result = repair(&problem, config);
     assert!(result.totals.fitness_evals > 0);
     let bytes = buf.0.lock().expect("buffer poisoned").clone();
-    String::from_utf8(bytes).expect("trace is UTF-8")
+    (String::from_utf8(bytes).expect("trace is UTF-8"), result)
 }
 
 #[test]
 fn timing_free_traces_are_byte_identical_across_worker_counts() {
-    let serial = timing_free_trace(1);
-    let parallel = timing_free_trace(4);
+    assert_trace_is_worker_independent(GOLDEN_INPUT);
+    let minimizing = assert_trace_is_worker_independent(MINIMIZING_INPUT);
+    assert!(
+        minimizing.minimize_evals > 0,
+        "the second input must exercise minimization"
+    );
+}
+
+/// Checks that `input`'s timing-free trace is well-formed, scrubbed,
+/// and identical for one worker and four; returns the serial result.
+fn assert_trace_is_worker_independent(input: (&str, u64)) -> RepairResult {
+    let (serial, result) = timing_free_trace(input, 1);
+    let (parallel, _) = timing_free_trace(input, 4);
     assert!(!serial.is_empty(), "the trace must not be empty");
     assert_eq!(
         serial, parallel,
-        "timing-free traces must not depend on the worker count"
+        "timing-free traces must not depend on the worker count ({input:?})"
     );
     for line in serial.lines() {
         validate_json_line(line).unwrap_or_else(|e| panic!("invalid JSON line: {e}\n{line}"));
@@ -76,11 +95,12 @@ fn timing_free_traces_are_byte_identical_across_worker_counts() {
             "histograms carry raw latencies and must be dropped: {line}"
         );
     }
+    result
 }
 
 #[test]
 fn seeded_report_matches_the_golden_fixture() {
-    let trace = timing_free_trace(1);
+    let (trace, _) = timing_free_trace(GOLDEN_INPUT, 1);
     let report = RunReport::from_trace(&trace).expect("trace folds");
     let rendered = report.render();
     // `UPDATE_GOLDEN=1 cargo test` rewrites the fixture.
@@ -106,7 +126,7 @@ fn seeded_report_matches_the_golden_fixture() {
 
 #[test]
 fn report_json_round_trips_through_the_store_parser() {
-    let trace = timing_free_trace(1);
+    let (trace, _) = timing_free_trace(GOLDEN_INPUT, 1);
     let report = RunReport::from_trace(&trace).expect("trace folds");
     let json = report.to_json();
     let parsed = cirfix_store::parse_json(&json).expect("report JSON parses");

@@ -3,14 +3,17 @@
 //! trace — every line valid JSON, with all four pipeline event kinds
 //! represented (the paper's Alg. 1 loop, its fitness evaluations
 //! (§3.2), fault localization (Alg. 2), and the simulator underneath).
+//! Minimization probes (§3.7) are traced exactly like search children.
 
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use cirfix::{repair, Observer, RepairConfig};
+use cirfix::{repair, repair_with_trials, Observer, RepairConfig};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::{validate_json_line, JsonLinesSink};
+use cirfix_telemetry::{validate_json_line, Event, JsonLinesSink, TelemetrySink};
 
 /// A `Write` target that can be read back after the sink takes
 /// ownership of it.
@@ -93,4 +96,56 @@ fn disabled_observer_emits_nothing_and_totals_still_populate() {
     assert!(result.totals.fitness_evals >= result.cache_hits);
     assert_eq!(result.totals.fitness_evals, result.fitness_evals);
     assert!(result.totals.generations as u64 >= 1);
+}
+
+/// Counts `sim` events and `eval_outcome` events (all, and those of
+/// kind `ok`).
+#[derive(Default)]
+struct OutcomeTally {
+    sims: AtomicU64,
+    outcomes: AtomicU64,
+    ok_outcomes: AtomicU64,
+}
+
+impl TelemetrySink for OutcomeTally {
+    fn record(&self, event: &Event) {
+        match event {
+            Event::Sim(_) => {
+                self.sims.fetch_add(1, Ordering::Relaxed);
+            }
+            Event::EvalOutcome(o) => {
+                self.outcomes.fetch_add(1, Ordering::Relaxed);
+                if o.kind == "ok" {
+                    self.ok_outcomes.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn minimization_probes_trace_like_search_evaluations() {
+    let s = scenario("counter_reset").expect("benchmark exists");
+    let problem = s.problem().expect("sources parse");
+    let tally = Arc::new(OutcomeTally::default());
+    let config = RepairConfig {
+        timeout: Duration::from_secs(3600),
+        observer: Observer::new(tally.clone()),
+        ..RepairConfig::fast(42)
+    };
+    let result = repair_with_trials(&problem, &config, 3);
+    assert!(result.minimize_evals > 0, "the run must minimize");
+    // Every simulation that completes emits one `sim` event, whether
+    // the search or a ddmin probe asked for it.
+    assert_eq!(
+        tally.sims.load(Ordering::Relaxed),
+        tally.ok_outcomes.load(Ordering::Relaxed),
+        "one sim event per ok outcome"
+    );
+    assert_eq!(
+        tally.outcomes.load(Ordering::Relaxed),
+        result.totals.fitness_evals,
+        "one eval_outcome event per fitness evaluation"
+    );
 }
