@@ -1501,6 +1501,14 @@ impl<'a> Repairer<'a> {
             population: popn.iter().map(|(p, _)| p.clone()).collect(),
             found: found.clone(),
         };
+        // The deltas name evaluations in the store: make those durable
+        // before the log that references them, or a checkpoint that
+        // survives an OS crash could name a lost record. A failed sync
+        // is ignored like the log's own: durability is lost, not the
+        // search.
+        if let Some(shared) = &self.shared {
+            let _ = shared.sync();
+        }
         let recorder = self.session.as_mut().expect("session checked above");
         recorder.cache_delta(&delta);
         recorder.checkpoint(&checkpoint);

@@ -8,7 +8,7 @@
 //!
 //! * **evaluations** — every simulated (or statically rejected)
 //!   variant, keyed by its content fingerprint, shared across trials,
-//!   sessions, and hosts;
+//!   sessions, and hosts, in the scenario's own partition of the store;
 //! * **a session log** — a checkpoint at every generation boundary
 //!   (RNG state, counters, population, best-so-far) interleaved with
 //!   cache-delta records naming the trial-cache entries, so a killed
@@ -123,11 +123,14 @@ impl SharedEvalCache {
         }
     }
 
-    /// Opens the persistent cache of `store`, loading every intact
-    /// evaluation record. Returns the cache and the number of damaged
-    /// or undecodable records that were skipped.
-    pub fn open(store: &Store) -> io::Result<(SharedEvalCache, u64)> {
-        let (entries, health) = store.load_evals()?;
+    /// Opens scenario `scenario`'s persistent cache in `store`, loading
+    /// every intact evaluation record of its partition and of the
+    /// legacy segments (see [`Store::load_evals`]); records of other
+    /// scenarios can never hit, so they are not read. Returns the cache
+    /// and the number of damaged or undecodable records that were
+    /// skipped.
+    pub fn open(store: &Store, scenario: Digest) -> io::Result<(SharedEvalCache, u64)> {
+        let (entries, health) = store.load_evals(scenario)?;
         let mut damaged = (health.corrupt + health.torn) as u64;
         let mut mem = HashMap::new();
         for (key, body) in entries {
@@ -145,7 +148,7 @@ impl SharedEvalCache {
             SharedEvalCache {
                 inner: std::sync::Arc::new(CacheInner {
                     mem: std::sync::Mutex::new(mem),
-                    writer: Some(std::sync::Mutex::new(store.eval_writer())),
+                    writer: Some(std::sync::Mutex::new(store.eval_writer(scenario))),
                     degraded: std::sync::atomic::AtomicBool::new(false),
                     degraded_unreported: std::sync::atomic::AtomicBool::new(false),
                     faults: std::sync::Mutex::new(None),
@@ -153,6 +156,17 @@ impl SharedEvalCache {
             },
             damaged,
         ))
+    }
+
+    /// Forces every evaluation written so far to stable storage (a
+    /// no-op for a memory-only cache or before the first write). A
+    /// session calls this before it syncs a checkpoint, whose cache
+    /// deltas name those evaluations.
+    pub fn sync(&self) -> io::Result<()> {
+        match &self.inner.writer {
+            Some(writer) => writer.lock().expect("cache poisoned").sync(),
+            None => Ok(()),
+        }
     }
 
     /// Installs a chaos-testing fault injector whose scheduled
@@ -744,7 +758,7 @@ pub fn repair_session(
     let store = Store::open(store_dir)?;
     let scenario = problem_digest(problem, base);
     let session = session_digest(scenario, base, trials);
-    let (shared, damaged) = SharedEvalCache::open(&store)?;
+    let (shared, damaged) = SharedEvalCache::open(&store, scenario)?;
     shared.set_faults(base.faults.clone());
     if damaged > 0 {
         base.observer.emit(|| {

@@ -508,9 +508,24 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let store = cirfix_store::Store::open(Path::new(dir))?;
     match action.as_str() {
         "ls" => {
-            let (evals, health) = store.load_evals()?;
+            // Every partition and every legacy segment: the whole
+            // store, not what one session would read.
+            let (mut records, mut partitions, mut legacy) = (0, 0, 0);
+            let mut health = cirfix_store::StoreHealth::default();
+            for dir in store.eval_dirs()? {
+                let (evals, h) = dir.load()?;
+                records += evals.len();
+                match dir.scenario {
+                    Some(_) => partitions += 1,
+                    None => legacy += evals.len(),
+                }
+                health += h;
+            }
             println!("store: {}", store.dir().display());
-            println!("  evaluations      {:>12}", evals.len());
+            println!(
+                "  evaluations      {records:>12}  ({partitions} scenario partition(s), \
+                 {legacy} in legacy segments)"
+            );
             let sessions: Vec<PathBuf> = store
                 .all_segments()?
                 .into_iter()

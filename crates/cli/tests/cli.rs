@@ -171,3 +171,38 @@ fn overrides_change_behaviour() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no plausible repair"));
 }
+
+#[test]
+fn store_ls_counts_partitions_and_legacy_records() {
+    let dir = setup("store_ls");
+    let conf = dir.join("repair.conf");
+    let store = dir.join("store");
+    let out = cirfix(&[
+        "repair",
+        conf.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+        "--trials",
+        "1",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = cirfix(&["store", "ls", store.to_str().unwrap()]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // A freshly written store holds one scenario's partition and no
+    // legacy segments.
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("evaluations"))
+        .unwrap_or_else(|| panic!("no evaluations line: {stdout}"));
+    assert!(
+        line.ends_with("(1 scenario partition(s), 0 in legacy segments)"),
+        "{line}"
+    );
+    let total: usize = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    assert!(total > 0, "{line}");
+}

@@ -13,9 +13,9 @@
 //! * [`record`] — per-line checksummed record framing.
 //! * [`segment`] — append-only JSON-lines segment files with
 //!   torn-write detection and recovery.
-//! * [`store`] — the directory layout: evaluation-cache segments,
-//!   resumable session logs, the repair corpus, plus `verify` and
-//!   `gc`/compaction.
+//! * [`store`] — the directory layout: evaluation-cache segments
+//!   partitioned by scenario, resumable session logs, the repair
+//!   corpus, plus `verify` and `gc`/compaction.
 //!
 //! Like every crate in this workspace, it is zero-dependency (the build
 //! environment has no crates.io access): hashing and file formats are
@@ -31,4 +31,6 @@ pub use cirfix_telemetry::{field, field_f64, field_str, field_u64, json_f64, par
 pub use hash::{fnv64, Digest, Fnv128};
 pub use record::{decode_record, encode_record, RecordError};
 pub use segment::{read_segment, recover_segment, SegmentHealth, SegmentWriter};
-pub use store::{EvalWriter, FileReport, GcReport, Lease, Store, StoreHealth, StoreReport};
+pub use store::{
+    EvalDir, EvalWriter, FileReport, GcReport, Lease, Store, StoreHealth, StoreReport,
+};

@@ -5,11 +5,13 @@
 //! Layout under the store directory:
 //!
 //! ```text
-//! <dir>/evals/<s>/evals-<n>.jsonl append-only evaluation cache segments,
-//!                                 sharded by the first hex digit of the
-//!                                 record key (16 shard directories)
-//! <dir>/evals/evals-<n>.jsonl     legacy flat segments (still read; gc
-//!                                 migrates them into shards)
+//! <dir>/evals/<scenario>/evals-<n>.jsonl
+//!                                 append-only evaluation cache segments,
+//!                                 partitioned by the 32-hex scenario
+//!                                 digest every record key is salted with
+//! <dir>/evals/evals-<n>.jsonl     legacy flat segments
+//! <dir>/evals/<k>/evals-<n>.jsonl legacy key-prefix shards (`k` = the
+//!                                 key's first hex digit)
 //! <dir>/sessions/<id>.jsonl       one resumable session log per session id
 //! <dir>/corpus/corpus.jsonl       plausible repairs, one record each
 //! <dir>/crashes/crashes.jsonl     shrunk fuzz findings, one record each
@@ -17,9 +19,13 @@
 //! ```
 //!
 //! Every file is a checksummed segment (see [`crate::segment`]). Each
-//! writing process appends evaluations to *its own* fresh segments, so
-//! concurrent runs never interleave lines; [`Store::gc`] later compacts
-//! the segments, dropping corrupt records and duplicate keys.
+//! evaluation writer appends to *one fresh segment of its own* in its
+//! scenario's partition, so concurrent runs never interleave lines, and
+//! a session reads only its own partition: no record of another
+//! scenario could ever hit. Legacy segments, written before the
+//! partitioning, are read by every session and written by none.
+//! [`Store::gc`] compacts each evaluation directory in place, dropping
+//! corrupt records and duplicate keys.
 //!
 //! # Concurrent GC
 //!
@@ -31,7 +37,7 @@
 //! crashed writer never blocks compaction forever. This is what lets a
 //! `cirfix serve` daemon run background GC under live repair jobs.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -63,6 +69,14 @@ impl StoreHealth {
     /// `true` when nothing was damaged.
     pub fn is_clean(&self) -> bool {
         self.corrupt == 0 && self.torn == 0
+    }
+}
+
+impl std::ops::AddAssign for StoreHealth {
+    fn add_assign(&mut self, other: StoreHealth) {
+        self.records += other.records;
+        self.corrupt += other.corrupt;
+        self.torn += other.torn;
     }
 }
 
@@ -147,40 +161,40 @@ impl Store {
         &self.dir
     }
 
-    fn segments_in(&self, sub: &str) -> io::Result<Vec<PathBuf>> {
-        let mut paths: Vec<PathBuf> = fs::read_dir(self.dir.join(sub))?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        Ok(paths)
-    }
-
-    /// Every evaluation segment, in stable path order: legacy flat
-    /// `evals/*.jsonl` files first, then the 16 shard directories.
-    pub fn eval_segments(&self) -> io::Result<Vec<PathBuf>> {
+    /// Every evaluation directory, in the order readers deduplicate in
+    /// (first write wins): the legacy directories first — the flat
+    /// `evals/` root, then the key-prefix shards — then the scenario
+    /// partitions, each group in name order.
+    pub fn eval_dirs(&self) -> io::Result<Vec<EvalDir>> {
         let root = self.dir.join("evals");
-        let mut paths = Vec::new();
-        let mut shard_dirs = Vec::new();
+        let mut dirs = Vec::new();
         for entry in fs::read_dir(&root)?.filter_map(Result::ok) {
-            let p = entry.path();
-            if p.is_dir() {
-                shard_dirs.push(p);
-            } else if p.extension().is_some_and(|e| e == "jsonl") {
-                paths.push(p);
+            let path = entry.path();
+            if path.is_dir() {
+                let scenario = path
+                    .file_name()
+                    .and_then(|n| n.to_str())
+                    .and_then(Digest::from_hex);
+                dirs.push(EvalDir { path, scenario });
             }
         }
-        shard_dirs.sort();
-        paths.sort();
-        for shard in shard_dirs {
-            let mut in_shard: Vec<PathBuf> = fs::read_dir(&shard)?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-                .collect();
-            in_shard.sort();
-            paths.extend(in_shard);
+        dirs.sort_by(|a, b| (a.scenario.is_some(), &a.path).cmp(&(b.scenario.is_some(), &b.path)));
+        dirs.insert(
+            0,
+            EvalDir {
+                path: root,
+                scenario: None,
+            },
+        );
+        Ok(dirs)
+    }
+
+    /// Every evaluation segment in the store, in [`Store::eval_dirs`]
+    /// order.
+    pub fn eval_segments(&self) -> io::Result<Vec<PathBuf>> {
+        let mut paths = Vec::new();
+        for dir in self.eval_dirs()? {
+            paths.extend(dir.segments()?);
         }
         Ok(paths)
     }
@@ -190,43 +204,42 @@ impl Store {
     pub fn all_segments(&self) -> io::Result<Vec<PathBuf>> {
         let mut all = self.eval_segments()?;
         for sub in ["sessions", "corpus", "jobs", "patterns", "crashes"] {
-            all.extend(self.segments_in(sub)?);
+            all.extend(segments_of(&self.dir.join(sub))?);
         }
         Ok(all)
     }
 
     // ----- evaluations ---------------------------------------------------
 
-    /// Loads every evaluation record across all segments. Records are
-    /// keyed by their `"key"` digest; damaged records and records
-    /// without a valid key are counted in the returned health, never
-    /// returned as data.
-    pub fn load_evals(&self) -> io::Result<(Vec<(Digest, JsonValue)>, StoreHealth)> {
+    /// Loads the evaluation records a session of `scenario` can hit:
+    /// its own partition plus every legacy segment, in
+    /// [`Store::eval_dirs`] order. No other partition is read, and the
+    /// returned health counts damage in the segments read only.
+    pub fn load_evals(
+        &self,
+        scenario: Digest,
+    ) -> io::Result<(Vec<(Digest, JsonValue)>, StoreHealth)> {
         let mut entries = Vec::new();
         let mut health = StoreHealth::default();
-        for path in self.eval_segments()? {
-            let (bodies, seg) = read_segment(&path)?;
-            health.absorb(&seg);
-            for body in bodies {
-                match field_str(&body, "key").and_then(Digest::from_hex) {
-                    Some(key) => entries.push((key, body)),
-                    None => {
-                        health.records -= 1;
-                        health.corrupt += 1;
-                    }
-                }
+        for dir in self.eval_dirs()? {
+            if dir.scenario.is_none_or(|s| s == scenario) {
+                let (dir_entries, dir_health) = dir.load()?;
+                entries.extend(dir_entries);
+                health += dir_health;
             }
         }
         Ok((entries, health))
     }
 
-    /// A writer that appends evaluation records to fresh segments of
-    /// its own — one per shard touched, created lazily on first write
-    /// and leased (see the module docs) until the writer is dropped.
-    pub fn eval_writer(&self) -> EvalWriter {
+    /// A writer that appends scenario `scenario`'s evaluation records
+    /// to one fresh segment of its own in the scenario's partition,
+    /// created lazily on first write and leased (see the module docs)
+    /// until the writer is dropped.
+    pub fn eval_writer(&self, scenario: Digest) -> EvalWriter {
         EvalWriter {
-            dir: self.dir.join("evals"),
-            shards: HashMap::new(),
+            dir: self.dir.join("evals").join(scenario.to_hex()),
+            segment: None,
+            named_durably: false,
         }
     }
 
@@ -397,13 +410,15 @@ impl Store {
         Ok(report)
     }
 
-    /// Garbage collection: compacts evaluation segments per shard
-    /// (dropping corrupt records, torn tails, and duplicate keys —
-    /// first write wins, matching the in-memory cache), migrates legacy
-    /// flat segments into shards, removes session logs whose final
-    /// record marks the session complete, truncates torn tails
-    /// elsewhere, rewrites the corpus without damage, and folds the job
-    /// registry down to one record per job.
+    /// Garbage collection: compacts each evaluation directory in place
+    /// (dropping corrupt records, torn tails, and duplicate keys — first
+    /// write wins across the whole store, in [`Store::eval_dirs`] order,
+    /// matching the in-memory cache — and rewriting every kept record
+    /// into the directory it was read from, so no record ever moves
+    /// between partitions), removes session logs whose final record
+    /// marks the session complete, truncates torn tails elsewhere,
+    /// rewrites the corpus without damage, and folds the job registry
+    /// down to one record per job.
     ///
     /// Safe under concurrent writers: segments (and session logs, and
     /// the job registry) held by a live process — advertised by a
@@ -420,73 +435,63 @@ impl Store {
             .map(|m| m.len())
             .sum();
 
-        // Partition evaluation segments into live (leased by a running
-        // process) and compactable.
-        let mut active = Vec::new();
-        let mut old_segments = Vec::new();
-        for path in self.eval_segments()? {
-            if lease_is_live(&path) {
-                active.push(path);
-            } else {
-                remove_stale_lease(&path);
-                old_segments.push(path);
+        // Compact the evaluation directories one at a time, leaving
+        // segments leased by a running process alone. A directory's
+        // fresh segment is written to a tmp file and renamed into place
+        // *before* its old segments are deleted, so a crash at any point
+        // leaves at worst duplicate records (which dedup on load), never
+        // lost ones.
+        let mut seen = HashSet::new();
+        for dir in self.eval_dirs()? {
+            let mut old_segments = Vec::new();
+            for path in dir.segments()? {
+                if lease_is_live(&path) {
+                    report.files_skipped_active += 1;
+                } else {
+                    remove_stale_lease(&path);
+                    old_segments.push(path);
+                }
             }
-        }
-        report.files_skipped_active += active.len();
-
-        // Compact the compactable segments shard by shard. Fresh
-        // segments are written to tmp files and renamed into place
-        // *before* the old segments are deleted, so a crash at any
-        // point leaves at worst duplicate records (which dedup on
-        // load), never lost ones.
-        if !old_segments.is_empty() {
-            let mut seen = std::collections::HashSet::new();
-            let mut kept_per_shard: HashMap<String, Vec<JsonValue>> = HashMap::new();
-            let mut kept_total = 0usize;
+            if old_segments.is_empty() {
+                continue;
+            }
+            let mut kept = Vec::new();
             for path in &old_segments {
                 let (bodies, h) = read_segment(path)?;
                 report.records_dropped += h.corrupt.len() + usize::from(h.torn_tail.is_some());
                 for body in bodies {
                     match field_str(&body, "key").and_then(Digest::from_hex) {
-                        Some(key) if seen.insert(key) => {
-                            let shard = shard_of(&key.to_hex());
-                            kept_per_shard.entry(shard).or_default().push(body);
-                            kept_total += 1;
-                        }
+                        Some(key) if seen.insert(key) => kept.push(body),
                         _ => report.records_dropped += 1,
                     }
                 }
             }
-            for (shard, bodies) in &kept_per_shard {
-                let shard_dir = self.dir.join("evals").join(shard);
-                fs::create_dir_all(&shard_dir)?;
-                let tmp = shard_dir.join("compact.tmp");
+            if !kept.is_empty() {
+                let tmp = dir.path.join("compact.tmp");
                 let _ = fs::remove_file(&tmp);
                 {
                     let mut w = SegmentWriter::append(&tmp)?;
-                    for body in bodies {
+                    for body in &kept {
                         w.write_record(body)?;
                     }
                     w.sync()?;
                 }
-                let existing: Vec<PathBuf> = fs::read_dir(&shard_dir)?
-                    .filter_map(Result::ok)
-                    .map(|e| e.path())
-                    .collect();
-                let next = next_segment_index(&existing);
-                fs::rename(&tmp, shard_dir.join(segment_name(next)))?;
+                fs::rename(&tmp, claim_segment(&dir.path)?)?;
+                // The rename must be durable before the old segments'
+                // removal, or a crash could keep only the removal.
+                sync_dir(&dir.path)?;
             }
             for path in &old_segments {
                 fs::remove_file(path)?;
                 report.files_removed += 1;
             }
-            report.records_kept += kept_total;
+            report.records_kept += kept.len();
         }
 
         // Sessions: drop completed logs, truncate torn tails elsewhere.
         // A leased log belongs to a running session — hands off even on
         // its torn tail, which may be an append in flight.
-        for path in self.segments_in("sessions")? {
+        for path in segments_of(&self.dir.join("sessions"))? {
             if lease_is_live(&path) {
                 report.files_skipped_active += 1;
                 continue;
@@ -601,12 +606,24 @@ impl Store {
     }
 }
 
-fn segment_name(index: u64) -> String {
-    format!("evals-{index:05}.jsonl")
+/// The segment files directly in `dir`, in path order.
+fn segments_of(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
-fn next_segment_index(existing: &[PathBuf]) -> u64 {
-    existing
+/// Creates the next free `evals-<n>.jsonl` in `dir` (and `dir` itself
+/// if need be) as an empty file and returns its path. `create_new`
+/// makes the claim exclusive, so racing writers and a concurrent `gc`
+/// never pick the same segment.
+fn claim_segment(dir: &Path) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let mut index = segments_of(dir)?
         .iter()
         .filter_map(|p| {
             p.file_stem()?
@@ -616,14 +633,70 @@ fn next_segment_index(existing: &[PathBuf]) -> u64 {
                 .ok()
         })
         .max()
-        .map_or(1, |n| n + 1)
+        .map_or(1, |n| n + 1);
+    loop {
+        let path = dir.join(format!("evals-{index:05}.jsonl"));
+        match fs::OpenOptions::new()
+            .create_new(true)
+            .append(true)
+            .open(&path)
+        {
+            Ok(_) => return Ok(path),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => index += 1,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
-/// The shard directory name for a record key: its first hex digit.
-fn shard_of(key_hex: &str) -> String {
-    match key_hex.chars().next() {
-        Some(c) if c.is_ascii_hexdigit() => c.to_ascii_lowercase().to_string(),
-        _ => "0".to_string(),
+/// Makes the entries of `dir` — files created, renamed or removed in it
+/// — durable. Only Unix can sync a directory; elsewhere this does
+/// nothing.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        fs::File::open(dir)?.sync_all()
+    } else {
+        Ok(())
+    }
+}
+
+/// One directory of evaluation segments under `evals/`.
+#[derive(Debug, Clone)]
+pub struct EvalDir {
+    /// The directory.
+    pub path: PathBuf,
+    /// The scenario whose partition this is; `None` for a legacy
+    /// directory (the flat `evals/` root or a key-prefix shard), which
+    /// every session reads.
+    pub scenario: Option<Digest>,
+}
+
+impl EvalDir {
+    /// The directory's segment files, in path order.
+    pub fn segments(&self) -> io::Result<Vec<PathBuf>> {
+        segments_of(&self.path)
+    }
+
+    /// Reads every evaluation record in the directory. Records are keyed
+    /// by their `"key"` digest; damaged records and records without a
+    /// valid key are counted in the returned health, never returned as
+    /// data.
+    pub fn load(&self) -> io::Result<(Vec<(Digest, JsonValue)>, StoreHealth)> {
+        let mut entries = Vec::new();
+        let mut health = StoreHealth::default();
+        for path in self.segments()? {
+            let (bodies, seg) = read_segment(&path)?;
+            health.absorb(&seg);
+            for body in bodies {
+                match field_str(&body, "key").and_then(Digest::from_hex) {
+                    Some(key) => entries.push((key, body)),
+                    None => {
+                        health.records -= 1;
+                        health.corrupt += 1;
+                    }
+                }
+            }
+        }
+        Ok((entries, health))
     }
 }
 
@@ -685,65 +758,49 @@ impl Drop for Lease {
     }
 }
 
-/// Appends evaluation records to private fresh segments — one per
-/// shard touched, created lazily so read-only (fully warm) runs leave
-/// no empty files behind, and leased against concurrent GC until the
-/// writer drops.
+/// Appends one scenario's evaluation records to a private fresh segment
+/// in the scenario's partition — created lazily so read-only (fully
+/// warm) runs leave no empty files behind, and leased against
+/// concurrent GC until the writer drops.
 #[derive(Debug)]
 pub struct EvalWriter {
     dir: PathBuf,
-    shards: HashMap<String, (SegmentWriter, Lease)>,
+    segment: Option<(SegmentWriter, Lease)>,
+    // Whether the segment's name (and its partition directory's) has
+    // been made durable: a synced file whose directory entry is lost in
+    // a crash is lost with it.
+    named_durably: bool,
 }
 
 impl EvalWriter {
-    /// Appends one evaluation record to its shard's segment. The body
-    /// must carry the `"key"` digest field — it selects the shard.
+    /// Appends one evaluation record. The body should carry the `"key"`
+    /// digest field: readers count a record without one as damage.
     pub fn write(&mut self, body: &JsonValue) -> io::Result<()> {
-        let Some(key) = field_str(body, "key") else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "evaluation record has no \"key\" field",
-            ));
+        let (writer, _) = match &mut self.segment {
+            Some(segment) => segment,
+            None => {
+                let path = claim_segment(&self.dir)?;
+                let lease = Lease::take(&path)?;
+                self.segment.insert((SegmentWriter::append(&path)?, lease))
+            }
         };
-        let shard = shard_of(key);
-        if !self.shards.contains_key(&shard) {
-            let shard_dir = self.dir.join(&shard);
-            fs::create_dir_all(&shard_dir)?;
-            let existing: Vec<PathBuf> = fs::read_dir(&shard_dir)?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .collect();
-            // Claim a fresh segment; `create_new` guards against racing
-            // writers picking the same index.
-            let mut index = next_segment_index(&existing);
-            let writer = loop {
-                let path = shard_dir.join(segment_name(index));
-                match fs::OpenOptions::new()
-                    .create_new(true)
-                    .append(true)
-                    .open(&path)
-                {
-                    Ok(_) => {
-                        let lease = Lease::take(&path)?;
-                        break (SegmentWriter::append(&path)?, lease);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::AlreadyExists => index += 1,
-                    Err(e) => return Err(e),
-                }
-            };
-            self.shards.insert(shard.clone(), writer);
-        }
-        self.shards
-            .get_mut(&shard)
-            .expect("writer was just created")
-            .0
-            .write_record(body)
+        writer.write_record(body)
     }
 
-    /// Forces written records to stable storage.
+    /// Forces written records to stable storage; a no-op before the
+    /// first write. The first sync also makes the segment's and the
+    /// partition's directory entries durable.
     pub fn sync(&mut self) -> io::Result<()> {
-        for (w, _) in self.shards.values_mut() {
-            w.sync()?;
+        let Some((writer, _)) = &mut self.segment else {
+            return Ok(());
+        };
+        writer.sync()?;
+        if !self.named_durably {
+            sync_dir(&self.dir)?;
+            if let Some(evals) = self.dir.parent() {
+                sync_dir(evals)?;
+            }
+            self.named_durably = true;
         }
         Ok(())
     }
@@ -767,65 +824,97 @@ mod tests {
         ])
     }
 
+    /// The scenario most tests write under.
+    const SCENARIO: Digest = Digest(0x5ce0);
+
     #[test]
     fn eval_records_round_trip_through_segments() {
         let store = tmp_store("evals");
-        let mut w = store.eval_writer();
+        let mut w = store.eval_writer(SCENARIO);
         for n in 0..4u64 {
             w.write(&eval_body(Digest(u128::from(n)), n)).unwrap();
         }
         w.sync().unwrap();
-        let (entries, health) = store.load_evals().unwrap();
+        let (entries, health) = store.load_evals(SCENARIO).unwrap();
         assert_eq!(entries.len(), 4);
         assert!(health.is_clean());
         assert!(entries.iter().any(|(k, _)| *k == Digest(2)));
     }
 
     #[test]
-    fn writes_are_sharded_by_key_prefix() {
-        let store = tmp_store("shards");
-        let mut w = store.eval_writer();
-        // Digest hex is 32 chars; 0x1... and 0xf... land in different
-        // shard directories.
-        let a = Digest(0x1000_0000_0000_0000_0000_0000_0000_0000);
-        let b = Digest(0xf000_0000_0000_0000_0000_0000_0000_0000);
-        w.write(&eval_body(a, 1)).unwrap();
-        w.write(&eval_body(b, 2)).unwrap();
-        drop(w);
-        assert!(store.dir().join("evals/1").is_dir());
-        assert!(store.dir().join("evals/f").is_dir());
-        let (entries, health) = store.load_evals().unwrap();
-        assert!(health.is_clean());
-        assert_eq!(entries.len(), 2);
+    fn writes_are_partitioned_by_scenario() {
+        let store = tmp_store("partitions");
+        let other = Digest(0xf00d);
+        let mut a = store.eval_writer(SCENARIO);
+        let mut b = store.eval_writer(other);
+        a.write(&eval_body(Digest(1), 1)).unwrap();
+        a.write(&eval_body(Digest(2), 2)).unwrap();
+        b.write(&eval_body(Digest(3), 3)).unwrap();
+        drop((a, b));
+        let segments = store.eval_segments().unwrap();
+        assert_eq!(segments.len(), 2, "one segment per writer");
+        for (scenario, want) in [(SCENARIO, vec![1, 2]), (other, vec![3])] {
+            let dir = store.dir().join("evals").join(scenario.to_hex());
+            assert!(segments.iter().any(|p| p.parent() == Some(dir.as_path())));
+            let (entries, health) = store.load_evals(scenario).unwrap();
+            assert!(health.is_clean());
+            let keys: Vec<u128> = entries.iter().map(|(k, _)| k.0).collect();
+            assert_eq!(keys, want, "a session reads its own partition only");
+        }
+        let dirs = store.eval_dirs().unwrap();
+        let scenarios: Vec<Option<Digest>> = dirs.iter().map(|d| d.scenario).collect();
+        assert_eq!(scenarios, vec![None, Some(SCENARIO), Some(other)]);
     }
 
     #[test]
-    fn legacy_flat_segments_are_read_and_migrated_by_gc() {
+    fn legacy_segments_are_read_and_compacted_in_place_by_gc() {
         let store = tmp_store("legacy");
-        // A pre-sharding store: a segment directly under evals/.
-        let flat = store.dir().join("evals").join("evals-00001.jsonl");
-        let mut w = SegmentWriter::append(&flat).unwrap();
-        w.write_record(&eval_body(Digest(7), 7)).unwrap();
-        w.sync().unwrap();
-        drop(w);
-        let (entries, _) = store.load_evals().unwrap();
-        assert_eq!(entries.len(), 1, "flat segments are still read");
-        store.gc().unwrap();
-        assert!(!flat.exists(), "gc migrates flat segments into shards");
-        let (entries, health) = store.load_evals().unwrap();
+        // A pre-partitioning store: one flat segment directly under
+        // evals/ and one key-prefix shard.
+        let flat = store.dir().join("evals");
+        let shard = store.dir().join("evals").join("7");
+        fs::create_dir_all(&shard).unwrap();
+        for (dir, key) in [(&flat, 0x5), (&shard, 0x7)] {
+            let mut w = SegmentWriter::append(&dir.join("evals-00001.jsonl")).unwrap();
+            w.write_record(&eval_body(Digest(key), 1)).unwrap();
+            // A duplicate key: gc keeps the first write only.
+            w.write_record(&eval_body(Digest(key), 2)).unwrap();
+        }
+        store
+            .eval_writer(SCENARIO)
+            .write(&eval_body(Digest(0x9), 9))
+            .unwrap();
+        let (entries, _) = store.load_evals(Digest(0xabc)).unwrap();
+        assert_eq!(entries.len(), 4, "every session reads legacy segments");
+        let (entries, _) = store.load_evals(SCENARIO).unwrap();
+        assert_eq!(entries.len(), 5);
+
+        let report = store.gc().unwrap();
+        assert_eq!(report.records_kept, 3);
+        assert_eq!(report.records_dropped, 2);
+        // Each record is rewritten into the directory it was read from.
+        let partition = flat.join(SCENARIO.to_hex());
+        for (dir, key, n) in [(&flat, 0x5, 1), (&shard, 0x7, 1), (&partition, 0x9, 9)] {
+            let segments = segments_of(dir).unwrap();
+            assert_eq!(segments.len(), 1, "{}", dir.display());
+            let (bodies, health) = read_segment(&segments[0]).unwrap();
+            assert!(health.is_clean());
+            assert_eq!(bodies, vec![eval_body(Digest(key), n)]);
+        }
+        let (entries, health) = store.load_evals(SCENARIO).unwrap();
         assert!(health.is_clean());
-        assert_eq!(entries.len(), 1);
+        assert_eq!(entries.len(), 3);
     }
 
     #[test]
     fn each_writer_gets_its_own_segment() {
         let store = tmp_store("segments");
-        let mut a = store.eval_writer();
+        let mut a = store.eval_writer(SCENARIO);
         a.write(&eval_body(Digest(1), 1)).unwrap();
-        let mut b = store.eval_writer();
+        let mut b = store.eval_writer(SCENARIO);
         b.write(&eval_body(Digest(2), 2)).unwrap();
         assert_eq!(store.eval_segments().unwrap().len(), 2);
-        let (entries, _) = store.load_evals().unwrap();
+        let (entries, _) = store.load_evals(SCENARIO).unwrap();
         assert_eq!(entries.len(), 2);
     }
 
@@ -869,17 +958,17 @@ mod tests {
     #[test]
     fn gc_compacts_dedups_and_reports() {
         let store = tmp_store("gc");
-        let mut a = store.eval_writer();
+        let mut a = store.eval_writer(SCENARIO);
         a.write(&eval_body(Digest(1), 1)).unwrap();
         a.write(&eval_body(Digest(2), 2)).unwrap();
-        let mut b = store.eval_writer();
+        let mut b = store.eval_writer(SCENARIO);
         b.write(&eval_body(Digest(1), 99)).unwrap(); // duplicate key
         drop((a, b));
         let report = store.gc().unwrap();
         assert_eq!(report.records_kept, 2);
         assert_eq!(report.records_dropped, 1);
         assert_eq!(report.files_skipped_active, 0);
-        let (entries, health) = store.load_evals().unwrap();
+        let (entries, health) = store.load_evals(SCENARIO).unwrap();
         assert!(health.is_clean());
         let one = entries.iter().find(|(k, _)| *k == Digest(1)).unwrap();
         assert_eq!(crate::field_u64(&one.1, "n"), Some(1), "first write wins");
@@ -888,10 +977,10 @@ mod tests {
     #[test]
     fn gc_skips_segments_held_by_live_writers() {
         let store = tmp_store("gc-live");
-        let mut live = store.eval_writer();
+        let mut live = store.eval_writer(SCENARIO);
         live.write(&eval_body(Digest(1), 1)).unwrap();
         live.sync().unwrap();
-        let mut done = store.eval_writer();
+        let mut done = store.eval_writer(SCENARIO);
         done.write(&eval_body(Digest(2), 2)).unwrap();
         drop(done);
 
@@ -908,7 +997,7 @@ mod tests {
         live.write(&eval_body(Digest(3), 3)).unwrap();
         live.sync().unwrap();
         drop(live);
-        let (entries, health) = store.load_evals().unwrap();
+        let (entries, health) = store.load_evals(SCENARIO).unwrap();
         assert!(health.is_clean());
         let mut keys: Vec<u128> = entries.iter().map(|(k, _)| k.0).collect();
         keys.sort_unstable();
@@ -918,14 +1007,14 @@ mod tests {
         // compacts everything.
         let report = store.gc().unwrap();
         assert_eq!(report.files_skipped_active, 0);
-        let (entries, _) = store.load_evals().unwrap();
+        let (entries, _) = store.load_evals(SCENARIO).unwrap();
         assert_eq!(entries.len(), 3);
     }
 
     #[test]
     fn gc_reclaims_stale_leases_from_dead_writers() {
         let store = tmp_store("gc-stale");
-        let mut w = store.eval_writer();
+        let mut w = store.eval_writer(SCENARIO);
         w.write(&eval_body(Digest(9), 9)).unwrap();
         w.sync().unwrap();
         // Forget the writer without running Drop: the lease file stays
@@ -1008,7 +1097,7 @@ mod tests {
     #[test]
     fn verify_reports_without_modifying() {
         let store = tmp_store("verify");
-        let mut w = store.eval_writer();
+        let mut w = store.eval_writer(SCENARIO);
         w.write(&eval_body(Digest(1), 1)).unwrap();
         drop(w);
         let seg = &store.eval_segments().unwrap()[0];

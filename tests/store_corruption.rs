@@ -32,14 +32,14 @@ fn config() -> RepairConfig {
 /// (newline-less, incomplete) record to the same segment. Returns the
 /// segment path.
 fn damage_first_eval_segment(store_dir: &Path) -> PathBuf {
-    // Evaluations live in per-key-prefix shard directories under
+    // Evaluations live in per-scenario partition directories under
     // `evals/`; ask the store itself rather than assuming the layout.
     let mut segments = Store::open(store_dir)
         .expect("store opens")
         .eval_segments()
         .expect("evals listable");
     segments.sort();
-    // Pick a shard with at least two records so exactly one can be
+    // Pick a segment with at least two records so exactly one can be
     // damaged while a sibling stays intact.
     let segment = segments
         .iter()
