@@ -1,6 +1,8 @@
 //! Module-level nodes: declarations, continuous assigns, processes,
 //! instantiations, and the source file.
 
+use std::sync::Arc;
+
 use crate::expr::Expr;
 use crate::node::NodeId;
 use crate::stmt::{LValue, Stmt};
@@ -185,22 +187,44 @@ impl Module {
     }
 }
 
+impl AsRef<Module> for Module {
+    fn as_ref(&self) -> &Module {
+        self
+    }
+}
+
 /// A parsed source file: one or more modules.
+///
+/// Modules are shared, copy-on-write: cloning a file copies pointers,
+/// and [`SourceFile::module_mut`] copies a module only while another
+/// file still shares it. A patched variant is therefore the original
+/// plus private copies of just the modules its edits touched.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceFile {
     /// Modules in source order.
-    pub modules: Vec<Module>,
+    pub modules: Vec<Arc<Module>>,
 }
 
 impl SourceFile {
-    /// Finds a module by name.
-    pub fn module(&self, name: &str) -> Option<&Module> {
-        self.modules.iter().find(|m| m.name == name)
+    /// A file of the given modules, in order.
+    pub fn new(modules: Vec<Module>) -> SourceFile {
+        SourceFile {
+            modules: modules.into_iter().map(Arc::new).collect(),
+        }
     }
 
-    /// Finds a module by name, mutably.
+    /// Finds a module by name.
+    pub fn module(&self, name: &str) -> Option<&Module> {
+        self.modules.iter().find(|m| m.name == name).map(|m| &**m)
+    }
+
+    /// Finds a module by name, mutably, first copying it if another
+    /// file shares it.
     pub fn module_mut(&mut self, name: &str) -> Option<&mut Module> {
-        self.modules.iter_mut().find(|m| m.name == name)
+        self.modules
+            .iter_mut()
+            .find(|m| m.name == name)
+            .map(Arc::make_mut)
     }
 
     /// Merges the modules of `other` into `self` (testbench + design).
@@ -261,16 +285,36 @@ mod tests {
             ports: vec![],
             items: vec![],
         };
-        let mut f = SourceFile {
-            modules: vec![mk(&mut g, "dut")],
-        };
-        let tb = SourceFile {
-            modules: vec![mk(&mut g, "tb")],
-        };
+        let mut f = SourceFile::new(vec![mk(&mut g, "dut")]);
+        let tb = SourceFile::new(vec![mk(&mut g, "tb")]);
         f.extend_from(tb);
         assert!(f.module("dut").is_some());
         assert!(f.module("tb").is_some());
         assert!(f.module_mut("tb").is_some());
         assert!(f.module("nope").is_none());
+    }
+
+    #[test]
+    fn clones_share_modules_until_one_is_edited() {
+        let mut g = NodeIdGen::new();
+        let mk = |g: &mut NodeIdGen, name: &str| Module {
+            id: g.fresh(),
+            name: name.into(),
+            ports: vec![],
+            items: vec![],
+        };
+        let original = SourceFile::new(vec![mk(&mut g, "dut"), mk(&mut g, "tb")]);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&copy.modules[0], &original.modules[0]));
+        copy.module_mut("dut")
+            .expect("present")
+            .ports
+            .push("q".into());
+        assert!(!Arc::ptr_eq(&copy.modules[0], &original.modules[0]));
+        assert!(Arc::ptr_eq(&copy.modules[1], &original.modules[1]));
+        assert!(
+            original.modules[0].ports.is_empty(),
+            "the original is untouched"
+        );
     }
 }

@@ -198,21 +198,27 @@ fn write_connection(out: &mut String, c: &crate::module::Connection) {
 }
 
 /// Writes a statement that follows a keyword on the same line
-/// (e.g. `always …`); blocks open on the same line.
+/// (e.g. `always …`); blocks open on the same line. The caller writes
+/// the trailing newline.
 fn write_stmt_inline(out: &mut String, stmt: &Stmt, level: usize) {
-    let mut s = String::new();
-    write_stmt(&mut s, stmt, level);
-    out.push_str(s.trim_start());
-    // Remove the trailing newline; the caller adds it.
+    write_stmt_body(out, stmt, level);
     while out.ends_with('\n') {
         out.pop();
     }
 }
 
+/// Writes a statement on its own line at `level`.
 fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
+    indent(out, level);
+    write_stmt_body(out, stmt, level);
+}
+
+/// Writes a statement from its first token on, without the leading
+/// indent: nested lines are indented from `level`, and the text ends
+/// with a newline.
+fn write_stmt_body(out: &mut String, stmt: &Stmt, level: usize) {
     match stmt {
         Stmt::Block { name, stmts, .. } => {
-            indent(out, level);
             out.push_str("begin");
             if let Some(n) = name {
                 out.push_str(" : ");
@@ -231,7 +237,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             else_s,
             ..
         } => {
-            indent(out, level);
             out.push_str("if (");
             write_expr(out, cond, 0);
             out.push_str(") ");
@@ -251,7 +256,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             default,
             ..
         } => {
-            indent(out, level);
             out.push_str(kind.keyword());
             out.push_str(" (");
             write_expr(out, subject, 0);
@@ -284,7 +288,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             body,
             ..
         } => {
-            indent(out, level);
             out.push_str("for (");
             write_assign_headless(out, init);
             out.push_str("; ");
@@ -296,7 +299,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             out.push('\n');
         }
         Stmt::While { cond, body, .. } => {
-            indent(out, level);
             out.push_str("while (");
             write_expr(out, cond, 0);
             out.push_str(") ");
@@ -304,7 +306,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             out.push('\n');
         }
         Stmt::Repeat { count, body, .. } => {
-            indent(out, level);
             out.push_str("repeat (");
             write_expr(out, count, 0);
             out.push_str(") ");
@@ -312,7 +313,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             out.push('\n');
         }
         Stmt::Forever { body, .. } => {
-            indent(out, level);
             out.push_str("forever ");
             write_stmt_inline(out, body, level);
             out.push('\n');
@@ -320,7 +320,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
         Stmt::Blocking {
             lhs, delay, rhs, ..
         } => {
-            indent(out, level);
             write_lvalue(out, lhs);
             out.push_str(" = ");
             if let Some(d) = delay {
@@ -334,7 +333,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
         Stmt::NonBlocking {
             lhs, delay, rhs, ..
         } => {
-            indent(out, level);
             write_lvalue(out, lhs);
             out.push_str(" <= ");
             if let Some(d) = delay {
@@ -346,7 +344,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             out.push_str(";\n");
         }
         Stmt::Delay { amount, body, .. } => {
-            indent(out, level);
             out.push('#');
             write_expr(out, amount, 20);
             match body {
@@ -364,7 +361,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
         Stmt::EventControl {
             sensitivity, body, ..
         } => {
-            indent(out, level);
             out.push('@');
             match sensitivity {
                 Sensitivity::Star => out.push('*'),
@@ -394,13 +390,11 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             }
         }
         Stmt::EventTrigger { name, .. } => {
-            indent(out, level);
             out.push_str("-> ");
             out.push_str(name);
             out.push_str(";\n");
         }
         Stmt::Wait { cond, body, .. } => {
-            indent(out, level);
             out.push_str("wait (");
             write_expr(out, cond, 0);
             out.push(')');
@@ -414,7 +408,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             }
         }
         Stmt::SysCall { name, args, .. } => {
-            indent(out, level);
             out.push('$');
             out.push_str(name);
             if !args.is_empty() {
@@ -430,7 +423,6 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             out.push_str(";\n");
         }
         Stmt::Null { .. } => {
-            indent(out, level);
             out.push_str(";\n");
         }
     }
@@ -447,9 +439,9 @@ fn write_assign_headless(out: &mut String, stmt: &Stmt) {
         other => {
             // Degenerate mutants can put non-assignments here; print the
             // statement body inline so output is still parseable-ish.
-            let mut s = String::new();
-            write_stmt(&mut s, other, 0);
-            out.push_str(s.trim());
+            write_stmt_body(out, other, 0);
+            let end = out.trim_end().len();
+            out.truncate(end);
         }
     }
 }

@@ -8,6 +8,8 @@
 //! ([`insert_stmt_after`]) and fresh renumbering of inserted copies
 //! ([`renumber_stmt`]).
 
+use std::ops::ControlFlow;
+
 use crate::expr::Expr;
 use crate::module::{Connection, Decl, Instance, Item, Module, ParamDecl, SourceFile};
 use crate::node::{NodeId, NodeIdGen};
@@ -63,64 +65,121 @@ pub fn walk_source<'a>(file: &'a SourceFile, f: &mut impl FnMut(NodeRef<'a>)) {
 
 /// Walks every node of a module in pre-order.
 pub fn walk_module<'a>(module: &'a Module, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Module(module));
-    for item in &module.items {
-        walk_item(item, f);
-    }
+    let _ = search_module(module, &mut visit_all(f));
 }
 
 /// Walks an item subtree in pre-order.
 pub fn walk_item<'a>(item: &'a Item, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Item(item));
-    match item {
-        Item::Decl(d) => walk_decl(d, f),
-        Item::Param(p) => walk_param(p, f),
-        Item::Assign { lhs, rhs, .. } => {
-            walk_lvalue(lhs, f);
-            walk_expr(rhs, f);
-        }
-        Item::Always { body, .. } | Item::Initial { body, .. } => walk_stmt(body, f),
-        Item::Instance(inst) => walk_instance(inst, f),
-    }
-}
-
-fn walk_decl<'a>(d: &'a Decl, f: &mut impl FnMut(NodeRef<'a>)) {
-    if let Some((msb, lsb)) = &d.range {
-        walk_expr(msb, f);
-        walk_expr(lsb, f);
-    }
-    for v in &d.vars {
-        f(NodeRef::DeclVar(v));
-        if let Some((hi, lo)) = &v.array {
-            walk_expr(hi, f);
-            walk_expr(lo, f);
-        }
-        if let Some(init) = &v.init {
-            walk_expr(init, f);
-        }
-    }
-}
-
-fn walk_param<'a>(p: &'a ParamDecl, f: &mut impl FnMut(NodeRef<'a>)) {
-    walk_expr(&p.value, f);
-}
-
-fn walk_instance<'a>(inst: &'a Instance, f: &mut impl FnMut(NodeRef<'a>)) {
-    for c in inst.params.iter().chain(&inst.ports) {
-        f(NodeRef::Connection(c));
-        if let Some(e) = &c.expr {
-            walk_expr(e, f);
-        }
-    }
+    let _ = search_item(item, &mut visit_all(f));
 }
 
 /// Walks a statement subtree in pre-order.
 pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Stmt(stmt));
+    let _ = search_stmt(stmt, &mut visit_all(f));
+}
+
+/// Walks an expression subtree in pre-order.
+pub fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(NodeRef<'a>)) {
+    let _ = search_expr(expr, &mut visit_all(f));
+}
+
+/// Walks an lvalue subtree in pre-order.
+pub fn walk_lvalue<'a>(lv: &'a LValue, f: &mut impl FnMut(NodeRef<'a>)) {
+    let _ = search_lvalue(lv, &mut visit_all(f));
+}
+
+/// Adapts a visitor to the searches below: it never stops the walk.
+fn visit_all<'a, 'f>(
+    f: &'f mut impl FnMut(NodeRef<'a>),
+) -> impl FnMut(NodeRef<'a>) -> ControlFlow<()> + 'f {
+    move |n| {
+        f(n);
+        ControlFlow::Continue(())
+    }
+}
+
+// The searches below are the one pre-order traversal: the walks above
+// run a search to the end, and lookups stop at the first node their
+// callback breaks on.
+
+fn search_module<'a, B>(
+    module: &'a Module,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    f(NodeRef::Module(module))?;
+    for item in &module.items {
+        search_item(item, f)?;
+    }
+    ControlFlow::Continue(())
+}
+
+fn search_item<'a, B>(
+    item: &'a Item,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    f(NodeRef::Item(item))?;
+    match item {
+        Item::Decl(d) => search_decl(d, f),
+        Item::Param(p) => search_param(p, f),
+        Item::Assign { lhs, rhs, .. } => {
+            search_lvalue(lhs, f)?;
+            search_expr(rhs, f)
+        }
+        Item::Always { body, .. } | Item::Initial { body, .. } => search_stmt(body, f),
+        Item::Instance(inst) => search_instance(inst, f),
+    }
+}
+
+fn search_decl<'a, B>(
+    d: &'a Decl,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    if let Some((msb, lsb)) = &d.range {
+        search_expr(msb, f)?;
+        search_expr(lsb, f)?;
+    }
+    for v in &d.vars {
+        f(NodeRef::DeclVar(v))?;
+        if let Some((hi, lo)) = &v.array {
+            search_expr(hi, f)?;
+            search_expr(lo, f)?;
+        }
+        if let Some(init) = &v.init {
+            search_expr(init, f)?;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+fn search_param<'a, B>(
+    p: &'a ParamDecl,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    search_expr(&p.value, f)
+}
+
+fn search_instance<'a, B>(
+    inst: &'a Instance,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    for c in inst.params.iter().chain(&inst.ports) {
+        f(NodeRef::Connection(c))?;
+        if let Some(e) = &c.expr {
+            search_expr(e, f)?;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+fn search_stmt<'a, B>(
+    stmt: &'a Stmt,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    f(NodeRef::Stmt(stmt))?;
     match stmt {
         Stmt::Block { stmts, .. } => {
             for s in stmts {
-                walk_stmt(s, f);
+                search_stmt(s, f)?;
             }
         }
         Stmt::If {
@@ -129,10 +188,10 @@ pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
             else_s,
             ..
         } => {
-            walk_expr(cond, f);
-            walk_stmt(then_s, f);
+            search_expr(cond, f)?;
+            search_stmt(then_s, f)?;
             if let Some(e) = else_s {
-                walk_stmt(e, f);
+                search_stmt(e, f)?;
             }
         }
         Stmt::Case {
@@ -141,16 +200,16 @@ pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
             default,
             ..
         } => {
-            walk_expr(subject, f);
+            search_expr(subject, f)?;
             for arm in arms {
-                f(NodeRef::CaseArm(arm));
+                f(NodeRef::CaseArm(arm))?;
                 for l in &arm.labels {
-                    walk_expr(l, f);
+                    search_expr(l, f)?;
                 }
-                walk_stmt(&arm.body, f);
+                search_stmt(&arm.body, f)?;
             }
             if let Some(d) = default {
-                walk_stmt(d, f);
+                search_stmt(d, f)?;
             }
         }
         Stmt::For {
@@ -160,36 +219,36 @@ pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
             body,
             ..
         } => {
-            walk_stmt(init, f);
-            walk_expr(cond, f);
-            walk_stmt(step, f);
-            walk_stmt(body, f);
+            search_stmt(init, f)?;
+            search_expr(cond, f)?;
+            search_stmt(step, f)?;
+            search_stmt(body, f)?;
         }
         Stmt::While { cond, body, .. } => {
-            walk_expr(cond, f);
-            walk_stmt(body, f);
+            search_expr(cond, f)?;
+            search_stmt(body, f)?;
         }
         Stmt::Repeat { count, body, .. } => {
-            walk_expr(count, f);
-            walk_stmt(body, f);
+            search_expr(count, f)?;
+            search_stmt(body, f)?;
         }
-        Stmt::Forever { body, .. } => walk_stmt(body, f),
+        Stmt::Forever { body, .. } => search_stmt(body, f)?,
         Stmt::Blocking {
             lhs, delay, rhs, ..
         }
         | Stmt::NonBlocking {
             lhs, delay, rhs, ..
         } => {
-            walk_lvalue(lhs, f);
+            search_lvalue(lhs, f)?;
             if let Some(d) = delay {
-                walk_expr(d, f);
+                search_expr(d, f)?;
             }
-            walk_expr(rhs, f);
+            search_expr(rhs, f)?;
         }
         Stmt::Delay { amount, body, .. } => {
-            walk_expr(amount, f);
+            search_expr(amount, f)?;
             if let Some(b) = body {
-                walk_stmt(b, f);
+                search_stmt(b, f)?;
             }
         }
         Stmt::EventControl {
@@ -197,37 +256,40 @@ pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
         } => {
             if let Sensitivity::List(events) = sensitivity {
                 for ev in events {
-                    walk_expr(&ev.expr, f);
+                    search_expr(&ev.expr, f)?;
                 }
             }
             if let Some(b) = body {
-                walk_stmt(b, f);
+                search_stmt(b, f)?;
             }
         }
         Stmt::Wait { cond, body, .. } => {
-            walk_expr(cond, f);
+            search_expr(cond, f)?;
             if let Some(b) = body {
-                walk_stmt(b, f);
+                search_stmt(b, f)?;
             }
         }
         Stmt::SysCall { args, .. } => {
             for a in args {
-                walk_expr(a, f);
+                search_expr(a, f)?;
             }
         }
         Stmt::EventTrigger { .. } | Stmt::Null { .. } => {}
     }
+    ControlFlow::Continue(())
 }
 
-/// Walks an expression subtree in pre-order.
-pub fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Expr(expr));
+fn search_expr<'a, B>(
+    expr: &'a Expr,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    f(NodeRef::Expr(expr))?;
     match expr {
         Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => {}
-        Expr::Unary { arg, .. } => walk_expr(arg, f),
+        Expr::Unary { arg, .. } => search_expr(arg, f)?,
         Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
+            search_expr(lhs, f)?;
+            search_expr(rhs, f)?;
         }
         Expr::Cond {
             cond,
@@ -235,50 +297,54 @@ pub fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(NodeRef<'a>)) {
             else_e,
             ..
         } => {
-            walk_expr(cond, f);
-            walk_expr(then_e, f);
-            walk_expr(else_e, f);
+            search_expr(cond, f)?;
+            search_expr(then_e, f)?;
+            search_expr(else_e, f)?;
         }
-        Expr::Index { index, .. } => walk_expr(index, f),
+        Expr::Index { index, .. } => search_expr(index, f)?,
         Expr::Range { msb, lsb, .. } => {
-            walk_expr(msb, f);
-            walk_expr(lsb, f);
+            search_expr(msb, f)?;
+            search_expr(lsb, f)?;
         }
         Expr::Concat { parts, .. } => {
             for p in parts {
-                walk_expr(p, f);
+                search_expr(p, f)?;
             }
         }
         Expr::Repeat { count, parts, .. } => {
-            walk_expr(count, f);
+            search_expr(count, f)?;
             for p in parts {
-                walk_expr(p, f);
+                search_expr(p, f)?;
             }
         }
         Expr::SysCall { args, .. } => {
             for a in args {
-                walk_expr(a, f);
+                search_expr(a, f)?;
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
-/// Walks an lvalue subtree in pre-order.
-pub fn walk_lvalue<'a>(lv: &'a LValue, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::LValue(lv));
+fn search_lvalue<'a, B>(
+    lv: &'a LValue,
+    f: &mut impl FnMut(NodeRef<'a>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    f(NodeRef::LValue(lv))?;
     match lv {
         LValue::Ident { .. } => {}
-        LValue::Index { index, .. } => walk_expr(index, f),
+        LValue::Index { index, .. } => search_expr(index, f)?,
         LValue::Range { msb, lsb, .. } => {
-            walk_expr(msb, f);
-            walk_expr(lsb, f);
+            search_expr(msb, f)?;
+            search_expr(lsb, f)?;
         }
         LValue::Concat { parts, .. } => {
             for p in parts {
-                walk_lvalue(p, f);
+                search_lvalue(p, f)?;
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
 // ---------------------------------------------------------------------------
@@ -316,34 +382,28 @@ pub fn idents_in_expr(expr: &Expr) -> Vec<String> {
 // Lookup (find & clone).
 // ---------------------------------------------------------------------------
 
-/// Finds the statement with id `target` anywhere in the module.
-pub fn find_stmt<'a>(module: &'a Module, target: NodeId) -> Option<&'a Stmt> {
-    let mut found: Option<&'a Stmt> = None;
-    walk_module(module, &mut |n| {
-        if found.is_none() {
-            if let NodeRef::Stmt(s) = n {
-                if s.id() == target {
-                    found = Some(s);
-                }
-            }
-        }
-    });
-    found
+/// Finds the statement with id `target` anywhere in the module; the
+/// walk stops at the first match in pre-order.
+pub fn find_stmt(module: &Module, target: NodeId) -> Option<&Stmt> {
+    match search_module(module, &mut |n| match n {
+        NodeRef::Stmt(s) if s.id() == target => ControlFlow::Break(s),
+        _ => ControlFlow::Continue(()),
+    }) {
+        ControlFlow::Break(s) => Some(s),
+        ControlFlow::Continue(()) => None,
+    }
 }
 
-/// Finds the expression with id `target` anywhere in the module.
-pub fn find_expr<'a>(module: &'a Module, target: NodeId) -> Option<&'a Expr> {
-    let mut found: Option<&'a Expr> = None;
-    walk_module(module, &mut |n| {
-        if found.is_none() {
-            if let NodeRef::Expr(e) = n {
-                if e.id() == target {
-                    found = Some(e);
-                }
-            }
-        }
-    });
-    found
+/// Finds the expression with id `target` anywhere in the module; the
+/// walk stops at the first match in pre-order.
+pub fn find_expr(module: &Module, target: NodeId) -> Option<&Expr> {
+    match search_module(module, &mut |n| match n {
+        NodeRef::Expr(e) if e.id() == target => ControlFlow::Break(e),
+        _ => ControlFlow::Continue(()),
+    }) {
+        ControlFlow::Break(e) => Some(e),
+        ControlFlow::Continue(()) => None,
+    }
 }
 
 /// All statements of the module, pre-order.
@@ -1065,7 +1125,7 @@ mod tests {
     #[test]
     fn max_id_spans_all_modules() {
         let (m, g) = sample_module();
-        let file = SourceFile { modules: vec![m] };
+        let file = SourceFile::new(vec![m]);
         assert_eq!(max_id(&file), g.peek() - 1);
     }
 }

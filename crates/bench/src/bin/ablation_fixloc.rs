@@ -22,7 +22,7 @@ fn main() {
             let problem = s.problem().expect("problem builds");
             let base = evaluate(&problem, &Patch::empty(), FitnessParams::default());
             let faulty = s.faulty_design_file().expect("parses");
-            let modules: Vec<&cirfix_ast::Module> = faulty.modules.iter().collect();
+            let modules: Vec<_> = faulty.modules.iter().collect();
             let fl = fault_localization(&modules, &base.mismatched);
             let mut rng = rand::rngs::StdRng::seed_from_u64(5);
             let params = MutationParams {

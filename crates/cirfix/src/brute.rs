@@ -25,10 +25,8 @@ use crate::faultloc::FaultLoc;
 use crate::fitness::FitnessParams;
 use crate::mutation::{all_stmt_ids, mutate, MutationParams};
 use crate::oracle::RepairProblem;
-use crate::patch::{apply_patch, Edit, Patch};
-use crate::repair::{
-    contained, evaluate_profiled, node_count, RepairResult, RepairStatus, RunTotals,
-};
+use crate::patch::{apply_patch, Edit, Original, Patch};
+use crate::repair::{contained, evaluate_profiled, RepairResult, RepairStatus, RunTotals};
 use crate::templates::applicable_templates;
 
 /// Resource bounds for the brute-force baseline.
@@ -81,7 +79,7 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
     let mut busy = Duration::ZERO;
     let mut best = (Patch::empty(), 0.0f64);
     let empty_fl = FaultLoc::default();
-    let original_nodes = node_count(&problem.source);
+    let original = Original::new(&problem.source, &problem.design_modules);
 
     let observer = &config.observer;
     let profiler = config.observer.enabled().then(Profiler::new);
@@ -153,7 +151,7 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         // classified worst-fitness, not mistaken for a deadline cut.
         let (results, batch_busy) = run_batch(jobs, deadline, &patches[..admit], |patch| {
             contained(problem, 1.0, || {
-                evaluate_profiled(problem, patch, config.fitness, original_nodes, profiler)
+                evaluate_profiled(problem, patch, config.fitness, &original, profiler)
             })
         });
         *busy += batch_busy;

@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use crate::fitness::FitnessParams;
 use crate::oracle::RepairProblem;
-use crate::patch::Patch;
-use crate::repair::{contained, evaluate_profiled, node_count, Evaluation};
+use crate::patch::{Original, Patch};
+use crate::repair::{contained, evaluate_profiled, Evaluation};
 
 /// Resolves a requested worker count: `0` means "auto" — the
 /// `CIRFIX_JOBS` environment variable when set, otherwise
@@ -139,10 +139,10 @@ pub fn evaluate_many(
         });
         slot_of.push(slot);
     }
-    let original_nodes = node_count(&problem.source);
+    let original = Original::new(&problem.source, &problem.design_modules);
     let (mut results, _) = run_batch(resolve_jobs(jobs), None, &unique, |p| {
         contained(problem, 1.0, || {
-            evaluate_profiled(problem, p, params, original_nodes, None)
+            evaluate_profiled(problem, p, params, &original, None)
         })
     });
     // Each unique result is *moved* into its last output slot and cloned

@@ -114,7 +114,7 @@ pub fn diff_designs(
         f.modules
             .iter()
             .filter(|m| design_modules.contains(&m.name))
-            .map(print::module_to_string)
+            .map(|m| print::module_to_string(m))
             .collect::<Vec<_>>()
             .join("\n")
     };

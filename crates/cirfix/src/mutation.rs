@@ -144,6 +144,7 @@ pub fn mutate_with_prior(
         .modules
         .iter()
         .filter(|m| design_modules.contains(&m.name))
+        .map(|m| &**m)
         .collect();
     if design.is_empty() {
         return None;
@@ -153,7 +154,7 @@ pub fn mutate_with_prior(
     let donor_pool: Vec<&Module> = if params.fix_localization {
         design.clone()
     } else {
-        file.modules.iter().collect()
+        file.modules.iter().map(|m| &**m).collect()
     };
 
     let total = params.delete_threshold + params.insert_threshold + params.replace_threshold;

@@ -6,10 +6,17 @@
 //! whose target no longer exists (because an earlier edit removed it) is
 //! a no-op. Copies inserted by edits receive fresh, deterministic ids so
 //! that replaying the same patch always produces the same variant.
+//!
+//! A variant shares every module its edits did not touch with the
+//! original ([`SourceFile`] modules are copy-on-write), and an edit
+//! copies a shared module only after finding its target there.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use cirfix_ast::{
-    visit, BinaryOp, EventExpr, Expr, Module, NodeId, NodeIdGen, Sensitivity, SourceFile, Stmt,
-    UnaryOp,
+    print, visit, BinaryOp, EventExpr, Expr, Module, NodeId, NodeIdGen, Sensitivity, SourceFile,
+    Stmt, UnaryOp,
 };
 use cirfix_logic::{EdgeKind, LiteralBase, LogicVec};
 
@@ -164,25 +171,163 @@ pub fn apply_patch(
     design_modules: &[String],
     patch: &Patch,
 ) -> (SourceFile, ApplyStats) {
-    let mut file = original.clone();
-    let mut ids = NodeIdGen::starting_at(visit::max_id(original) + 1);
-    let mut stats = ApplyStats::default();
-    for edit in &patch.edits {
-        if apply_edit(&mut file, design_modules, edit, &mut ids) {
-            stats.applied += 1;
-        } else {
-            stats.skipped += 1;
+    let start = Variant::unpatched(original, visit::max_id(original) + 1);
+    let (variant, stats) = start.with_patch(design_modules, patch);
+    (variant.file, stats)
+}
+
+/// A design under construction by a patch: the patched file, and the
+/// node-id generator positioned after every id its edits allocated.
+/// Applying one more edit to a variant yields exactly what replaying
+/// the extended patch from the original yields, node ids included.
+#[derive(Debug, Clone)]
+pub(crate) struct Variant {
+    /// The patched source file.
+    pub(crate) file: SourceFile,
+    /// Where the next edit numbers its fresh nodes.
+    ids: NodeIdGen,
+}
+
+impl Variant {
+    /// The unpatched `original`, numbering fresh nodes from `first_free`
+    /// (one past the original's maximum node id).
+    fn unpatched(original: &SourceFile, first_free: NodeId) -> Variant {
+        Variant {
+            file: original.clone(),
+            ids: NodeIdGen::starting_at(first_free),
         }
     }
-    (file, stats)
+
+    /// Applies one edit in place; `false` when it was a no-op.
+    pub(crate) fn apply(&mut self, design_modules: &[String], edit: &Edit) -> bool {
+        apply_edit(&mut self.file, design_modules, edit, &mut self.ids)
+    }
+
+    /// Applies every edit of `patch`, first to last.
+    fn with_patch(mut self, design_modules: &[String], patch: &Patch) -> (Variant, ApplyStats) {
+        let mut stats = ApplyStats::default();
+        for edit in &patch.edits {
+            if self.apply(design_modules, edit) {
+                stats.applied += 1;
+            } else {
+                stats.skipped += 1;
+            }
+        }
+        (self, stats)
+    }
+}
+
+/// The original design of a repair problem and what every candidate is
+/// measured against, computed once: the first node id free for edits,
+/// each module's node count, and each design module's canonical print.
+/// A variant's module still shared with the original (`Arc::ptr_eq`)
+/// reuses these instead of being walked or printed again.
+pub(crate) struct Original<'a> {
+    source: &'a SourceFile,
+    design_modules: &'a [String],
+    first_free: NodeId,
+    module_nodes: Vec<usize>,
+    prints: Vec<Option<String>>,
+}
+
+impl<'a> Original<'a> {
+    /// Measures `source` once.
+    pub(crate) fn new(source: &'a SourceFile, design_modules: &'a [String]) -> Original<'a> {
+        let mut max = 0;
+        let mut module_nodes = Vec::with_capacity(source.modules.len());
+        for m in &source.modules {
+            let mut n = 0;
+            visit::walk_module(m, &mut |node| {
+                n += 1;
+                max = max.max(node.id());
+            });
+            module_nodes.push(n);
+        }
+        let prints = source
+            .modules
+            .iter()
+            .map(|m| {
+                design_modules
+                    .contains(&m.name)
+                    .then(|| print::module_to_string(m))
+            })
+            .collect();
+        Original {
+            source,
+            design_modules,
+            first_free: max + 1,
+            module_nodes,
+            prints,
+        }
+    }
+
+    /// The original as a variant no edit has touched yet.
+    pub(crate) fn unpatched(&self) -> Variant {
+        Variant::unpatched(self.source, self.first_free)
+    }
+
+    /// Applies `patch` to the original, numbering fresh nodes exactly
+    /// as [`apply_patch`] does.
+    pub(crate) fn apply(&self, patch: &Patch) -> Variant {
+        self.unpatched().with_patch(self.design_modules, patch).0
+    }
+
+    /// `true` while a variant's `i`-th module is still the original's.
+    fn shared(&self, i: usize, module: &Arc<Module>) -> bool {
+        self.source
+            .modules
+            .get(i)
+            .is_some_and(|o| Arc::ptr_eq(o, module))
+    }
+
+    /// Total AST node count of the original.
+    pub(crate) fn nodes(&self) -> usize {
+        self.module_nodes.iter().sum()
+    }
+
+    /// Total AST node count of a variant of the original (for bloat
+    /// control); shared modules are not walked again.
+    pub(crate) fn node_count(&self, file: &SourceFile) -> usize {
+        file.modules
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                if self.shared(i, m) {
+                    self.module_nodes[i]
+                } else {
+                    let mut n = 0;
+                    visit::walk_module(m, &mut |_| n += 1);
+                    n
+                }
+            })
+            .sum()
+    }
+
+    /// The canonical print of each design module of a variant of the
+    /// original, in file order; shared modules are not printed again.
+    pub(crate) fn design_prints<'b>(
+        &'b self,
+        file: &'b SourceFile,
+    ) -> impl Iterator<Item = Cow<'b, str>> + 'b {
+        file.modules
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| self.design_modules.contains(&m.name))
+            .map(|(i, m)| match self.prints.get(i) {
+                Some(Some(text)) if self.shared(i, m) => Cow::Borrowed(text.as_str()),
+                _ => Cow::Owned(print::module_to_string(m)),
+            })
+    }
 }
 
 fn design_mods<'a>(
     file: &'a SourceFile,
-    design_modules: &[String],
+    design_modules: &'a [String],
 ) -> impl Iterator<Item = &'a Module> {
-    let names: Vec<String> = design_modules.to_vec();
-    file.modules.iter().filter(move |m| names.contains(&m.name))
+    file.modules
+        .iter()
+        .filter(move |m| design_modules.contains(&m.name))
+        .map(|m| &**m)
 }
 
 fn apply_edit(
@@ -211,14 +356,12 @@ fn apply_edit(
                 return false;
             };
             visit::renumber_stmt(&mut donor_stmt, ids);
-            for name in design_modules {
-                if let Some(m) = file.module_mut(name) {
-                    if visit::insert_stmt_after(m, *after, &donor_stmt) {
-                        return true;
-                    }
-                }
-            }
-            false
+            edit_design_module(
+                file,
+                design_modules,
+                |m| visit::find_stmt(m, *after).is_some(),
+                |m| visit::insert_stmt_after(m, *after, &donor_stmt),
+            )
         }
         Edit::DeleteStmt { target } => {
             let null = Stmt::Null { id: ids.fresh() };
@@ -477,14 +620,12 @@ fn replace_stmt_anywhere(
     target: NodeId,
     new: &Stmt,
 ) -> bool {
-    for name in design_modules {
-        if let Some(m) = file.module_mut(name) {
-            if visit::replace_stmt(m, target, new) {
-                return true;
-            }
-        }
-    }
-    false
+    edit_design_module(
+        file,
+        design_modules,
+        |m| visit::find_stmt(m, target).is_some(),
+        |m| visit::replace_stmt(m, target, new),
+    )
 }
 
 fn replace_expr_anywhere(
@@ -493,11 +634,34 @@ fn replace_expr_anywhere(
     target: NodeId,
     new: &Expr,
 ) -> bool {
+    edit_design_module(
+        file,
+        design_modules,
+        |m| visit::find_expr(m, target).is_some(),
+        |m| visit::replace_expr(m, target, new),
+    )
+}
+
+/// Runs `edit` on the design modules in order until it succeeds once.
+/// A module shared with another file is copied only after `contains`
+/// finds the edit's target in it, so an edit never copies a module it
+/// misses.
+fn edit_design_module(
+    file: &mut SourceFile,
+    design_modules: &[String],
+    contains: impl Fn(&Module) -> bool,
+    mut edit: impl FnMut(&mut Module) -> bool,
+) -> bool {
     for name in design_modules {
-        if let Some(m) = file.module_mut(name) {
-            if visit::replace_expr(m, target, new) {
-                return true;
-            }
+        let Some(slot) = file.modules.iter_mut().find(|m| m.name == *name) else {
+            continue;
+        };
+        let hit = match Arc::get_mut(slot) {
+            Some(module) => edit(module),
+            None => contains(slot) && edit(Arc::make_mut(slot)),
+        };
+        if hit {
+            return true;
         }
     }
     false
@@ -737,6 +901,87 @@ mod tests {
         let (v1, _) = apply_patch(&file, &mods, &patch);
         let (v2, _) = apply_patch(&file, &mods, &patch);
         assert_eq!(v1, v2, "patch replay must be deterministic");
+    }
+
+    /// The node an edit rewrites (its target, anchor or control).
+    fn edit_target(edit: &Edit) -> NodeId {
+        match edit {
+            Edit::ReplaceStmt { target, .. }
+            | Edit::ReplaceExpr { target, .. }
+            | Edit::DeleteStmt { target }
+            | Edit::NegateCond { target }
+            | Edit::BlockingToNonBlocking { target }
+            | Edit::NonBlockingToBlocking { target }
+            | Edit::ReplaceSensitivity { target, .. }
+            | Edit::IncrementExpr { target }
+            | Edit::DecrementExpr { target } => *target,
+            Edit::InsertStmt { after, .. } => *after,
+            Edit::SetSensitivity { control, .. } => *control,
+        }
+    }
+
+    #[test]
+    fn a_child_built_from_its_applied_parent_equals_a_replay() {
+        use crate::faultloc::FaultLoc;
+        use crate::mutation::{mutate, MutationParams};
+        use crate::templates::random_template;
+        use rand::{Rng, SeedableRng};
+
+        for (k, scenario) in cirfix_benchmarks::scenarios().iter().enumerate() {
+            let problem = scenario.problem().expect("scenario builds");
+            let (source, design) = (&problem.source, &problem.design_modules);
+            let before: Vec<Module> = source.modules.iter().map(|m| (**m).clone()).collect();
+            let original = Original::new(source, design);
+            let fl = FaultLoc::default();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xA991 + k as u64);
+            for _ in 0..6 {
+                // A lineage: each step draws one edit on the applied
+                // parent, exactly as reproduction does.
+                let mut parent = original.unpatched();
+                let mut patch = Patch::empty();
+                let mut touched = vec![false; source.modules.len()];
+                for _ in 0..=rng.gen_range(0..=8usize) {
+                    let drawn = if rng.gen_bool(0.5) {
+                        random_template(&parent.file, design, &fl, &mut rng)
+                    } else {
+                        mutate(
+                            &parent.file,
+                            design,
+                            &fl,
+                            MutationParams::default(),
+                            &mut rng,
+                        )
+                    };
+                    let Some(edit) = drawn else { continue };
+                    let target = edit_target(&edit);
+                    for (i, m) in parent.file.modules.iter().enumerate() {
+                        if design.contains(&m.name)
+                            && (visit::find_stmt(m, target).is_some()
+                                || visit::find_expr(m, target).is_some())
+                        {
+                            touched[i] = true;
+                        }
+                    }
+                    patch = patch.with(edit.clone());
+                    let mut child = parent.clone();
+                    child.apply(design, &edit);
+                    let (replayed, _) = apply_patch(source, design, &patch);
+                    assert_eq!(child.file, replayed, "{}: {patch:?}", scenario.id);
+                    assert_eq!(child.ids, original.apply(&patch).ids);
+                    for (i, m) in child.file.modules.iter().enumerate() {
+                        assert!(
+                            touched[i] || Arc::ptr_eq(m, &source.modules[i]),
+                            "{}: module {} was copied though no edit of {patch:?} targets it",
+                            scenario.id,
+                            m.name
+                        );
+                    }
+                    parent = child;
+                }
+            }
+            let after: Vec<Module> = source.modules.iter().map(|m| (**m).clone()).collect();
+            assert_eq!(before, after, "{}: the original changed", scenario.id);
+        }
     }
 
     #[test]

@@ -94,13 +94,27 @@ pub fn variant_fingerprint(
     variant: &SourceFile,
     design_modules: &[String],
 ) -> Digest {
+    design_fingerprint(
+        scenario,
+        variant
+            .modules
+            .iter()
+            .filter(|m| design_modules.contains(&m.name))
+            .map(|m| print::module_to_string(m)),
+    )
+}
+
+/// [`variant_fingerprint`] from the design modules' canonical prints,
+/// in file order, for callers that already hold some of them.
+pub(crate) fn design_fingerprint(
+    scenario: Digest,
+    prints: impl Iterator<Item = impl AsRef<str>>,
+) -> Digest {
     let mut h = Fnv128::new();
     h.write_str("cirfix-variant-v1");
     h.write(&scenario.0.to_le_bytes());
-    for module in &variant.modules {
-        if design_modules.contains(&module.name) {
-            h.write_str(&print::module_to_string(module));
-        }
+    for text in prints {
+        h.write_str(text.as_ref());
     }
     h.finish()
 }

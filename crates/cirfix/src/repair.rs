@@ -13,8 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use cirfix_ast::print;
-use cirfix_ast::NodeId;
+use cirfix_ast::{Module, NodeId};
 use cirfix_sim::{CancelToken, SimError, SimMetrics};
 use cirfix_store::Digest;
 use cirfix_telemetry::{
@@ -34,8 +33,8 @@ use crate::minimize::minimize;
 use crate::mutation::{mutate_with_prior, MutationParams};
 use crate::oracle::{simulate_with_probe_profiled, RepairProblem};
 use crate::outcome::EvalOutcome;
-use crate::patch::{apply_patch, Patch};
-use crate::persist::variant_fingerprint;
+use crate::patch::{Original, Patch, Variant};
+use crate::persist::design_fingerprint;
 use crate::select::{elite_indices, tournament_select};
 use crate::session::{Checkpoint, ResumeState, SessionRecorder, SharedEvalCache};
 use crate::staticfilter::{lint_prior, StaticFilter};
@@ -335,24 +334,25 @@ pub(crate) const TIMEOUT_ERROR: &str = "evaluation exceeded its wall-clock budge
 /// Evaluates one patch against a repair problem: apply → simulate →
 /// fitness. Compile failures and runtime errors score 0.
 pub fn evaluate(problem: &RepairProblem, patch: &Patch, params: FitnessParams) -> Evaluation {
-    evaluate_profiled(problem, patch, params, node_count(&problem.source), None)
+    let original = Original::new(&problem.source, &problem.design_modules);
+    evaluate_profiled(problem, patch, params, &original, None)
 }
 
 /// [`evaluate`] with optional per-phase busy attribution (the
-/// brute-force baseline's instrumentation hook). `original_nodes` is
-/// [`node_count`] of `problem.source`, which bulk callers compute once
-/// rather than once per patch. A panic propagates; the bulk callers
-/// run this under [`contained`] at growth 1.0.
+/// brute-force baseline's instrumentation hook). `original` is
+/// `problem.source` measured once, which bulk callers do once rather
+/// than once per patch. A panic propagates; the bulk callers run this
+/// under [`contained`] at growth 1.0.
 pub(crate) fn evaluate_profiled(
     problem: &RepairProblem,
     patch: &Patch,
     params: FitnessParams,
-    original_nodes: usize,
+    original: &Original,
     profiler: Option<&Profiler>,
 ) -> Evaluation {
     let parse_span = profiler.map(|p| p.span(Phase::Parse));
-    let (variant, _) = apply_patch(&problem.source, &problem.design_modules, patch);
-    let growth = node_count(&variant) as f64 / original_nodes.max(1) as f64;
+    let variant = original.apply(patch).file;
+    let growth = original.node_count(&variant) as f64 / original.nodes().max(1) as f64;
     drop(parse_span);
     evaluate_variant(problem, &variant, growth, params, None, None, profiler)
 }
@@ -537,17 +537,19 @@ fn panicked_evaluation(problem: &RepairProblem, msg: &str, growth: f64) -> Evalu
     }
 }
 
+/// The design modules of `file`, in file order.
+fn design_modules_of<'f>(file: &'f cirfix_ast::SourceFile, names: &[String]) -> Vec<&'f Module> {
+    file.modules
+        .iter()
+        .filter(|m| names.contains(&m.name))
+        .map(|m| &**m)
+        .collect()
+}
+
 /// Strips instance hierarchy from a probed signal name
 /// (`dut.counter_out` → `counter_out`).
 pub fn strip_hierarchy(name: &str) -> String {
     name.rsplit('.').next().unwrap_or(name).to_string()
-}
-
-/// Total AST node count of a source file (for bloat control).
-pub(crate) fn node_count(file: &cirfix_ast::SourceFile) -> usize {
-    let mut n = 0;
-    cirfix_ast::visit::walk_source(file, &mut |_| n += 1);
-    n
 }
 
 /// Translates simulator effort counters into the telemetry payload.
@@ -605,8 +607,9 @@ pub struct Repairer<'a> {
     pattern_hits: u64,
     started: Instant,
     node_budget: usize,
-    // AST node count of the original source (growth denominator).
-    original_nodes: usize,
+    // The original measured once: first free node id, node counts and
+    // design prints that every unedited module of a variant reuses.
+    original: Original<'a>,
     // Patch applications performed (AST work; cache hits do none).
     patch_applies: u64,
     // Fault localization passes run (Algorithm 2), original included.
@@ -671,6 +674,37 @@ enum Prepared {
     },
 }
 
+/// One child proposed by reproduction, labelled with the operator that
+/// proposed it for telemetry.
+struct Child {
+    patch: Patch,
+    op: &'static str,
+    /// For a template or mutation child, its applied parent: the child's
+    /// patch is the parent's plus one last edit, so `prepare` applies
+    /// just that edit instead of replaying the patch from the original.
+    parent: Option<Variant>,
+}
+
+impl Child {
+    /// A child `prepare` applies from the original.
+    fn replay(patch: Patch, op: &'static str) -> Child {
+        Child {
+            patch,
+            op,
+            parent: None,
+        }
+    }
+
+    /// A child one edit past its applied `parent`.
+    fn derived(patch: Patch, op: &'static str, parent: Variant) -> Child {
+        Child {
+            patch,
+            op,
+            parent: Some(parent),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct OperatorMix {
     template: u64,
@@ -681,8 +715,10 @@ struct OperatorMix {
 /// What reproduction derives from one parent. Both fields are pure
 /// functions of the parent patch and its cached evaluation, so they are
 /// computed at most once per generation however often tournament
-/// selection draws the parent. No AST is kept: holding applied
-/// variants costs more memory than re-applying saves.
+/// selection draws the parent. No AST is kept: each template or
+/// mutation child already carries its applied parent to `prepare` (see
+/// [`Child`]), and keeping the applied parents here as well raised peak
+/// RSS by ~2–3 MB without saving measurable time.
 struct ParentContext {
     /// The applied parent outgrows the node budget, so it reproduces
     /// from the original design instead.
@@ -713,8 +749,8 @@ impl<'a> Repairer<'a> {
     /// Creates a repair engine for one trial.
     pub fn new(problem: &'a RepairProblem, config: RepairConfig) -> Repairer<'a> {
         let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let original_nodes = node_count(&problem.source);
-        let node_budget = ((original_nodes as f64) * config.max_growth.max(1.0)).ceil() as usize;
+        let original = Original::new(&problem.source, &problem.design_modules);
+        let node_budget = ((original.nodes() as f64) * config.max_growth.max(1.0)).ceil() as usize;
         let filter = config
             .static_filter
             .then(|| StaticFilter::new(&problem.source, &problem.design_modules));
@@ -755,7 +791,7 @@ impl<'a> Repairer<'a> {
             pattern_hits: 0,
             started: Instant::now(),
             node_budget,
-            original_nodes,
+            original,
             patch_applies: 0,
             localizations: 0,
             jobs,
@@ -922,12 +958,23 @@ impl<'a> Repairer<'a> {
     /// cache lookup, patch application, bloat check, and the static
     /// lint gate. Cache hits do zero AST work. Only `Prepared::Sim`
     /// items go on to occupy an evaluation worker.
-    fn prepare(&mut self, patch: &Patch) -> Prepared {
+    ///
+    /// `parent`, when given, is the applied patch without its last edit
+    /// (see [`Child`]): only that edit is applied, to pointer copies of
+    /// the parent's modules. Otherwise the whole patch is applied to the
+    /// original.
+    fn prepare(&mut self, patch: &Patch, parent: Option<Variant>) -> Prepared {
         if let Some(e) = self.cache.get(patch) {
             return Prepared::Hit(e.clone());
         }
         let _parse = self.prof().map(|p| p.span(Phase::Parse));
-        let (variant, _) = apply_patch(&self.problem.source, &self.problem.design_modules, patch);
+        let variant = match (parent, patch.edits.last()) {
+            (Some(mut variant), Some(edit)) => {
+                variant.apply(&self.problem.design_modules, edit);
+                variant.file
+            }
+            _ => self.original.apply(patch).file,
+        };
         drop(_parse);
         self.patch_applies += 1;
         // Content-addressed lookup in the shared cache: keyed by the
@@ -937,15 +984,15 @@ impl<'a> Repairer<'a> {
         // store is attached — the store-free engine is unchanged.
         let key = self
             .scenario
-            .map(|s| variant_fingerprint(s, &variant, &self.problem.design_modules));
+            .map(|s| design_fingerprint(s, self.original.design_prints(&variant)));
         if let (Some(shared), Some(key)) = (&self.shared, key) {
             let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
             if let Some(eval) = shared.peek(key) {
                 return Prepared::StoreHit { eval, key };
             }
         }
-        let variant_nodes = node_count(&variant);
-        let growth = variant_nodes as f64 / self.original_nodes.max(1) as f64;
+        let variant_nodes = self.original.node_count(&variant);
+        let growth = variant_nodes as f64 / self.original.nodes().max(1) as f64;
         if variant_nodes > self.node_budget {
             // Bloat rejection: treated like a compile failure, and (like
             // the serial engine) charged against the evaluation budget.
@@ -1117,7 +1164,7 @@ impl<'a> Repairer<'a> {
     /// [`Repairer::evaluate_patch`] with the operator label `op` for
     /// telemetry.
     fn evaluate_labelled(&mut self, patch: &Patch, op: &str) -> Evaluation {
-        let prepared = self.prepare(patch);
+        let prepared = self.prepare(patch, None);
         let sim = match &prepared {
             Prepared::Sim {
                 variant, growth, ..
@@ -1179,27 +1226,29 @@ impl<'a> Repairer<'a> {
     /// for every worker count.
     #[cfg(test)]
     fn evaluate_batch(&mut self, patches: &[Patch]) -> Vec<Option<Evaluation>> {
-        self.evaluate_batch_ops(patches, &[])
+        let mut batch: Vec<Child> = patches
+            .iter()
+            .map(|p| Child::replay(p.clone(), ""))
+            .collect();
+        self.evaluate_children(&mut batch)
     }
 
-    /// [`Repairer::evaluate_batch`] with per-patch operator labels for
-    /// telemetry (`ops[i]` labels `patches[i]`; missing entries label
-    /// as `""`). The labels do not influence evaluation.
-    fn evaluate_batch_ops(
-        &mut self,
-        patches: &[Patch],
-        ops: &[&'static str],
-    ) -> Vec<Option<Evaluation>> {
+    /// [`Repairer::evaluate_batch`] over reproduced children, each
+    /// labelled for telemetry with its operator (the labels do not
+    /// influence evaluation). Each child's applied parent is consumed.
+    fn evaluate_children(&mut self, batch: &mut [Child]) -> Vec<Option<Evaluation>> {
+        let mut parents: Vec<Option<Variant>> = batch.iter_mut().map(|c| c.parent.take()).collect();
+        let patches: Vec<&Patch> = batch.iter().map(|c| &c.patch).collect();
         // Classify in submission order, deduplicating identical
         // in-flight patches against the first occurrence.
         let mut first_seen: HashMap<&Patch, usize> = HashMap::new();
         let mut prepared: Vec<Prepared> = Vec::with_capacity(patches.len());
-        for (i, patch) in patches.iter().enumerate() {
+        for (i, &patch) in patches.iter().enumerate() {
             match first_seen.get(patch) {
                 Some(&j) => prepared.push(Prepared::Alias(j)),
                 None => {
                     first_seen.insert(patch, i);
-                    let p = self.prepare(patch);
+                    let p = self.prepare(patch, parents[i].take());
                     prepared.push(p);
                 }
             }
@@ -1251,7 +1300,7 @@ impl<'a> Repairer<'a> {
                 out.push(None);
                 continue;
             }
-            let op = ops.get(i).copied().unwrap_or("");
+            let op = batch[i].op;
             let merged = match p {
                 Prepared::Alias(j) => match &out[j] {
                     Some(eval) => {
@@ -1266,7 +1315,7 @@ impl<'a> Repairer<'a> {
                 },
                 p => {
                     let sim = sim_results.remove(&i).flatten();
-                    self.commit(&patches[i], p, sim, op)
+                    self.commit(patches[i], p, sim, op)
                 }
             };
             if merged.is_none() {
@@ -1283,12 +1332,10 @@ impl<'a> Repairer<'a> {
         eval: &Evaluation,
     ) -> FaultLoc {
         self.localizations += 1;
-        let modules: Vec<&cirfix_ast::Module> = variant
-            .modules
-            .iter()
-            .filter(|m| self.problem.design_modules.contains(&m.name))
-            .collect();
-        fault_localization(&modules, &eval.mismatched)
+        fault_localization(
+            &design_modules_of(variant, &self.problem.design_modules),
+            &eval.mismatched,
+        )
     }
 
     /// Localizes the original design and reports it in telemetry.
@@ -1296,12 +1343,7 @@ impl<'a> Repairer<'a> {
         let problem = self.problem;
         let fl = self.localize_variant(&problem.source, eval);
         self.config.observer.emit(|| {
-            let modules: Vec<&cirfix_ast::Module> = problem
-                .source
-                .modules
-                .iter()
-                .filter(|m| problem.design_modules.contains(&m.name))
-                .collect();
+            let modules = design_modules_of(&problem.source, &problem.design_modules);
             Event::FaultLoc(fault_loc_event(&fl, &modules))
         });
         fl
@@ -1315,7 +1357,7 @@ impl<'a> Repairer<'a> {
         popn: &[(Patch, Evaluation)],
         memo: &mut ParentMemo,
         original_fl: &Rc<FaultLoc>,
-    ) -> Vec<(Patch, &'static str)> {
+    ) -> Vec<Child> {
         let problem = self.problem;
         let pi = tournament_select(&memo.fitnesses, self.config.tournament_size, &mut self.rng);
         let mut parent = popn[pi].0.clone();
@@ -1333,8 +1375,8 @@ impl<'a> Repairer<'a> {
         } else if let Some(ctx) = memo.contexts.get(&parent) {
             ctx.bloated
         } else {
-            let (variant, _) = apply_patch(&problem.source, &problem.design_modules, &parent);
-            let bloated = node_count(&variant) > self.node_budget;
+            let variant = self.original.apply(&parent);
+            let bloated = self.original.node_count(&variant.file) > self.node_budget;
             memo.contexts.insert(
                 parent.clone(),
                 ParentContext {
@@ -1358,17 +1400,18 @@ impl<'a> Repairer<'a> {
             let pj = tournament_select(&memo.fitnesses, self.config.tournament_size, &mut self.rng);
             let parent2 = &popn[pj].0;
             let (c1, c2) = crossover(parent, parent2, &mut self.rng);
-            return vec![(c1, "crossover"), (c2, "crossover")];
+            return vec![
+                Child::replay(c1, "crossover"),
+                Child::replay(c2, "crossover"),
+            ];
         }
 
         // Templates and mutations edit the applied parent at its fault
-        // localization. The original is borrowed rather than copied.
+        // localization, and the child takes the applied parent along.
         let variant = if parent.is_empty() {
-            &problem.source
+            self.original.unpatched()
         } else {
-            &*applied.get_or_insert_with(|| {
-                apply_patch(&problem.source, &problem.design_modules, parent).0
-            })
+            applied.unwrap_or_else(|| self.original.apply(parent))
         };
         let fl = if !self.config.relocalize || parent.is_empty() {
             Rc::clone(original_fl)
@@ -1380,7 +1423,7 @@ impl<'a> Repairer<'a> {
             match &ctx.fault_loc {
                 Some(fl) => Rc::clone(fl),
                 None => {
-                    let fl = Rc::new(self.localize_variant(variant, &popn[pi].1));
+                    let fl = Rc::new(self.localize_variant(&variant.file, &popn[pi].1));
                     ctx.fault_loc = Some(Rc::clone(&fl));
                     fl
                 }
@@ -1393,13 +1436,13 @@ impl<'a> Repairer<'a> {
             // instances are over-weighted by support.
             self.mix.template += 1;
             if self.config.mined_patterns.is_empty() {
-                match random_template(variant, &problem.design_modules, &fl, &mut self.rng) {
-                    Some(edit) => vec![(parent.with(edit), "template")],
-                    None => vec![(parent.clone(), "template")],
+                match random_template(&variant.file, &problem.design_modules, &fl, &mut self.rng) {
+                    Some(edit) => vec![Child::derived(parent.with(edit), "template", variant)],
+                    None => vec![Child::replay(parent.clone(), "template")],
                 }
             } else {
                 match mined_random_template(
-                    variant,
+                    &variant.file,
                     &problem.design_modules,
                     &fl,
                     &self.config.mined_patterns,
@@ -1417,23 +1460,23 @@ impl<'a> Repairer<'a> {
                                 })
                             });
                         }
-                        vec![(parent.with(edit), "template")]
+                        vec![Child::derived(parent.with(edit), "template", variant)]
                     }
-                    None => vec![(parent.clone(), "template")],
+                    None => vec![Child::replay(parent.clone(), "template")],
                 }
             }
         } else {
             self.mix.mutation += 1;
             match mutate_with_prior(
-                variant,
+                &variant.file,
                 &problem.design_modules,
                 &fl,
                 self.config.mutation,
                 &mut self.rng,
                 &self.prior,
             ) {
-                Some(edit) => vec![(parent.with(edit), "mutation")],
-                None => vec![(parent.clone(), "mutation")],
+                Some(edit) => vec![Child::derived(parent.with(edit), "mutation", variant)],
+                None => vec![Child::replay(parent.clone(), "mutation")],
             }
         }
     }
@@ -1674,18 +1717,18 @@ impl<'a> Repairer<'a> {
                 if self.config.control.is_cancelled() {
                     return self.interrupted_result(&best, &history, &improvement_steps, 0);
                 }
-                let mut pending: Vec<(Patch, &'static str)> = Vec::new();
+                let mut pending: Vec<Child> = Vec::new();
                 while popn.len() + pending.len() < self.config.popn_size
                     && pending.len() < batch_size
                 {
                     pending.extend(self.reproduce(&popn[..1], &mut memo, &original_fl));
                 }
-                let (batch, ops): (Vec<Patch>, Vec<&'static str>) = pending.into_iter().unzip();
-                let evals = self.evaluate_batch_ops(&batch, &ops);
-                for (child, eval) in batch.into_iter().zip(evals) {
+                let evals = self.evaluate_children(&mut pending);
+                for (child, eval) in pending.into_iter().zip(evals) {
                     // A missing evaluation means the batch was cut
                     // short by the budget or the deadline.
                     let Some(eval) = eval else { break 'seed };
+                    let child = child.patch;
                     if eval.score > best.1 {
                         best = (child.clone(), eval.score);
                         improvement_steps.push(eval.score);
@@ -1729,16 +1772,16 @@ impl<'a> Repairer<'a> {
                         generations,
                     );
                 }
-                let mut pending: Vec<(Patch, &'static str)> = Vec::new();
+                let mut pending: Vec<Child> = Vec::new();
                 while children.len() + pending.len() < self.config.popn_size
                     && pending.len() < batch_size
                 {
                     pending.extend(self.reproduce(&popn, &mut memo, &original_fl));
                 }
-                let (batch, ops): (Vec<Patch>, Vec<&'static str>) = pending.into_iter().unzip();
-                let evals = self.evaluate_batch_ops(&batch, &ops);
-                for (child, eval) in batch.into_iter().zip(evals) {
+                let evals = self.evaluate_children(&mut pending);
+                for (child, eval) in pending.into_iter().zip(evals) {
                     let Some(eval) = eval else { break 'outer };
+                    let child = child.patch;
                     if eval.score > best.1 {
                         best = (child.clone(), eval.score);
                         improvement_steps.push(eval.score);
@@ -1778,17 +1821,8 @@ impl<'a> Repairer<'a> {
             Some(winning) => {
                 let unmin = winning.len();
                 let minimized = self.minimize_patch(&winning);
-                let (repaired, _) = apply_patch(
-                    &self.problem.source,
-                    &self.problem.design_modules,
-                    &minimized,
-                );
-                let design_only: Vec<String> = repaired
-                    .modules
-                    .iter()
-                    .filter(|m| self.problem.design_modules.contains(&m.name))
-                    .map(print::module_to_string)
-                    .collect();
+                let repaired = self.original.apply(&minimized).file;
+                let design_only: Vec<_> = self.original.design_prints(&repaired).collect();
                 (
                     RepairStatus::Plausible,
                     minimized,

@@ -867,7 +867,7 @@ pub fn repair_session(
                     .modules
                     .iter()
                     .filter(|m| problem.design_modules.contains(&m.name))
-                    .map(cirfix_ast::print::module_to_string)
+                    .map(|m| cirfix_ast::print::module_to_string(m))
                     .collect();
                 let corpus = JsonValue::obj(vec![
                     ("scenario", JsonValue::Str(scenario_hex)),

@@ -410,7 +410,7 @@ fn cmd_localize(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
     let problem = conf::build_problem(config)?;
     let eval = evaluate(&problem, &Patch::empty(), FitnessParams::default());
     println!("mismatch seed: {:?}", eval.mismatched);
-    let modules: Vec<&cirfix_ast::Module> = problem
+    let modules: Vec<_> = problem
         .source
         .modules
         .iter()

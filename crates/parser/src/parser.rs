@@ -198,7 +198,7 @@ impl Parser<'_> {
         while !matches!(self.peek(), Token::Eof) {
             modules.push(self.parse_module()?);
         }
-        Ok(SourceFile { modules })
+        Ok(SourceFile::new(modules))
     }
 
     fn parse_module(&mut self) -> Result<Module, ParseError> {

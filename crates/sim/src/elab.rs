@@ -31,8 +31,11 @@ const MAX_DEPTH: usize = 64;
 /// names, bad port connections, non-constant ranges, recursive
 /// instantiation, `inout` ports, and semantic errors inside processes.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, SimError> {
-    let modules: HashMap<&str, &Module> =
-        file.modules.iter().map(|m| (m.name.as_str(), m)).collect();
+    let modules: HashMap<&str, &Module> = file
+        .modules
+        .iter()
+        .map(|m| (m.name.as_str(), &**m))
+        .collect();
     if file.modules.len() != modules.len() {
         return Err(SimError::elab("duplicate module names"));
     }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use cirfix::{apply_patch, variant_fingerprint, Edit, Patch};
 use cirfix_ast::{print, visit};
-use cirfix_store::Digest;
+use cirfix_store::{Digest, Fnv128};
 
 /// Every single-edit patch this harness can enumerate deterministically:
 /// one delete/negate/blocking-swap per statement and one
@@ -47,7 +47,7 @@ fn design_text(file: &cirfix_ast::SourceFile, design_modules: &[String]) -> Stri
     file.modules
         .iter()
         .filter(|m| design_modules.contains(&m.name))
-        .map(print::module_to_string)
+        .map(|m| print::module_to_string(m))
         .collect()
 }
 
@@ -111,4 +111,43 @@ fn distinct_variants_never_collide_on_any_benchmark() {
             scenario.id
         );
     }
+}
+
+/// The canonical prints of every design module of every scenario and of
+/// every single-edit variant, as one digest. Store keys hash exactly
+/// these bytes, so a printer change that moves this digest would strand
+/// every persisted evaluation.
+#[test]
+fn canonical_prints_are_pinned() {
+    let mut originals = Fnv128::new();
+    let mut all = Fnv128::new();
+    for scenario in cirfix_benchmarks::scenarios() {
+        let problem = scenario.problem().expect("scenario builds");
+        let design = &problem.design_modules;
+        for module in problem.source.modules.iter() {
+            if design.contains(&module.name) {
+                let text = print::module_to_string(module);
+                originals.write_str(&text);
+                all.write_str(&text);
+            }
+        }
+        for patch in single_edit_patches(&problem.source, design) {
+            let (variant, _) = apply_patch(&problem.source, design, &patch);
+            for module in variant.modules.iter() {
+                if design.contains(&module.name) {
+                    all.write_str(&print::module_to_string(module));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        originals.finish().to_hex(),
+        "214c19ea4583bf36e38b5f3c01dbcda8",
+        "the original designs print differently"
+    );
+    assert_eq!(
+        all.finish().to_hex(),
+        "c1979130e54ad24f1f71a22be24d3baf",
+        "a variant prints differently"
+    );
 }

@@ -54,7 +54,7 @@ fn seeded_mutants_round_trip() {
         let file = s.faulty_design_file().unwrap();
         let project = cirfix_benchmarks::project(s.project).unwrap();
         let modules = project.design_module_names();
-        let design: Vec<&cirfix_ast::Module> = file
+        let design: Vec<_> = file
             .modules
             .iter()
             .filter(|m| modules.contains(&m.name))
