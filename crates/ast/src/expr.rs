@@ -276,16 +276,6 @@ impl Expr {
         }
     }
 
-    /// Convenience constructor: a literal from an existing [`LogicVec`].
-    pub fn literal_vec(ids: &mut NodeIdGen, value: LogicVec, base: LiteralBase) -> Expr {
-        Expr::Literal {
-            id: ids.fresh(),
-            value,
-            base,
-            sized: true,
-        }
-    }
-
     /// Convenience constructor: an identifier reference.
     pub fn ident(ids: &mut NodeIdGen, name: impl Into<String>) -> Expr {
         Expr::Ident {

@@ -68,11 +68,6 @@ pub fn walk_module<'a>(module: &'a Module, f: &mut impl FnMut(NodeRef<'a>)) {
     let _ = search_module(module, &mut visit_all(f));
 }
 
-/// Walks an item subtree in pre-order.
-pub fn walk_item<'a>(item: &'a Item, f: &mut impl FnMut(NodeRef<'a>)) {
-    let _ = search_item(item, &mut visit_all(f));
-}
-
 /// Walks a statement subtree in pre-order.
 pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
     let _ = search_stmt(stmt, &mut visit_all(f));
@@ -370,12 +365,6 @@ pub fn max_id(file: &SourceFile) -> NodeId {
     let mut max = 0;
     walk_source(file, &mut |n| max = max.max(n.id()));
     max
-}
-
-/// All identifier names read in an expression subtree (including
-/// index/range bases), with duplicates.
-pub fn idents_in_expr(expr: &Expr) -> Vec<String> {
-    expr.identifiers().iter().map(|s| s.to_string()).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 //! Throughput benchmark for the parallel fitness-evaluation engine, in
 //! two scans:
 //!
-//! * `speedup` — evaluates the distinct single-edit candidates of
-//!   `counter_reset` through `evaluate_many` with 1, 2, 4, and 8
-//!   worker threads and reports evaluations/second and speedup over the
-//!   serial baseline. There is no coordinator here: it measures the
-//!   worker pool alone.
+//! * `speedup` — evaluates the 2,100 distinct single-edit candidates of
+//!   the five `tate_pairing` and `reed_solomon_decoder` scenarios (the
+//!   benchmark ledger's `sweep_sim_bound` set) through `evaluate_many`
+//!   with 1, 2 and 4 worker threads, the fastest of five interleaved
+//!   rounds each, and reports evaluations/second and speedup over one
+//!   worker. There is no coordinator here: it measures the worker pool
+//!   alone. A pass takes about a second at one worker and half that at
+//!   two, so thread start-up and scheduling noise do not decide the
+//!   ratio.
 //! * `speedup_gp` — runs the GP loop (`repair_with_trials`, the call
 //!   the ledger's `table3_gp` workload times: `RepairConfig::fast(42)`,
 //!   one trial, no wall-clock limit) on a fixed scenario set with 1, 2
@@ -16,8 +20,9 @@
 //!   fraction of the loop by Amdahl's law: `2/S - 1`, written as
 //!   `serial_fraction` on the jobs-2 record.
 //!
-//! Emits JSON lines (one record per scan and worker count) to stdout
-//! and to `BENCH_speedup.json` (override the path with
+//! Both scans assert that their results are identical for every worker
+//! count. Emits JSON lines (one record per scan and worker count) to
+//! stdout and to `BENCH_speedup.json` (override the path with
 //! `CIRFIX_BENCH_OUT`). Every counted evaluation is a distinct patch,
 //! hence a real simulation. The record includes `host_cores`; below two
 //! cores the workers time-slice one CPU, so `speedup` is written as
@@ -26,66 +31,86 @@
 use std::time::{Duration, Instant};
 
 use cirfix::{evaluate_many, repair_with_trials, FitnessParams, RepairConfig};
-use cirfix_bench::{fixed, unique_single_edits, write_records, COUNTER_RESET_SINGLE_EDITS};
-use cirfix_benchmarks::scenario;
+use cirfix_bench::{fixed, unique_single_edits, write_records};
+use cirfix_benchmarks::{scenario, scenarios};
 use cirfix_telemetry::JsonValue;
 
+/// Timed rounds per scan; each worker count keeps its fastest pass.
+const ROUNDS: usize = 5;
+/// The worker counts both scans time, interleaved within each round so
+/// host drift spreads over every count alike.
+const JOBS: [usize; 3] = [1, 2, 4];
+
 fn main() {
-    let s = scenario("counter_reset").expect("scenario");
-    let problem = s.problem().expect("problem builds");
-
-    // The workload: every distinct systematic single edit of the design
-    // (the same enumeration the brute-force baseline starts with).
-    let patches = unique_single_edits(&problem);
-    assert_eq!(
-        patches.len(),
-        COUNTER_RESET_SINGLE_EDITS,
-        "speedup workload drifted"
-    );
-    let params = FitnessParams::default();
-
-    // Warm-up: fault in the page cache and code paths before timing.
-    let warm = evaluate_many(&problem, &patches, params, 1);
-    assert_eq!(warm.len(), patches.len());
-
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut records: Vec<JsonValue> = Vec::new();
-    let mut serial_rate = 0.0f64;
-    // One pass is a few milliseconds: keep the fastest of several so a
-    // single scheduling stall does not decide the figure.
-    const PASSES: usize = 5;
-    for jobs in [1usize, 2, 4, 8] {
-        let mut wall = f64::INFINITY;
-        for _ in 0..PASSES {
-            let t0 = Instant::now();
-            let results = evaluate_many(&problem, &patches, params, jobs);
-            wall = wall.min(t0.elapsed().as_secs_f64());
-            assert_eq!(results.len(), patches.len());
-        }
-        let rate = patches.len() as f64 / wall;
-        if jobs == 1 {
-            serial_rate = rate;
-        }
-        let speedup = if host_cores < 2 {
-            JsonValue::Null
-        } else {
-            fixed(rate / serial_rate, 3)
-        };
-        records.push(JsonValue::obj(vec![
-            ("bench", JsonValue::Str("speedup".into())),
-            ("jobs", JsonValue::Uint(jobs as u64)),
-            ("evals", JsonValue::Uint(patches.len() as u64)),
-            ("wall_s", fixed(wall, 4)),
-            ("evals_per_s", fixed(rate, 2)),
-            ("speedup", speedup),
-            ("host_cores", JsonValue::Uint(host_cores as u64)),
-        ]));
-    }
-
+    let mut records = pool_scan(host_cores);
     records.extend(gp_scan(host_cores));
     write_records("speedup", "BENCH_speedup.json", &records);
+}
+
+/// The pool scan's projects: their five scenarios are the benchmark
+/// ledger's simulation-bound sweep.
+const POOL_PROJECTS: [&str; 2] = ["tate_pairing", "reed_solomon_decoder"];
+
+/// Distinct single edits of the [`POOL_PROJECTS`] scenarios.
+const POOL_EVALS: usize = 2_100;
+
+/// Timed `evaluate_many` passes over every distinct single edit of the
+/// [`POOL_PROJECTS`] scenarios.
+fn pool_scan(host_cores: usize) -> Vec<JsonValue> {
+    let work: Vec<_> = scenarios()
+        .iter()
+        .filter(|s| POOL_PROJECTS.contains(&s.project))
+        .map(|s| {
+            let problem = s.problem().expect("problem builds");
+            let patches = unique_single_edits(&problem);
+            (problem, patches)
+        })
+        .collect();
+    let evals: usize = work.iter().map(|(_, patches)| patches.len()).sum();
+    assert_eq!(evals, POOL_EVALS, "speedup workload drifted");
+    let params = FitnessParams::default();
+    let mut reference: Option<Vec<u64>> = None;
+    let mut walls = [f64::INFINITY; JOBS.len()];
+    for _ in 0..ROUNDS {
+        for (slot, &jobs) in JOBS.iter().enumerate() {
+            let t0 = Instant::now();
+            let results: Vec<_> = work
+                .iter()
+                .map(|(problem, patches)| evaluate_many(problem, patches, params, jobs))
+                .collect();
+            walls[slot] = walls[slot].min(t0.elapsed().as_secs_f64());
+            let scores: Vec<u64> = results
+                .iter()
+                .flatten()
+                .map(|e| e.score.to_bits())
+                .collect();
+            let expected = reference.get_or_insert_with(|| scores.clone());
+            assert_eq!(*expected, scores, "the scores depend on the worker count");
+        }
+    }
+    JOBS.iter()
+        .zip(walls)
+        .map(|(&jobs, wall)| {
+            let speedup = if host_cores < 2 {
+                JsonValue::Null
+            } else {
+                fixed(walls[0] / wall, 3)
+            };
+            JsonValue::obj(vec![
+                ("bench", JsonValue::Str("speedup".into())),
+                ("jobs", JsonValue::Uint(jobs as u64)),
+                ("scenarios", JsonValue::Uint(work.len() as u64)),
+                ("evals", JsonValue::Uint(evals as u64)),
+                ("wall_s", fixed(wall, 4)),
+                ("evals_per_s", fixed(evals as f64 / wall, 2)),
+                ("speedup", speedup),
+                ("host_cores", JsonValue::Uint(host_cores as u64)),
+            ])
+        })
+        .collect()
 }
 
 /// The GP-loop scan's scenarios: four Table 3 defects no trial repairs,
@@ -103,8 +128,6 @@ const GP_SCENARIOS: [&str; 4] = [
 /// spreads over every count alike. The results must be identical for
 /// every count.
 fn gp_scan(host_cores: usize) -> Vec<JsonValue> {
-    const ROUNDS: usize = 5;
-    const JOBS: [usize; 3] = [1, 2, 4];
     let problems: Vec<_> = GP_SCENARIOS
         .iter()
         .map(|id| {

@@ -142,9 +142,9 @@ pub fn run_scenario(s: &Scenario, base: &RepairConfig, trials: u32) -> ScenarioO
     }
 }
 
-/// Distinct single-edit candidates of `counter_reset`, the throughput
-/// benches' workload. `evaluate_many` simulates each distinct patch
-/// once, so only distinct patches count as evaluations.
+/// Distinct single-edit candidates of `counter_reset`, the
+/// `sim_baseline` bench's workload. `evaluate_many` simulates each
+/// distinct patch once, so only distinct patches count as evaluations.
 pub const COUNTER_RESET_SINGLE_EDITS: usize = 69;
 
 /// Every distinct systematic single edit of `problem`'s design (all

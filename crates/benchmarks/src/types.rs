@@ -22,11 +22,6 @@ impl PaperOutcome {
     pub fn is_plausible(self) -> bool {
         !matches!(self, PaperOutcome::NotRepaired)
     }
-
-    /// `true` if the paper judged the repair correct.
-    pub fn is_correct(self) -> bool {
-        matches!(self, PaperOutcome::Correct(_))
-    }
 }
 
 /// One benchmark hardware project (a row of Table 2).

@@ -116,17 +116,9 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         trials: 1,
         fitness_evals: evals,
         wall_time: wall,
-        generations: 0,
-        mutants_rejected_static: 0,
         jobs: jobs as u32,
         eval_busy: busy,
-        store_hits: 0,
-        store_writes: 0,
-        timeouts: 0,
-        panics: 0,
-        exhausted: 0,
-        pattern_hits: 0,
-        corpus_skipped: 0,
+        ..RunTotals::default()
     };
 
     // Evaluates one batch across the worker pool and merges the

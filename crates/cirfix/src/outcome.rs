@@ -124,11 +124,6 @@ impl EvalOutcome {
             EvalOutcome::Runtime
         }
     }
-
-    /// `true` for every outcome except a completed, scored simulation.
-    pub fn is_failure(self) -> bool {
-        self != EvalOutcome::Ok
-    }
 }
 
 impl std::fmt::Display for EvalOutcome {

@@ -36,7 +36,7 @@ use crate::outcome::EvalOutcome;
 use crate::patch::{Original, Patch, Variant};
 use crate::persist::design_fingerprint;
 use crate::select::{elite_indices, tournament_select};
-use crate::session::{Checkpoint, ResumeState, SessionRecorder, SharedEvalCache};
+use crate::session::{Checkpoint, Counters, ResumeState, SessionRecorder, SharedEvalCache};
 use crate::staticfilter::{lint_prior, StaticFilter};
 use crate::templates::random_template;
 
@@ -379,16 +379,65 @@ fn evaluate_variant(
     fault: Option<FaultKind>,
     profiler: Option<&Profiler>,
 ) -> Evaluation {
-    match profiler {
-        None => evaluate_variant_inner(problem, variant, growth, params, budget, fault, None),
-        Some(p) => {
-            let t0 = Instant::now();
-            let eval =
-                evaluate_variant_inner(problem, variant, growth, params, budget, fault, Some(p));
-            p.record_eval(t0.elapsed().as_nanos() as u64);
-            eval
+    let started = profiler.map(|_| Instant::now());
+    let deadline = budget.map(|b| Instant::now() + b);
+    let eval = match fault {
+        Some(FaultKind::Panic) => panic!("injected fault: worker panic"),
+        Some(FaultKind::Hang) => {
+            // A deterministic stand-in for a candidate that wedges its
+            // worker: spin until the candidate budget (or a short
+            // fallback when budgets are off) cancels it, then classify
+            // exactly like a real cancelled simulation.
+            let until = deadline.unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
+            let token = CancelToken::with_deadline(until);
+            while !token.is_cancelled() {
+                std::thread::yield_now();
+            }
+            failure_evaluation(problem, growth, &SimError::Cancelled { time: 0 })
         }
+        Some(FaultKind::SimError) => failure_evaluation(
+            problem,
+            growth,
+            &SimError::Runtime {
+                message: "injected fault: simulated failure".into(),
+                time: 0,
+            },
+        ),
+        None => match simulate_with_probe_profiled(
+            variant,
+            &problem.top,
+            &problem.probe,
+            &problem.sim,
+            deadline.map(CancelToken::with_deadline),
+            profiler,
+        ) {
+            Ok((outcome, trace, _)) => {
+                let report = {
+                    let _score = profiler.map(|p| p.span(Phase::Score));
+                    fitness(&trace, &problem.oracle, params)
+                };
+                Evaluation {
+                    score: report.score,
+                    compiled: true,
+                    mismatched: report
+                        .mismatched_vars
+                        .iter()
+                        .map(|v| strip_hierarchy(v))
+                        .collect(),
+                    report: Some(report),
+                    error: None,
+                    growth,
+                    sim_metrics: Some(outcome.metrics),
+                    outcome: EvalOutcome::Ok,
+                }
+            }
+            Err(e) => failure_evaluation(problem, growth, &e),
+        },
+    };
+    if let (Some(p), Some(t0)) = (profiler, started) {
+        p.record_eval(t0.elapsed().as_nanos() as u64);
     }
+    eval
 }
 
 /// Runs one evaluation with its panics contained: a panic becomes an
@@ -400,8 +449,10 @@ pub(crate) fn contained(
     growth: f64,
     evaluation: impl FnOnce() -> Evaluation,
 ) -> Evaluation {
-    catch_unwind(AssertUnwindSafe(evaluation))
-        .unwrap_or_else(|payload| panicked_evaluation(problem, &panic_message(payload), growth))
+    catch_unwind(AssertUnwindSafe(evaluation)).unwrap_or_else(|payload| {
+        let error = format!("candidate evaluation panicked: {}", panic_message(payload));
+        score_zero(problem, EvalOutcome::Panicked, error, growth)
+    })
 }
 
 /// Renders a panic payload (whatever was passed to `panic!`) as text
@@ -416,78 +467,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn evaluate_variant_inner(
-    problem: &RepairProblem,
-    variant: &cirfix_ast::SourceFile,
-    growth: f64,
-    params: FitnessParams,
-    budget: Option<Duration>,
-    fault: Option<FaultKind>,
-    profiler: Option<&Profiler>,
-) -> Evaluation {
-    let deadline = budget.map(|b| Instant::now() + b);
-    match fault {
-        Some(FaultKind::Panic) => panic!("injected fault: worker panic"),
-        Some(FaultKind::Hang) => {
-            // A deterministic stand-in for a candidate that wedges its
-            // worker: spin until the candidate budget (or a short
-            // fallback when budgets are off) cancels it, then classify
-            // exactly like a real cancelled simulation.
-            let until = deadline.unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
-            let token = CancelToken::with_deadline(until);
-            while !token.is_cancelled() {
-                std::thread::yield_now();
-            }
-            return failure_evaluation(problem, growth, &SimError::Cancelled { time: 0 });
-        }
-        Some(FaultKind::SimError) => {
-            return failure_evaluation(
-                problem,
-                growth,
-                &SimError::Runtime {
-                    message: "injected fault: simulated failure".into(),
-                    time: 0,
-                },
-            );
-        }
-        None => {}
-    }
-    let token = deadline.map(CancelToken::with_deadline);
-    match simulate_with_probe_profiled(
-        variant,
-        &problem.top,
-        &problem.probe,
-        &problem.sim,
-        token,
-        profiler,
-    ) {
-        Ok((outcome, trace, _)) => {
-            let report = match profiler {
-                Some(p) => {
-                    let _score = p.span(Phase::Score);
-                    fitness(&trace, &problem.oracle, params)
-                }
-                None => fitness(&trace, &problem.oracle, params),
-            };
-            Evaluation {
-                score: report.score,
-                compiled: true,
-                mismatched: report
-                    .mismatched_vars
-                    .iter()
-                    .map(|v| strip_hierarchy(v))
-                    .collect(),
-                report: Some(report),
-                error: None,
-                growth,
-                sim_metrics: Some(outcome.metrics),
-                outcome: EvalOutcome::Ok,
-            }
-        }
-        Err(e) => failure_evaluation(problem, growth, &e),
-    }
-}
-
 /// The worst-fitness evaluation for a failed simulation, classified by
 /// the unified outcome taxonomy. Cancellations (budget expiries) get
 /// the fixed [`TIMEOUT_ERROR`] text so their persisted form does not
@@ -499,41 +478,33 @@ fn failure_evaluation(problem: &RepairProblem, growth: f64, e: &SimError) -> Eva
     } else {
         e.to_string()
     };
+    score_zero(problem, outcome, error, growth)
+}
+
+/// The score-0 evaluation of a candidate that produced no scored
+/// simulation: every oracle variable counts as mismatched. Only a
+/// candidate that ran carries the worst-case report, and elaboration
+/// failures and pre-simulation rejections count as not compiled.
+fn score_zero(
+    problem: &RepairProblem,
+    outcome: EvalOutcome,
+    error: String,
+    growth: f64,
+) -> Evaluation {
     Evaluation {
         score: 0.0,
-        compiled: !e.is_compile_failure(),
+        compiled: !matches!(outcome, EvalOutcome::Elaboration | EvalOutcome::Rejected),
         mismatched: problem
             .oracle
             .vars()
             .iter()
             .map(|v| strip_hierarchy(v))
             .collect(),
-        report: Some(failure_report(&problem.oracle)),
+        report: (outcome != EvalOutcome::Rejected).then(|| failure_report(&problem.oracle)),
         error: Some(error),
         growth,
         sim_metrics: None,
         outcome,
-    }
-}
-
-/// The worst-fitness evaluation for a candidate whose evaluation
-/// panicked. The panic was contained by [`contained`]; the candidate is
-/// classified [`EvalOutcome::Panicked`] and the search continues.
-fn panicked_evaluation(problem: &RepairProblem, msg: &str, growth: f64) -> Evaluation {
-    Evaluation {
-        score: 0.0,
-        compiled: true,
-        mismatched: problem
-            .oracle
-            .vars()
-            .iter()
-            .map(|v| strip_hierarchy(v))
-            .collect(),
-        report: Some(failure_report(&problem.oracle)),
-        error: Some(format!("candidate evaluation panicked: {msg}")),
-        growth,
-        sim_metrics: None,
-        outcome: EvalOutcome::Panicked,
     }
 }
 
@@ -591,27 +562,15 @@ pub struct Repairer<'a> {
     config: RepairConfig,
     cache: HashMap<Patch, Evaluation>,
     rng: rand::rngs::StdRng,
-    evals: u64,
-    cache_hits: u64,
-    minimize_evals: u64,
-    rejected_static: u64,
-    // Fault-containment classification counters, over fresh
-    // simulations only (cached answers keep their stored outcome but
-    // do not re-count).
-    timeouts: u64,
-    panics: u64,
-    exhausted: u64,
+    // Everything a checkpoint counts, as one value.
+    counters: Counters,
     filter: Option<StaticFilter>,
     prior: BTreeMap<NodeId, u32>,
-    // Template draws that landed on a mined-pattern-endorsed instance.
-    pattern_hits: u64,
     started: Instant,
     node_budget: usize,
     // The original measured once: first free node id, node counts and
     // design prints that every unedited module of a variant reuses.
     original: Original<'a>,
-    // Patch applications performed (AST work; cache hits do none).
-    patch_applies: u64,
     // Fault localization passes run (Algorithm 2), original included.
     localizations: u64,
     // Resolved worker count and cumulative worker busy time.
@@ -625,8 +584,6 @@ pub struct Repairer<'a> {
     shared: Option<SharedEvalCache>,
     // Scenario digest mixed into every variant fingerprint.
     scenario: Option<Digest>,
-    store_hits: u64,
-    store_writes: u64,
     // L1 inserts since the last checkpoint, as (patch, fingerprint):
     // logged as a cache-delta record so a resumed run can restore the
     // trial cache exactly. Only filled when a session is attached, the
@@ -745,6 +702,36 @@ impl ParentMemo {
     }
 }
 
+/// The search between generation boundaries: what a [`Checkpoint`]
+/// records besides the RNG, the counters and the clocks.
+struct SearchState {
+    /// Completed generations (0 = the seed population).
+    generation: u32,
+    /// Best (patch, fitness) so far.
+    best: (Patch, f64),
+    /// Best fitness at the end of each completed generation.
+    history: Vec<f64>,
+    /// Strictly increasing best-fitness trajectory.
+    improvement_steps: Vec<f64>,
+    /// The current population with its evaluations.
+    popn: Vec<(Patch, Evaluation)>,
+    /// The plausible patch, once found.
+    found: Option<Patch>,
+}
+
+/// Why [`Repairer::fill`] stopped.
+#[derive(PartialEq)]
+enum Fill {
+    /// The population is full.
+    Full,
+    /// A child is plausible.
+    Plausible,
+    /// The evaluation budget or the wall-clock deadline ran out.
+    Cut,
+    /// External cancellation arrived at a batch boundary.
+    Cancelled,
+}
+
 impl<'a> Repairer<'a> {
     /// Creates a repair engine for one trial.
     pub fn new(problem: &'a RepairProblem, config: RepairConfig) -> Repairer<'a> {
@@ -779,28 +766,18 @@ impl<'a> Repairer<'a> {
             config,
             cache: HashMap::new(),
             rng,
-            evals: 0,
-            cache_hits: 0,
-            minimize_evals: 0,
-            rejected_static: 0,
-            timeouts: 0,
-            panics: 0,
-            exhausted: 0,
+            counters: Counters::default(),
             filter,
             prior,
-            pattern_hits: 0,
             started: Instant::now(),
             node_budget,
             original,
-            patch_applies: 0,
             localizations: 0,
             jobs,
             busy: Duration::ZERO,
             mix: OperatorMix::default(),
             shared: None,
             scenario: None,
-            store_hits: 0,
-            store_writes: 0,
             pending_delta: Vec::new(),
             session: None,
             resume: None,
@@ -821,7 +798,7 @@ impl<'a> Repairer<'a> {
     /// Attaches a session log: a checkpoint is written at every
     /// generation boundary. Retrieve the recorder back with
     /// [`Repairer::take_session`] after the run.
-    pub fn with_session(mut self, recorder: SessionRecorder) -> Repairer<'a> {
+    pub(crate) fn with_session(mut self, recorder: SessionRecorder) -> Repairer<'a> {
         self.session = Some(recorder);
         self
     }
@@ -830,66 +807,37 @@ impl<'a> Repairer<'a> {
     /// [`Repairer::run`] continues from the recorded generation
     /// boundary with the RNG, counters, trial cache, and population
     /// exactly as they were.
-    pub fn with_resume(mut self, state: ResumeState) -> Repairer<'a> {
+    pub(crate) fn with_resume(mut self, state: ResumeState) -> Repairer<'a> {
         self.resume = Some(state);
         self
     }
 
     /// Hands the session recorder back to the caller (the recorder
     /// outlives one trial: a session spans several).
-    pub fn take_session(&mut self) -> Option<SessionRecorder> {
+    pub(crate) fn take_session(&mut self) -> Option<SessionRecorder> {
         self.session.take()
-    }
-
-    /// Evaluations answered from the shared store so far.
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits
-    }
-
-    /// Evaluations written through to the shared store so far.
-    pub fn store_writes(&self) -> u64 {
-        self.store_writes
-    }
-
-    /// Candidates whose per-candidate budget expired so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Contained worker panics so far.
-    pub fn panics(&self) -> u64 {
-        self.panics
-    }
-
-    /// Candidates stopped by a hard resource cap so far.
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted
     }
 
     /// Number of fitness probes so far (cache misses — each is one
     /// design simulation, the paper's dominant cost).
     pub fn fitness_evals(&self) -> u64 {
-        self.evals
+        self.counters.evals
     }
 
     /// Evaluations answered from the trial cache so far.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.counters.cache_hits
     }
 
     /// Patch applications performed so far — the AST work of the trial.
     /// A cache hit performs none (see the cache test suite).
     pub fn patch_applies(&self) -> u64 {
-        self.patch_applies
-    }
-
-    /// The resolved evaluation worker count for this trial.
-    pub fn jobs(&self) -> usize {
-        self.jobs
+        self.counters.patch_applies
     }
 
     fn out_of_budget(&self) -> bool {
-        self.evals >= self.config.max_fitness_evals || self.started.elapsed() >= self.config.timeout
+        self.counters.evals >= self.config.max_fitness_evals
+            || self.started.elapsed() >= self.config.timeout
     }
 
     fn prof(&self) -> Option<&Profiler> {
@@ -902,19 +850,20 @@ impl<'a> Repairer<'a> {
     fn emit_heartbeat(&self, status: &str, generation: u64, best_fitness: f64) {
         self.config.observer.emit(|| {
             let secs = self.started.elapsed().as_secs_f64();
+            let c = self.counters;
             Event::Heartbeat(HeartbeatEvent {
                 status: status.to_string(),
                 generation,
                 best_fitness,
-                fitness_evals: self.evals,
-                cache_hits: self.cache_hits,
-                store_hits: self.store_hits,
-                rejected_static: self.rejected_static,
-                timeouts: self.timeouts,
-                panics: self.panics,
-                exhausted: self.exhausted,
+                fitness_evals: c.evals,
+                cache_hits: c.cache_hits,
+                store_hits: c.store_hits,
+                rejected_static: c.rejected_static,
+                timeouts: c.timeouts,
+                panics: c.panics,
+                exhausted: c.exhausted,
                 evals_per_s: if secs > 0.0 {
-                    self.evals as f64 / secs
+                    c.evals as f64 / secs
                 } else {
                     0.0
                 },
@@ -931,26 +880,6 @@ impl<'a> Repairer<'a> {
         }
         if let Some(hist) = p.eval_histogram() {
             self.config.observer.record(&Event::Histogram(hist));
-        }
-    }
-
-    /// A score-0 evaluation for a variant rejected before simulation.
-    fn rejection(&self, error: String, growth: f64) -> Evaluation {
-        Evaluation {
-            score: 0.0,
-            compiled: false,
-            mismatched: self
-                .problem
-                .oracle
-                .vars()
-                .iter()
-                .map(|v| strip_hierarchy(v))
-                .collect(),
-            report: None,
-            error: Some(error),
-            growth,
-            sim_metrics: None,
-            outcome: EvalOutcome::Rejected,
         }
     }
 
@@ -976,7 +905,7 @@ impl<'a> Repairer<'a> {
             _ => self.original.apply(patch).file,
         };
         drop(_parse);
-        self.patch_applies += 1;
+        self.counters.patch_applies += 1;
         // Content-addressed lookup in the shared cache: keyed by the
         // canonical print of the patched design, so it survives node
         // renumbering, process restarts, and different edit lists that
@@ -997,7 +926,12 @@ impl<'a> Repairer<'a> {
             // Bloat rejection: treated like a compile failure, and (like
             // the serial engine) charged against the evaluation budget.
             return Prepared::Reject {
-                eval: self.rejection("variant exceeds the AST growth budget".to_string(), growth),
+                eval: score_zero(
+                    self.problem,
+                    EvalOutcome::Rejected,
+                    "variant exceeds the AST growth budget".to_string(),
+                    growth,
+                ),
                 lint: None,
                 costs_eval: true,
                 key,
@@ -1009,7 +943,7 @@ impl<'a> Repairer<'a> {
             // (no simulation ran), so no budget is consumed.
             let error = format!("rejected by static filter: {}", diag.render(&module));
             return Prepared::Reject {
-                eval: self.rejection(error, growth),
+                eval: score_zero(self.problem, EvalOutcome::Rejected, error, growth),
                 lint: Some((module, diag)),
                 costs_eval: false,
                 key,
@@ -1036,7 +970,7 @@ impl<'a> Repairer<'a> {
         if let Some(shared) = &self.shared {
             let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
             if shared.insert(key, eval) {
-                self.store_writes += 1;
+                self.counters.store_writes += 1;
                 self.config.observer.emit(|| {
                     Event::Store(StoreEvent {
                         op: "write".into(),
@@ -1072,7 +1006,7 @@ impl<'a> Repairer<'a> {
     ) -> Option<Evaluation> {
         let (eval, key) = match prepared {
             Prepared::Hit(eval) => {
-                self.cache_hits += 1;
+                self.counters.cache_hits += 1;
                 self.config
                     .observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
@@ -1082,7 +1016,7 @@ impl<'a> Repairer<'a> {
                 // Answered from the shared cache: budget-free, no
                 // simulation, no Sim event — the warm-store tests count
                 // on exactly that.
-                self.store_hits += 1;
+                self.counters.store_hits += 1;
                 self.config.observer.emit(|| {
                     Event::Store(StoreEvent {
                         op: "hit".into(),
@@ -1104,10 +1038,10 @@ impl<'a> Repairer<'a> {
                 key,
             } => {
                 if costs_eval {
-                    self.evals += 1;
+                    self.counters.evals += 1;
                 }
                 if let Some((module, diag)) = lint {
-                    self.rejected_static += 1;
+                    self.counters.rejected_static += 1;
                     self.config
                         .observer
                         .emit(|| cirfix_lint::diagnostic_event(&module, &diag));
@@ -1116,14 +1050,14 @@ impl<'a> Repairer<'a> {
             }
             Prepared::Sim { key, .. } => {
                 let eval = sim?;
-                self.evals += 1;
+                self.counters.evals += 1;
                 // Fault-containment accounting: only fresh simulations
                 // count, so cached answers never double-count and the
                 // totals are identical across resumes.
                 match eval.outcome {
-                    EvalOutcome::Timeout => self.timeouts += 1,
-                    EvalOutcome::Panicked => self.panics += 1,
-                    EvalOutcome::ResourceExhausted => self.exhausted += 1,
+                    EvalOutcome::Timeout => self.counters.timeouts += 1,
+                    EvalOutcome::Panicked => self.counters.panics += 1,
+                    EvalOutcome::ResourceExhausted => self.counters.exhausted += 1,
                     _ => {}
                 }
                 (eval, key)
@@ -1255,7 +1189,10 @@ impl<'a> Repairer<'a> {
         }
         // Reserve budget slots in submission order; the first item that
         // cannot reserve truncates the batch deterministically.
-        let mut budget = self.config.max_fitness_evals.saturating_sub(self.evals);
+        let mut budget = self
+            .config
+            .max_fitness_evals
+            .saturating_sub(self.counters.evals);
         let mut admitted = patches.len();
         for (i, p) in prepared.iter().enumerate() {
             let costs = matches!(
@@ -1305,7 +1242,7 @@ impl<'a> Repairer<'a> {
                 Prepared::Alias(j) => match &out[j] {
                     Some(eval) => {
                         let eval = eval.clone();
-                        self.cache_hits += 1;
+                        self.counters.cache_hits += 1;
                         self.config.observer.emit(|| {
                             Event::Candidate(eval.candidate_event(patches[i].len(), true, op))
                         });
@@ -1450,7 +1387,7 @@ impl<'a> Repairer<'a> {
                 ) {
                     Some((edit, weight)) => {
                         if weight > 1 {
-                            self.pattern_hits += 1;
+                            self.counters.pattern_hits += 1;
                             self.config.observer.emit(|| {
                                 Event::Mine(cirfix_telemetry::MineEvent {
                                     op: "pattern_hit".to_string(),
@@ -1481,12 +1418,66 @@ impl<'a> Repairer<'a> {
         }
     }
 
-    /// Emits per-generation population statistics and resets the
-    /// operator-mix counters.
-    fn emit_generation(&mut self, generation: u64, popn: &[(Patch, Evaluation)], elites: u64) {
+    /// Reproduces from `parents` into `state.popn`, one batch at a
+    /// time: children are generated serially (every RNG draw in order)
+    /// into batches of [`RepairConfig::batch_size`], scored across the
+    /// worker pool, and merged back in submission order into the
+    /// population and the best-so-far record. Before each batch the
+    /// budget is checked, then cancellation. Stops when the population
+    /// holds [`RepairConfig::popn_size`] candidates, a child is
+    /// plausible (it becomes `state.found`; nothing beyond its own batch
+    /// is paid for), a budget or deadline cut ends a batch, or
+    /// cancellation arrives, and says which.
+    fn fill(
+        &mut self,
+        parents: &[(Patch, Evaluation)],
+        state: &mut SearchState,
+        original_fl: &Rc<FaultLoc>,
+    ) -> Fill {
+        let batch_size = self.config.batch_size.max(1);
+        let mut memo = ParentMemo::new(parents);
+        let out = &mut state.popn;
+        while out.len() < self.config.popn_size {
+            if self.out_of_budget() {
+                return Fill::Cut;
+            }
+            if self.config.control.is_cancelled() {
+                return Fill::Cancelled;
+            }
+            let mut pending: Vec<Child> = Vec::new();
+            while out.len() + pending.len() < self.config.popn_size && pending.len() < batch_size {
+                pending.extend(self.reproduce(parents, &mut memo, original_fl));
+            }
+            let evals = self.evaluate_children(&mut pending);
+            for (child, eval) in pending.into_iter().zip(evals) {
+                // A missing evaluation means the batch was cut short by
+                // the budget or the deadline.
+                let Some(eval) = eval else { return Fill::Cut };
+                let child = child.patch;
+                if eval.score > state.best.1 {
+                    state.best = (child.clone(), eval.score);
+                    state.improvement_steps.push(eval.score);
+                }
+                let plausible = eval.score >= 1.0;
+                out.push((child.clone(), eval));
+                if plausible {
+                    state.found = Some(child);
+                    return Fill::Plausible;
+                }
+            }
+        }
+        Fill::Full
+    }
+
+    /// Closes generation `state.generation` (0 = the seed population):
+    /// emits its statistics with `elites` survivors, resets the
+    /// operator mix and checkpoints it. Returns `true` when
+    /// [`RepairConfig::halt_after`] stops the run here.
+    fn close_generation(&mut self, state: &SearchState, elites: u64) -> bool {
         if self.config.observer.enabled() {
-            let scores: Vec<f64> = popn.iter().map(|(_, e)| e.score).collect();
+            let scores: Vec<f64> = state.popn.iter().map(|(_, e)| e.score).collect();
             let (best, median, mean, distinct) = population_stats(&scores);
+            let generation = u64::from(state.generation);
             self.config
                 .observer
                 .record(&Event::Generation(GenerationStats {
@@ -1503,46 +1494,28 @@ impl<'a> Repairer<'a> {
             self.emit_heartbeat("search", generation, best);
         }
         self.mix = OperatorMix::default();
+        self.write_checkpoint(state);
+        self.config.halt_after == Some(state.generation)
     }
 
     /// Writes a cache-delta record plus a checkpoint at a generation
     /// boundary and syncs the log. A no-op without a session.
-    #[allow(clippy::too_many_arguments)]
-    fn write_checkpoint(
-        &mut self,
-        generation: u32,
-        popn: &[(Patch, Evaluation)],
-        best: &(Patch, f64),
-        history: &[f64],
-        improvement_steps: &[f64],
-        found: &Option<Patch>,
-    ) {
+    fn write_checkpoint(&mut self, state: &SearchState) {
         if self.session.is_none() {
             return;
         }
         let delta = std::mem::take(&mut self.pending_delta);
         let checkpoint = Checkpoint {
-            generation,
+            generation: state.generation,
             rng: self.rng.state(),
-            evals: self.evals,
-            cache_hits: self.cache_hits,
-            store_hits: self.store_hits,
-            store_writes: self.store_writes,
-            minimize_evals: self.minimize_evals,
-            rejected_static: self.rejected_static,
-            timeouts: self.timeouts,
-            panics: self.panics,
-            exhausted: self.exhausted,
-            pattern_hits: self.pattern_hits,
-            patch_applies: self.patch_applies,
+            counters: self.counters,
             elapsed: self.started.elapsed(),
             busy: self.busy,
-            best_patch: best.0.clone(),
-            best_score: best.1,
-            history: history.to_vec(),
-            improvement_steps: improvement_steps.to_vec(),
-            population: popn.iter().map(|(p, _)| p.clone()).collect(),
-            found: found.clone(),
+            best: state.best.clone(),
+            history: state.history.clone(),
+            improvement_steps: state.improvement_steps.clone(),
+            population: state.popn.iter().map(|(p, _)| p.clone()).collect(),
+            found: state.found.clone(),
         };
         // The deltas name evaluations in the store: make those durable
         // before the log that references them, or a checkpoint that
@@ -1560,59 +1533,106 @@ impl<'a> Repairer<'a> {
             Event::Store(StoreEvent {
                 op: "checkpoint".into(),
                 key: String::new(),
-                records: popn.len() as u64,
+                records: state.popn.len() as u64,
             })
         });
     }
 
-    /// This trial's resource totals, as a one-trial [`RunTotals`].
-    fn trial_totals(&self, wall_time: Duration, generations: u32) -> RunTotals {
-        RunTotals {
-            trials: 1,
-            fitness_evals: self.evals,
-            wall_time,
-            generations,
-            mutants_rejected_static: self.rejected_static,
-            jobs: self.jobs as u32,
-            eval_busy: self.busy,
-            store_hits: self.store_hits,
-            store_writes: self.store_writes,
-            timeouts: self.timeouts,
-            panics: self.panics,
-            exhausted: self.exhausted,
-            pattern_hits: self.pattern_hits,
-            corpus_skipped: 0,
-        }
+    /// Restores a checkpoint: RNG, counters, clock, the trial cache and
+    /// the population, exactly as they were at the generation boundary.
+    /// The restored cache entries are already in the session log, so
+    /// they are *not* pushed to `pending_delta` again. Returns the
+    /// search state and the original's fault localization.
+    fn restore(&mut self, resume: ResumeState) -> (SearchState, Rc<FaultLoc>) {
+        let cp = resume.checkpoint;
+        self.rng = rand::rngs::StdRng::from_state(cp.rng);
+        self.counters = cp.counters;
+        self.busy = cp.busy;
+        self.started = Instant::now()
+            .checked_sub(cp.elapsed)
+            .unwrap_or_else(Instant::now);
+        self.cache.extend(resume.l1);
+        // Fault localization of the original is derived state:
+        // recompute it silently (the FaultLoc event is already in the
+        // pre-interruption trace).
+        let original_eval = self
+            .cache
+            .get(&Patch::empty())
+            .expect("checkpointed cache always holds the original")
+            .clone();
+        let problem = self.problem;
+        let original_fl = Rc::new(self.localize_variant(&problem.source, &original_eval));
+        self.config.observer.emit(|| {
+            Event::Store(StoreEvent {
+                op: "resume".into(),
+                key: String::new(),
+                records: u64::from(cp.generation),
+            })
+        });
+        let state = SearchState {
+            generation: cp.generation,
+            best: cp.best,
+            history: cp.history,
+            improvement_steps: cp.improvement_steps,
+            popn: cp.population.into_iter().zip(resume.population).collect(),
+            found: cp.found,
+        };
+        (state, original_fl)
     }
 
-    /// Builds the terminal result for a [`RepairConfig::halt_after`]
-    /// stop or an external [`SearchControl`] cancellation: the search
-    /// state is on disk, not in the result.
-    fn interrupted_result(
-        &self,
-        best: &(Patch, f64),
-        history: &[f64],
-        improvement_steps: &[f64],
-        generations: u32,
-    ) -> RepairResult {
-        self.emit_heartbeat("interrupted", u64::from(generations), best.1);
+    /// Ends the trial with `status` and builds its result: a plausible
+    /// winner is minimized first; an interrupted trial's search state is
+    /// on disk, not in the result.
+    fn finish(&mut self, state: SearchState, status: RepairStatus) -> RepairResult {
+        let (patch, unminimized_len, repaired_source) = match (&state.found, status) {
+            (Some(winning), RepairStatus::Plausible) => {
+                let minimized = self.minimize_patch(winning);
+                let repaired = self.original.apply(&minimized).file;
+                let design_only: Vec<_> = self.original.design_prints(&repaired).collect();
+                (minimized, winning.len(), Some(design_only.join("\n")))
+            }
+            _ => (state.best.0.clone(), state.best.0.len(), None),
+        };
+        let (heartbeat, best_fitness) = match status {
+            RepairStatus::Plausible => ("done", 1.0),
+            RepairStatus::Exhausted => ("done", state.best.1),
+            RepairStatus::Interrupted => ("interrupted", state.best.1),
+        };
+        self.emit_heartbeat(heartbeat, u64::from(state.generation), best_fitness);
         self.emit_profile();
+
         let wall_time = self.started.elapsed();
+        let c = self.counters;
         RepairResult {
-            status: RepairStatus::Interrupted,
-            best_fitness: best.1,
-            patch: best.0.clone(),
-            unminimized_len: best.0.len(),
-            generations,
-            fitness_evals: self.evals,
+            status,
+            best_fitness,
+            patch,
+            unminimized_len,
+            generations: state.generation,
+            fitness_evals: c.evals,
             wall_time,
-            history: history.to_vec(),
-            improvement_steps: improvement_steps.to_vec(),
-            repaired_source: None,
-            cache_hits: self.cache_hits,
-            minimize_evals: self.minimize_evals,
-            rejected_static: self.rejected_static,
-            totals: self.trial_totals(wall_time, generations),
+            history: state.history,
+            improvement_steps: state.improvement_steps,
+            repaired_source,
+            cache_hits: c.cache_hits,
+            minimize_evals: c.minimize_evals,
+            rejected_static: c.rejected_static,
+            totals: RunTotals {
+                trials: 1,
+                fitness_evals: c.evals,
+                wall_time,
+                generations: state.generation,
+                mutants_rejected_static: c.rejected_static,
+                jobs: self.jobs as u32,
+                eval_busy: self.busy,
+                store_hits: c.store_hits,
+                store_writes: c.store_writes,
+                timeouts: c.timeouts,
+                panics: c.panics,
+                exhausted: c.exhausted,
+                pattern_hits: c.pattern_hits,
+                corpus_skipped: 0,
+            },
         }
     }
 
@@ -1620,244 +1640,85 @@ impl<'a> Repairer<'a> {
     pub fn run(&mut self) -> RepairResult {
         let obs = self.config.observer.clone();
         let _span = Span::enter("repair", obs.sink());
-        let batch_size = self.config.batch_size.max(1);
-        let original = Patch::empty();
 
-        let mut best: (Patch, f64);
-        let mut improvement_steps: Vec<f64>;
-        let mut history: Vec<f64>;
-        let mut found: Option<Patch>;
-        let mut popn: Vec<(Patch, Evaluation)>;
-        let mut generations: u32;
-        let original_fl: Rc<FaultLoc>;
-
-        if let Some(state) = self.resume.take() {
-            // Restore the checkpoint: RNG, counters, clock, the trial
-            // cache, and the population — exactly as they were at the
-            // generation boundary. The restored cache entries are
-            // already in the session log, so they are *not* pushed to
-            // `pending_delta` again.
-            self.rng = rand::rngs::StdRng::from_state(state.rng);
-            self.evals = state.evals;
-            self.cache_hits = state.cache_hits;
-            self.store_hits = state.store_hits;
-            self.store_writes = state.store_writes;
-            self.minimize_evals = state.minimize_evals;
-            self.rejected_static = state.rejected_static;
-            self.timeouts = state.timeouts;
-            self.panics = state.panics;
-            self.exhausted = state.exhausted;
-            self.pattern_hits = state.pattern_hits;
-            self.patch_applies = state.patch_applies;
-            self.busy = state.busy;
-            self.started = Instant::now()
-                .checked_sub(state.elapsed)
-                .unwrap_or_else(Instant::now);
-            for (patch, eval, _) in &state.l1 {
-                self.cache.insert(patch.clone(), eval.clone());
-            }
-            best = state.best;
-            improvement_steps = state.improvement_steps;
-            history = state.history;
-            found = state.found;
-            popn = state.population;
-            generations = state.generation;
-            // Fault localization of the original is derived state:
-            // recompute it silently (the FaultLoc event is already in
-            // the pre-interruption trace).
-            let original_eval = self
-                .cache
-                .get(&original)
-                .expect("checkpointed cache always holds the original")
-                .clone();
-            let problem = self.problem;
-            original_fl = Rc::new(self.localize_variant(&problem.source, &original_eval));
-            let restored = u64::from(generations);
-            obs.emit(|| {
-                Event::Store(StoreEvent {
-                    op: "resume".into(),
-                    key: String::new(),
-                    records: restored,
-                })
-            });
-        } else {
-            let original_eval = self.evaluate_patch(&original);
-            original_fl = Rc::new(self.localize_original(&original_eval));
-
-            best = (original.clone(), original_eval.score);
-            improvement_steps = vec![original_eval.score];
-            history = Vec::new();
-            // The original is part of the population: if it already
-            // meets the oracle, there is nothing to repair.
-            found = (original_eval.score >= 1.0).then(|| original.clone());
-
-            // Seed population (`seed_popn(C, popnSize)`): the original
-            // plus single-edit variants *of the original* — matching
-            // GenProg's convention of seeding from the input program.
-            // Children are generated serially (every RNG draw as
-            // before) into batches of `batch_size`, scored across the
-            // worker pool, and merged back in submission order; the
-            // first plausible child ends the phase without paying for
-            // anything beyond its own batch.
-            popn = vec![(original.clone(), original_eval)];
-            // Every seed child's parent is the original, the first
-            // entry of the growing population.
-            let mut memo = ParentMemo::new(&popn);
-            'seed: while popn.len() < self.config.popn_size
-                && !self.out_of_budget()
-                && found.is_none()
-            {
-                // External cancellation lands at batch boundaries. No
-                // checkpoint has been written yet in the seed phase, so
-                // return without one: a partial-population checkpoint
-                // would desynchronize the RNG replay on resume, while a
-                // checkpoint-free log restarts the trial from scratch
-                // with every already-persisted evaluation answered from
-                // the store.
-                if self.config.control.is_cancelled() {
-                    return self.interrupted_result(&best, &history, &improvement_steps, 0);
-                }
-                let mut pending: Vec<Child> = Vec::new();
-                while popn.len() + pending.len() < self.config.popn_size
-                    && pending.len() < batch_size
+        let (mut state, original_fl) = match self.resume.take() {
+            Some(resume) => self.restore(resume),
+            None => {
+                let original_eval = self.evaluate_patch(&Patch::empty());
+                let original_fl = Rc::new(self.localize_original(&original_eval));
+                let score = original_eval.score;
+                // Seed population (`seed_popn(C, popnSize)`): the
+                // original plus single-edit variants *of the original* —
+                // matching GenProg's convention of seeding from the
+                // input program. Its only parent is the original.
+                let origin = [(Patch::empty(), original_eval)];
+                let mut state = SearchState {
+                    generation: 0,
+                    best: (Patch::empty(), score),
+                    history: Vec::new(),
+                    improvement_steps: vec![score],
+                    popn: origin.to_vec(),
+                    // The original is part of the population: if it
+                    // already meets the oracle, there is nothing to
+                    // repair.
+                    found: (score >= 1.0).then(Patch::empty),
+                };
+                // A cut only ends the seed phase early. Cancellation
+                // returns before any checkpoint is written: a
+                // partial-population checkpoint would desynchronize the
+                // RNG replay on resume, while a checkpoint-free log
+                // restarts the trial from scratch with every
+                // already-persisted evaluation answered from the store.
+                if state.found.is_none()
+                    && self.fill(&origin, &mut state, &original_fl) == Fill::Cancelled
                 {
-                    pending.extend(self.reproduce(&popn[..1], &mut memo, &original_fl));
+                    return self.finish(state, RepairStatus::Interrupted);
                 }
-                let evals = self.evaluate_children(&mut pending);
-                for (child, eval) in pending.into_iter().zip(evals) {
-                    // A missing evaluation means the batch was cut
-                    // short by the budget or the deadline.
-                    let Some(eval) = eval else { break 'seed };
-                    let child = child.patch;
-                    if eval.score > best.1 {
-                        best = (child.clone(), eval.score);
-                        improvement_steps.push(eval.score);
-                    }
-                    let plausible = eval.score >= 1.0;
-                    popn.push((child.clone(), eval));
-                    if plausible {
-                        found = Some(child);
-                        break 'seed;
-                    }
+                // The seed population is "generation 0": every trace
+                // contains at least one GenerationStats event.
+                if self.close_generation(&state, 0) {
+                    return self.finish(state, RepairStatus::Interrupted);
                 }
+                (state, original_fl)
             }
-            // The seed population is "generation 0": every trace
-            // contains at least one GenerationStats event.
-            self.emit_generation(0, &popn, 0);
-            self.write_checkpoint(0, &popn, &best, &history, &improvement_steps, &found);
-            generations = 0;
-            if self.config.halt_after == Some(0) {
-                return self.interrupted_result(&best, &history, &improvement_steps, 0);
-            }
-        }
+        };
 
-        'outer: while found.is_none()
-            && generations < self.config.max_generations
+        while state.found.is_none()
+            && state.generation < self.config.max_generations
             && !self.out_of_budget()
         {
-            let mut memo = ParentMemo::new(&popn);
-            let mut children: Vec<(Patch, Evaluation)> = Vec::new();
-            while children.len() < self.config.popn_size && found.is_none() {
-                if self.out_of_budget() {
-                    break 'outer;
-                }
-                // Cancellation takes effect within one batch boundary,
-                // abandoning the partial generation; resume replays it
-                // deterministically from the last checkpoint.
-                if self.config.control.is_cancelled() {
-                    return self.interrupted_result(
-                        &best,
-                        &history,
-                        &improvement_steps,
-                        generations,
-                    );
-                }
-                let mut pending: Vec<Child> = Vec::new();
-                while children.len() + pending.len() < self.config.popn_size
-                    && pending.len() < batch_size
-                {
-                    pending.extend(self.reproduce(&popn, &mut memo, &original_fl));
-                }
-                let evals = self.evaluate_children(&mut pending);
-                for (child, eval) in pending.into_iter().zip(evals) {
-                    let Some(eval) = eval else { break 'outer };
-                    let child = child.patch;
-                    if eval.score > best.1 {
-                        best = (child.clone(), eval.score);
-                        improvement_steps.push(eval.score);
-                    }
-                    let plausible = eval.score >= 1.0;
-                    children.push((child.clone(), eval));
-                    if plausible {
-                        found = Some(child);
-                        break;
-                    }
-                }
+            // The population becomes the parents; the children fill its
+            // place.
+            let parents = std::mem::take(&mut state.popn);
+            match self.fill(&parents, &mut state, &original_fl) {
+                // Cancellation abandons the partial generation; resume
+                // replays it deterministically from the last checkpoint.
+                Fill::Cancelled => return self.finish(state, RepairStatus::Interrupted),
+                // So does a budget or deadline cut: no elitism, no
+                // checkpoint.
+                Fill::Cut => break,
+                Fill::Full | Fill::Plausible => {}
             }
-            // Elitism: the top e% of the current population survive.
-            let elite = elite_indices(&memo.fitnesses, self.config.elitism_pct);
+            // Elitism: the top e% of the parents survive.
+            let scores: Vec<f64> = parents.iter().map(|(_, e)| e.score).collect();
+            let elite = elite_indices(&scores, self.config.elitism_pct);
             let elites = elite.len() as u64;
-            let mut next: Vec<(Patch, Evaluation)> =
-                elite.into_iter().map(|i| popn[i].clone()).collect();
-            next.extend(children);
-            popn = next;
-            generations += 1;
-            history.push(best.1);
-            self.emit_generation(u64::from(generations), &popn, elites);
-            self.write_checkpoint(
-                generations,
-                &popn,
-                &best,
-                &history,
-                &improvement_steps,
-                &found,
-            );
-            if self.config.halt_after == Some(generations) {
-                return self.interrupted_result(&best, &history, &improvement_steps, generations);
+            let mut next: Vec<_> = elite.into_iter().map(|i| parents[i].clone()).collect();
+            next.append(&mut state.popn);
+            state.popn = next;
+            state.generation += 1;
+            state.history.push(state.best.1);
+            if self.close_generation(&state, elites) {
+                return self.finish(state, RepairStatus::Interrupted);
             }
         }
 
-        let (status, patch, unminimized_len, repaired_source) = match found {
-            Some(winning) => {
-                let unmin = winning.len();
-                let minimized = self.minimize_patch(&winning);
-                let repaired = self.original.apply(&minimized).file;
-                let design_only: Vec<_> = self.original.design_prints(&repaired).collect();
-                (
-                    RepairStatus::Plausible,
-                    minimized,
-                    unmin,
-                    Some(design_only.join("\n")),
-                )
-            }
-            None => (RepairStatus::Exhausted, best.0.clone(), best.0.len(), None),
-        };
-
-        let final_best = if status == RepairStatus::Plausible {
-            1.0
+        let status = if state.found.is_some() {
+            RepairStatus::Plausible
         } else {
-            best.1
+            RepairStatus::Exhausted
         };
-        self.emit_heartbeat("done", u64::from(generations), final_best);
-        self.emit_profile();
-
-        let wall_time = self.started.elapsed();
-        RepairResult {
-            status,
-            best_fitness: final_best,
-            patch,
-            unminimized_len,
-            generations,
-            fitness_evals: self.evals,
-            wall_time,
-            history,
-            improvement_steps,
-            repaired_source,
-            cache_hits: self.cache_hits,
-            minimize_evals: self.minimize_evals,
-            rejected_static: self.rejected_static,
-            totals: self.trial_totals(wall_time, generations),
-        }
+        self.finish(state, status)
     }
 
     /// Minimizes a winning patch (§3.7). Each ddmin probe is an ordinary
@@ -1868,11 +1729,11 @@ impl<'a> Repairer<'a> {
     fn minimize_patch(&mut self, patch: &Patch) -> Patch {
         let observer = self.config.observer.clone();
         let _span = Span::enter("minimize", observer.sink());
-        let evals_before = self.evals;
+        let evals_before = self.counters.evals;
         let minimized = minimize(patch, |p| {
             self.evaluate_labelled(p, "minimize").score >= 1.0
         });
-        self.minimize_evals += self.evals - evals_before;
+        self.counters.minimize_evals += self.counters.evals - evals_before;
         minimized
     }
 }

@@ -286,42 +286,79 @@ impl SharedEvalCache {
 // ---------------------------------------------------------------------------
 // Session log records
 
-/// Everything the engine snapshots at a generation boundary.
-pub struct Checkpoint {
+/// The counters a trial carries across generation boundaries, in the
+/// order of their checkpoint keys. A snapshot of the search's
+/// bookkeeping is a copy of this one value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Counters {
+    /// Fitness probes: design simulations plus bloat rejections.
+    pub evals: u64,
+    /// Trial-cache hits, in-flight duplicates included.
+    pub cache_hits: u64,
+    /// Shared-cache hits.
+    pub store_hits: u64,
+    /// Shared-cache write-throughs.
+    pub store_writes: u64,
+    /// Fitness probes spent minimizing the winning patch.
+    pub minimize_evals: u64,
+    /// Static-filter rejections.
+    pub rejected_static: u64,
+    /// Per-candidate budget expiries. This and the next two count fresh
+    /// simulations only: cached answers keep their stored outcome but
+    /// do not re-count.
+    pub timeouts: u64,
+    /// Contained worker panics.
+    pub panics: u64,
+    /// Resource-cap stops.
+    pub exhausted: u64,
+    /// Template draws that landed on a mined-pattern-endorsed instance.
+    pub pattern_hits: u64,
+    /// Patch applications: the AST work of the trial (cache hits do
+    /// none).
+    pub patch_applies: u64,
+}
+
+impl Counters {
+    /// Counters absent from logs written before fault containment and
+    /// pattern mining existed; they restore as 0.
+    const OPTIONAL: [&'static str; 4] = ["timeouts", "panics", "exhausted", "pattern_hits"];
+
+    /// Every counter with its checkpoint key, in key order: the one
+    /// list both halves of the checkpoint codec walk.
+    fn keyed(&mut self) -> [(&'static str, &mut u64); 11] {
+        [
+            ("evals", &mut self.evals),
+            ("cache_hits", &mut self.cache_hits),
+            ("store_hits", &mut self.store_hits),
+            ("store_writes", &mut self.store_writes),
+            ("minimize_evals", &mut self.minimize_evals),
+            ("rejected_static", &mut self.rejected_static),
+            ("timeouts", &mut self.timeouts),
+            ("panics", &mut self.panics),
+            ("exhausted", &mut self.exhausted),
+            ("pattern_hits", &mut self.pattern_hits),
+            ("patch_applies", &mut self.patch_applies),
+        ]
+    }
+}
+
+/// Everything the engine snapshots at a generation boundary: the only
+/// generation-boundary record. With the cache-delta records before it,
+/// it resumes a trial bit-identically.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Checkpoint {
     /// Generation index (0 = the seed population).
     pub generation: u32,
     /// RNG state *after* producing this generation.
     pub rng: [u64; 4],
-    /// Fitness probes so far.
-    pub evals: u64,
-    /// Trial-cache hits so far.
-    pub cache_hits: u64,
-    /// Shared-cache hits so far.
-    pub store_hits: u64,
-    /// Shared-cache write-throughs so far.
-    pub store_writes: u64,
-    /// Minimization probes so far.
-    pub minimize_evals: u64,
-    /// Static-filter rejections so far.
-    pub rejected_static: u64,
-    /// Per-candidate budget expiries so far.
-    pub timeouts: u64,
-    /// Contained worker panics so far.
-    pub panics: u64,
-    /// Resource-cap stops so far.
-    pub exhausted: u64,
-    /// Mined-pattern template hits so far.
-    pub pattern_hits: u64,
-    /// Patch applications so far.
-    pub patch_applies: u64,
+    /// The trial's counters at the boundary.
+    pub counters: Counters,
     /// Wall clock consumed so far.
     pub elapsed: Duration,
     /// Cumulative evaluation-worker busy time so far.
     pub busy: Duration,
-    /// Best patch so far.
-    pub best_patch: Patch,
-    /// Best fitness so far.
-    pub best_score: f64,
+    /// Best (patch, fitness) so far.
+    pub best: (Patch, f64),
     /// Best fitness at the end of each completed generation.
     pub history: Vec<f64>,
     /// Strictly increasing best-fitness trajectory.
@@ -333,18 +370,104 @@ pub struct Checkpoint {
     pub found: Option<Patch>,
 }
 
-fn f64_bits_array(xs: &[f64]) -> JsonValue {
-    JsonValue::Array(xs.iter().map(|x| JsonValue::Uint(x.to_bits())).collect())
+impl Checkpoint {
+    /// The session-log record of this checkpoint in trial `trial`.
+    fn to_json(&self, trial: u32) -> JsonValue {
+        let mut counters = self.counters;
+        let mut pairs = vec![
+            ("type", JsonValue::Str("checkpoint".into())),
+            ("trial", JsonValue::Uint(u64::from(trial))),
+            ("generation", JsonValue::Uint(u64::from(self.generation))),
+            ("rng", uints(self.rng)),
+        ];
+        pairs.extend(counters.keyed().map(|(key, n)| (key, JsonValue::Uint(*n))));
+        pairs.extend([
+            (
+                "elapsed_nanos",
+                JsonValue::Uint(self.elapsed.as_nanos() as u64),
+            ),
+            ("busy_nanos", JsonValue::Uint(self.busy.as_nanos() as u64)),
+            ("best_patch", patch_to_json(&self.best.0)),
+            ("best_bits", JsonValue::Uint(self.best.1.to_bits())),
+            (
+                "history_bits",
+                uints(self.history.iter().map(|x| x.to_bits())),
+            ),
+            (
+                "improvement_bits",
+                uints(self.improvement_steps.iter().map(|x| x.to_bits())),
+            ),
+            (
+                "population",
+                JsonValue::Array(self.population.iter().map(patch_to_json).collect()),
+            ),
+            (
+                "found",
+                self.found.as_ref().map_or(JsonValue::Null, patch_to_json),
+            ),
+        ]);
+        JsonValue::obj(pairs)
+    }
+
+    /// Reads a record written by [`Checkpoint::to_json`] (the `trial`
+    /// key is the caller's). The [`Counters::OPTIONAL`] counters read as
+    /// 0 when absent; any other missing or mistyped field makes the log
+    /// unusable.
+    fn from_json(v: &JsonValue) -> Result<Checkpoint, SessionError> {
+        let rng = need_uints(v, "rng")?
+            .try_into()
+            .map_err(|w| SessionError::Corrupt(format!("bad rng state: {w:?}")))?;
+        let floats = |key| -> Result<Vec<f64>, SessionError> {
+            Ok(need_uints(v, key)?
+                .into_iter()
+                .map(f64::from_bits)
+                .collect())
+        };
+        let mut counters = Counters::default();
+        for (key, n) in counters.keyed() {
+            *n = if Counters::OPTIONAL.contains(&key) {
+                field_u64(v, key).unwrap_or(0)
+            } else {
+                need_u64(v, key)?
+            };
+        }
+        let population = match field(v, "population") {
+            Some(JsonValue::Array(items)) => items
+                .iter()
+                .map(|p| patch_from_json(p).map_err(SessionError::Corrupt))
+                .collect::<Result<_, _>>()?,
+            other => return Err(SessionError::Corrupt(format!("bad population: {other:?}"))),
+        };
+        let best_patch = opt_patch(v, "best_patch")?
+            .ok_or_else(|| SessionError::Corrupt("checkpoint missing best patch".into()))?;
+        Ok(Checkpoint {
+            generation: need_u64(v, "generation")? as u32,
+            rng,
+            counters,
+            elapsed: Duration::from_nanos(need_u64(v, "elapsed_nanos")?),
+            busy: Duration::from_nanos(need_u64(v, "busy_nanos")?),
+            best: (best_patch, f64::from_bits(need_u64(v, "best_bits")?)),
+            history: floats("history_bits")?,
+            improvement_steps: floats("improvement_bits")?,
+            population,
+            found: opt_patch(v, "found")?,
+        })
+    }
 }
 
-fn f64_bits_array_from(v: &JsonValue, key: &str) -> Result<Vec<f64>, SessionError> {
+/// An array of unsigned words (RNG state, or `f64`s as their bits).
+fn uints(words: impl IntoIterator<Item = u64>) -> JsonValue {
+    JsonValue::Array(words.into_iter().map(JsonValue::Uint).collect())
+}
+
+fn need_uints(v: &JsonValue, key: &str) -> Result<Vec<u64>, SessionError> {
     match field(v, key) {
         Some(JsonValue::Array(items)) => items
             .iter()
             .map(|i| match i {
-                JsonValue::Uint(b) => Ok(f64::from_bits(*b)),
+                JsonValue::Uint(w) => Ok(*w),
                 other => Err(SessionError::Corrupt(format!(
-                    "bad float bits in {key:?}: {other:?}"
+                    "bad word in {key:?}: {other:?}"
                 ))),
             })
             .collect(),
@@ -367,7 +490,7 @@ fn opt_patch(v: &JsonValue, key: &str) -> Result<Option<Patch>, SessionError> {
 }
 
 /// Appends typed records to one session's log file.
-pub struct SessionRecorder {
+pub(crate) struct SessionRecorder {
     writer: SegmentWriter,
     trial: u32,
 }
@@ -448,47 +571,7 @@ impl SessionRecorder {
 
     /// Logs a generation-boundary checkpoint.
     pub fn checkpoint(&mut self, cp: &Checkpoint) {
-        let body = JsonValue::obj(vec![
-            ("type", JsonValue::Str("checkpoint".into())),
-            ("trial", JsonValue::Uint(u64::from(self.trial))),
-            ("generation", JsonValue::Uint(u64::from(cp.generation))),
-            (
-                "rng",
-                JsonValue::Array(cp.rng.iter().map(|&w| JsonValue::Uint(w)).collect()),
-            ),
-            ("evals", JsonValue::Uint(cp.evals)),
-            ("cache_hits", JsonValue::Uint(cp.cache_hits)),
-            ("store_hits", JsonValue::Uint(cp.store_hits)),
-            ("store_writes", JsonValue::Uint(cp.store_writes)),
-            ("minimize_evals", JsonValue::Uint(cp.minimize_evals)),
-            ("rejected_static", JsonValue::Uint(cp.rejected_static)),
-            ("timeouts", JsonValue::Uint(cp.timeouts)),
-            ("panics", JsonValue::Uint(cp.panics)),
-            ("exhausted", JsonValue::Uint(cp.exhausted)),
-            ("pattern_hits", JsonValue::Uint(cp.pattern_hits)),
-            ("patch_applies", JsonValue::Uint(cp.patch_applies)),
-            (
-                "elapsed_nanos",
-                JsonValue::Uint(cp.elapsed.as_nanos() as u64),
-            ),
-            ("busy_nanos", JsonValue::Uint(cp.busy.as_nanos() as u64)),
-            ("best_patch", patch_to_json(&cp.best_patch)),
-            ("best_bits", JsonValue::Uint(cp.best_score.to_bits())),
-            ("history_bits", f64_bits_array(&cp.history)),
-            ("improvement_bits", f64_bits_array(&cp.improvement_steps)),
-            (
-                "population",
-                JsonValue::Array(cp.population.iter().map(patch_to_json).collect()),
-            ),
-            (
-                "found",
-                match &cp.found {
-                    Some(p) => patch_to_json(p),
-                    None => JsonValue::Null,
-                },
-            ),
-        ]);
-        self.write(&body);
+        self.write(&cp.to_json(self.trial));
     }
 
     /// Logs session completion; a log ending in this record is never
@@ -520,55 +603,19 @@ impl SessionRecorder {
 // ---------------------------------------------------------------------------
 // Resume state
 
-/// A fully materialized checkpoint, ready to hand to
-/// [`Repairer::with_resume`]: every digest has been resolved to its
-/// evaluation, so restoring inside the engine is infallible.
-pub struct ResumeState {
+/// A checkpoint with everything it names resolved, ready to hand to
+/// [`Repairer::with_resume`]: restoring inside the engine is infallible.
+/// It holds only what the checkpoint record itself lacks.
+pub(crate) struct ResumeState {
     /// Trial index being resumed.
     pub trial: u32,
-    /// Generation to continue from.
-    pub generation: u32,
-    /// RNG state at the boundary.
-    pub rng: [u64; 4],
-    /// Fitness probes at the boundary.
-    pub evals: u64,
-    /// Trial-cache hits at the boundary.
-    pub cache_hits: u64,
-    /// Shared-cache hits at the boundary.
-    pub store_hits: u64,
-    /// Shared-cache write-throughs at the boundary.
-    pub store_writes: u64,
-    /// Minimization probes at the boundary.
-    pub minimize_evals: u64,
-    /// Static-filter rejections at the boundary.
-    pub rejected_static: u64,
-    /// Per-candidate budget expiries at the boundary.
-    pub timeouts: u64,
-    /// Contained worker panics at the boundary.
-    pub panics: u64,
-    /// Resource-cap stops at the boundary.
-    pub exhausted: u64,
-    /// Mined-pattern template hits at the boundary.
-    pub pattern_hits: u64,
-    /// Patch applications at the boundary.
-    pub patch_applies: u64,
-    /// Wall clock consumed before the interruption.
-    pub elapsed: Duration,
-    /// Worker busy time before the interruption.
-    pub busy: Duration,
-    /// Best (patch, fitness) so far.
-    pub best: (Patch, f64),
-    /// Best fitness at the end of each completed generation.
-    pub history: Vec<f64>,
-    /// Strictly increasing best-fitness trajectory.
-    pub improvement_steps: Vec<f64>,
-    /// The population with evaluations restored.
-    pub population: Vec<(Patch, Evaluation)>,
-    /// The plausible patch, when found before the interruption.
-    pub found: Option<Patch>,
+    /// The generation boundary to continue from.
+    pub checkpoint: Checkpoint,
+    /// The evaluations of the checkpoint's population, in order.
+    pub population: Vec<Evaluation>,
     /// Every trial-cache entry at the boundary (already logged — the
     /// engine must not re-log them).
-    pub l1: Vec<(Patch, Evaluation, Digest)>,
+    pub l1: HashMap<Patch, Evaluation>,
     /// Totals accumulated by completed earlier trials.
     pub totals: RunTotals,
 }
@@ -596,7 +643,7 @@ fn fold_session(
     // restored cache would disagree with the checkpoint's counters).
     let mut deltas: HashMap<u32, Vec<(Patch, Digest)>> = HashMap::new();
     let mut trial_totals: HashMap<u32, RunTotals> = HashMap::new();
-    let mut last: Option<(JsonValue, u32, usize)> = None; // checkpoint, trial, delta prefix
+    let mut last: Option<(&JsonValue, u32, usize)> = None; // checkpoint, trial, delta prefix
     let mut complete = false;
     for record in records {
         match field_str(record, "type") {
@@ -640,7 +687,7 @@ fn fold_session(
             Some("checkpoint") => {
                 let t = need_u64(record, "trial")? as u32;
                 let prefix = deltas.get(&t).map_or(0, Vec::len);
-                last = Some((record.clone(), t, prefix));
+                last = Some((record, t, prefix));
             }
             Some("complete") => complete = true,
             // Unknown record types are skipped: a newer writer may add
@@ -655,11 +702,12 @@ fn fold_session(
         return Ok(Folded::Fresh);
     };
 
+    let checkpoint = Checkpoint::from_json(cp)?;
+
     // Materialize the trial cache: resolve each logged fingerprint
     // against the evaluation store. A missing evaluation is an honest
     // failure — resuming with a guessed fitness would poison the run.
-    let mut l1 = Vec::with_capacity(prefix);
-    let mut by_patch: HashMap<Patch, Evaluation> = HashMap::new();
+    let mut l1 = HashMap::with_capacity(prefix);
     for (patch, key) in deltas.remove(&trial).unwrap_or_default().drain(..prefix) {
         let eval = shared.peek(key).ok_or_else(|| {
             SessionError::Corrupt(format!(
@@ -667,67 +715,23 @@ fn fold_session(
                 key.to_hex()
             ))
         })?;
-        by_patch.insert(patch.clone(), eval.clone());
-        l1.push((patch, eval, key));
+        l1.insert(patch, eval);
     }
-
-    let rng: [u64; 4] = match field(&cp, "rng") {
-        Some(JsonValue::Array(words)) if words.len() == 4 => {
-            let mut out = [0u64; 4];
-            for (i, w) in words.iter().enumerate() {
-                match w {
-                    JsonValue::Uint(v) => out[i] = *v,
-                    other => return Err(SessionError::Corrupt(format!("bad rng word: {other:?}"))),
-                }
-            }
-            out
-        }
-        other => return Err(SessionError::Corrupt(format!("bad rng state: {other:?}"))),
-    };
-
-    let population = match field(&cp, "population") {
-        Some(JsonValue::Array(items)) => {
-            let mut popn = Vec::with_capacity(items.len());
-            for item in items {
-                let patch = patch_from_json(item).map_err(SessionError::Corrupt)?;
-                let eval = by_patch.get(&patch).cloned().ok_or_else(|| {
-                    SessionError::Corrupt(
-                        "population member missing from the checkpointed cache".into(),
-                    )
-                })?;
-                popn.push((patch, eval));
-            }
-            popn
-        }
-        other => return Err(SessionError::Corrupt(format!("bad population: {other:?}"))),
-    };
-
-    let best_patch = opt_patch(&cp, "best_patch")?
-        .ok_or_else(|| SessionError::Corrupt("checkpoint missing best patch".into()))?;
+    let population = checkpoint
+        .population
+        .iter()
+        .map(|patch| {
+            l1.get(patch).cloned().ok_or_else(|| {
+                SessionError::Corrupt(
+                    "population member missing from the checkpointed cache".into(),
+                )
+            })
+        })
+        .collect::<Result<_, _>>()?;
     let state = ResumeState {
         trial,
-        generation: need_u64(&cp, "generation")? as u32,
-        rng,
-        evals: need_u64(&cp, "evals")?,
-        cache_hits: need_u64(&cp, "cache_hits")?,
-        store_hits: need_u64(&cp, "store_hits")?,
-        store_writes: need_u64(&cp, "store_writes")?,
-        minimize_evals: need_u64(&cp, "minimize_evals")?,
-        rejected_static: need_u64(&cp, "rejected_static")?,
-        // Absent in logs written before the fault-containment
-        // counters existed; zero is the correct restoration there.
-        timeouts: field_u64(&cp, "timeouts").unwrap_or(0),
-        panics: field_u64(&cp, "panics").unwrap_or(0),
-        exhausted: field_u64(&cp, "exhausted").unwrap_or(0),
-        pattern_hits: field_u64(&cp, "pattern_hits").unwrap_or(0),
-        patch_applies: need_u64(&cp, "patch_applies")?,
-        elapsed: Duration::from_nanos(need_u64(&cp, "elapsed_nanos")?),
-        busy: Duration::from_nanos(need_u64(&cp, "busy_nanos")?),
-        best: (best_patch, f64::from_bits(need_u64(&cp, "best_bits")?)),
-        history: f64_bits_array_from(&cp, "history_bits")?,
-        improvement_steps: f64_bits_array_from(&cp, "improvement_bits")?,
+        checkpoint,
         population,
-        found: opt_patch(&cp, "found")?,
         l1,
         totals: trial_totals.remove(&trial).unwrap_or_default(),
     };
@@ -910,4 +914,98 @@ pub fn repair_session(
     recorder.complete(RepairStatus::Exhausted);
     recorder.sync();
     Ok(last.expect("at least one trial ran"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::patch::Edit;
+
+    fn checkpoint() -> Checkpoint {
+        let first = Patch::single(Edit::DeleteStmt { target: 7 });
+        let second = first.with(Edit::ReplaceExpr {
+            target: 12,
+            donor: 30,
+        });
+        let mut counters = Counters::default();
+        // Distinct values, so a codec that swaps two keys fails.
+        for (i, (_, n)) in counters.keyed().into_iter().enumerate() {
+            *n = 100 + i as u64;
+        }
+        Checkpoint {
+            generation: 3,
+            rng: [1, u64::MAX, 3, 4],
+            counters,
+            elapsed: Duration::from_nanos(1_234_567),
+            busy: Duration::from_nanos(890),
+            best: (second.clone(), 0.75),
+            history: vec![0.5, 0.625, 0.75],
+            improvement_steps: vec![0.25, 0.5, 0.75],
+            population: vec![Patch::empty(), first, second.clone()],
+            found: Some(second),
+        }
+    }
+
+    /// The checkpoint record with `keys` left out.
+    fn without(record: JsonValue, keys: &[&str]) -> JsonValue {
+        match record {
+            JsonValue::Object(pairs) => JsonValue::Object(
+                pairs
+                    .into_iter()
+                    .filter(|(k, _)| !keys.contains(&k.as_str()))
+                    .collect(),
+            ),
+            other => panic!("a checkpoint is an object, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_round_trips_through_its_record() {
+        let cp = checkpoint();
+        let record = cp.to_json(2);
+        assert_eq!(field_str(&record, "type"), Some("checkpoint"));
+        assert_eq!(field_u64(&record, "trial"), Some(2));
+        let read = Checkpoint::from_json(&record).expect("a written checkpoint reads back");
+        assert_eq!(read, cp);
+        assert_eq!(read.to_json(2).to_json(), record.to_json());
+        let none_found = Checkpoint {
+            found: None,
+            ..checkpoint()
+        };
+        let read = Checkpoint::from_json(&none_found.to_json(0)).expect("reads back");
+        assert_eq!(read, none_found);
+    }
+
+    #[test]
+    fn counters_added_after_the_first_logs_read_as_zero_when_absent() {
+        let cp = checkpoint();
+        let old = without(cp.to_json(0), &Counters::OPTIONAL);
+        let read = Checkpoint::from_json(&old).expect("an older checkpoint still reads");
+        let c = read.counters;
+        assert_eq!(
+            (c.timeouts, c.panics, c.exhausted, c.pattern_hits),
+            (0, 0, 0, 0)
+        );
+        let restored = Counters {
+            timeouts: cp.counters.timeouts,
+            panics: cp.counters.panics,
+            exhausted: cp.counters.exhausted,
+            pattern_hits: cp.counters.pattern_hits,
+            ..c
+        };
+        assert_eq!(
+            restored, cp.counters,
+            "every other counter reads as written"
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_missing_a_required_field_is_corrupt() {
+        let record = without(checkpoint().to_json(0), &["evals"]);
+        match Checkpoint::from_json(&record) {
+            Err(SessionError::Corrupt(msg)) => assert!(msg.contains("evals"), "{msg}"),
+            Err(e) => panic!("expected a corrupt log, got {e}"),
+            Ok(_) => panic!("a checkpoint without evals must not read"),
+        }
+    }
 }

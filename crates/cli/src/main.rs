@@ -114,9 +114,7 @@ use cirfix_serve::conf::{self, Config, ConfigError};
 use cirfix_serve::{Client, Request, ServeAddr, ServeOpts};
 use cirfix_sim::{ProbeSpec, SimConfig};
 use cirfix_store::{field, field_str};
-use cirfix_telemetry::{
-    FanoutSink, JsonLinesSink, JsonValue, SummarySink, TelemetrySink, TimingFreeSink,
-};
+use cirfix_telemetry::{FanoutSink, JsonValue, SummarySink, TelemetrySink};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -208,28 +206,9 @@ struct Telemetry {
 
 fn build_telemetry(config: &Config) -> Result<Telemetry, Box<dyn std::error::Error>> {
     let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
-    if let Ok(path) = config.required("trace_out") {
-        let sink = JsonLinesSink::create(Path::new(path))
-            .map_err(|e| ConfigError(format!("cannot open {path}: {e}")))?;
-        match config.string_or("trace_timing", "wall").as_str() {
-            "wall" => sinks.push(Box::new(sink)),
-            // Timing-free mode: zero every duration/throughput field
-            // and drop histograms, so the trace bytes depend only on
-            // the (deterministic) search, not the clock or `--jobs`.
-            "off" => sinks.push(Box::new(TimingFreeSink::new(sink))),
-            other => {
-                return Err(ConfigError(format!(
-                    "trace_timing must be `wall` or `off`, got `{other}`"
-                ))
-                .into())
-            }
-        }
-    }
+    sinks.extend(conf::trace_sink(config)?);
     let mut summary = None;
-    if matches!(
-        config.string_or("metrics", "false").as_str(),
-        "true" | "1" | "yes"
-    ) {
+    if config.flag("metrics") {
         let s = Arc::new(SummarySink::new());
         sinks.push(Box::new(Arc::clone(&s)));
         summary = Some(s);
@@ -262,11 +241,7 @@ fn cmd_repair(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
         // conf file's directory.
         Ok(dir) => {
             let dir = PathBuf::from(dir);
-            let resume = matches!(
-                config.string_or("resume", "false").as_str(),
-                "true" | "1" | "yes"
-            );
-            repair_session(&problem, &rc, trials, &dir, resume)?
+            repair_session(&problem, &rc, trials, &dir, config.flag("resume"))?
         }
         Err(_) => repair_with_trials(&problem, &rc, trials),
     };

@@ -473,15 +473,6 @@ impl LogicVec {
             .sum()
     }
 
-    /// Replaces every `z` with `x` (the result of reading a `z` value
-    /// through a logic operator).
-    pub fn z_to_x(&self) -> LogicVec {
-        LogicVec::build(self.width, |i| {
-            let (a, b) = self.word(i);
-            (a | b, b)
-        })
-    }
-
     /// Bitwise merge used for `cond ? a : b` when `cond` is unknown: bits on
     /// which the branches agree are kept, others become `x` (IEEE 1364
     /// §5.1.13).

@@ -20,6 +20,7 @@ use cirfix::{
 };
 use cirfix_ast::SourceFile;
 use cirfix_sim::{ProbeSpec, SimConfig};
+use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
 
 /// A parsed repair configuration file.
 ///
@@ -330,6 +331,40 @@ pub fn repair_config(config: &Config) -> Result<RepairConfig, ConfigError> {
     Ok(rc)
 }
 
+/// The JSON-lines trace sink a config asks for with `trace_out`, in the
+/// `trace_timing` mode it names; `None` when no trace is requested.
+/// Like `output`, the trace path is a run artifact and resolves against
+/// the cwd. The mode is checked before the file is created, so a bad
+/// mode leaves an existing trace untouched.
+///
+/// # Errors
+///
+/// An unknown `trace_timing` mode or an unopenable trace path.
+pub fn trace_sink(config: &Config) -> Result<Option<Box<dyn TelemetrySink>>, ConfigError> {
+    let Ok(path) = config.required("trace_out") else {
+        return Ok(None);
+    };
+    let timing_free = match config.string_or("trace_timing", "wall").as_str() {
+        "wall" => false,
+        // Timing-free mode: zero every duration/throughput field and
+        // drop histograms, so the trace bytes depend only on the
+        // (deterministic) search, not the clock or `--jobs`.
+        "off" => true,
+        other => {
+            return Err(ConfigError(format!(
+                "trace_timing must be `wall` or `off`, got `{other}`"
+            )))
+        }
+    };
+    let sink = JsonLinesSink::create(Path::new(path))
+        .map_err(|e| ConfigError(format!("cannot open {path}: {e}")))?;
+    Ok(Some(if timing_free {
+        Box::new(TimingFreeSink::new(sink))
+    } else {
+        Box::new(sink)
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +409,25 @@ mod tests {
         assert_eq!(c.required("top").unwrap(), "b");
         c.unset("top");
         assert!(c.required("top").is_err());
+    }
+
+    #[test]
+    fn a_bad_trace_timing_leaves_an_existing_trace_untouched() {
+        let dir = std::env::temp_dir().join(format!("cirfix-conf-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.jsonl");
+        std::fs::write(&trace, "kept\n").unwrap();
+        let mut c = Config::default();
+        c.set("trace_out", trace.to_str().unwrap());
+        c.set("trace_timing", "bogus");
+        let err = trace_sink(&c).err().expect("an unknown mode is an error");
+        assert!(err.0.contains("trace_timing must be"), "{}", err.0);
+        assert_eq!(std::fs::read_to_string(&trace).unwrap(), "kept\n");
+        c.set("trace_timing", "off");
+        assert!(trace_sink(&c).unwrap().is_some());
+        c.unset("trace_out");
+        assert!(trace_sink(&c).unwrap().is_none(), "no trace_out, no sink");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

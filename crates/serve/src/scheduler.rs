@@ -36,10 +36,7 @@ use cirfix::{
     BatchGate, Observer, RepairConfig, RepairProblem, RepairStatus, SearchControl,
 };
 use cirfix_store::{Lease, Store};
-use cirfix_telemetry::{
-    Event, FanoutSink, HeartbeatEvent, JsonLinesSink, TaggedJsonLinesSink, TelemetrySink,
-    TimingFreeSink,
-};
+use cirfix_telemetry::{Event, FanoutSink, HeartbeatEvent, TaggedJsonLinesSink, TelemetrySink};
 
 use crate::conf::{self, Config, ConfigError};
 use crate::job::{fold_jobs, JobRecord, JobSpec, JobState};
@@ -656,11 +653,6 @@ impl Scheduler {
             let _ = aggregate.lock().expect("sink poisoned").flush();
         }
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::SeqCst)
-    }
 }
 
 fn dispatch_loop(inner: &Arc<Inner>) {
@@ -766,19 +758,7 @@ fn job_observer(
     progress: &Arc<Progress>,
 ) -> Result<Observer, ConfigError> {
     let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
-    if let Ok(path) = built.config.required("trace_out") {
-        let sink = JsonLinesSink::create(std::path::Path::new(path))
-            .map_err(|e| ConfigError(format!("cannot open {path}: {e}")))?;
-        match built.config.string_or("trace_timing", "wall").as_str() {
-            "wall" => sinks.push(Box::new(sink)),
-            "off" => sinks.push(Box::new(TimingFreeSink::new(sink))),
-            other => {
-                return Err(ConfigError(format!(
-                    "trace_timing must be `wall` or `off`, got `{other}`"
-                )))
-            }
-        }
-    }
+    sinks.extend(conf::trace_sink(&built.config)?);
     if let Some(writer) = aggregate {
         sinks.push(Box::new(TaggedJsonLinesSink::new(
             "job",

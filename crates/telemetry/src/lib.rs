@@ -4,9 +4,7 @@
 //!
 //! The crate provides these layers:
 //!
-//! * **Primitives** — [`Span`] wall-clock timers and atomic
-//!   [`Counter`]/[`Gauge`] registries ([`MetricsRegistry`]), safe to
-//!   bump from multiple threads.
+//! * **Primitives** — [`Span`] wall-clock timers.
 //! * **Typed events** — [`Event`] and its payloads
 //!   ([`GenerationStats`], [`CandidateEvent`], [`FaultLocEvent`],
 //!   [`SimStats`], [`SpanEvent`], [`PhaseEvent`], [`HeartbeatEvent`],
@@ -45,7 +43,7 @@ pub use event::{
 pub use json::{
     field, field_f64, field_str, field_u64, json_f64, parse_json, validate_json_line, JsonValue,
 };
-pub use metrics::{Counter, Gauge, MetricsRegistry, Span};
+pub use metrics::Span;
 pub use observer::Observer;
 pub use profiler::{Phase, PhaseGuard, Profiler};
 pub use sink::{

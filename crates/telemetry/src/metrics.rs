@@ -1,111 +1,11 @@
-//! Spans, counters, and gauges.
+//! Scope timers.
 //!
-//! Counters and gauges live in a [`MetricsRegistry`] and update through
-//! atomics, so a future parallel evaluation loop can increment them
-//! from worker threads without locking. Spans time a scope and report
-//! their duration to a sink on drop.
+//! A [`Span`] times a scope and reports its duration to a sink on drop.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::event::{Event, SpanEvent};
 use crate::sink::TelemetrySink;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if it is currently lower (peak tracking).
-    pub fn max_with(&self, v: i64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A named registry of counters and gauges.
-///
-/// Handles are `Arc`s: a registered counter can be cloned out once and
-/// incremented lock-free from any thread, while readers walk the
-/// registry by name for reporting.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Returns the counter named `name`, creating it at zero on first
-    /// use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Returns the gauge named `name`, creating it at zero on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
-        let map = self.counters.lock().expect("registry poisoned");
-        map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// Snapshot of all gauges, sorted by name.
-    pub fn gauge_values(&self) -> Vec<(String, i64)> {
-        let map = self.gauges.lock().expect("registry poisoned");
-        map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-}
 
 /// Times a scope and reports a [`SpanEvent`] to the sink when dropped.
 ///

@@ -15,8 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cirfix::{repair_session, result_to_canonical_json, Observer, RepairConfig};
-use cirfix_telemetry::{Event, TelemetrySink};
+use cirfix::{
+    problem_digest, repair_session, result_to_canonical_json, session_digest, Observer,
+    RepairConfig, RepairProblem, RepairStatus,
+};
+use cirfix_store::{Fnv128, Store};
+use cirfix_telemetry::{Event, JsonValue, TelemetrySink};
 
 /// Collects every event's JSON rendering, tagged with its kind.
 #[derive(Default)]
@@ -243,4 +247,126 @@ fn warm_store_rerun_performs_zero_simulations() {
     assert_eq!(warm.best_fitness.to_bits(), cold.best_fitness.to_bits());
 
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A scenario the test configuration never repairs: every trial runs
+/// all its generations, so a session spans both trials.
+const UNREPAIRED: &str = "mux_three_numeric";
+
+/// The golden digest of the [`UNREPAIRED`] session log at
+/// [`config`], two trials, with wall-clock fields and the worker count
+/// zeroed ([`timing_free`]).
+const SESSION_LOG_DIGEST: &str = "c0e1a9d6011c75f58888dddbbdb284d8";
+
+/// A session-log record with every wall-clock field (`*_nanos`) and the
+/// worker count (`jobs`) zeroed, at any depth: what remains is decided
+/// by the search alone.
+fn timing_free(v: &JsonValue) -> JsonValue {
+    match v {
+        JsonValue::Object(pairs) => JsonValue::Object(
+            pairs
+                .iter()
+                .map(|(k, v)| {
+                    let v = if k.ends_with("_nanos") || k == "jobs" {
+                        JsonValue::Uint(0)
+                    } else {
+                        timing_free(v)
+                    };
+                    (k.clone(), v)
+                })
+                .collect(),
+        ),
+        JsonValue::Array(items) => JsonValue::Array(items.iter().map(timing_free).collect()),
+        other => other.clone(),
+    }
+}
+
+/// The `Fnv128` digest of a session's log in `dir`, record by record,
+/// with [`timing_free`] applied, and the number of checkpoints in it.
+fn session_log_digest(
+    problem: &RepairProblem,
+    config: &RepairConfig,
+    trials: u32,
+    dir: &std::path::Path,
+) -> (String, usize) {
+    let store = Store::open(dir).expect("store opens");
+    let session = session_digest(problem_digest(problem, config), config, trials);
+    let (records, health) = store
+        .load_session(&session.to_hex())
+        .expect("session log reads");
+    assert!(health.is_clean(), "the session log is undamaged");
+    let mut h = Fnv128::new();
+    for record in &records {
+        h.write_str(&timing_free(record).to_json());
+    }
+    let checkpoints = records
+        .iter()
+        .filter(|r| cirfix_store::field_str(r, "type") == Some("checkpoint"))
+        .count();
+    (h.finish().to_hex(), checkpoints)
+}
+
+/// Every record a session writes (meta, trial markers, cache deltas,
+/// checkpoints, completion) is pinned byte for byte, timing aside, for
+/// one worker and for four: the checkpoint codec must not drift.
+#[test]
+fn session_log_bytes_are_pinned() {
+    let scenario = cirfix_benchmarks::scenario(UNREPAIRED).expect("known scenario");
+    let problem = scenario.problem().expect("scenario builds");
+    for jobs in [1usize, 4] {
+        let dir = fresh_dir(&format!("golden-{jobs}"));
+        let config = config(jobs, Observer::none());
+        let result = repair_session(&problem, &config, 2, &dir, false).expect("session runs");
+        assert_eq!(result.status, RepairStatus::Exhausted);
+        assert_eq!(result.totals.trials, 2, "the log spans both trials");
+        let (digest, checkpoints) = session_log_digest(&problem, &config, 2, &dir);
+        assert_eq!(checkpoints, 8, "jobs={jobs}: generations 0-3 of two trials");
+        assert_eq!(
+            digest, SESSION_LOG_DIGEST,
+            "jobs={jobs}: session log drifted"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A session halted after generation 2, past the seed population,
+/// resumes with its history, improvement steps and elites restored:
+/// the result and the session log equal the uninterrupted run's.
+#[test]
+fn resume_after_a_later_generation_is_byte_identical() {
+    let scenario = cirfix_benchmarks::scenario(UNREPAIRED).expect("known scenario");
+    let problem = scenario.problem().expect("scenario builds");
+    let full_dir = fresh_dir("later-full");
+    let full = repair_session(&problem, &config(1, Observer::none()), 2, &full_dir, false)
+        .expect("uninterrupted session runs");
+
+    let halt_dir = fresh_dir("later-halt");
+    let mut halted_config = config(1, Observer::none());
+    halted_config.halt_after = Some(2);
+    let halted =
+        repair_session(&problem, &halted_config, 2, &halt_dir, false).expect("halted session runs");
+    assert_eq!(halted.status, RepairStatus::Interrupted);
+    assert_eq!(halted.generations, 2);
+    assert_eq!(
+        halted.history.len(),
+        2,
+        "two generations of history to restore"
+    );
+
+    let resumed = repair_session(&problem, &config(1, Observer::none()), 2, &halt_dir, true)
+        .expect("resumed session runs");
+    assert_eq!(
+        result_to_canonical_json(&full).to_json(),
+        result_to_canonical_json(&resumed).to_json(),
+        "the resumed result must be byte-identical to the uninterrupted one"
+    );
+    let config = config(1, Observer::none());
+    assert_eq!(
+        session_log_digest(&problem, &config, 2, &full_dir),
+        session_log_digest(&problem, &config, 2, &halt_dir),
+        "halted + resumed log must equal the uninterrupted log"
+    );
+
+    let _ = std::fs::remove_dir_all(full_dir);
+    let _ = std::fs::remove_dir_all(halt_dir);
 }
