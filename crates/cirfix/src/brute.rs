@@ -96,7 +96,6 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
                 fitness_evals: evals,
                 cache_hits: 0,
                 store_hits: 0,
-                rejected_static: 0,
                 timeouts: 0,
                 panics: 0,
                 exhausted: 0,
@@ -173,7 +172,6 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
                     improvement_steps: Vec::new(),
                     repaired_source: None,
                     cache_hits: 0,
-                    rejected_static: 0,
                     minimize_evals: 0,
                     totals: totals(*evals, wall, *busy),
                 });
@@ -270,7 +268,6 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         repaired_source: None,
         cache_hits: 0,
         minimize_evals: 0,
-        rejected_static: 0,
         totals: totals(evals, wall, busy),
     }
 }

@@ -72,7 +72,6 @@ pub mod explain;
 mod faultloc;
 mod faults;
 mod fitness;
-mod mined;
 mod minimize;
 mod mutation;
 mod oracle;
@@ -83,7 +82,6 @@ mod repair;
 pub mod report;
 mod select;
 pub mod session;
-mod staticfilter;
 mod templates;
 mod verify;
 
@@ -95,11 +93,8 @@ pub use engine::{evaluate_many, resolve_jobs};
 pub use faultloc::{fault_loc_event, fault_localization, FaultLoc};
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
-pub use mined::{
-    compose_priors, load_mined_patterns, mined_prior, mined_template_candidates, MINED_BOOST_CAP,
-};
 pub use minimize::minimize;
-pub use mutation::{all_stmt_ids, mutate, mutate_with_prior, MutationParams};
+pub use mutation::{all_stmt_ids, mutate, MutationParams};
 pub use oracle::{
     degrade_oracle, oracle_from_golden, simulate_with_probe, simulate_with_probe_cancellable,
     RepairProblem,
@@ -117,6 +112,5 @@ pub use repair::{
 pub use report::RunReport;
 pub use select::{elite_indices, tournament_select};
 pub use session::{repair_session, SessionError, SharedEvalCache};
-pub use staticfilter::{lint_prior, StaticFilter, LINT_BOOST};
 pub use templates::{applicable_templates, random_template};
 pub use verify::{combine, extract_modules, verify_repair, Verification};

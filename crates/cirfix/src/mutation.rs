@@ -10,7 +10,6 @@
 //! module — including the testbench, whose names do not resolve in the
 //! design — and pairs arbitrary node kinds.
 
-use std::collections::BTreeMap;
 use std::mem::discriminant;
 
 use cirfix_ast::{visit, Expr, Module, NodeId, SourceFile, Stmt};
@@ -84,36 +83,6 @@ fn block_child_ids(module: &Module) -> Vec<NodeId> {
     out
 }
 
-/// Picks one id, weighting each by its prior (default weight 1). An
-/// empty prior degrades to a uniform `choose`, consuming the same
-/// amount of randomness, so enabling the prior with no boosted nodes
-/// leaves the search trajectory untouched.
-fn choose_weighted(
-    ids: &[NodeId],
-    prior: &BTreeMap<NodeId, u32>,
-    rng: &mut impl Rng,
-) -> Option<NodeId> {
-    if ids.is_empty() {
-        return None;
-    }
-    if prior.is_empty() {
-        return ids.choose(rng).copied();
-    }
-    let weights: Vec<u64> = ids
-        .iter()
-        .map(|id| u64::from(prior.get(id).copied().unwrap_or(1).max(1)))
-        .collect();
-    let total: u64 = weights.iter().sum();
-    let mut roll = rng.gen_range(0..total);
-    for (id, w) in ids.iter().zip(&weights) {
-        if roll < *w {
-            return Some(*id);
-        }
-        roll -= w;
-    }
-    None
-}
-
 /// Generates one mutation edit for a variant (`mutate` in Algorithm 1).
 /// Returns `None` when no mutation site exists (degenerate designs).
 pub fn mutate(
@@ -122,23 +91,6 @@ pub fn mutate(
     fl: &FaultLoc,
     params: MutationParams,
     rng: &mut impl Rng,
-) -> Option<Edit> {
-    mutate_with_prior(file, design_modules, fl, params, rng, &BTreeMap::new())
-}
-
-/// [`mutate`] with a node-weight prior biasing *where* edits land:
-/// delete/replace targets and insertion anchors are sampled with the
-/// given weights (defaulting to 1), while donor selection stays
-/// uniform. The repair engine feeds lint findings in as boosted nodes
-/// so the search spends more of its budget on statically suspicious
-/// code.
-pub fn mutate_with_prior(
-    file: &SourceFile,
-    design_modules: &[String],
-    fl: &FaultLoc,
-    params: MutationParams,
-    rng: &mut impl Rng,
-    prior: &BTreeMap<NodeId, u32>,
 ) -> Option<Edit> {
     let design: Vec<&Module> = file
         .modules
@@ -162,7 +114,7 @@ pub fn mutate_with_prior(
 
     if roll < params.delete_threshold {
         let targets = fl_stmt_ids(&design, fl);
-        let target = choose_weighted(&targets, prior, rng)?;
+        let target = *targets.choose(rng)?;
         Some(Edit::DeleteStmt { target })
     } else if roll < params.delete_threshold + params.insert_threshold {
         // Donor: any statement (statement types are the only insertion
@@ -192,7 +144,7 @@ pub fn mutate_with_prior(
                 .map(Stmt::id)
                 .collect()
         };
-        let after = choose_weighted(&anchors, prior, rng)?;
+        let after = *anchors.choose(rng)?;
         Some(Edit::InsertStmt { donor, after })
     } else {
         // Replace: statements, expressions, or (when the design has more
@@ -211,7 +163,7 @@ pub fn mutate_with_prior(
                 .filter(|id| fl.nodes.is_empty() || fl.nodes.contains(id))
                 .collect();
             let pool = if in_fl.is_empty() { &controls } else { &in_fl };
-            let target = choose_weighted(pool, prior, rng)?;
+            let target = *pool.choose(rng)?;
             let donor = *controls
                 .iter()
                 .filter(|c| **c != target)
@@ -224,7 +176,7 @@ pub fn mutate_with_prior(
         }
         if rng.gen_bool(0.5) {
             let targets = fl_stmt_ids(&design, fl);
-            let target = choose_weighted(&targets, prior, rng)?;
+            let target = *targets.choose(rng)?;
             let donors: Vec<NodeId> = donor_pool
                 .iter()
                 .flat_map(|m| visit::stmts_of_module(m))
@@ -235,7 +187,7 @@ pub fn mutate_with_prior(
             Some(Edit::ReplaceStmt { target, donor })
         } else {
             let targets = fl_expr_ids(&design, fl);
-            let target = choose_weighted(&targets, prior, rng)?;
+            let target = *targets.choose(rng)?;
             let target_expr = crate::patch::find_expr_anywhere(file, design_modules, target)?;
             let donors: Vec<NodeId> = donor_pool
                 .iter()

@@ -42,8 +42,8 @@ pub enum EvalOutcome {
     /// A bounded resource (event queue depth, trace rows) hit its cap
     /// before the simulation finished.
     ResourceExhausted,
-    /// The candidate was rejected before simulation (static filter,
-    /// bloat limit) and never ran.
+    /// The candidate was rejected before simulation by the bloat limit
+    /// and never ran.
     Rejected,
 }
 

@@ -4,7 +4,8 @@
 //! edit list: a patch's fingerprint is the 128-bit FNV-1a digest of the
 //! canonical pretty-print of the patched design modules, mixed with the
 //! scenario digest (faulty source + oracle + simulation limits) and the
-//! evaluation-relevant configuration (φ, growth bound, static filter).
+//! evaluation-relevant configuration (φ, growth bound, per-candidate
+//! budget).
 //! Node ids never appear in the pretty-print, so the same mutant hashes
 //! identically across runs, hosts, and print→parse round-trips — and
 //! two *different* edit lists that produce the same design share one
@@ -76,7 +77,9 @@ pub fn problem_digest(problem: &RepairProblem, config: &RepairConfig) -> Digest 
     // by using throwaway store directories.
     h.write_u64(config.fitness.phi.to_bits());
     h.write_u64(config.max_growth.to_bits());
-    h.write_u64(u64::from(config.static_filter));
+    // Where the retired static lint filter's bit was: existing stores
+    // keep their scenario digests.
+    h.write_u64(0);
     h.write_u64(
         config
             .eval_timeout
@@ -144,19 +147,9 @@ pub fn session_digest(scenario: Digest, config: &RepairConfig, trials: u32) -> D
     h.write_u64(config.seed);
     h.write_u64(u64::from(config.relocalize));
     h.write_u64(config.max_patch_len as u64);
-    h.write_u64(u64::from(config.lint_prior));
-    // Mined patterns reshape the template draw and the mutation prior,
-    // so sessions with different pattern sets must not resume each
-    // other. The no-patterns case hashes nothing, keeping pre-mining
-    // session digests (and their resumable logs) valid.
-    if !config.mined_patterns.is_empty() {
-        h.write_str("mined-patterns");
-        h.write_u64(config.mined_patterns.len() as u64);
-        for p in &config.mined_patterns {
-            h.write_str(&p.shape);
-            h.write_u64(p.support);
-        }
-    }
+    // Where the retired lint prior's bit was: existing session logs
+    // stay resumable.
+    h.write_u64(0);
     h.write_u64(config.batch_size as u64);
     h.write_u64(u64::from(trials));
     h.finish()
@@ -520,7 +513,10 @@ pub fn result_to_canonical_json(r: &RepairResult) -> JsonValue {
         ("store_hits", JsonValue::Uint(r.totals.store_hits)),
         ("store_writes", JsonValue::Uint(r.totals.store_writes)),
         ("minimize_evals", JsonValue::Uint(r.minimize_evals)),
-        ("rejected_static", JsonValue::Uint(r.rejected_static)),
+        // Retired counters (the static lint filter's rejections and
+        // mined-pattern hits): the canonical result format keeps their
+        // keys, always 0, so result digests stay stable.
+        ("rejected_static", JsonValue::Uint(0)),
         ("trials", JsonValue::Uint(u64::from(r.totals.trials))),
         (
             "total_fitness_evals",
@@ -533,7 +529,7 @@ pub fn result_to_canonical_json(r: &RepairResult) -> JsonValue {
         ("timeouts", JsonValue::Uint(r.totals.timeouts)),
         ("panics", JsonValue::Uint(r.totals.panics)),
         ("exhausted", JsonValue::Uint(r.totals.exhausted)),
-        ("pattern_hits", JsonValue::Uint(r.totals.pattern_hits)),
+        ("pattern_hits", JsonValue::Uint(0)),
         ("corpus_skipped", JsonValue::Uint(r.totals.corpus_skipped)),
     ])
 }
@@ -548,10 +544,10 @@ pub(crate) fn totals_to_json(t: &RunTotals) -> JsonValue {
         ("fitness_evals", JsonValue::Uint(t.fitness_evals)),
         ("wall_nanos", JsonValue::Uint(t.wall_time.as_nanos() as u64)),
         ("generations", JsonValue::Uint(u64::from(t.generations))),
-        (
-            "rejected_static",
-            JsonValue::Uint(t.mutants_rejected_static),
-        ),
+        // Retired counters (the static lint filter's rejections and
+        // mined-pattern hits): the checkpoint totals format keeps their
+        // keys, always 0, so session logs stay readable both ways.
+        ("rejected_static", JsonValue::Uint(0)),
         ("jobs", JsonValue::Uint(u64::from(t.jobs))),
         ("busy_nanos", JsonValue::Uint(t.eval_busy.as_nanos() as u64)),
         ("store_hits", JsonValue::Uint(t.store_hits)),
@@ -559,7 +555,7 @@ pub(crate) fn totals_to_json(t: &RunTotals) -> JsonValue {
         ("timeouts", JsonValue::Uint(t.timeouts)),
         ("panics", JsonValue::Uint(t.panics)),
         ("exhausted", JsonValue::Uint(t.exhausted)),
-        ("pattern_hits", JsonValue::Uint(t.pattern_hits)),
+        ("pattern_hits", JsonValue::Uint(0)),
         ("corpus_skipped", JsonValue::Uint(t.corpus_skipped)),
     ])
 }
@@ -571,7 +567,6 @@ pub(crate) fn totals_from_json(v: &JsonValue) -> Result<RunTotals, String> {
         fitness_evals: u64_field(v, "fitness_evals")?,
         wall_time: Duration::from_nanos(u64_field(v, "wall_nanos")?),
         generations: u64_field(v, "generations")? as u32,
-        mutants_rejected_static: u64_field(v, "rejected_static")?,
         jobs: u64_field(v, "jobs")? as u32,
         eval_busy: Duration::from_nanos(u64_field(v, "busy_nanos")?),
         store_hits: u64_field(v, "store_hits")?,
@@ -580,8 +575,6 @@ pub(crate) fn totals_from_json(v: &JsonValue) -> Result<RunTotals, String> {
         timeouts: field_u64(v, "timeouts").unwrap_or(0),
         panics: field_u64(v, "panics").unwrap_or(0),
         exhausted: field_u64(v, "exhausted").unwrap_or(0),
-        // Absent in checkpoints from before pattern mining.
-        pattern_hits: field_u64(v, "pattern_hits").unwrap_or(0),
         corpus_skipped: field_u64(v, "corpus_skipped").unwrap_or(0),
     })
 }

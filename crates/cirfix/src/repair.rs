@@ -8,12 +8,12 @@
 //! plausible repair (fitness 1.0) or when resources are exhausted, and
 //! the winning patch is minimized.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use cirfix_ast::{Module, NodeId};
+use cirfix_ast::Module;
 use cirfix_sim::{CancelToken, SimError, SimMetrics};
 use cirfix_store::Digest;
 use cirfix_telemetry::{
@@ -28,16 +28,14 @@ use crate::crossover::crossover;
 use crate::faultloc::{fault_loc_event, fault_localization, FaultLoc};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
-use crate::mined::{compose_priors, mined_prior, mined_random_template};
 use crate::minimize::minimize;
-use crate::mutation::{mutate_with_prior, MutationParams};
+use crate::mutation::{mutate, MutationParams};
 use crate::oracle::{simulate_with_probe_profiled, RepairProblem};
 use crate::outcome::EvalOutcome;
 use crate::patch::{Original, Patch, Variant};
 use crate::persist::design_fingerprint;
 use crate::select::{elite_indices, tournament_select};
 use crate::session::{Checkpoint, Counters, ResumeState, SessionRecorder, SharedEvalCache};
-use crate::staticfilter::{lint_prior, StaticFilter};
 use crate::templates::random_template;
 
 /// Tunable parameters of Algorithm 1.
@@ -78,22 +76,6 @@ pub struct RepairConfig {
     /// edits; parents longer than this reproduce from the original
     /// design instead.
     pub max_patch_len: usize,
-    /// Lint-gate candidate mutants: variants that introduce new
-    /// error-severity static findings (relative to the original faulty
-    /// design) score 0 without being simulated, and are not counted as
-    /// fitness evaluations.
-    pub static_filter: bool,
-    /// Weight mutation targets by lint findings on the original
-    /// design: implicated nodes are sampled more often.
-    pub lint_prior: bool,
-    /// Fix patterns mined from the repair corpus (`cirfix mine`,
-    /// loaded via `--mined-patterns`). When non-empty, the template
-    /// operator draws support-weighted instances of the endorsed
-    /// Table 1 classes, and a learned mutation prior composes
-    /// multiplicatively with [`RepairConfig::lint_prior`]. Empty (the
-    /// default) leaves the search byte-identical to the unmined
-    /// engine.
-    pub mined_patterns: Vec<cirfix_mine::FixPattern>,
     /// Worker threads for fitness evaluation. `0` means auto: the
     /// `CIRFIX_JOBS` environment variable when set, otherwise
     /// [`std::thread::available_parallelism`]. The search result is
@@ -153,9 +135,6 @@ impl RepairConfig {
             relocalize: true,
             max_growth: 3.0,
             max_patch_len: 32,
-            static_filter: false,
-            lint_prior: false,
-            mined_patterns: Vec::new(),
             jobs: 0,
             batch_size: 32,
             halt_after: None,
@@ -229,9 +208,6 @@ pub struct RunTotals {
     pub wall_time: Duration,
     /// Generations completed across all trials.
     pub generations: u32,
-    /// Candidate mutants rejected by the static lint filter before
-    /// simulation (not included in [`RunTotals::fitness_evals`]).
-    pub mutants_rejected_static: u64,
     /// Resolved evaluation worker count ([`RepairConfig::jobs`] after
     /// auto-detection).
     pub jobs: u32,
@@ -252,9 +228,6 @@ pub struct RunTotals {
     /// Candidates that hit a hard resource cap
     /// ([`EvalOutcome::ResourceExhausted`]).
     pub exhausted: u64,
-    /// Template draws that landed on a mined-pattern-endorsed instance
-    /// (zero unless [`RepairConfig::mined_patterns`] is non-empty).
-    pub pattern_hits: u64,
     /// Corpus appends skipped because an identical (scenario, patch)
     /// pair was already recorded.
     pub corpus_skipped: u64,
@@ -269,7 +242,6 @@ impl RunTotals {
         self.fitness_evals += result.fitness_evals;
         self.wall_time += result.wall_time;
         self.generations += result.generations;
-        self.mutants_rejected_static += result.rejected_static;
         self.jobs = t.jobs;
         self.eval_busy += t.eval_busy;
         self.store_hits += t.store_hits;
@@ -277,7 +249,6 @@ impl RunTotals {
         self.timeouts += t.timeouts;
         self.panics += t.panics;
         self.exhausted += t.exhausted;
-        self.pattern_hits += t.pattern_hits;
         self.corpus_skipped += t.corpus_skipped;
     }
 }
@@ -311,9 +282,6 @@ pub struct RepairResult {
     /// Extra fitness probes spent minimizing the winning patch
     /// (included in [`RepairResult::fitness_evals`]).
     pub minimize_evals: u64,
-    /// Candidates rejected by the static lint filter without being
-    /// simulated (zero unless [`RepairConfig::static_filter`] is on).
-    pub rejected_static: u64,
     /// Resource totals across the whole run, including failed trials.
     pub totals: RunTotals,
 }
@@ -564,8 +532,6 @@ pub struct Repairer<'a> {
     rng: rand::rngs::StdRng,
     // Everything a checkpoint counts, as one value.
     counters: Counters,
-    filter: Option<StaticFilter>,
-    prior: BTreeMap<NodeId, u32>,
     started: Instant,
     node_budget: usize,
     // The original measured once: first free node id, node counts and
@@ -613,14 +579,10 @@ enum Prepared {
     /// store or cross-trial memory): budget-free, like a cache hit, but
     /// counted separately.
     StoreHit { eval: Evaluation, key: Digest },
-    /// Rejected pre-simulation (bloat or static lint gate).
-    /// `costs_eval` preserves the budget accounting of the serial
-    /// engine: bloat rejections consume a fitness evaluation, lint
-    /// rejections are free.
+    /// Rejected pre-simulation by bloat control; charged against the
+    /// evaluation budget like a simulation.
     Reject {
         eval: Evaluation,
-        lint: Option<(String, cirfix_lint::Diagnostic)>,
-        costs_eval: bool,
         key: Option<Digest>,
     },
     /// Needs a simulation: the applied variant and its growth factor.
@@ -738,27 +700,6 @@ impl<'a> Repairer<'a> {
         let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
         let original = Original::new(&problem.source, &problem.design_modules);
         let node_budget = ((original.nodes() as f64) * config.max_growth.max(1.0)).ceil() as usize;
-        let filter = config
-            .static_filter
-            .then(|| StaticFilter::new(&problem.source, &problem.design_modules));
-        let lint = if config.lint_prior {
-            lint_prior(&problem.source, &problem.design_modules)
-        } else {
-            BTreeMap::new()
-        };
-        // The learned prior composes multiplicatively with the lint
-        // prior; with no mined patterns the lint prior passes through
-        // untouched (including the all-empty case).
-        let prior = if config.mined_patterns.is_empty() {
-            lint
-        } else {
-            let mined = mined_prior(
-                &problem.source,
-                &problem.design_modules,
-                &config.mined_patterns,
-            );
-            compose_priors(&lint, &mined)
-        };
         let jobs = crate::engine::resolve_jobs(config.jobs);
         let config_enabled = config.observer.enabled();
         Repairer {
@@ -767,8 +708,6 @@ impl<'a> Repairer<'a> {
             cache: HashMap::new(),
             rng,
             counters: Counters::default(),
-            filter,
-            prior,
             started: Instant::now(),
             node_budget,
             original,
@@ -858,7 +797,6 @@ impl<'a> Repairer<'a> {
                 fitness_evals: c.evals,
                 cache_hits: c.cache_hits,
                 store_hits: c.store_hits,
-                rejected_static: c.rejected_static,
                 timeouts: c.timeouts,
                 panics: c.panics,
                 exhausted: c.exhausted,
@@ -884,8 +822,8 @@ impl<'a> Repairer<'a> {
     }
 
     /// Classifies one patch before dispatch (coordinating thread only):
-    /// cache lookup, patch application, bloat check, and the static
-    /// lint gate. Cache hits do zero AST work. Only `Prepared::Sim`
+    /// cache lookup, patch application and bloat check. Cache hits do
+    /// zero AST work. Only `Prepared::Sim`
     /// items go on to occupy an evaluation worker.
     ///
     /// `parent`, when given, is the applied patch without its last edit
@@ -932,20 +870,6 @@ impl<'a> Repairer<'a> {
                     "variant exceeds the AST growth budget".to_string(),
                     growth,
                 ),
-                lint: None,
-                costs_eval: true,
-                key,
-            };
-        }
-        if let Some((module, diag)) = self.filter.as_ref().and_then(|f| f.check(&variant)) {
-            // Lint gate: the mutation introduced a new error-severity
-            // static finding; score 0 without occupying a worker. Free
-            // (no simulation ran), so no budget is consumed.
-            let error = format!("rejected by static filter: {}", diag.render(&module));
-            return Prepared::Reject {
-                eval: score_zero(self.problem, EvalOutcome::Rejected, error, growth),
-                lint: Some((module, diag)),
-                costs_eval: false,
                 key,
             };
         }
@@ -1031,21 +955,8 @@ impl<'a> Repairer<'a> {
                 return Some(eval);
             }
             Prepared::Alias(_) => unreachable!("aliases are resolved by the batch merge"),
-            Prepared::Reject {
-                eval,
-                lint,
-                costs_eval,
-                key,
-            } => {
-                if costs_eval {
-                    self.counters.evals += 1;
-                }
-                if let Some((module, diag)) = lint {
-                    self.counters.rejected_static += 1;
-                    self.config
-                        .observer
-                        .emit(|| cirfix_lint::diagnostic_event(&module, &diag));
-                }
+            Prepared::Reject { eval, key } => {
+                self.counters.evals += 1;
                 (eval, key)
             }
             Prepared::Sim { key, .. } => {
@@ -1195,15 +1106,7 @@ impl<'a> Repairer<'a> {
             .saturating_sub(self.counters.evals);
         let mut admitted = patches.len();
         for (i, p) in prepared.iter().enumerate() {
-            let costs = matches!(
-                p,
-                Prepared::Sim { .. }
-                    | Prepared::Reject {
-                        costs_eval: true,
-                        ..
-                    }
-            );
-            if costs {
+            if matches!(p, Prepared::Sim { .. } | Prepared::Reject { .. }) {
                 if budget == 0 {
                     admitted = i;
                     break;
@@ -1368,49 +1271,19 @@ impl<'a> Repairer<'a> {
         };
 
         if template {
-            // Repair templates. Without mined patterns this is the
-            // paper's uniform draw; with them, endorsed Table 1
-            // instances are over-weighted by support.
             self.mix.template += 1;
-            if self.config.mined_patterns.is_empty() {
-                match random_template(&variant.file, &problem.design_modules, &fl, &mut self.rng) {
-                    Some(edit) => vec![Child::derived(parent.with(edit), "template", variant)],
-                    None => vec![Child::replay(parent.clone(), "template")],
-                }
-            } else {
-                match mined_random_template(
-                    &variant.file,
-                    &problem.design_modules,
-                    &fl,
-                    &self.config.mined_patterns,
-                    &mut self.rng,
-                ) {
-                    Some((edit, weight)) => {
-                        if weight > 1 {
-                            self.counters.pattern_hits += 1;
-                            self.config.observer.emit(|| {
-                                Event::Mine(cirfix_telemetry::MineEvent {
-                                    op: "pattern_hit".to_string(),
-                                    pattern: String::new(),
-                                    support: weight - 1,
-                                    count: 1,
-                                })
-                            });
-                        }
-                        vec![Child::derived(parent.with(edit), "template", variant)]
-                    }
-                    None => vec![Child::replay(parent.clone(), "template")],
-                }
+            match random_template(&variant.file, &problem.design_modules, &fl, &mut self.rng) {
+                Some(edit) => vec![Child::derived(parent.with(edit), "template", variant)],
+                None => vec![Child::replay(parent.clone(), "template")],
             }
         } else {
             self.mix.mutation += 1;
-            match mutate_with_prior(
+            match mutate(
                 &variant.file,
                 &problem.design_modules,
                 &fl,
                 self.config.mutation,
                 &mut self.rng,
-                &self.prior,
             ) {
                 Some(edit) => vec![Child::derived(parent.with(edit), "mutation", variant)],
                 None => vec![Child::replay(parent.clone(), "mutation")],
@@ -1616,13 +1489,11 @@ impl<'a> Repairer<'a> {
             repaired_source,
             cache_hits: c.cache_hits,
             minimize_evals: c.minimize_evals,
-            rejected_static: c.rejected_static,
             totals: RunTotals {
                 trials: 1,
                 fitness_evals: c.evals,
                 wall_time,
                 generations: state.generation,
-                mutants_rejected_static: c.rejected_static,
                 jobs: self.jobs as u32,
                 eval_busy: self.busy,
                 store_hits: c.store_hits,
@@ -1630,7 +1501,6 @@ impl<'a> Repairer<'a> {
                 timeouts: c.timeouts,
                 panics: c.panics,
                 exhausted: c.exhausted,
-                pattern_hits: c.pattern_hits,
                 corpus_skipped: 0,
             },
         }

@@ -75,8 +75,6 @@ pub struct TrialRow {
     pub store_writes: u64,
     /// Evaluations spent minimizing.
     pub minimize_evals: u64,
-    /// Mutants rejected before simulation.
-    pub rejected_static: u64,
     /// Budget-expired evaluations.
     pub timeouts: u64,
     /// Contained panics.
@@ -151,7 +149,6 @@ fn heartbeat_from(v: &JsonValue) -> HeartbeatEvent {
         fitness_evals: field_u64(v, "fitness_evals").unwrap_or(0),
         cache_hits: field_u64(v, "cache_hits").unwrap_or(0),
         store_hits: field_u64(v, "store_hits").unwrap_or(0),
-        rejected_static: field_u64(v, "rejected_static").unwrap_or(0),
         timeouts: field_u64(v, "timeouts").unwrap_or(0),
         panics: field_u64(v, "panics").unwrap_or(0),
         exhausted: field_u64(v, "exhausted").unwrap_or(0),
@@ -335,7 +332,6 @@ impl RunReport {
                         store_hits: field_u64(v, "store_hits").unwrap_or(0),
                         store_writes: field_u64(v, "store_writes").unwrap_or(0),
                         minimize_evals: field_u64(v, "minimize_evals").unwrap_or(0),
-                        rejected_static: field_u64(v, "rejected_static").unwrap_or(0),
                         timeouts: field_u64(v, "timeouts").unwrap_or(0),
                         panics: field_u64(v, "panics").unwrap_or(0),
                         exhausted: field_u64(v, "exhausted").unwrap_or(0),
@@ -447,8 +443,8 @@ impl RunReport {
             push(
                 &mut out,
                 &format!(
-                    "  rejected {} | timeouts {} | panics {} | exhausted {}",
-                    t.rejected_static, t.timeouts, t.panics, t.exhausted
+                    "  timeouts {} | panics {} | exhausted {}",
+                    t.timeouts, t.panics, t.exhausted
                 ),
             );
             push(
@@ -587,7 +583,6 @@ impl RunReport {
                                 ("store_hits", JsonValue::Uint(t.store_hits)),
                                 ("store_writes", JsonValue::Uint(t.store_writes)),
                                 ("minimize_evals", JsonValue::Uint(t.minimize_evals)),
-                                ("rejected_static", JsonValue::Uint(t.rejected_static)),
                                 ("timeouts", JsonValue::Uint(t.timeouts)),
                                 ("panics", JsonValue::Uint(t.panics)),
                                 ("exhausted", JsonValue::Uint(t.exhausted)),
@@ -668,7 +663,6 @@ impl RunReport {
                     ("fitness_evals", JsonValue::Uint(h.fitness_evals)),
                     ("cache_hits", JsonValue::Uint(h.cache_hits)),
                     ("store_hits", JsonValue::Uint(h.store_hits)),
-                    ("rejected_static", JsonValue::Uint(h.rejected_static)),
                     ("timeouts", JsonValue::Uint(h.timeouts)),
                     ("panics", JsonValue::Uint(h.panics)),
                     ("exhausted", JsonValue::Uint(h.exhausted)),
@@ -712,7 +706,7 @@ pub fn render_heartbeat(h: &HeartbeatEvent, indent: &str) -> String {
     format!(
         "{indent}status {} | generation {} | best {}\n\
          {indent}evals {}{} | cache hits {} | store hits {}\n\
-         {indent}rejected {} | timeouts {} | panics {} | exhausted {}",
+         {indent}timeouts {} | panics {} | exhausted {}",
         h.status,
         h.generation,
         fmt_f(h.best_fitness),
@@ -720,7 +714,6 @@ pub fn render_heartbeat(h: &HeartbeatEvent, indent: &str) -> String {
         throughput,
         h.cache_hits,
         h.store_hits,
-        h.rejected_static,
         h.timeouts,
         h.panics,
         h.exhausted,

@@ -6,7 +6,7 @@
 //! search trajectory. The session writes three kinds of durable state
 //! into a [`Store`]:
 //!
-//! * **evaluations** — every simulated (or statically rejected)
+//! * **evaluations** — every simulated (or bloat-rejected)
 //!   variant, keyed by its content fingerprint, shared across trials,
 //!   sessions, and hosts, in the scenario's own partition of the store;
 //! * **a session log** — a checkpoint at every generation boundary
@@ -301,8 +301,6 @@ pub(crate) struct Counters {
     pub store_writes: u64,
     /// Fitness probes spent minimizing the winning patch.
     pub minimize_evals: u64,
-    /// Static-filter rejections.
-    pub rejected_static: u64,
     /// Per-candidate budget expiries. This and the next two count fresh
     /// simulations only: cached answers keep their stored outcome but
     /// do not re-count.
@@ -311,33 +309,34 @@ pub(crate) struct Counters {
     pub panics: u64,
     /// Resource-cap stops.
     pub exhausted: u64,
-    /// Template draws that landed on a mined-pattern-endorsed instance.
-    pub pattern_hits: u64,
     /// Patch applications: the AST work of the trial (cache hits do
     /// none).
     pub patch_applies: u64,
 }
 
 impl Counters {
-    /// Counters absent from logs written before fault containment and
-    /// pattern mining existed; they restore as 0.
-    const OPTIONAL: [&'static str; 4] = ["timeouts", "panics", "exhausted", "pattern_hits"];
+    /// Counters absent from logs written before fault containment
+    /// existed; they restore as 0.
+    const OPTIONAL: [&'static str; 3] = ["timeouts", "panics", "exhausted"];
 
     /// Every counter with its checkpoint key, in key order: the one
-    /// list both halves of the checkpoint codec walk.
-    fn keyed(&mut self) -> [(&'static str, &mut u64); 11] {
+    /// list both halves of the checkpoint codec walk. `None` marks a
+    /// retired counter whose key the session-log format keeps stable:
+    /// `rejected_static` (the static lint filter) and `pattern_hits`
+    /// (mined fix patterns) are written as 0 and ignored on read.
+    fn keyed(&mut self) -> [(&'static str, Option<&mut u64>); 11] {
         [
-            ("evals", &mut self.evals),
-            ("cache_hits", &mut self.cache_hits),
-            ("store_hits", &mut self.store_hits),
-            ("store_writes", &mut self.store_writes),
-            ("minimize_evals", &mut self.minimize_evals),
-            ("rejected_static", &mut self.rejected_static),
-            ("timeouts", &mut self.timeouts),
-            ("panics", &mut self.panics),
-            ("exhausted", &mut self.exhausted),
-            ("pattern_hits", &mut self.pattern_hits),
-            ("patch_applies", &mut self.patch_applies),
+            ("evals", Some(&mut self.evals)),
+            ("cache_hits", Some(&mut self.cache_hits)),
+            ("store_hits", Some(&mut self.store_hits)),
+            ("store_writes", Some(&mut self.store_writes)),
+            ("minimize_evals", Some(&mut self.minimize_evals)),
+            ("rejected_static", None),
+            ("timeouts", Some(&mut self.timeouts)),
+            ("panics", Some(&mut self.panics)),
+            ("exhausted", Some(&mut self.exhausted)),
+            ("pattern_hits", None),
+            ("patch_applies", Some(&mut self.patch_applies)),
         ]
     }
 }
@@ -380,7 +379,11 @@ impl Checkpoint {
             ("generation", JsonValue::Uint(u64::from(self.generation))),
             ("rng", uints(self.rng)),
         ];
-        pairs.extend(counters.keyed().map(|(key, n)| (key, JsonValue::Uint(*n))));
+        pairs.extend(
+            counters
+                .keyed()
+                .map(|(key, n)| (key, JsonValue::Uint(n.map_or(0, |n| *n)))),
+        );
         pairs.extend([
             (
                 "elapsed_nanos",
@@ -425,6 +428,7 @@ impl Checkpoint {
         };
         let mut counters = Counters::default();
         for (key, n) in counters.keyed() {
+            let Some(n) = n else { continue };
             *n = if Counters::OPTIONAL.contains(&key) {
                 field_u64(v, key).unwrap_or(0)
             } else {
@@ -865,7 +869,7 @@ pub fn repair_session(
             } else {
                 // The faulty design, printed with the same
                 // design-modules-only convention as `repaired_source`,
-                // so `cirfix mine` can replay the pair.
+                // so the record holds both sides of the repair.
                 let faulty_source: Vec<String> = problem
                     .source
                     .modules
@@ -930,7 +934,9 @@ mod tests {
         let mut counters = Counters::default();
         // Distinct values, so a codec that swaps two keys fails.
         for (i, (_, n)) in counters.keyed().into_iter().enumerate() {
-            *n = 100 + i as u64;
+            if let Some(n) = n {
+                *n = 100 + i as u64;
+            }
         }
         Checkpoint {
             generation: 3,
@@ -982,21 +988,28 @@ mod tests {
         let old = without(cp.to_json(0), &Counters::OPTIONAL);
         let read = Checkpoint::from_json(&old).expect("an older checkpoint still reads");
         let c = read.counters;
-        assert_eq!(
-            (c.timeouts, c.panics, c.exhausted, c.pattern_hits),
-            (0, 0, 0, 0)
-        );
+        assert_eq!((c.timeouts, c.panics, c.exhausted), (0, 0, 0));
         let restored = Counters {
             timeouts: cp.counters.timeouts,
             panics: cp.counters.panics,
             exhausted: cp.counters.exhausted,
-            pattern_hits: cp.counters.pattern_hits,
             ..c
         };
         assert_eq!(
             restored, cp.counters,
             "every other counter reads as written"
         );
+    }
+
+    #[test]
+    fn retired_counter_keys_are_written_as_zero_and_ignored_on_read() {
+        let cp = checkpoint();
+        let record = cp.to_json(0);
+        for key in ["rejected_static", "pattern_hits"] {
+            assert_eq!(field_u64(&record, key), Some(0), "{key}");
+        }
+        let trimmed = without(record, &["rejected_static", "pattern_hits"]);
+        assert_eq!(Checkpoint::from_json(&trimmed).expect("reads"), cp);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!                                                 the golden one on a held-out bench
 //! cirfix lint <design.v|repair.conf> [--json]     run the static-analysis passes
 //! cirfix store <ls|verify|gc> <store-dir>         inspect or maintain a store
-//! cirfix mine <store-dir|corpus.jsonl> [--out FILE] [--jobs N] [--json]
-//!                                                 learn fix patterns from the repair corpus
 //! cirfix report <trace.jsonl|store-dir> [--session NAME] [--json]
 //!                                                 fold a trace or session into a run report
 //! cirfix watch <trace.jsonl> [--interval-ms N] [--once]
@@ -52,17 +50,6 @@
 //!                      histograms, so traces are byte-identical across
 //!                      `--jobs` values
 //! --metrics            print an aggregate telemetry summary at the end
-//! ```
-//!
-//! Search-space pruning flags (for `repair`):
-//!
-//! ```text
-//! --static-filter      lint-gate mutants before simulation
-//! --lint-prior         bias mutation targets toward lint findings
-//! --mined-patterns F   load a `cirfix mine` patterns file: mined
-//!                      templates join the repair catalog with
-//!                      support-proportional weight, and the learned
-//!                      mutation prior composes with --lint-prior
 //! ```
 //!
 //! Parallel evaluation (for `repair`):
@@ -131,7 +118,6 @@ fn usage() -> String {
     "usage: cirfix <repair|simulate|fitness|localize|verify> <config-file> [--key value ...]\n\
      \u{20}      cirfix lint <design.v|repair.conf> [--json]\n\
      \u{20}      cirfix store <ls|verify|gc> <store-dir>\n\
-     \u{20}      cirfix mine <store-dir|corpus.jsonl> [--out FILE] [--jobs N] [--json]\n\
      \u{20}      cirfix report <trace.jsonl|store-dir> [--session NAME] [--json]\n\
      \u{20}      cirfix watch <trace.jsonl|JOB --socket ADDR> [--interval-ms N] [--once]\n\
      \u{20}      cirfix fuzz [--seed N] [--budget N] [--jobs N] [--out FILE] [--store DIR]\n\
@@ -156,11 +142,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if command == "store" {
         return cmd_store(rest);
     }
-    // `mine` consumes a repair corpus (a store directory or a raw
-    // corpus segment), not a repair config.
-    if command == "mine" {
-        return cmd_mine(rest);
-    }
     // `report` and `watch` consume run artifacts (a trace file or a
     // store directory), not a repair config.
     if command == "report" {
@@ -184,18 +165,19 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "shutdown" => return cmd_shutdown(rest),
         _ => {}
     }
+    type ConfCommand = fn(&Config) -> Result<(), Box<dyn std::error::Error>>;
+    let cmd: ConfCommand = match command.as_str() {
+        "repair" => cmd_repair,
+        "simulate" => cmd_simulate,
+        "fitness" => cmd_fitness,
+        "localize" => cmd_localize,
+        "verify" => cmd_verify,
+        other => return Err(format!("unknown command `{other}`\n{}", usage()).into()),
+    };
     let (config_path, overrides) = rest.split_first().ok_or_else(usage)?;
     let mut config = Config::load(Path::new(config_path))?;
     conf::apply_overrides(&mut config, overrides)?;
-
-    match command.as_str() {
-        "repair" => cmd_repair(&config),
-        "simulate" => cmd_simulate(&config),
-        "fitness" => cmd_fitness(&config),
-        "localize" => cmd_localize(&config),
-        "verify" => cmd_verify(&config),
-        other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
-    }
+    cmd(&config)
 }
 
 /// The observability destinations requested by `trace_out` / `metrics`.
@@ -258,14 +240,12 @@ fn cmd_repair(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
     println!("  trials           {:>12}", t.trials);
     println!("  generations      {:>12}", t.generations);
     println!("  fitness evals    {:>12}", t.fitness_evals);
-    println!("  static rejects   {:>12}", t.mutants_rejected_static);
     println!("  cache hits       {:>12}", result.cache_hits);
     println!("  store hits       {:>12}", t.store_hits);
     println!("  store writes     {:>12}", t.store_writes);
     println!("  timeouts         {:>12}", t.timeouts);
     println!("  panics           {:>12}", t.panics);
     println!("  exhausted        {:>12}", t.exhausted);
-    println!("  pattern hits     {:>12}", t.pattern_hits);
     println!("  corpus skips     {:>12}", t.corpus_skipped);
     println!("  minimize evals   {:>12}", result.minimize_evals);
     println!("  wall clock       {:>12.1?}", t.wall_time);
@@ -413,8 +393,7 @@ fn cmd_localize(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
 /// emitted as a telemetry JSON line instead of human-readable text.
 ///
 /// The exit code is 0 even when findings are reported — lint is a
-/// reporting tool, not a gate; the gate lives in the repair loop's
-/// static filter.
+/// reporting tool, not a gate.
 fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let lint_usage = "usage: cirfix lint <design.v|repair.conf> [--json]";
     let (input, flags) = args.split_first().ok_or(lint_usage)?;
@@ -521,8 +500,6 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
             let (corpus, _) = store.load_corpus()?;
             println!("  corpus repairs   {:>12}", corpus.len());
-            let (patterns, _) = store.load_patterns()?;
-            println!("  mined patterns   {:>12}", patterns.len());
             if !health.is_clean() {
                 println!(
                     "  damage: {} corrupt record(s), {} torn tail(s) — run `cirfix store verify`",
@@ -578,117 +555,6 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         other => Err(format!("unknown store action `{other}`\n{store_usage}").into()),
     }
-}
-
-/// `cirfix mine`: replay the repair corpus into faulty/repaired edit
-/// scripts, cluster them into ranked fix patterns, and persist them as
-/// a checksummed patterns file.
-///
-/// ```text
-/// cirfix mine <store-dir>        mine corpus/corpus.jsonl, write patterns/patterns.jsonl
-/// cirfix mine <corpus.jsonl>     mine a raw corpus segment (requires --out)
-/// cirfix mine ... --out FILE     write the patterns file elsewhere
-/// cirfix mine ... --jobs N       replay records on N threads (0 = auto)
-/// cirfix mine ... --json         machine-readable summary line
-/// ```
-///
-/// Mining is deterministic: the same corpus bytes produce the same
-/// patterns file bytes for every `--jobs` value. The output feeds back
-/// into the search via `cirfix repair ... --mined-patterns FILE`.
-fn cmd_mine(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mine_usage = "usage: cirfix mine <store-dir|corpus.jsonl> [--out FILE] [--jobs N] [--json]";
-    let (input, flags) = args.split_first().ok_or(mine_usage)?;
-    let mut out: Option<PathBuf> = None;
-    let mut jobs = 0usize;
-    let mut json = false;
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--out" => {
-                let value = flags.get(i + 1).ok_or("--out needs a value")?;
-                out = Some(PathBuf::from(value));
-                i += 2;
-            }
-            "--jobs" => {
-                let value = flags.get(i + 1).ok_or("--jobs needs a value")?;
-                jobs = value
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a number, got `{value}`"))?;
-                i += 2;
-            }
-            other => return Err(format!("unknown flag `{other}`\n{mine_usage}").into()),
-        }
-    }
-    let path = Path::new(input);
-    let (records, health, out_path) = if path.is_dir() {
-        let store = cirfix_store::Store::open(path)?;
-        let (records, health) = store.load_corpus()?;
-        (
-            records,
-            health,
-            out.unwrap_or_else(|| store.patterns_path()),
-        )
-    } else {
-        let (records, health) = cirfix_store::read_segment(path)?;
-        let out = out.ok_or("mining a raw corpus file requires --out FILE")?;
-        (records, health, out)
-    };
-    if !health.is_clean() {
-        eprintln!(
-            "warning: corpus damage: {} corrupt record(s){} — damaged records skipped",
-            health.corrupt.len(),
-            if health.torn_tail.is_some() {
-                ", torn tail"
-            } else {
-                ""
-            }
-        );
-    }
-    let report = cirfix_mine::mine_corpus(&records, cirfix::resolve_jobs(jobs));
-    if let Some(parent) = out_path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
-    cirfix_mine::write_patterns_file(&out_path, &report.patterns)
-        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-    if json {
-        println!("{}", cirfix_mine::report_to_json(&report).to_json());
-        return Ok(());
-    }
-    println!(
-        "mined {} pattern(s) from {} corpus record(s): {} script(s), skipped {} missing-source, {} unparseable, {} empty-diff",
-        report.patterns.len(),
-        report.records,
-        report.scripts,
-        report.skipped_missing,
-        report.skipped_parse,
-        report.skipped_empty
-    );
-    for p in &report.patterns {
-        let step = &p.steps[0];
-        let more = if p.steps.len() > 1 {
-            format!(" (+{} more step(s))", p.steps.len() - 1)
-        } else {
-            String::new()
-        };
-        println!(
-            "  support {:>4}  {} {}@{}: {} -> {}{more}",
-            p.support,
-            step.action.as_str(),
-            step.node_kind,
-            step.parent_kind,
-            step.before,
-            step.after
-        );
-    }
-    println!("patterns written to {}", out_path.display());
-    Ok(())
 }
 
 /// `cirfix report`: fold a JSON-lines telemetry trace, or a persisted
@@ -1262,24 +1128,7 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (addr, flags) = split_socket(flags)?;
     // Same `--key value` grammar as `cirfix repair`, forwarded as
     // `(key, value)` pairs for the daemon to apply.
-    let mut overrides: Vec<(String, String)> = Vec::new();
-    let mut i = 0;
-    while i < flags.len() {
-        let key = flags[i]
-            .strip_prefix("--")
-            .ok_or_else(|| ConfigError(format!("expected --key, got `{}`", flags[i])))?;
-        let key = key.replace('-', "_");
-        if conf::BOOL_FLAGS.contains(&key.as_str()) {
-            overrides.push((key, "true".to_string()));
-            i += 1;
-            continue;
-        }
-        let value = flags
-            .get(i + 1)
-            .ok_or_else(|| ConfigError(format!("--{key} needs a value")))?;
-        overrides.push((key, value.clone()));
-        i += 2;
-    }
+    let overrides = conf::parse_overrides(&flags)?;
     // The daemon resolves the conf relative to its own cwd; send an
     // absolute path so submissions work from anywhere.
     let conf_abs =

@@ -144,8 +144,15 @@ fn localize_command_lists_implicated_statements() {
 fn bad_usage_fails_cleanly() {
     let out = cirfix(&[]);
     assert!(!out.status.success());
-    let out = cirfix(&["bogus", "/nonexistent.conf"]);
-    assert!(!out.status.success());
+    for command in ["bogus", "mine"] {
+        let out = cirfix(&[command, "/nonexistent.conf"]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command `{command}`")),
+            "{stderr}"
+        );
+    }
     let out = cirfix(&["repair", "/nonexistent.conf"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));

@@ -5,9 +5,9 @@ use cirfix_telemetry::{Event, LintEvent};
 
 /// How bad a finding is.
 ///
-/// Only [`Severity::Error`] findings gate candidate mutants in the
-/// repair loop's static filter; warnings are advisory and surface in
-/// the `lint` CLI output and telemetry stream.
+/// [`Severity::Error`] findings mark definite defects (the defect
+/// fuzzer discards mutants that add any); warnings are advisory. Both
+/// surface in the `lint` CLI output and telemetry stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suspicious but potentially intentional.

@@ -16,20 +16,13 @@
 //!   assignment width mismatches.
 //! * **Entry points** — [`lint_module`] / [`lint_file`] /
 //!   [`lint_modules`] run everything, and [`diagnostic_event`] bridges
-//!   findings into the `cirfix-telemetry` event stream so the `lint`
-//!   CLI and the repair loop's static filter emit identical JSON.
-//!
-//! The repair engine uses this crate two ways: the **static filter**
-//!   rejects candidate mutants that introduce new error-severity
-//!   findings before paying for simulation, and the **lint prior**
-//!   boosts fault-localization suspiciousness of implicated nodes.
+//!   findings into the `cirfix-telemetry` event stream (the `lint`
+//!   CLI's `--json` output).
 
 pub mod cfg;
 pub mod diagnostic;
 pub mod passes;
 pub mod structure;
-
-use std::collections::BTreeMap;
 
 use cirfix_ast::{Module, SourceFile};
 
@@ -75,31 +68,6 @@ pub fn lint_modules(file: &SourceFile, names: &[String]) -> Vec<(String, Diagnos
     out
 }
 
-/// Groups a module's diagnostic codes by the node they point at —
-/// the anchor-context shape the fix-pattern miner attaches to edit
-/// sites. Codes at each node are sorted and deduplicated.
-pub fn diagnostics_by_node(module: &Module) -> BTreeMap<cirfix_ast::NodeId, Vec<String>> {
-    let mut out: BTreeMap<cirfix_ast::NodeId, Vec<String>> = BTreeMap::new();
-    for d in lint_module(module) {
-        out.entry(d.node_id).or_default().push(d.code.to_string());
-    }
-    for codes in out.values_mut() {
-        codes.sort();
-        codes.dedup();
-    }
-    out
-}
-
-/// Counts error-severity diagnostics per code — the shape the repair
-/// loop's static filter compares against its baseline.
-pub fn error_code_counts(diags: &[Diagnostic]) -> BTreeMap<&'static str, usize> {
-    let mut out = BTreeMap::new();
-    for d in diags.iter().filter(|d| d.severity == Severity::Error) {
-        *out.entry(d.code).or_insert(0) += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +103,5 @@ mod tests {
             diags.iter().all(|(_, d)| d.severity != Severity::Error),
             "unexpected errors: {diags:?}"
         );
-    }
-
-    #[test]
-    fn error_code_counts_ignores_warnings() {
-        let diags = vec![
-            Diagnostic::error("multiple-drivers", 1, "m"),
-            Diagnostic::error("multiple-drivers", 2, "m"),
-            Diagnostic::warning("inferred-latch", 3, "m"),
-        ];
-        let counts = error_code_counts(&diags);
-        assert_eq!(counts.get("multiple-drivers"), Some(&2));
-        assert!(!counts.contains_key("inferred-latch"));
     }
 }

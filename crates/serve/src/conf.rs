@@ -24,7 +24,7 @@ use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
 
 /// A parsed repair configuration file.
 ///
-/// Recognized keys:
+/// Recognized keys (the [`KEYS`] list; any other key is an error):
 ///
 /// | key | meaning | default |
 /// |---|---|---|
@@ -49,7 +49,6 @@ use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
 /// | `eval_timeout` | per-candidate wall-clock budget in seconds (fractions allowed); `0` = unbudgeted | `0` |
 /// | `sim_step_limit` | cap on total simulator operations per candidate | simulator default |
 /// | `chaos` | deterministic fault-injection spec, e.g. `panic@5,storefail@2,transient` | off |
-/// | `mined_patterns` | patterns file from `cirfix mine`; enables learned templates + mutation prior | off |
 /// | `output` | where to write the repaired design | `repaired.v` |
 /// | `trace_out` | stream telemetry events as JSON lines to this path | off |
 /// | `trace_timing` | `wall` records real durations; `off` scrubs them for byte-reproducible traces | `wall` |
@@ -58,10 +57,61 @@ use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
 /// | `resume` | continue an interrupted session from its last checkpoint | `false` |
 /// | `halt_after` | stop right after checkpointing generation N (deterministic kill stand-in) | off |
 /// | `result_out` | where to write the canonical, timing-free result JSON | off |
+/// | `vcd` | `simulate`: write the recorded waveform to this VCD file | off |
+/// | `verify_design` | `verify`: the repaired design to check | `output` |
+/// | `verify_testbench` | `verify`: path to the held-out verification bench (required) | — |
+/// | `verify_top` | `verify`: the verification bench's top module (required) | — |
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     values: HashMap<String, String>,
     base_dir: PathBuf,
+}
+
+/// Every key a getter reads, in the order of the [`Config`] table.
+pub const KEYS: &[&str] = &[
+    "design",
+    "golden",
+    "testbench",
+    "top",
+    "design_modules",
+    "probe_signals",
+    "probe_start",
+    "probe_period",
+    "max_time",
+    "popn_size",
+    "max_generations",
+    "trials",
+    "seed",
+    "timeout_s",
+    "max_evals",
+    "phi",
+    "jobs",
+    "batch_size",
+    "eval_timeout",
+    "sim_step_limit",
+    "chaos",
+    "output",
+    "trace_out",
+    "trace_timing",
+    "metrics",
+    "store",
+    "resume",
+    "halt_after",
+    "result_out",
+    "vcd",
+    "verify_design",
+    "verify_testbench",
+    "verify_top",
+];
+
+/// The one check every key passes on its way into a [`Config`]: a
+/// misspelt key is an error instead of a silently ignored setting.
+fn check_key(key: &str) -> Result<(), ConfigError> {
+    if KEYS.contains(&key) {
+        Ok(())
+    } else {
+        Err(ConfigError(format!("unknown key `{key}`")))
+    }
 }
 
 /// A configuration error with context.
@@ -82,7 +132,7 @@ impl Config {
     /// # Errors
     ///
     /// Returns an error for lines that are not comments, blanks, or
-    /// `key = value` pairs.
+    /// `key = value` pairs, and for keys not in [`KEYS`].
     pub fn parse(text: &str, base_dir: &Path) -> Result<Config, ConfigError> {
         let mut values = HashMap::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -96,7 +146,9 @@ impl Config {
                     lineno + 1
                 )));
             };
-            values.insert(key.trim().to_string(), value.trim().to_string());
+            let key = key.trim();
+            check_key(key).map_err(|e| ConfigError(format!("line {}: {}", lineno + 1, e.0)))?;
+            values.insert(key.to_string(), value.trim().to_string());
         }
         Ok(Config {
             values,
@@ -116,9 +168,16 @@ impl Config {
         Config::parse(&text, base)
     }
 
-    /// Overrides a key (used for `--key value` command-line overrides).
-    pub fn set(&mut self, key: &str, value: &str) {
+    /// Overrides a key (`--key value` command-line overrides and the
+    /// daemon's submitted overrides).
+    ///
+    /// # Errors
+    ///
+    /// A key not in [`KEYS`].
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ConfigError> {
+        check_key(key)?;
         self.values.insert(key.to_string(), value.to_string());
+        Ok(())
     }
 
     /// Removes a key, exposing the default again.
@@ -197,16 +256,18 @@ impl Config {
 
 /// Config keys that are valueless switches in `--key` override syntax;
 /// everything else is a `--key value` pair.
-pub const BOOL_FLAGS: &[&str] = &["metrics", "static_filter", "lint_prior", "resume"];
+pub const BOOL_FLAGS: &[&str] = &["metrics", "resume"];
 
-/// Applies `--key value` (and bare `--flag` for [`BOOL_FLAGS`])
-/// overrides to `config`. `cirfix repair` and `cirfix submit` share
-/// this, so a submitted job accepts exactly the batch CLI's syntax.
+/// Parses `--key value` (and bare `--flag` for [`BOOL_FLAGS`]) command
+/// line overrides into `(key, value)` pairs. `cirfix repair` (through
+/// [`apply_overrides`]) and `cirfix submit` share this, so a submitted
+/// job accepts exactly the batch CLI's syntax.
 ///
 /// # Errors
 ///
-/// Malformed switches and missing values.
-pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), ConfigError> {
+/// Malformed switches, unknown keys and missing values.
+pub fn parse_overrides(overrides: &[String]) -> Result<Vec<(String, String)>, ConfigError> {
+    let mut pairs = Vec::new();
     let mut i = 0;
     while i < overrides.len() {
         let key = overrides[i]
@@ -214,16 +275,29 @@ pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), 
             .ok_or_else(|| ConfigError(format!("expected --key, got `{}`", overrides[i])))?;
         // `--trace-out` and `trace_out` name the same config key.
         let key = key.replace('-', "_");
+        check_key(&key)?;
         if BOOL_FLAGS.contains(&key.as_str()) {
-            config.set(&key, "true");
+            pairs.push((key, "true".to_string()));
             i += 1;
             continue;
         }
         let value = overrides
             .get(i + 1)
             .ok_or_else(|| ConfigError(format!("--{key} needs a value")))?;
-        config.set(&key, value);
+        pairs.push((key, value.clone()));
         i += 2;
+    }
+    Ok(pairs)
+}
+
+/// Applies [`parse_overrides`]' pairs to `config`.
+///
+/// # Errors
+///
+/// As [`parse_overrides`].
+pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), ConfigError> {
+    for (key, value) in parse_overrides(overrides)? {
+        config.set(&key, &value)?;
     }
     Ok(())
 }
@@ -303,8 +377,6 @@ pub fn repair_config(config: &Config) -> Result<RepairConfig, ConfigError> {
     rc.fitness = FitnessParams {
         phi: config.num_or("phi", 2.0f64)?,
     };
-    rc.static_filter = config.flag("static_filter");
-    rc.lint_prior = config.flag("lint_prior");
     // `0` = auto: the `CIRFIX_JOBS` environment variable when set,
     // otherwise every available core.
     rc.jobs = config.num_or("jobs", 0usize)?;
@@ -322,11 +394,6 @@ pub fn repair_config(config: &Config) -> Result<RepairConfig, ConfigError> {
         if !plan.is_empty() {
             rc.faults = Some(FaultInjector::new(plan));
         }
-    }
-    if config.required("mined_patterns").is_ok() {
-        let path = config.path("mined_patterns")?;
-        rc.mined_patterns = cirfix::load_mined_patterns(&path)
-            .map_err(|e| ConfigError(format!("cannot load {}: {e}", path.display())))?;
     }
     Ok(rc)
 }
@@ -405,7 +472,7 @@ mod tests {
     #[test]
     fn overrides_apply() {
         let mut c = Config::parse("top = a\n", Path::new(".")).unwrap();
-        c.set("top", "b");
+        c.set("top", "b").unwrap();
         assert_eq!(c.required("top").unwrap(), "b");
         c.unset("top");
         assert!(c.required("top").is_err());
@@ -418,12 +485,12 @@ mod tests {
         let trace = dir.join("t.jsonl");
         std::fs::write(&trace, "kept\n").unwrap();
         let mut c = Config::default();
-        c.set("trace_out", trace.to_str().unwrap());
-        c.set("trace_timing", "bogus");
+        c.set("trace_out", trace.to_str().unwrap()).unwrap();
+        c.set("trace_timing", "bogus").unwrap();
         let err = trace_sink(&c).err().expect("an unknown mode is an error");
         assert!(err.0.contains("trace_timing must be"), "{}", err.0);
         assert_eq!(std::fs::read_to_string(&trace).unwrap(), "kept\n");
-        c.set("trace_timing", "off");
+        c.set("trace_timing", "off").unwrap();
         assert!(trace_sink(&c).unwrap().is_some());
         c.unset("trace_out");
         assert!(trace_sink(&c).unwrap().is_none(), "no trace_out, no sink");
@@ -445,5 +512,48 @@ mod tests {
         assert!(apply_overrides(&mut c, &bad).is_err());
         let dangling: Vec<String> = vec!["--seed".into()];
         assert!(apply_overrides(&mut c, &dangling).is_err());
+    }
+
+    fn names_key(err: ConfigError, key: &str) {
+        assert!(err.0.contains(&format!("`{key}`")), "{}", err.0);
+    }
+
+    #[test]
+    fn a_file_with_an_unknown_key_is_an_error() {
+        let err = Config::parse("top = tb\npopn_sise = 10\n", Path::new(".")).unwrap_err();
+        assert!(err.0.starts_with("line 2:"), "{}", err.0);
+        names_key(err, "popn_sise");
+    }
+
+    #[test]
+    fn an_unknown_override_is_an_error_before_its_value_is_read() {
+        let args: Vec<String> = ["--static-filter", "--jobs", "2"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        names_key(parse_overrides(&args).unwrap_err(), "static_filter");
+        let mut c = Config::default();
+        names_key(apply_overrides(&mut c, &args).unwrap_err(), "static_filter");
+    }
+
+    #[test]
+    fn a_submitted_unknown_key_is_an_error() {
+        // The daemon applies a job's submitted overrides with `set`.
+        let mut c = Config::default();
+        names_key(
+            c.set("mined_patterns", "patterns.jsonl").unwrap_err(),
+            "mined_patterns",
+        );
+        assert!(c.required("mined_patterns").is_err());
+    }
+
+    #[test]
+    fn every_key_in_the_table_is_known() {
+        let table = include_str!("conf.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("/// | `"))
+            .filter_map(|l| l.split('`').next());
+        let keys: Vec<&str> = table.collect();
+        assert_eq!(keys, KEYS);
     }
 }

@@ -723,7 +723,7 @@ struct BuiltJob {
 fn build_job(spec: &JobSpec, opts: &ServeOpts, strip_halt: bool) -> Result<BuiltJob, ConfigError> {
     let mut config = Config::load(std::path::Path::new(&spec.conf))?;
     for (key, value) in &spec.overrides {
-        config.set(key, value);
+        config.set(key, value)?;
     }
     if strip_halt {
         config.unset("halt_after");

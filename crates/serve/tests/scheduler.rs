@@ -87,7 +87,7 @@ fn batch_reference(
 ) -> String {
     let mut config = Config::load(conf_path).expect("conf loads");
     for (key, value) in overrides {
-        config.set(key, value);
+        config.set(key, value).expect("known key");
     }
     let problem = conf::build_problem(&config).expect("problem builds");
     let mut rc = conf::repair_config(&config).expect("repair config builds");
@@ -344,5 +344,24 @@ fn cancelled_job_resumes_on_restart_and_matches_the_search_trajectory() {
             "trajectory field `{key}` must survive cancel + resume"
         );
     }
+    let _ = fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_submitted_unknown_key_is_a_bad_request_naming_the_key() {
+    let dir = fresh_dir("unknown-key");
+    let conf = write_fixture(&dir.join("fx"), "flip_flop_cond");
+    let scheduler = Scheduler::new(ServeOpts::new(dir.join("store"))).expect("scheduler");
+    let err = scheduler
+        .submit(&spec(
+            &conf,
+            base_overrides(1),
+            &[("mined_patterns", "patterns.jsonl")],
+        ))
+        .expect_err("an unknown key must not queue a job");
+    assert_eq!(err.code, "bad_request");
+    assert!(err.message.contains("`mined_patterns`"), "{}", err.message);
+    assert!(scheduler.status(None).is_empty(), "nothing was queued");
+    scheduler.shutdown();
     let _ = fs::remove_dir_all(dir);
 }

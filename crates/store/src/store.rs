@@ -148,7 +148,7 @@ pub struct Store {
 impl Store {
     /// Opens (creating if necessary) a store at `dir`.
     pub fn open(dir: &Path) -> io::Result<Store> {
-        for sub in ["evals", "sessions", "corpus", "jobs", "patterns", "crashes"] {
+        for sub in ["evals", "sessions", "corpus", "jobs", "crashes"] {
             fs::create_dir_all(dir.join(sub))?;
         }
         Ok(Store {
@@ -203,7 +203,7 @@ impl Store {
     /// order.
     pub fn all_segments(&self) -> io::Result<Vec<PathBuf>> {
         let mut all = self.eval_segments()?;
-        for sub in ["sessions", "corpus", "jobs", "patterns", "crashes"] {
+        for sub in ["sessions", "corpus", "jobs", "crashes"] {
             all.extend(segments_of(&self.dir.join(sub))?);
         }
         Ok(all)
@@ -313,39 +313,6 @@ impl Store {
     /// Reads the crash corpus, skipping damaged records.
     pub fn load_crashes(&self) -> io::Result<(Vec<JsonValue>, SegmentHealth)> {
         let path = self.crashes_path();
-        if !path.exists() {
-            return Ok((Vec::new(), SegmentHealth::default()));
-        }
-        read_segment(&path)
-    }
-
-    // ----- patterns ------------------------------------------------------
-
-    /// The mined fix-pattern artifact (`cirfix mine` output).
-    pub fn patterns_path(&self) -> PathBuf {
-        self.dir.join("patterns").join("patterns.jsonl")
-    }
-
-    /// Replaces the pattern artifact atomically with the given records
-    /// (write to a tmp segment, then rename). Mining always rewrites
-    /// the whole ranked set, so there is no append path.
-    pub fn write_patterns(&self, bodies: &[JsonValue]) -> io::Result<()> {
-        let path = self.patterns_path();
-        let tmp = self.dir.join("patterns").join("compact.tmp");
-        let _ = fs::remove_file(&tmp);
-        {
-            let mut w = SegmentWriter::append(&tmp)?;
-            for body in bodies {
-                w.write_record(body)?;
-            }
-            w.sync()?;
-        }
-        fs::rename(&tmp, path)
-    }
-
-    /// Reads the mined pattern artifact, skipping damaged records.
-    pub fn load_patterns(&self) -> io::Result<(Vec<JsonValue>, SegmentHealth)> {
-        let path = self.patterns_path();
         if !path.exists() {
             return Ok((Vec::new(), SegmentHealth::default()));
         }
@@ -535,21 +502,6 @@ impl Store {
                     w.sync()?;
                 }
                 fs::rename(&tmp, &path)?;
-                report.records_kept += bodies.len();
-                report.records_dropped +=
-                    health.corrupt.len() + usize::from(health.torn_tail.is_some());
-            }
-        }
-
-        // Patterns: like the corpus, rewrite without corrupt records
-        // when damaged (the artifact is small and wholly regenerable).
-        let patterns = self.patterns_path();
-        if patterns.exists() {
-            let (bodies, health) = read_segment(&patterns)?;
-            if health.is_clean() {
-                report.records_kept += health.records;
-            } else {
-                self.write_patterns(&bodies)?;
                 report.records_kept += bodies.len();
                 report.records_dropped +=
                     health.corrupt.len() + usize::from(health.torn_tail.is_some());

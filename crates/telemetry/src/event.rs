@@ -73,8 +73,7 @@ pub struct SimStats {
     pub peak_queue_depth: u64,
 }
 
-/// One static-analysis diagnostic (a lint finding, or a mutant rejected
-/// by the repair loop's static filter before simulation).
+/// One static-analysis diagnostic (a lint finding).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LintEvent {
     /// Module the diagnostic is anchored in.
@@ -164,8 +163,6 @@ pub struct HeartbeatEvent {
     pub cache_hits: u64,
     /// Persistent-store cache hits so far.
     pub store_hits: u64,
-    /// Mutants rejected by the static filter before simulation.
-    pub rejected_static: u64,
     /// Evaluations that expired their per-candidate budget.
     pub timeouts: u64,
     /// Evaluations that panicked and were contained.
@@ -187,21 +184,6 @@ pub struct HistogramEvent {
     pub total: u64,
     /// Non-empty buckets as `(bucket index, count)` pairs, ascending.
     pub buckets: Vec<(u32, u64)>,
-}
-
-/// One fix-pattern mining operation or pattern usage in the search.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MineEvent {
-    /// What happened: `"mined"` (patterns written), `"loaded"`
-    /// (patterns fed into a repair run), or `"pattern_hit"` (a mined
-    /// template produced the candidate being reported).
-    pub op: String,
-    /// Shape digest of the pattern involved (empty for aggregates).
-    pub pattern: String,
-    /// The pattern's corpus support (0 for aggregates).
-    pub support: u64,
-    /// Operation-specific count: patterns written/loaded, or 1 per hit.
-    pub count: u64,
 }
 
 /// Any telemetry event the pipeline can emit.
@@ -229,8 +211,6 @@ pub enum Event {
     Heartbeat(HeartbeatEvent),
     /// A log-bucketed latency histogram.
     Histogram(HistogramEvent),
-    /// A fix-pattern mining operation or mined-pattern usage.
-    Mine(MineEvent),
 }
 
 impl Event {
@@ -248,7 +228,6 @@ impl Event {
             Event::Phase(_) => "phase",
             Event::Heartbeat(_) => "heartbeat",
             Event::Histogram(_) => "histogram",
-            Event::Mine(_) => "mine",
         }
     }
 
@@ -332,7 +311,6 @@ impl Event {
                 pairs.push(("fitness_evals", JsonValue::Uint(h.fitness_evals)));
                 pairs.push(("cache_hits", JsonValue::Uint(h.cache_hits)));
                 pairs.push(("store_hits", JsonValue::Uint(h.store_hits)));
-                pairs.push(("rejected_static", JsonValue::Uint(h.rejected_static)));
                 pairs.push(("timeouts", JsonValue::Uint(h.timeouts)));
                 pairs.push(("panics", JsonValue::Uint(h.panics)));
                 pairs.push(("exhausted", JsonValue::Uint(h.exhausted)));
@@ -355,12 +333,6 @@ impl Event {
                             .collect(),
                     ),
                 ));
-            }
-            Event::Mine(m) => {
-                pairs.push(("op", JsonValue::Str(m.op.clone())));
-                pairs.push(("pattern", JsonValue::Str(m.pattern.clone())));
-                pairs.push(("support", JsonValue::Uint(m.support)));
-                pairs.push(("count", JsonValue::Uint(m.count)));
             }
         }
         for &(key, value) in tags {
@@ -430,12 +402,6 @@ mod tests {
                 name: "eval_latency".into(),
                 total: 5,
                 buckets: vec![(14, 3), (17, 2)],
-            }),
-            Event::Mine(MineEvent {
-                op: "pattern_hit".into(),
-                pattern: "6c62272e07bb014262b821756295c58d".into(),
-                support: 3,
-                count: 1,
             }),
         ];
         for e in &events {

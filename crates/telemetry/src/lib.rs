@@ -38,7 +38,7 @@ mod sink;
 
 pub use event::{
     CandidateEvent, EvalOutcomeEvent, Event, FaultLocEvent, GenerationStats, HeartbeatEvent,
-    HistogramEvent, LintEvent, MineEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
+    HistogramEvent, LintEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
 };
 pub use json::{
     field, field_f64, field_str, field_u64, json_f64, parse_json, validate_json_line, JsonValue,

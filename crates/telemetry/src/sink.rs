@@ -168,7 +168,6 @@ struct SummaryState {
     phases: Vec<(String, u64, u64)>, // name, count, total nanos
     heartbeats: u64,
     eval_samples: u64, // eval-latency histogram totals
-    pattern_hits: u64, // mined-template candidates proposed
 }
 
 /// Accumulates events and renders a human-readable end-of-run report.
@@ -263,10 +262,6 @@ impl SummarySink {
                 let _ = writeln!(out, "  {name:<20} {count:>6}x {ms:>12.3} ms");
             }
         }
-        if s.pattern_hits > 0 {
-            let _ = writeln!(out, "mined patterns:");
-            let _ = writeln!(out, "  template hits        {:>12}", s.pattern_hits);
-        }
         if s.heartbeats > 0 {
             let _ = writeln!(out, "heartbeats:");
             let _ = writeln!(out, "  snapshots            {:>12}", s.heartbeats);
@@ -350,11 +345,6 @@ impl TelemetrySink for SummarySink {
             }
             Event::Histogram(h) => {
                 s.eval_samples += h.total;
-            }
-            Event::Mine(m) => {
-                if m.op == "pattern_hit" {
-                    s.pattern_hits += m.count;
-                }
             }
         }
     }

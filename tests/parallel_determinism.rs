@@ -26,7 +26,6 @@ fn fingerprint(r: &RepairResult) -> impl PartialEq + std::fmt::Debug {
         r.repaired_source.clone(),
         r.cache_hits,
         r.minimize_evals,
-        r.rejected_static,
     )
 }
 

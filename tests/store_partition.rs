@@ -251,3 +251,54 @@ fn legacy_layouts_stay_warm_resumable_and_in_place_through_gc() {
     let _ = fs::remove_dir_all(full_dir);
     let _ = fs::remove_dir_all(halt_dir);
 }
+
+/// Stores written before fix-pattern mining was removed may hold a
+/// `patterns/patterns.jsonl` family. The store no longer knows it: it
+/// opens, verifies clean, collects garbage around the stray directory
+/// without touching it, and its sessions still resume.
+#[test]
+fn a_leftover_patterns_family_is_left_alone() {
+    let p = problem("flip_flop_cond");
+    let full_dir = fresh_dir("patterns-full");
+    let full = repair_session(&p, &config(), 2, &full_dir, false).expect("full session runs");
+
+    let dir = fresh_dir("patterns-halt");
+    let halted_config = RepairConfig {
+        halt_after: Some(0),
+        ..config()
+    };
+    let halted = repair_session(&p, &halted_config, 2, &dir, false).expect("halted run");
+    assert_eq!(halted.status, RepairStatus::Interrupted);
+    let patterns = dir.join("patterns").join("patterns.jsonl");
+    fs::create_dir_all(patterns.parent().unwrap()).expect("patterns dir");
+    let mut w = SegmentWriter::append(&patterns).expect("patterns segment");
+    for support in [3, 1] {
+        w.write_record(&JsonValue::obj(vec![
+            ("shape", JsonValue::Str(format!("{support:032x}"))),
+            ("support", JsonValue::Uint(support)),
+        ]))
+        .expect("pattern written");
+    }
+    w.sync().expect("patterns synced");
+    drop(w);
+    let bytes = fs::read(&patterns).expect("patterns read");
+
+    let store = Store::open(&dir).expect("store with a patterns family opens");
+    let report = store.verify().expect("verify runs");
+    assert!(report.is_clean(), "verify: {report:?}");
+    store.gc().expect("gc runs");
+    assert_eq!(
+        fs::read(&patterns).expect("patterns still there"),
+        bytes,
+        "gc touched the stray patterns family"
+    );
+
+    let resumed = repair_session(&p, &config(), 2, &dir, true).expect("resumed run");
+    assert_eq!(
+        result_to_canonical_json(&full).to_json(),
+        result_to_canonical_json(&resumed).to_json(),
+        "a store with a patterns family must resume to the uninterrupted result"
+    );
+    let _ = fs::remove_dir_all(full_dir);
+    let _ = fs::remove_dir_all(dir);
+}
