@@ -106,10 +106,10 @@ pub use persist::{
     variant_fingerprint,
 };
 pub use repair::{
-    evaluate, panic_message, repair, repair_with_trials, strip_hierarchy, Evaluation, RepairConfig,
-    RepairResult, RepairStatus, Repairer, RunTotals,
+    evaluate, panic_message, repair, repair_with_trials, sim_stats, strip_hierarchy, Evaluation,
+    RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals,
 };
-pub use report::RunReport;
+pub use report::{ReportSink, RunReport};
 pub use select::{elite_indices, tournament_select};
 pub use session::{repair_session, SessionError, SharedEvalCache};
 pub use templates::{applicable_templates, random_template};

@@ -2,7 +2,7 @@
 //!
 //! Every candidate the search touches gets exactly one [`EvalOutcome`]:
 //! a clean simulation, one of the simulator's guard trips, a wall-clock
-//! budget expiry, a worker panic, or a static rejection. The mapping is
+//! budget expiry, a worker panic, or a bloat rejection. The mapping is
 //! total and deterministic — a candidate that misbehaves in any of these
 //! ways is *classified and scored* (worst fitness), never silently
 //! dropped, mirroring how the paper's prototype discards candidates that

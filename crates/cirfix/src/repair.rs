@@ -492,7 +492,7 @@ pub fn strip_hierarchy(name: &str) -> String {
 }
 
 /// Translates simulator effort counters into the telemetry payload.
-fn sim_stats(m: &SimMetrics) -> SimStats {
+pub fn sim_stats(m: &SimMetrics) -> SimStats {
     SimStats {
         active_events: m.active_events,
         inactive_events: m.inactive_events,

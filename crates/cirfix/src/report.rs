@@ -1,52 +1,39 @@
-//! Run reports: folding a telemetry trace or a persisted session log
-//! into one post-hoc summary of a repair run.
+//! Run reports: folding the run record into one post-hoc summary of a
+//! repair run.
 //!
-//! The GP search emits a JSON-lines trace (PR 1's observer) and a
-//! crash-safe session log (PR 4's store). Both describe the same run
-//! from different angles — the trace is event-by-event, the log is
-//! checkpoint-by-checkpoint — and neither is pleasant to read raw.
-//! [`RunReport`] folds either into the questions §5 of the paper
-//! actually asks of a run: did fitness converge and how fast
-//! (convergence curve per generation), where did the time go (per-phase
-//! busy breakdown), what happened to the candidates (outcome table),
-//! did the caches help (cache/store effectiveness), and which operators
-//! earned their keep (proposed vs. survived vs. plausible).
+//! A run describes itself twice. Its telemetry events — a JSON-lines
+//! trace, the daemon's heartbeat stream, or the live observer — record
+//! it event by event; its session log in a store records it checkpoint
+//! by checkpoint. Neither is pleasant to read raw. [`RunReport`] folds
+//! either into the questions §5 of the paper actually asks of a run:
+//! did fitness converge and how fast (convergence curve per
+//! generation), where did the time go (per-phase busy breakdown and
+//! spans), what happened to the candidates (outcome table, simulator
+//! effort), did the caches help (cache/store effectiveness), and which
+//! operators earned their keep (proposed vs. survived vs. plausible).
+//!
+//! Every reader of events goes through one fold step,
+//! [`RunReport::fold`]: [`RunReport::from_trace`] for `cirfix report`,
+//! both `cirfix watch` paths, and the [`ReportSink`] behind `--metrics`,
+//! which folds each [`Event::to_value`] without serializing it. Session
+//! logs are decoded by the session codec itself (`Checkpoint::from_json`),
+//! the same one a resume reads.
 //!
 //! Folding is pure and deterministic: the same trace bytes produce the
 //! same report bytes, so reports on timing-free traces are themselves
 //! byte-identical across worker counts.
 
-use cirfix_store::{field, field_f64, field_str, field_u64, parse_json};
-use cirfix_telemetry::{HeartbeatEvent, JsonValue};
+use std::sync::Mutex;
 
-/// One generation of the convergence curve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerationRow {
-    /// Generation index (0 = seed population).
-    pub generation: u64,
-    /// Best fitness in the population.
-    pub best: f64,
-    /// Median fitness.
-    pub median: f64,
-    /// Mean fitness.
-    pub mean: f64,
-    /// Distinct fitness values (diversity proxy).
-    pub distinct: u64,
-}
+use cirfix_telemetry::{
+    field, field_f64, field_str, field_u64, parse_json, Event, GenerationStats, HeartbeatEvent,
+    HistogramEvent, JsonValue, PhaseEvent, SimStats, TelemetrySink,
+};
 
-/// Aggregated busy time for one pipeline phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRow {
-    /// Phase name (`"parse"`, `"elaborate"`, ...).
-    pub name: String,
-    /// Spans closed against the phase.
-    pub count: u64,
-    /// Exclusive busy nanoseconds across all workers.
-    pub nanos: u64,
-}
+use crate::session::Checkpoint;
 
 /// Efficacy of one candidate-producing operator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OperatorRow {
     /// Operator label (`"template"`, `"mutation"`, `"crossover"`, ...).
     pub op: String,
@@ -58,44 +45,9 @@ pub struct OperatorRow {
     pub plausible: u64,
 }
 
-/// One trial folded from a session log's final checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialRow {
-    /// Trial index.
-    pub trial: u64,
-    /// Last checkpointed generation.
-    pub generation: u64,
-    /// Fresh fitness evaluations.
-    pub evals: u64,
-    /// In-memory cache hits.
-    pub cache_hits: u64,
-    /// Persistent-store hits.
-    pub store_hits: u64,
-    /// Persistent-store write-throughs.
-    pub store_writes: u64,
-    /// Evaluations spent minimizing.
-    pub minimize_evals: u64,
-    /// Budget-expired evaluations.
-    pub timeouts: u64,
-    /// Contained panics.
-    pub panics: u64,
-    /// Resource-guard stops.
-    pub exhausted: u64,
-    /// Wall-clock nanoseconds at the checkpoint.
-    pub elapsed_nanos: u64,
-    /// Summed worker busy nanoseconds.
-    pub busy_nanos: u64,
-    /// Best fitness reached.
-    pub best: f64,
-    /// Best-fitness-so-far per generation (the convergence curve).
-    pub history: Vec<f64>,
-    /// Whether the trial found a plausible repair.
-    pub found: bool,
-}
-
-/// A folded run report; build with [`RunReport::from_trace`] or
-/// [`RunReport::from_session`], consume with [`RunReport::render`] or
-/// [`RunReport::to_json`].
+/// A folded run report; build with [`RunReport::from_trace`],
+/// [`RunReport::from_session`] or a live [`ReportSink`], consume with
+/// [`RunReport::render`] or [`RunReport::to_json`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// `"trace"` or `"session"`.
@@ -104,12 +56,18 @@ pub struct RunReport {
     pub events: u64,
     /// Session header fields, in log order (sessions only).
     pub meta: Vec<(String, String)>,
-    /// Convergence curve (traces only; sessions put it per trial).
-    pub generations: Vec<GenerationRow>,
-    /// Per-trial summaries (sessions only).
-    pub trials: Vec<TrialRow>,
-    /// Per-phase busy breakdown, in first-seen order.
-    pub phases: Vec<PhaseRow>,
+    /// Convergence curve: the generation events (traces only; sessions
+    /// put it per trial).
+    pub generations: Vec<GenerationStats>,
+    /// Each trial's last checkpoint, with the trial index (sessions
+    /// only).
+    pub(crate) trials: Vec<(u64, Checkpoint)>,
+    /// Per-phase busy breakdown, phase events summed by name in
+    /// first-seen order.
+    pub phases: Vec<PhaseEvent>,
+    /// Closed spans (`repair`, `minimize`, ...) counted and their wall
+    /// time summed by name, in first-seen order.
+    pub spans: Vec<PhaseEvent>,
     /// Evaluation outcome counts, in first-seen order.
     pub outcomes: Vec<(String, u64)>,
     /// Operator efficacy, in first-seen order.
@@ -118,19 +76,37 @@ pub struct RunReport {
     pub candidates: u64,
     /// Candidates answered from a cache.
     pub cached: u64,
+    /// Summed candidate fitness, the numerator of the mean (a NaN
+    /// fitness poisons it, visibly).
+    pub fitness_sum: f64,
+    /// Edits in the longest candidate patch.
+    pub longest_patch: u64,
+    /// Fault-localization passes.
+    pub fault_loc_passes: u64,
+    /// Nodes the last fault-localization pass implicated.
+    pub implicated_nodes: u64,
+    /// Simulation runs observed.
+    pub sim_runs: u64,
+    /// Their effort counters, summed; `peak_queue_depth` is the maximum.
+    pub sim: SimStats,
     /// Store operation counts (`hit`, `write`, ...), in first-seen order.
     pub store_ops: Vec<(String, u64)>,
+    /// Records the store's `damage` operations skipped.
+    pub damaged_records: u64,
     /// The last heartbeat seen (the terminal snapshot, normally).
     pub heartbeat: Option<HeartbeatEvent>,
-    /// Eval-latency histogram: total samples and `(bucket, count)`
-    /// pairs, merged across trials.
-    pub eval_latency: Option<(u64, Vec<(u32, u64)>)>,
+    /// Heartbeats seen.
+    pub heartbeats: u64,
+    /// Eval-latency histogram, merged across trials (buckets in
+    /// bucket order).
+    pub eval_latency: Option<HistogramEvent>,
     /// Terminal status (`"plausible"`, `"exhausted"`, `"interrupted"`,
     /// or a heartbeat status), when one was recorded.
     pub status: Option<String>,
     /// Non-empty trace lines that were not valid JSON (truncated tails,
-    /// interleaved garbage). They are skipped, not fatal: a report over
-    /// a torn trace still folds everything that did survive.
+    /// interleaved garbage), and session checkpoints the session codec
+    /// rejects. They are skipped, not fatal: a report over a torn
+    /// record still folds everything that did survive.
     pub malformed_lines: u64,
 }
 
@@ -138,6 +114,20 @@ fn bump(table: &mut Vec<(String, u64)>, key: &str, by: u64) {
     match table.iter_mut().find(|(k, _)| k == key) {
         Some((_, n)) => *n += by,
         None => table.push((key.to_string(), by)),
+    }
+}
+
+fn add_row(rows: &mut Vec<PhaseEvent>, name: &str, count: u64, nanos: u64) {
+    match rows.iter_mut().find(|p| p.name == name) {
+        Some(p) => {
+            p.count += count;
+            p.nanos += nanos;
+        }
+        None => rows.push(PhaseEvent {
+            name: name.to_string(),
+            count,
+            nanos,
+        }),
     }
 }
 
@@ -156,138 +146,148 @@ fn heartbeat_from(v: &JsonValue) -> HeartbeatEvent {
     }
 }
 
-/// Parses one trace line and returns its heartbeat, if it is one.
-/// Shared with `cirfix watch`, which redraws on every heartbeat.
-pub fn heartbeat_line(line: &str) -> Option<HeartbeatEvent> {
-    let v = parse_json(line.trim()).ok()?;
-    (field_str(&v, "type") == Some("heartbeat")).then(|| heartbeat_from(&v))
-}
-
 impl RunReport {
-    /// Folds a JSON-lines telemetry trace into a report.
-    ///
-    /// Non-empty lines that are not valid JSON — truncated tails from a
-    /// killed writer, interleaved garbage — are skipped and counted in
-    /// [`RunReport::malformed_lines`] rather than aborting the fold.
-    /// Unknown event types are ignored (traces are allowed to grow new
-    /// event kinds).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; the `Result` is kept so future callers can
-    /// surface I/O-level failures without changing every call site.
-    pub fn from_trace(text: &str) -> Result<RunReport, String> {
+    /// Folds a JSON-lines telemetry trace into a report, one
+    /// [`RunReport::fold_line`] per line.
+    pub fn from_trace(text: &str) -> RunReport {
         let mut r = RunReport {
             source: "trace".to_string(),
             ..RunReport::default()
         };
-        let mut hist: Vec<(u32, u64)> = Vec::new();
-        let mut hist_total = 0u64;
         for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
+            r.fold_line(line);
+        }
+        r
+    }
+
+    /// Folds one trace line, like [`RunReport::fold`]. Blank lines are
+    /// skipped; non-empty lines that are not valid JSON — truncated
+    /// tails from a killed writer, interleaved garbage — are counted in
+    /// [`RunReport::malformed_lines`] rather than aborting the fold.
+    pub fn fold_line(&mut self, line: &str) -> Option<HeartbeatEvent> {
+        let line = line.trim();
+        if line.is_empty() {
+            return None;
+        }
+        match parse_json(line) {
+            Ok(v) => self.fold(&v),
+            Err(_) => {
+                self.malformed_lines += 1;
+                None
             }
-            let Ok(v) = parse_json(line.trim()) else {
-                r.malformed_lines += 1;
-                continue;
-            };
-            r.events += 1;
-            match field_str(&v, "type").unwrap_or("") {
-                "generation" => r.generations.push(GenerationRow {
-                    generation: field_u64(&v, "generation").unwrap_or(0),
-                    best: field_f64(&v, "best_fitness").unwrap_or(0.0),
-                    median: field_f64(&v, "median_fitness").unwrap_or(0.0),
-                    mean: field_f64(&v, "mean_fitness").unwrap_or(0.0),
-                    distinct: field_u64(&v, "distinct_fitness").unwrap_or(0),
-                }),
-                "candidate" => {
-                    r.candidates += 1;
-                    if matches!(field(&v, "cached"), Some(JsonValue::Bool(true))) {
-                        r.cached += 1;
-                    }
-                    let op = field_str(&v, "op").unwrap_or("");
-                    let fitness = field_f64(&v, "fitness").unwrap_or(f64::NAN);
-                    let row = match r.operators.iter_mut().find(|o| o.op == op) {
-                        Some(row) => row,
-                        None => {
-                            r.operators.push(OperatorRow {
-                                op: op.to_string(),
-                                proposed: 0,
-                                survived: 0,
-                                plausible: 0,
-                            });
-                            r.operators.last_mut().expect("just pushed")
-                        }
-                    };
-                    row.proposed += 1;
-                    // NaN fails both comparisons: a poisoned fitness
-                    // neither survives nor counts as plausible.
-                    if fitness > 0.0 {
-                        row.survived += 1;
-                    }
-                    if fitness >= 1.0 {
-                        row.plausible += 1;
-                    }
+        }
+    }
+
+    /// Folds one telemetry event, as a trace line holds it — the one
+    /// fold step behind every event reader. Unknown event types are
+    /// counted and otherwise ignored (traces may grow new event kinds).
+    /// Returns the event's heartbeat, if it was one: what a live viewer
+    /// redraws.
+    pub fn fold(&mut self, v: &JsonValue) -> Option<HeartbeatEvent> {
+        self.events += 1;
+        let text = |key| field_str(v, key).unwrap_or("");
+        let uint = |key| field_u64(v, key).unwrap_or(0);
+        match text("type") {
+            "generation" => self.generations.push(GenerationStats {
+                generation: uint("generation"),
+                best_fitness: field_f64(v, "best_fitness").unwrap_or(0.0),
+                median_fitness: field_f64(v, "median_fitness").unwrap_or(0.0),
+                mean_fitness: field_f64(v, "mean_fitness").unwrap_or(0.0),
+                distinct_fitness: uint("distinct_fitness"),
+                elites: uint("elites"),
+                template_children: uint("template_children"),
+                mutation_children: uint("mutation_children"),
+                crossover_children: uint("crossover_children"),
+            }),
+            "candidate" => {
+                self.candidates += 1;
+                if matches!(field(v, "cached"), Some(JsonValue::Bool(true))) {
+                    self.cached += 1;
                 }
-                "eval_outcome" => {
-                    bump(&mut r.outcomes, field_str(&v, "kind").unwrap_or(""), 1);
-                }
-                "phase" => {
-                    let name = field_str(&v, "name").unwrap_or("");
-                    let count = field_u64(&v, "count").unwrap_or(0);
-                    let nanos = field_u64(&v, "nanos").unwrap_or(0);
-                    match r.phases.iter_mut().find(|p| p.name == name) {
-                        Some(p) => {
-                            p.count += count;
-                            p.nanos += nanos;
-                        }
-                        None => r.phases.push(PhaseRow {
-                            name: name.to_string(),
-                            count,
-                            nanos,
-                        }),
+                let fitness = field_f64(v, "fitness").unwrap_or(f64::NAN);
+                self.fitness_sum += fitness;
+                self.longest_patch = self.longest_patch.max(uint("patch_len"));
+                let op = text("op");
+                let row = match self.operators.iter_mut().find(|o| o.op == op) {
+                    Some(row) => row,
+                    None => {
+                        self.operators.push(OperatorRow {
+                            op: op.to_string(),
+                            ..OperatorRow::default()
+                        });
+                        self.operators.last_mut().expect("just pushed")
                     }
+                };
+                row.proposed += 1;
+                // NaN fails both comparisons: a poisoned fitness
+                // neither survives nor counts as plausible.
+                if fitness > 0.0 {
+                    row.survived += 1;
                 }
-                "heartbeat" => {
-                    let h = heartbeat_from(&v);
-                    r.status = Some(h.status.clone());
-                    r.heartbeat = Some(h);
+                if fitness >= 1.0 {
+                    row.plausible += 1;
                 }
-                "histogram" => {
-                    hist_total += field_u64(&v, "total").unwrap_or(0);
-                    if let Some(JsonValue::Array(buckets)) = field(&v, "buckets") {
-                        for b in buckets {
-                            if let JsonValue::Array(pair) = b {
-                                if let (Some(JsonValue::Uint(i)), Some(JsonValue::Uint(c))) =
-                                    (pair.first(), pair.get(1))
-                                {
-                                    let idx = *i as u32;
-                                    match hist.iter_mut().find(|(j, _)| *j == idx) {
-                                        Some((_, n)) => *n += c,
-                                        None => hist.push((idx, *c)),
-                                    }
+            }
+            "eval_outcome" => bump(&mut self.outcomes, text("kind"), 1),
+            "phase" => add_row(&mut self.phases, text("name"), uint("count"), uint("nanos")),
+            "span" => add_row(&mut self.spans, text("name"), 1, uint("nanos")),
+            "fault_loc" => {
+                self.fault_loc_passes += 1;
+                self.implicated_nodes = uint("implicated_nodes");
+            }
+            "sim" => {
+                self.sim_runs += 1;
+                let s = &mut self.sim;
+                s.active_events += uint("active_events");
+                s.inactive_events += uint("inactive_events");
+                s.nba_flushes += uint("nba_flushes");
+                s.timesteps += uint("timesteps");
+                s.process_resumptions += uint("process_resumptions");
+                s.peak_queue_depth = s.peak_queue_depth.max(uint("peak_queue_depth"));
+            }
+            "heartbeat" => {
+                let h = heartbeat_from(v);
+                self.status = Some(h.status.clone());
+                self.heartbeat = Some(h.clone());
+                self.heartbeats += 1;
+                return Some(h);
+            }
+            "histogram" => {
+                let h = self.eval_latency.get_or_insert_default();
+                h.name = text("name").to_string();
+                h.total += uint("total");
+                let hist = &mut h.buckets;
+                if let Some(JsonValue::Array(buckets)) = field(v, "buckets") {
+                    for b in buckets {
+                        if let JsonValue::Array(pair) = b {
+                            if let [JsonValue::Uint(i), JsonValue::Uint(c)] = pair.as_slice() {
+                                let idx = *i as u32;
+                                match hist.binary_search_by_key(&idx, |&(j, _)| j) {
+                                    Ok(at) => hist[at].1 += c,
+                                    Err(at) => hist.insert(at, (idx, *c)),
                                 }
                             }
                         }
                     }
                 }
-                "store" => {
-                    bump(&mut r.store_ops, field_str(&v, "op").unwrap_or(""), 1);
-                }
-                _ => {}
             }
+            "store" => {
+                bump(&mut self.store_ops, text("op"), 1);
+                if text("op") == "damage" {
+                    self.damaged_records += uint("records");
+                }
+            }
+            _ => {}
         }
-        if hist_total > 0 {
-            hist.sort_unstable();
-            r.eval_latency = Some((hist_total, hist));
-        }
-        Ok(r)
+        None
     }
 
     /// Folds a persisted session log (as loaded by
     /// `Store::load_session`) into a report: the last checkpoint per
-    /// trial wins, its `history_bits` becomes that trial's convergence
-    /// curve, and a `complete` record sets the terminal status.
+    /// trial wins, its history becomes that trial's convergence curve,
+    /// and a `complete` record sets the terminal status. Checkpoints
+    /// are decoded by the session codec a resume uses; one it rejects
+    /// counts as malformed.
     pub fn from_session(records: &[JsonValue]) -> RunReport {
         let mut r = RunReport {
             source: "session".to_string(),
@@ -314,36 +314,13 @@ impl RunReport {
                 "trial" => trial = field_u64(v, "trial").unwrap_or(trial),
                 "checkpoint" => {
                     let t = field_u64(v, "trial").unwrap_or(trial);
-                    let history = match field(v, "history_bits") {
-                        Some(JsonValue::Array(bits)) => bits
-                            .iter()
-                            .filter_map(|b| match b {
-                                JsonValue::Uint(u) => Some(f64::from_bits(*u)),
-                                _ => None,
-                            })
-                            .collect(),
-                        _ => Vec::new(),
+                    let Ok(cp) = Checkpoint::from_json(v) else {
+                        r.malformed_lines += 1;
+                        continue;
                     };
-                    let row = TrialRow {
-                        trial: t,
-                        generation: field_u64(v, "generation").unwrap_or(0),
-                        evals: field_u64(v, "evals").unwrap_or(0),
-                        cache_hits: field_u64(v, "cache_hits").unwrap_or(0),
-                        store_hits: field_u64(v, "store_hits").unwrap_or(0),
-                        store_writes: field_u64(v, "store_writes").unwrap_or(0),
-                        minimize_evals: field_u64(v, "minimize_evals").unwrap_or(0),
-                        timeouts: field_u64(v, "timeouts").unwrap_or(0),
-                        panics: field_u64(v, "panics").unwrap_or(0),
-                        exhausted: field_u64(v, "exhausted").unwrap_or(0),
-                        elapsed_nanos: field_u64(v, "elapsed_nanos").unwrap_or(0),
-                        busy_nanos: field_u64(v, "busy_nanos").unwrap_or(0),
-                        best: f64::from_bits(field_u64(v, "best_bits").unwrap_or(0)),
-                        history,
-                        found: !matches!(field(v, "found"), None | Some(JsonValue::Null)),
-                    };
-                    match r.trials.iter_mut().find(|existing| existing.trial == t) {
-                        Some(existing) => *existing = row,
-                        None => r.trials.push(row),
+                    match r.trials.iter_mut().find(|(i, _)| *i == t) {
+                        Some(row) => row.1 = cp,
+                        None => r.trials.push((t, cp)),
                     }
                 }
                 "complete" => {
@@ -354,14 +331,15 @@ impl RunReport {
         }
         // Roll trial counters up so the totals sections render for
         // sessions too.
-        for t in &r.trials {
-            r.candidates += t.evals + t.cache_hits + t.store_hits;
-            r.cached += t.cache_hits;
-            if t.store_hits > 0 {
-                bump(&mut r.store_ops, "hit", t.store_hits);
+        for (_, cp) in &r.trials {
+            let c = &cp.counters;
+            r.candidates += c.evals + c.cache_hits + c.store_hits;
+            r.cached += c.cache_hits;
+            if c.store_hits > 0 {
+                bump(&mut r.store_ops, "hit", c.store_hits);
             }
-            if t.store_writes > 0 {
-                bump(&mut r.store_ops, "write", t.store_writes);
+            if c.store_writes > 0 {
+                bump(&mut r.store_ops, "write", c.store_writes);
             }
         }
         r
@@ -374,6 +352,8 @@ impl RunReport {
             out.push_str(s);
             out.push('\n');
         };
+        // A section: a blank line, then its title.
+        let section = |out: &mut String, title: &str| push(out, &format!("\n{title}"));
         push(
             &mut out,
             &format!(
@@ -397,15 +377,13 @@ impl RunReport {
             );
         }
         if !self.meta.is_empty() {
-            push(&mut out, "");
-            push(&mut out, "session:");
+            section(&mut out, "session:");
             for (k, v) in &self.meta {
                 push(&mut out, &format!("  {k}: {v}"));
             }
         }
         if !self.generations.is_empty() {
-            push(&mut out, "");
-            push(&mut out, "convergence:");
+            section(&mut out, "convergence:");
             push(&mut out, "  gen       best     median       mean  distinct");
             for g in &self.generations {
                 push(
@@ -413,57 +391,72 @@ impl RunReport {
                     &format!(
                         "  {:<4} {:>9} {:>10} {:>10} {:>9}",
                         g.generation,
-                        fmt_f4(g.best),
-                        fmt_f4(g.median),
-                        fmt_f4(g.mean),
-                        g.distinct
+                        fmt_f4(g.best_fitness),
+                        fmt_f4(g.median_fitness),
+                        fmt_f4(g.mean_fitness),
+                        g.distinct_fitness
                     ),
                 );
             }
         }
-        for t in &self.trials {
-            push(&mut out, "");
-            push(
+        for (trial, cp) in &self.trials {
+            let c = &cp.counters;
+            let found = cp.found.as_ref().map_or("", |_| ", plausible");
+            section(
                 &mut out,
                 &format!(
-                    "trial {} (generation {}, best {}{}):",
-                    t.trial,
-                    t.generation,
-                    fmt_f(t.best),
-                    if t.found { ", plausible" } else { "" }
+                    "trial {} (generation {}, best {}{found}):",
+                    trial,
+                    cp.generation,
+                    fmt_f(cp.best.1),
                 ),
             );
             push(
                 &mut out,
                 &format!(
                     "  evals {} | cache hits {} | store hits {} writes {} | minimize {}",
-                    t.evals, t.cache_hits, t.store_hits, t.store_writes, t.minimize_evals
+                    c.evals, c.cache_hits, c.store_hits, c.store_writes, c.minimize_evals
                 ),
             );
             push(
                 &mut out,
                 &format!(
                     "  timeouts {} | panics {} | exhausted {}",
-                    t.timeouts, t.panics, t.exhausted
+                    c.timeouts, c.panics, c.exhausted
                 ),
             );
             push(
                 &mut out,
                 &format!(
                     "  wall {} | busy {}",
-                    fmt_nanos(t.elapsed_nanos),
-                    fmt_nanos(t.busy_nanos)
+                    fmt_nanos(cp.elapsed.as_nanos() as u64),
+                    fmt_nanos(cp.busy.as_nanos() as u64)
                 ),
             );
-            if !t.history.is_empty() {
-                let curve: Vec<String> = t.history.iter().map(|&f| fmt_f4(f)).collect();
+            if !cp.history.is_empty() {
+                let curve: Vec<String> = cp.history.iter().map(|&f| fmt_f4(f)).collect();
                 push(&mut out, &format!("  best by gen: {}", curve.join(" ")));
             }
         }
-        if !self.phases.is_empty() {
-            push(&mut out, "");
-            push(&mut out, "phase breakdown (busy):");
-            for p in &self.phases {
+        if self.fault_loc_passes > 0 {
+            section(&mut out, "fault localization:");
+            push(
+                &mut out,
+                &format!(
+                    "  passes {} | implicated nodes (last pass) {}",
+                    self.fault_loc_passes, self.implicated_nodes
+                ),
+            );
+        }
+        for (title, rows) in [
+            ("phase breakdown (busy):", &self.phases),
+            ("spans (wall):", &self.spans),
+        ] {
+            if rows.is_empty() {
+                continue;
+            }
+            section(&mut out, title);
+            for p in rows {
                 push(
                     &mut out,
                     &format!("  {:<10} {:>8} x {}", p.name, p.count, fmt_nanos(p.nanos)),
@@ -471,15 +464,29 @@ impl RunReport {
             }
         }
         if !self.outcomes.is_empty() {
-            push(&mut out, "");
-            push(&mut out, "evaluation outcomes:");
+            section(&mut out, "evaluation outcomes:");
             for (kind, n) in &self.outcomes {
                 push(&mut out, &format!("  {kind:<20} {n:>8}"));
             }
         }
+        if self.sim_runs > 0 {
+            let s = &self.sim;
+            section(&mut out, "simulation:");
+            push(
+                &mut out,
+                &format!(
+                    "  runs {} | events processed {} | timesteps {} | NBA flushes {} | \
+                     peak queue depth {}",
+                    self.sim_runs,
+                    s.active_events + s.inactive_events,
+                    s.timesteps,
+                    s.nba_flushes,
+                    s.peak_queue_depth
+                ),
+            );
+        }
         if !self.operators.is_empty() {
-            push(&mut out, "");
-            push(&mut out, "operator efficacy:");
+            section(&mut out, "operator efficacy:");
             push(&mut out, "  op          proposed  survived  plausible");
             for o in &self.operators {
                 let label = if o.op.is_empty() { "(unknown)" } else { &o.op };
@@ -491,10 +498,17 @@ impl RunReport {
                     ),
                 );
             }
+            push(
+                &mut out,
+                &format!(
+                    "  mean candidate fitness {} | longest patch {}",
+                    fmt_f4(self.fitness_sum / self.candidates as f64),
+                    self.longest_patch
+                ),
+            );
         }
         if self.candidates > 0 || !self.store_ops.is_empty() {
-            push(&mut out, "");
-            push(&mut out, "cache & store:");
+            section(&mut out, "cache & store:");
             if self.candidates > 0 {
                 push(
                     &mut out,
@@ -507,11 +521,16 @@ impl RunReport {
             for (op, n) in &self.store_ops {
                 push(&mut out, &format!("  store {op:<10} {n:>8}"));
             }
+            if self.damaged_records > 0 {
+                push(
+                    &mut out,
+                    &format!("  damaged records {:>9}", self.damaged_records),
+                );
+            }
         }
-        if let Some((total, buckets)) = &self.eval_latency {
-            push(&mut out, "");
-            push(&mut out, &format!("eval latency ({total} samples):"));
-            for (bucket, count) in buckets {
+        if let Some(h) = &self.eval_latency {
+            section(&mut out, &format!("eval latency ({} samples):", h.total));
+            for (bucket, count) in &h.buckets {
                 push(
                     &mut out,
                     &format!("  ~{:<10} {:>8}", fmt_nanos(1u64 << bucket), count),
@@ -519,9 +538,9 @@ impl RunReport {
             }
         }
         if let Some(h) = &self.heartbeat {
-            push(&mut out, "");
-            push(&mut out, "final heartbeat:");
+            section(&mut out, "final heartbeat:");
             push(&mut out, &render_heartbeat(h, "  "));
+            push(&mut out, &format!("  heartbeats seen {}", self.heartbeats));
         }
         out
     }
@@ -559,10 +578,10 @@ impl RunReport {
                     .map(|g| {
                         JsonValue::obj(vec![
                             ("generation", JsonValue::Uint(g.generation)),
-                            ("best", JsonValue::Float(g.best)),
-                            ("median", JsonValue::Float(g.median)),
-                            ("mean", JsonValue::Float(g.mean)),
-                            ("distinct", JsonValue::Uint(g.distinct)),
+                            ("best", JsonValue::Float(g.best_fitness)),
+                            ("median", JsonValue::Float(g.median_fitness)),
+                            ("mean", JsonValue::Float(g.mean_fitness)),
+                            ("distinct", JsonValue::Uint(g.distinct_fitness)),
                         ])
                     })
                     .collect(),
@@ -574,39 +593,43 @@ impl RunReport {
                 JsonValue::Array(
                     self.trials
                         .iter()
-                        .map(|t| {
-                            JsonValue::obj(vec![
-                                ("trial", JsonValue::Uint(t.trial)),
-                                ("generation", JsonValue::Uint(t.generation)),
-                                ("evals", JsonValue::Uint(t.evals)),
-                                ("cache_hits", JsonValue::Uint(t.cache_hits)),
-                                ("store_hits", JsonValue::Uint(t.store_hits)),
-                                ("store_writes", JsonValue::Uint(t.store_writes)),
-                                ("minimize_evals", JsonValue::Uint(t.minimize_evals)),
-                                ("timeouts", JsonValue::Uint(t.timeouts)),
-                                ("panics", JsonValue::Uint(t.panics)),
-                                ("exhausted", JsonValue::Uint(t.exhausted)),
-                                ("elapsed_nanos", JsonValue::Uint(t.elapsed_nanos)),
-                                ("busy_nanos", JsonValue::Uint(t.busy_nanos)),
-                                ("best", JsonValue::Float(t.best)),
+                        .map(|(trial, cp)| {
+                            let mut counters = cp.counters;
+                            let mut fields = vec![
+                                ("trial", JsonValue::Uint(*trial)),
+                                ("generation", JsonValue::Uint(u64::from(cp.generation))),
+                            ];
+                            // The live counters under their checkpoint keys.
+                            fields.extend(
+                                counters
+                                    .keyed()
+                                    .into_iter()
+                                    .filter_map(|(key, n)| Some((key, JsonValue::Uint(*n?)))),
+                            );
+                            fields.extend([
+                                (
+                                    "elapsed_nanos",
+                                    JsonValue::Uint(cp.elapsed.as_nanos() as u64),
+                                ),
+                                ("busy_nanos", JsonValue::Uint(cp.busy.as_nanos() as u64)),
+                                ("best", JsonValue::Float(cp.best.1)),
                                 (
                                     "history",
                                     JsonValue::Array(
-                                        t.history.iter().map(|&f| JsonValue::Float(f)).collect(),
+                                        cp.history.iter().map(|&f| JsonValue::Float(f)).collect(),
                                     ),
                                 ),
-                                ("found", JsonValue::Bool(t.found)),
-                            ])
+                                ("found", JsonValue::Bool(cp.found.is_some())),
+                            ]);
+                            JsonValue::obj(fields)
                         })
                         .collect(),
                 ),
             ));
         }
-        pairs.push((
-            "phases",
+        let rows = |rows: &[PhaseEvent]| {
             JsonValue::Array(
-                self.phases
-                    .iter()
+                rows.iter()
                     .map(|p| {
                         JsonValue::obj(vec![
                             ("name", JsonValue::Str(p.name.clone())),
@@ -615,17 +638,19 @@ impl RunReport {
                         ])
                     })
                     .collect(),
-            ),
-        ));
-        pairs.push((
-            "outcomes",
+            )
+        };
+        pairs.push(("phases", rows(&self.phases)));
+        pairs.push(("spans", rows(&self.spans)));
+        let counts = |table: &[(String, u64)]| {
             JsonValue::Object(
-                self.outcomes
+                table
                     .iter()
                     .map(|(k, n)| (k.clone(), JsonValue::Uint(*n)))
                     .collect(),
-            ),
-        ));
+            )
+        };
+        pairs.push(("outcomes", counts(&self.outcomes)));
         pairs.push((
             "operators",
             JsonValue::Array(
@@ -642,57 +667,63 @@ impl RunReport {
                     .collect(),
             ),
         ));
-        pairs.push(("candidates", JsonValue::Uint(self.candidates)));
-        pairs.push(("cached", JsonValue::Uint(self.cached)));
-        pairs.push((
-            "store_ops",
-            JsonValue::Object(
-                self.store_ops
-                    .iter()
-                    .map(|(k, n)| (k.clone(), JsonValue::Uint(*n)))
-                    .collect(),
-            ),
-        ));
+        pairs.extend([
+            ("candidates", JsonValue::Uint(self.candidates)),
+            ("cached", JsonValue::Uint(self.cached)),
+            ("fitness_sum", JsonValue::Float(self.fitness_sum)),
+            ("longest_patch", JsonValue::Uint(self.longest_patch)),
+            ("fault_loc_passes", JsonValue::Uint(self.fault_loc_passes)),
+            ("implicated_nodes", JsonValue::Uint(self.implicated_nodes)),
+            ("sim_runs", JsonValue::Uint(self.sim_runs)),
+            // The summed counters, in a `sim` event's shape.
+            ("sim", Event::Sim(self.sim.clone()).to_value()),
+        ]);
+        pairs.push(("store_ops", counts(&self.store_ops)));
+        pairs.push(("damaged_records", JsonValue::Uint(self.damaged_records)));
+        pairs.push(("heartbeats", JsonValue::Uint(self.heartbeats)));
         if let Some(h) = &self.heartbeat {
-            pairs.push((
-                "heartbeat",
-                JsonValue::obj(vec![
-                    ("status", JsonValue::Str(h.status.clone())),
-                    ("generation", JsonValue::Uint(h.generation)),
-                    ("best_fitness", JsonValue::Float(h.best_fitness)),
-                    ("fitness_evals", JsonValue::Uint(h.fitness_evals)),
-                    ("cache_hits", JsonValue::Uint(h.cache_hits)),
-                    ("store_hits", JsonValue::Uint(h.store_hits)),
-                    ("timeouts", JsonValue::Uint(h.timeouts)),
-                    ("panics", JsonValue::Uint(h.panics)),
-                    ("exhausted", JsonValue::Uint(h.exhausted)),
-                    ("evals_per_s", JsonValue::Float(h.evals_per_s)),
-                ]),
-            ));
+            pairs.push(("heartbeat", Event::Heartbeat(h.clone()).to_value()));
         }
-        if let Some((total, buckets)) = &self.eval_latency {
-            pairs.push((
-                "eval_latency",
-                JsonValue::obj(vec![
-                    ("total", JsonValue::Uint(*total)),
-                    (
-                        "buckets",
-                        JsonValue::Array(
-                            buckets
-                                .iter()
-                                .map(|&(b, c)| {
-                                    JsonValue::Array(vec![
-                                        JsonValue::Uint(u64::from(b)),
-                                        JsonValue::Uint(c),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
+        if let Some(h) = &self.eval_latency {
+            pairs.push(("eval_latency", Event::Histogram(h.clone()).to_value()));
         }
         JsonValue::obj(pairs).to_json()
+    }
+}
+
+/// A telemetry sink that folds the live event stream into a
+/// [`RunReport`] — the end-of-run report of `--metrics`. Each event
+/// takes the same fold step as a trace line, through
+/// [`Event::to_value`], so the report of a run equals `cirfix report`
+/// over that run's trace.
+#[derive(Debug)]
+pub struct ReportSink {
+    report: Mutex<RunReport>,
+}
+
+impl Default for ReportSink {
+    /// A sink whose report starts as that of an empty trace.
+    fn default() -> ReportSink {
+        ReportSink {
+            report: Mutex::new(RunReport::from_trace("")),
+        }
+    }
+}
+
+impl ReportSink {
+    /// The report of everything recorded so far.
+    pub fn report(&self) -> RunReport {
+        self.report.lock().expect("report sink poisoned").clone()
+    }
+}
+
+impl TelemetrySink for ReportSink {
+    fn record(&self, event: &Event) {
+        let value = event.to_value();
+        self.report
+            .lock()
+            .expect("report sink poisoned")
+            .fold(&value);
     }
 }
 
@@ -758,7 +789,13 @@ fn fmt_nanos(nanos: u64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use cirfix_telemetry::CandidateEvent;
+
     use super::*;
+    use crate::patch::Patch;
+    use crate::session::Counters;
 
     const TRACE: &str = concat!(
         r#"{"type":"generation","generation":0,"best_fitness":0.5,"median_fitness":0.25,"mean_fitness":0.3,"distinct_fitness":4,"elites":0,"template_children":0,"mutation_children":0,"crossover_children":0}"#,
@@ -777,21 +814,39 @@ mod tests {
         "\n",
         r#"{"type":"phase","name":"simulate","count":1,"nanos":1000}"#,
         "\n",
-        r#"{"type":"histogram","name":"eval_latency","total":3,"buckets":[[10,2],[12,1]]}"#,
+        r#"{"type":"histogram","name":"eval_latency","total":3,"buckets":[[12,1],[10,2]]}"#,
         "\n",
         r#"{"type":"store","op":"hit","key":"","records":1}"#,
         "\n",
-        r#"{"type":"heartbeat","status":"done","generation":1,"best_fitness":1.0,"fitness_evals":3,"cache_hits":1,"store_hits":1,"rejected_static":0,"timeouts":1,"panics":0,"exhausted":0,"evals_per_s":0.0}"#,
+        r#"{"type":"store","op":"damage","key":"","records":3}"#,
+        "\n",
+        r#"{"type":"fault_loc","implicated_nodes":9,"mismatched_vars":1,"node_fraction":0.5}"#,
+        "\n",
+        r#"{"type":"fault_loc","implicated_nodes":7,"mismatched_vars":1,"node_fraction":0.25}"#,
+        "\n",
+        r#"{"type":"sim","active_events":50,"inactive_events":5,"nba_flushes":3,"timesteps":20,"process_resumptions":9,"peak_queue_depth":4}"#,
+        "\n",
+        r#"{"type":"sim","active_events":10,"inactive_events":0,"nba_flushes":1,"timesteps":5,"process_resumptions":2,"peak_queue_depth":6}"#,
+        "\n",
+        r#"{"type":"span","name":"repair","nanos":2500000}"#,
+        "\n",
+        r#"{"type":"span","name":"repair","nanos":1500000}"#,
+        "\n",
+        r#"{"type":"heartbeat","status":"search","generation":0,"best_fitness":0.5,"fitness_evals":2,"cache_hits":1,"store_hits":1,"timeouts":1,"panics":0,"exhausted":0,"evals_per_s":0.0}"#,
+        "\n",
+        r#"{"type":"heartbeat","status":"done","generation":1,"best_fitness":1.0,"fitness_evals":3,"cache_hits":1,"store_hits":1,"timeouts":1,"panics":0,"exhausted":0,"evals_per_s":0.0}"#,
         "\n",
     );
 
     #[test]
     fn folds_a_trace() {
-        let r = RunReport::from_trace(TRACE).expect("folds");
-        assert_eq!(r.events, 11);
+        let r = RunReport::from_trace(TRACE);
+        assert_eq!(r.events, 19);
         assert_eq!(r.generations.len(), 1);
         assert_eq!(r.candidates, 3);
         assert_eq!(r.cached, 1);
+        assert!(r.fitness_sum.is_nan(), "the NaN candidate poisons the sum");
+        assert_eq!(r.longest_patch, 2);
         assert_eq!(r.outcomes, vec![("ok".into(), 1), ("timeout".into(), 1)]);
         let sim = &r.phases[0];
         assert_eq!(
@@ -805,19 +860,67 @@ mod tests {
             (mutation.proposed, mutation.survived, mutation.plausible),
             (2, 1, 1)
         );
-        assert_eq!(r.eval_latency, Some((3, vec![(10, 2), (12, 1)])));
+        assert_eq!(r.store_ops, vec![("hit".into(), 1), ("damage".into(), 1)]);
+        // Buckets merge into bucket order whatever order they arrive in.
+        let latency = r.eval_latency.as_ref().expect("a histogram");
+        assert_eq!(
+            (latency.total, &latency.buckets[..]),
+            (3, &[(10, 2), (12, 1)][..])
+        );
         assert_eq!(r.status.as_deref(), Some("done"));
         assert_eq!(r.heartbeat.as_ref().unwrap().fitness_evals, 3);
+        // Summed spans and simulator effort, the last pass's implicated
+        // nodes, the deepest queue.
+        let rendered = r.render();
+        for line in [
+            "  passes 2 | implicated nodes (last pass) 7",
+            "  repair            2 x 4.000ms",
+            "  runs 2 | events processed 65 | timesteps 25 | NBA flushes 4 | peak queue depth 6",
+            "  mean candidate fitness NaN | longest patch 2",
+            "  damaged records         3",
+            "  heartbeats seen 2",
+        ] {
+            assert!(
+                rendered.contains(&format!("{line}\n")),
+                "{line}\n{rendered}"
+            );
+        }
     }
 
     #[test]
     fn report_is_deterministic_and_json_parses() {
-        let r = RunReport::from_trace(TRACE).expect("folds");
-        assert_eq!(r.render(), RunReport::from_trace(TRACE).unwrap().render());
+        let r = RunReport::from_trace(TRACE);
+        assert_eq!(r.render(), RunReport::from_trace(TRACE).render());
         let json = r.to_json();
         let parsed = parse_json(&json).expect("report JSON parses");
         assert_eq!(field_u64(&parsed, "candidates"), Some(3));
+        assert_eq!(field_u64(&parsed, "sim_runs"), Some(2));
         assert!(json.contains("\"generations\""));
+    }
+
+    #[test]
+    fn report_sink_folds_live_events_like_their_trace() {
+        let events = [
+            Event::Candidate(CandidateEvent {
+                patch_len: 3,
+                fitness: 0.5,
+                cached: true,
+                ..CandidateEvent::default()
+            }),
+            Event::Sim(SimStats {
+                active_events: 100,
+                ..SimStats::default()
+            }),
+        ];
+        let sink = ReportSink::default();
+        let mut trace = String::new();
+        for e in &events {
+            sink.record(e);
+            trace += &format!("{}\n", e.to_json());
+        }
+        let live = sink.report();
+        assert_eq!(live, RunReport::from_trace(&trace));
+        assert_eq!((live.candidates, live.sim_runs), (1, 1));
     }
 
     #[test]
@@ -832,7 +935,7 @@ mod tests {
             r#"{"type":"heartbeat","status":"don"#,
             "\n",
         );
-        let r = RunReport::from_trace(torn).expect("torn trace still folds");
+        let r = RunReport::from_trace(torn);
         assert_eq!(r.malformed_lines, 2);
         assert_eq!(r.events, 2, "valid lines still counted");
         assert_eq!(r.status.as_deref(), Some("done"));
@@ -845,59 +948,67 @@ mod tests {
         let parsed = parse_json(&json).expect("report JSON parses");
         assert_eq!(field_u64(&parsed, "malformed_lines"), Some(2));
         // A clean trace reports zero and stays quiet in the rendering.
-        let clean = RunReport::from_trace(TRACE).unwrap();
+        let clean = RunReport::from_trace(TRACE);
         assert_eq!(clean.malformed_lines, 0);
         assert!(!clean.render().contains("malformed"));
     }
 
     #[test]
     fn unknown_event_types_are_ignored() {
-        let r = RunReport::from_trace("{\"type\":\"future_thing\",\"x\":1}\n").expect("folds");
+        let r = RunReport::from_trace("{\"type\":\"future_thing\",\"x\":1}\n");
         assert_eq!(r.events, 1);
         assert_eq!(r.candidates, 0);
     }
 
     #[test]
     fn folds_a_session() {
-        let records: Vec<JsonValue> = [
+        let checkpoint = |generation, evals, history: Vec<f64>| Checkpoint {
+            generation,
+            rng: [1, 2, 3, 4],
+            counters: Counters {
+                evals,
+                cache_hits: 4,
+                store_hits: 1,
+                ..Counters::default()
+            },
+            elapsed: Duration::from_nanos(9000),
+            busy: Duration::from_nanos(17000),
+            best: (Patch::empty(), history[history.len() - 1]),
+            history,
+            improvement_steps: Vec::new(),
+            population: Vec::new(),
+            found: Some(Patch::empty()).filter(|_| generation == 2),
+        };
+        let last = checkpoint(2, 20, vec![0.5, 1.0]);
+        let mut records: Vec<JsonValue> = [
             r#"{"type":"meta","scenario":"ab","session":"cd","trials":2,"seed":7,"popn_size":20,"max_generations":4}"#,
             r#"{"type":"trial","trial":0,"totals":{}}"#,
-            r#"{"type":"checkpoint","trial":0,"generation":1,"evals":10,"cache_hits":2,"store_hits":1,"store_writes":9,"minimize_evals":0,"rejected_static":3,"timeouts":0,"panics":0,"exhausted":0,"patch_applies":12,"elapsed_nanos":5000,"busy_nanos":9000,"best_bits":4602678819172646912,"history_bits":[4602678819172646912],"improvement_bits":[],"population":[],"found":null}"#,
-            r#"{"type":"checkpoint","trial":0,"generation":2,"evals":20,"cache_hits":4,"store_hits":1,"store_writes":18,"minimize_evals":2,"rejected_static":5,"timeouts":1,"panics":0,"exhausted":0,"patch_applies":25,"elapsed_nanos":9000,"busy_nanos":17000,"best_bits":4607182418800017408,"history_bits":[4602678819172646912,4607182418800017408],"improvement_bits":[],"population":[],"found":[]}"#,
+            // A checkpoint the session codec rejects: no RNG state.
+            r#"{"type":"checkpoint","trial":1,"generation":0}"#,
             r#"{"type":"complete","status":"plausible"}"#,
         ]
         .iter()
         .map(|s| parse_json(s).expect("record parses"))
         .collect();
+        records.splice(
+            2..2,
+            [checkpoint(1, 10, vec![0.5]).to_json(0), last.to_json(0)],
+        );
         let r = RunReport::from_session(&records);
         assert_eq!(r.source, "session");
         assert_eq!(r.status.as_deref(), Some("plausible"));
-        assert_eq!(r.trials.len(), 1, "last checkpoint per trial wins");
-        let t = &r.trials[0];
-        assert_eq!(t.generation, 2);
-        assert_eq!(t.evals, 20);
-        assert_eq!(t.best, 1.0);
-        assert_eq!(t.history, vec![0.5, 1.0]);
-        assert!(t.found);
+        assert_eq!(r.malformed_lines, 1, "the rejected checkpoint");
+        assert_eq!(r.trials, vec![(0, last)], "last checkpoint per trial wins");
         assert!(r.meta.iter().any(|(k, v)| k == "seed" && v == "7"));
         assert_eq!(r.candidates, 20 + 4 + 1);
         let rendered = r.render();
-        assert!(rendered.contains("trial 0"), "{rendered}");
+        assert!(
+            rendered.contains("trial 0 (generation 2, best 1.0, plausible):"),
+            "{rendered}"
+        );
         assert!(
             rendered.contains("best by gen: 0.5000 1.0000"),
             "{rendered}"
         );
-    }
-
-    #[test]
-    fn heartbeat_line_filters_other_events() {
-        assert!(heartbeat_line(r#"{"type":"span","name":"x","nanos":1}"#).is_none());
-        assert!(heartbeat_line("garbage").is_none());
-        let h = heartbeat_line(
-            r#"{"type":"heartbeat","status":"search","generation":3,"best_fitness":0.75,"fitness_evals":60,"cache_hits":0,"store_hits":0,"rejected_static":0,"timeouts":0,"panics":0,"exhausted":0,"evals_per_s":12.5}"#,
-        )
-        .expect("heartbeat parses");
-        assert_eq!(h.generation, 3);
-        assert_eq!(h.evals_per_s, 12.5);
     }
 }

@@ -324,7 +324,7 @@ impl Counters {
     /// retired counter whose key the session-log format keeps stable:
     /// `rejected_static` (the static lint filter) and `pattern_hits`
     /// (mined fix patterns) are written as 0 and ignored on read.
-    fn keyed(&mut self) -> [(&'static str, Option<&mut u64>); 11] {
+    pub(crate) fn keyed(&mut self) -> [(&'static str, Option<&mut u64>); 11] {
         [
             ("evals", Some(&mut self.evals)),
             ("cache_hits", Some(&mut self.cache_hits)),
@@ -343,8 +343,9 @@ impl Counters {
 
 /// Everything the engine snapshots at a generation boundary: the only
 /// generation-boundary record. With the cache-delta records before it,
-/// it resumes a trial bit-identically.
-#[derive(Debug, PartialEq)]
+/// it resumes a trial bit-identically; alone, it is one trial's row in
+/// a session's run report.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Checkpoint {
     /// Generation index (0 = the seed population).
     pub generation: u32,
@@ -371,7 +372,7 @@ pub(crate) struct Checkpoint {
 
 impl Checkpoint {
     /// The session-log record of this checkpoint in trial `trial`.
-    fn to_json(&self, trial: u32) -> JsonValue {
+    pub(crate) fn to_json(&self, trial: u32) -> JsonValue {
         let mut counters = self.counters;
         let mut pairs = vec![
             ("type", JsonValue::Str("checkpoint".into())),
@@ -416,7 +417,7 @@ impl Checkpoint {
     /// key is the caller's). The [`Counters::OPTIONAL`] counters read as
     /// 0 when absent; any other missing or mistyped field makes the log
     /// unusable.
-    fn from_json(v: &JsonValue) -> Result<Checkpoint, SessionError> {
+    pub(crate) fn from_json(v: &JsonValue) -> Result<Checkpoint, SessionError> {
         let rng = need_uints(v, "rng")?
             .try_into()
             .map_err(|w| SessionError::Corrupt(format!("bad rng state: {w:?}")))?;

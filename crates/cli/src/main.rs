@@ -49,7 +49,8 @@
 //!                      zeroes every duration/throughput field and drops
 //!                      histograms, so traces are byte-identical across
 //!                      `--jobs` values
-//! --metrics            print an aggregate telemetry summary at the end
+//! --metrics            print the run report of the run's own events at
+//!                      the end (what `cirfix report` prints for its trace)
 //! ```
 //!
 //! Parallel evaluation (for `repair`):
@@ -92,16 +93,17 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use cirfix::report::render_heartbeat;
 use cirfix::{
     apply_patch, evaluate, fault_localization, repair_session, repair_with_trials,
-    result_to_canonical_json, FitnessParams, Observer, Patch, RepairStatus,
+    result_to_canonical_json, FitnessParams, Observer, Patch, RepairStatus, ReportSink, RunReport,
 };
 use cirfix_ast::print;
 use cirfix_serve::conf::{self, Config, ConfigError};
 use cirfix_serve::{Client, Request, ServeAddr, ServeOpts};
 use cirfix_sim::{ProbeSpec, SimConfig};
 use cirfix_store::{field, field_str};
-use cirfix_telemetry::{FanoutSink, JsonValue, SummarySink, TelemetrySink};
+use cirfix_telemetry::{Event, FanoutSink, HeartbeatEvent, JsonValue, TelemetrySink};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -183,24 +185,24 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// The observability destinations requested by `trace_out` / `metrics`.
 struct Telemetry {
     observer: Observer,
-    summary: Option<Arc<SummarySink>>,
+    metrics: Option<Arc<ReportSink>>,
 }
 
 fn build_telemetry(config: &Config) -> Result<Telemetry, Box<dyn std::error::Error>> {
     let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
     sinks.extend(conf::trace_sink(config)?);
-    let mut summary = None;
+    let mut metrics = None;
     if config.flag("metrics") {
-        let s = Arc::new(SummarySink::new());
-        sinks.push(Box::new(Arc::clone(&s)));
-        summary = Some(s);
+        let sink = Arc::new(ReportSink::default());
+        sinks.push(Box::new(Arc::clone(&sink)));
+        metrics = Some(sink);
     }
     let observer = if sinks.is_empty() {
         Observer::none()
     } else {
         Observer::new(Arc::new(FanoutSink::new(sinks)))
     };
-    Ok(Telemetry { observer, summary })
+    Ok(Telemetry { observer, metrics })
 }
 
 fn cmd_repair(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
@@ -258,8 +260,8 @@ fn cmd_repair(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
             100.0 * t.eval_busy.as_secs_f64() / capacity
         );
     }
-    if let Some(summary) = &telemetry.summary {
-        print!("{}", summary.report());
+    if let Some(metrics) = &telemetry.metrics {
+        print!("\n{}", metrics.report().render());
     }
     // Canonical, timing-free result JSON: two deterministically
     // equivalent runs (any `jobs`, killed-and-resumed or not) write
@@ -313,22 +315,12 @@ fn cmd_simulate(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
         outcome.finished, outcome.end_time, outcome.total_ops
     );
     let telemetry = build_telemetry(config)?;
-    if telemetry.observer.enabled() {
-        let m = &outcome.metrics;
-        telemetry
-            .observer
-            .record(&cirfix_telemetry::Event::Sim(cirfix_telemetry::SimStats {
-                active_events: m.active_events,
-                inactive_events: m.inactive_events,
-                nba_flushes: m.nba_flushes,
-                timesteps: m.timesteps,
-                process_resumptions: m.process_resumptions,
-                peak_queue_depth: m.peak_queue_depth,
-            }));
-        telemetry.observer.flush();
-    }
-    if let Some(summary) = &telemetry.summary {
-        eprint!("{}", summary.report());
+    telemetry
+        .observer
+        .emit(|| Event::Sim(cirfix::sim_stats(&outcome.metrics)));
+    telemetry.observer.flush();
+    if let Some(metrics) = &telemetry.metrics {
+        eprint!("{}", metrics.report().render());
     }
     print!("{}", trace.to_csv());
     for line in log {
@@ -390,7 +382,7 @@ fn cmd_localize(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
 /// the findings, one per line. Accepts either a raw Verilog file (all
 /// modules are linted) or a `repair.conf` (the `design` file is linted,
 /// restricted to `design_modules`). With `--json` each finding is
-/// emitted as a telemetry JSON line instead of human-readable text.
+/// emitted as a JSON line instead of human-readable text.
 ///
 /// The exit code is 0 even when findings are reported — lint is a
 /// reporting tool, not a gate.
@@ -430,7 +422,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             cirfix_lint::Severity::Warning => warnings += 1,
         }
         if json {
-            println!("{}", cirfix_lint::diagnostic_event(module, diag).to_json());
+            println!("{}", cirfix_lint::diagnostic_json(module, diag));
         } else {
             println!("{}: {}", source_path.display(), diag.render(module));
         }
@@ -480,14 +472,9 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 "  evaluations      {records:>12}  ({partitions} scenario partition(s), \
                  {legacy} in legacy segments)"
             );
-            let sessions: Vec<PathBuf> = store
-                .all_segments()?
-                .into_iter()
-                .filter(|p| p.parent().is_some_and(|d| d.ends_with("sessions")))
-                .collect();
+            let sessions = store.sessions()?;
             println!("  session logs     {:>12}", sessions.len());
-            for path in &sessions {
-                let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("?");
+            for name in &sessions {
                 let (records, seg) = store.load_session(name)?;
                 let complete = records
                     .last()
@@ -599,13 +586,7 @@ fn cmd_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let name = match session {
             Some(name) => name,
             None => {
-                let mut names: Vec<String> = store
-                    .all_segments()?
-                    .into_iter()
-                    .filter(|p| p.parent().is_some_and(|d| d.ends_with("sessions")))
-                    .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(str::to_string))
-                    .collect();
-                names.sort();
+                let mut names = store.sessions()?;
                 match names.len() {
                     0 => return Err("store has no session logs".into()),
                     1 => names.remove(0),
@@ -631,11 +612,11 @@ fn cmd_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 health.torn_tail.is_some()
             );
         }
-        cirfix::RunReport::from_session(&records)
+        RunReport::from_session(&records)
     } else {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ConfigError(format!("cannot read {}: {e}", path.display())))?;
-        cirfix::RunReport::from_trace(&text)?
+        RunReport::from_trace(&text)
     };
     if json {
         println!("{}", report.to_json());
@@ -702,8 +683,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let clear_screen = std::io::stdout().is_terminal();
     let mut offset: u64 = 0;
     let mut pending = String::new();
-    let mut heartbeats: u64 = 0;
-    let mut malformed: u64 = 0;
+    let mut report = RunReport::default();
     loop {
         // The file may not exist yet (the run is still starting) and
         // may be truncated and rewritten (a fresh run on the same
@@ -731,30 +711,22 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => return Err(format!("cannot read {}: {e}", path.display()).into()),
         }
         // Consume complete lines; keep a half-written tail for later.
+        // The fold counts and skips truncated or garbage lines, never
+        // fatal — a live trace can legitimately carry a torn tail.
         let mut terminal_status = None;
         while let Some(nl) = pending.find('\n') {
             let line: String = pending.drain(..=nl).collect();
-            // Truncated or garbage lines are counted and skipped, never
-            // fatal — a live trace can legitimately carry a torn tail.
-            if !line.trim().is_empty() && cirfix_store::parse_json(line.trim()).is_err() {
-                malformed += 1;
-                continue;
-            }
-            if let Some(h) = cirfix::report::heartbeat_line(&line) {
-                heartbeats += 1;
-                if clear_screen {
-                    print!("\x1b[2J\x1b[H");
-                }
-                let skipped = if malformed > 0 {
-                    format!(", {malformed} malformed line(s) skipped")
-                } else {
-                    String::new()
+            if let Some(h) = report.fold_line(&line) {
+                let skipped = match report.malformed_lines {
+                    0 => String::new(),
+                    n => format!(", {n} malformed line(s) skipped"),
                 };
-                println!(
-                    "watching {} (heartbeat {heartbeats}{skipped})",
-                    path.display()
+                let header = format!(
+                    "watching {} (heartbeat {}{skipped})",
+                    path.display(),
+                    report.heartbeats
                 );
-                println!("{}", cirfix::report::render_heartbeat(&h, "  "));
+                draw_heartbeat(clear_screen, &header, &h);
                 if h.status != "search" {
                     terminal_status = Some(h.status);
                 }
@@ -765,7 +737,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             return Ok(());
         }
         if once {
-            if heartbeats == 0 {
+            if report.heartbeats == 0 {
                 println!("no heartbeat in {} yet", path.display());
             }
             return Ok(());
@@ -1015,25 +987,21 @@ fn watch_socket(job: &str, once: bool, addr: &ServeAddr) -> Result<(), Box<dyn s
     let mut client =
         Client::connect(addr).map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))?;
     let clear_screen = std::io::stdout().is_terminal();
-    let mut heartbeats: u64 = 0;
+    let mut report = RunReport::default();
     let last = client.watch(job, once, |line| {
-        let state = field_str(line, "state").unwrap_or("?").to_string();
-        let heartbeat = field(line, "event")
-            .filter(|e| !matches!(e, JsonValue::Null))
-            .and_then(|e| cirfix::report::heartbeat_line(&e.to_json()));
-        if let Some(h) = heartbeat {
-            heartbeats += 1;
-            if clear_screen {
-                print!("\x1b[2J\x1b[H");
-            }
-            println!("watching job {job} at {addr} (heartbeat {heartbeats}, state {state})");
-            println!("{}", cirfix::report::render_heartbeat(&h, "  "));
+        if let Some(h) = field(line, "event").and_then(|event| report.fold(event)) {
+            let state = field_str(line, "state").unwrap_or("?");
+            let header = format!(
+                "watching job {job} at {addr} (heartbeat {}, state {state})",
+                report.heartbeats
+            );
+            draw_heartbeat(clear_screen, &header, &h);
         }
     })?;
     if !cirfix_serve::client::response_ok(&last) {
         return Err(cirfix_serve::client::response_error(&last).into());
     }
-    if heartbeats == 0 {
+    if report.heartbeats == 0 {
         println!("no heartbeat from job {job} yet");
     }
     if matches!(field(&last, "done"), Some(JsonValue::Bool(true))) {
@@ -1041,6 +1009,15 @@ fn watch_socket(job: &str, once: bool, addr: &ServeAddr) -> Result<(), Box<dyn s
         println!("job {state}");
     }
     Ok(())
+}
+
+/// Redraws the watch screen: `header` over the latest heartbeat.
+fn draw_heartbeat(clear_screen: bool, header: &str, h: &HeartbeatEvent) {
+    if clear_screen {
+        print!("\x1b[2J\x1b[H");
+    }
+    println!("{header}");
+    println!("{}", render_heartbeat(h, "  "));
 }
 
 /// Shared flag parsing for the client verbs: pulls out `--socket ADDR`

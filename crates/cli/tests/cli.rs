@@ -66,6 +66,16 @@ fn setup(dir_name: &str) -> PathBuf {
     dir
 }
 
+/// The shipped example configuration; relative paths inside it resolve
+/// against its own directory, so tests run it from anywhere.
+fn example_conf() -> String {
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/cli/repair.conf"
+    )
+    .to_string()
+}
+
 fn cirfix(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cirfix"))
         .args(args)
@@ -212,4 +222,116 @@ fn store_ls_counts_partitions_and_legacy_records() {
     );
     let total: usize = line.split_whitespace().nth(1).unwrap().parse().unwrap();
     assert!(total > 0, "{line}");
+}
+
+#[test]
+fn watch_once_reads_a_damaged_finished_trace() {
+    let dir = setup("watch");
+    let trace = dir.join("trace.jsonl");
+    let output = dir.join("r.v");
+    let out = cirfix(&[
+        "repair",
+        &example_conf(),
+        "--trials",
+        "1",
+        "--seed",
+        "7",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--output",
+        output.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let heartbeats = text.matches("\"type\":\"heartbeat\"").count();
+    // A garbage line before the terminal heartbeat, and the torn tail a
+    // writer killed mid-line leaves behind.
+    let last = text.rfind("{\"type\":\"heartbeat\"").expect("a heartbeat");
+    let damaged = format!(
+        "{}not json\n{}{{\"type\":\"heartbeat\",\"sta",
+        &text[..last],
+        &text[last..]
+    );
+    std::fs::write(&trace, damaged).unwrap();
+    let out = cirfix(&["watch", trace.to_str().unwrap(), "--once"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    // The torn tail is an incomplete line: watch leaves it for a later
+    // poll, so only the garbage line counts as skipped.
+    let header = stdout
+        .lines()
+        .rfind(|l| l.starts_with("watching "))
+        .unwrap_or_else(|| panic!("no header: {stdout}"));
+    assert!(
+        header.ends_with(&format!(
+            "(heartbeat {heartbeats}, 1 malformed line(s) skipped)"
+        )),
+        "{stdout}"
+    );
+    assert_eq!(stdout.lines().last(), Some("run done"), "{stdout}");
+}
+
+#[test]
+fn repair_metrics_prints_the_run_report_of_its_own_events() {
+    let dir = setup("metrics");
+    let trace = dir.join("trace.jsonl");
+    let output = dir.join("r.v");
+    let out = cirfix(&[
+        "repair",
+        &example_conf(),
+        "--trials",
+        "1",
+        "--seed",
+        "7",
+        "--metrics",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--output",
+        output.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for line in [
+        "  candidate evaluations 97 (cached 87)",
+        "  mean candidate fitness 0.2374 | longest patch 1",
+        "  passes 1 | implicated nodes (last pass) 7",
+        "  runs 10 | events processed 633 | timesteps 330 | NBA flushes 0 | peak queue depth 4",
+        "  heartbeats seen 2",
+    ] {
+        assert!(stdout.contains(&format!("\n{line}\n")), "{line}\n{stdout}");
+    }
+    for span in ["repair", "minimize"] {
+        assert!(
+            stdout.contains(&format!("\n  {span:<10}        1 x ")),
+            "{span}\n{stdout}"
+        );
+    }
+    // The live report is the same fold `cirfix report` applies to the
+    // run's trace.
+    let report = cirfix(&["report", trace.to_str().unwrap()]);
+    assert!(report.status.success());
+    let report = String::from_utf8_lossy(&report.stdout);
+    assert!(report.starts_with("run report (trace, "), "{report}");
+    assert!(stdout.contains(report.as_ref()), "{report}\n---\n{stdout}");
+}
+
+#[test]
+fn simulate_metrics_reports_the_simulator_effort() {
+    let out = cirfix(&["simulate", &example_conf(), "--metrics"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("run report (trace, 1 events)\n"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains(
+            "\n  runs 1 | events processed 68 | timesteps 33 | NBA flushes 0 | peak queue depth 4\n"
+        ),
+        "{stderr}"
+    );
 }

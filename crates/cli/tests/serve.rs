@@ -241,7 +241,8 @@ fn daemon_submit_matches_batch_repair_and_report() {
         );
         let state = wait_for_state(&sock, &job, &["plausible", "failed"]);
 
-        // `watch --once` on a finished job reports its terminal state.
+        // `watch --once` on a finished job draws its terminal heartbeat
+        // and reports its terminal state.
         let watch = stdout_of(&cirfix(&[
             "watch",
             &job,
@@ -249,6 +250,11 @@ fn daemon_submit_matches_batch_repair_and_report() {
             sock.to_str().unwrap(),
             "--once",
         ]));
+        assert!(
+            watch.contains("(heartbeat 1, state "),
+            "watch output: {watch}"
+        );
+        assert!(watch.contains("  status done | "), "watch output: {watch}");
         assert!(watch.contains(&state), "watch output: {watch}");
 
         stop_daemon(daemon, &sock);

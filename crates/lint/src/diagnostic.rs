@@ -1,13 +1,13 @@
 //! The diagnostic model shared by every lint pass.
 
 use cirfix_ast::NodeId;
-use cirfix_telemetry::{Event, LintEvent};
+use cirfix_telemetry::JsonValue;
 
 /// How bad a finding is.
 ///
 /// [`Severity::Error`] findings mark definite defects (the defect
 /// fuzzer discards mutants that add any); warnings are advisory. Both
-/// surface in the `lint` CLI output and telemetry stream.
+/// surface in the `lint` CLI's text and JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suspicious but potentially intentional.
@@ -74,17 +74,19 @@ impl Diagnostic {
     }
 }
 
-/// Converts a finding into the telemetry event used by both the `lint`
-/// CLI's `--json` mode and the repair loop's trace stream, so the two
-/// emit byte-identical lines for the same finding.
-pub fn diagnostic_event(module: &str, diag: &Diagnostic) -> Event {
-    Event::Lint(LintEvent {
-        module: module.to_string(),
-        code: diag.code.to_string(),
-        severity: diag.severity.as_str().to_string(),
-        node_id: u64::from(diag.node_id),
-        message: diag.message.clone(),
-    })
+/// One finding as the single-line JSON object `cirfix lint --json`
+/// prints: `{"type":"lint","module":..,"code":..,"severity":..,
+/// "node_id":..,"message":..}`.
+pub fn diagnostic_json(module: &str, diag: &Diagnostic) -> String {
+    JsonValue::obj(vec![
+        ("type", JsonValue::Str("lint".into())),
+        ("module", JsonValue::Str(module.into())),
+        ("code", JsonValue::Str(diag.code.into())),
+        ("severity", JsonValue::Str(diag.severity.as_str().into())),
+        ("node_id", JsonValue::Uint(u64::from(diag.node_id))),
+        ("message", JsonValue::Str(diag.message.clone())),
+    ])
+    .to_json()
 }
 
 #[cfg(test)]
@@ -93,14 +95,14 @@ mod tests {
     use cirfix_telemetry::validate_json_line;
 
     #[test]
-    fn render_and_event_agree_on_fields() {
+    fn render_and_json_agree_on_fields() {
         let d = Diagnostic::error("multiple-drivers", 17, "`q` is driven from 2 places");
         let line = d.render("counter");
         assert_eq!(
             line,
             "counter: error[multiple-drivers] @node 17: `q` is driven from 2 places"
         );
-        let json = diagnostic_event("counter", &d).to_json();
+        let json = diagnostic_json("counter", &d);
         validate_json_line(&json).expect("valid JSON line");
         assert!(json.contains("\"code\":\"multiple-drivers\""));
         assert!(json.contains("\"severity\":\"error\""));

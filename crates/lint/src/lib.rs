@@ -15,9 +15,8 @@
 //!   misuse, multiple drivers, dead code, x-prone comparisons, and
 //!   assignment width mismatches.
 //! * **Entry points** — [`lint_module`] / [`lint_file`] /
-//!   [`lint_modules`] run everything, and [`diagnostic_event`] bridges
-//!   findings into the `cirfix-telemetry` event stream (the `lint`
-//!   CLI's `--json` output).
+//!   [`lint_modules`] run everything, and [`diagnostic_json`] writes a
+//!   finding as the `lint` CLI's `--json` line.
 
 pub mod cfg;
 pub mod diagnostic;
@@ -27,7 +26,7 @@ pub mod structure;
 use cirfix_ast::{Module, SourceFile};
 
 pub use cfg::{Block, BlockId, Cfg};
-pub use diagnostic::{diagnostic_event, Diagnostic, Severity};
+pub use diagnostic::{diagnostic_json, Diagnostic, Severity};
 pub use passes::{all_passes, Pass};
 pub use structure::{
     AssignSite, Clocking, DriverOrigin, DriverSite, ModuleStructure, ProcessInfo, SignalInfo,

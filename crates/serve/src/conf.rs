@@ -52,7 +52,7 @@ use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
 /// | `output` | where to write the repaired design | `repaired.v` |
 /// | `trace_out` | stream telemetry events as JSON lines to this path | off |
 /// | `trace_timing` | `wall` records real durations; `off` scrubs them for byte-reproducible traces | `wall` |
-/// | `metrics` | print an aggregate telemetry summary at the end | `false` |
+/// | `metrics` | print the run report of the run's own events at the end | `false` |
 /// | `store` | persistent store directory, cwd-relative (enables write-through cache, checkpoints, corpus) | off |
 /// | `resume` | continue an interrupted session from its last checkpoint | `false` |
 /// | `halt_after` | stop right after checkpointing generation N (deterministic kill stand-in) | off |

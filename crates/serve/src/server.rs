@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cirfix_store::parse_json;
 use cirfix_telemetry::{Event, JsonValue};
 
 use crate::protocol::{
@@ -313,16 +312,9 @@ fn emit_watch_line(
         .status(Some(job))
         .first()
         .map_or_else(|| "unknown".to_string(), |r| r.state.as_str().to_string());
-    let event = match heartbeat {
-        None => JsonValue::Null,
-        Some(h) => {
-            // Round-trip through the trace serialization so the wire
-            // shape is exactly a trace line's (`cirfix watch` parses
-            // both with the same code).
-            let line = Event::Heartbeat(h.clone()).to_json();
-            parse_json(&line).unwrap_or(JsonValue::Null)
-        }
-    };
+    // The wire shape is exactly a trace line's, so `cirfix watch` folds
+    // both with the same step.
+    let event = heartbeat.map_or(JsonValue::Null, |h| Event::Heartbeat(h.clone()).to_value());
     write_line(
         writer,
         &ok_line(

@@ -52,9 +52,12 @@ fn write_fixture(dir: &Path, scenario_id: &str) -> PathBuf {
 }
 
 /// The search-shape overrides every test here uses: small, fast, and
-/// fully pinned so nothing depends on defaults drifting.
-fn base_overrides(seed: u64) -> Vec<(String, String)> {
+/// fully pinned so nothing depends on defaults drifting. A plausible
+/// repair is written into `dir`, never the working directory (the job
+/// id does not hash `output`).
+fn base_overrides(seed: u64, dir: &Path) -> Vec<(String, String)> {
     [
+        ("output", dir.join("repaired.v").display().to_string()),
         ("seed", seed.to_string()),
         ("popn_size", "60".into()),
         ("max_generations", "3".into()),
@@ -128,10 +131,10 @@ fn concurrent_jobs_interleave_strictly_at_batch_boundaries() {
         ("trials", "1"),
     ];
     let a = scheduler
-        .submit(&spec(&conf, base_overrides(11), &fast))
+        .submit(&spec(&conf, base_overrides(11, &dir), &fast))
         .expect("job a admitted");
     let b = scheduler
-        .submit(&spec(&conf, base_overrides(12), &fast))
+        .submit(&spec(&conf, base_overrides(12, &dir), &fast))
         .expect("job b admitted");
     assert_ne!(a.id, b.id, "different seeds are different sessions");
     scheduler.wait_idle();
@@ -176,7 +179,7 @@ fn daemon_jobs_match_batch_runs_byte_for_byte() {
     let ref_trace = ref_dir.join("trace.jsonl");
     let ref_json = batch_reference(
         &conf,
-        &base_overrides(5),
+        &base_overrides(5, &dir),
         &ref_dir.join("store"),
         Some(&ref_trace),
     );
@@ -190,18 +193,16 @@ fn daemon_jobs_match_batch_runs_byte_for_byte() {
         fs::create_dir_all(&job_dir).expect("mkdir");
         let trace = job_dir.join("trace.jsonl");
         let result = job_dir.join("result.json");
-        let output = job_dir.join("repaired.v");
         let scheduler = Scheduler::new(ServeOpts::new(job_dir.join("store"))).expect("scheduler");
         let record = scheduler
             .submit(&spec(
                 &conf,
-                base_overrides(5),
+                base_overrides(5, &dir),
                 &[
                     ("jobs", jobs),
                     ("trace_out", trace.to_str().unwrap()),
                     ("trace_timing", "off"),
                     ("result_out", result.to_str().unwrap()),
-                    ("output", output.to_str().unwrap()),
                 ],
             ))
             .expect("admitted");
@@ -229,20 +230,23 @@ fn interrupted_job_resumes_on_restart_to_the_uninterrupted_result() {
     let dir = fresh_dir("halt");
     let conf = write_fixture(&dir.join("fx"), "flip_flop_cond");
 
-    let ref_json = batch_reference(&conf, &base_overrides(5), &dir.join("ref-store"), None);
+    let ref_json = batch_reference(
+        &conf,
+        &base_overrides(5, &dir),
+        &dir.join("ref-store"),
+        None,
+    );
 
     // Daemon run with the deterministic kill stand-in: halt right
     // after checkpointing generation 0.
     let store = dir.join("store");
     let result = dir.join("result.json");
-    let output = dir.join("repaired.v");
     let job_spec = spec(
         &conf,
-        base_overrides(5),
+        base_overrides(5, &dir),
         &[
             ("halt_after", "0"),
             ("result_out", result.to_str().unwrap()),
-            ("output", output.to_str().unwrap()),
         ],
     );
     let first = Scheduler::new(ServeOpts::new(&store)).expect("first daemon");
@@ -285,13 +289,18 @@ fn cancelled_job_resumes_on_restart_and_matches_the_search_trajectory() {
     // budget, so a mid-run cancel has room to land.
     let conf = write_fixture(&dir.join("fx"), "counter_reset");
 
-    let ref_json = batch_reference(&conf, &base_overrides(5), &dir.join("ref-store"), None);
+    let ref_json = batch_reference(
+        &conf,
+        &base_overrides(5, &dir),
+        &dir.join("ref-store"),
+        None,
+    );
 
     let store = dir.join("store");
     let result = dir.join("result.json");
     let job_spec = spec(
         &conf,
-        base_overrides(5),
+        base_overrides(5, &dir),
         &[("result_out", result.to_str().unwrap())],
     );
     let first = Scheduler::new(ServeOpts::new(&store)).expect("first daemon");
@@ -355,7 +364,7 @@ fn a_submitted_unknown_key_is_a_bad_request_naming_the_key() {
     let err = scheduler
         .submit(&spec(
             &conf,
-            base_overrides(1),
+            base_overrides(1, &dir),
             &[("mined_patterns", "patterns.jsonl")],
         ))
         .expect_err("an unknown key must not queue a job");

@@ -412,3 +412,56 @@ fn vcd_export_of_probe_trace() {
     assert!(vcd.contains("#5"));
     assert!(vcd.contains("b0001 !"));
 }
+
+/// A mask with bit `t` set for each listed time `t`.
+fn times_mask(times: &[u64]) -> u64 {
+    times.iter().fold(0, |m, t| m | 1 << t)
+}
+
+#[test]
+fn edge_wakeups_follow_the_ieee_transition_table() {
+    // IEEE 1364-2005 §9.7.2's edge table: a posedge is a transition
+    // 0->1, 0->x, 0->z, x->1 or z->1; a negedge is 1->0, 1->x, 1->z,
+    // x->0 or z->0; x<->z is neither. `s` takes all 12 ordered
+    // transitions between 0/1/x/z (x->0 twice), one per time unit from
+    // its initial x, and each wakeup through the event queue sets bit
+    // `$time` of a mask. The vector `v` takes the same steps in its LSB
+    // and the opposite ones in its MSB: a vector's edge is its LSB's
+    // (same section). The expected masks are read off the table by
+    // hand, not computed.
+    let sim = run(
+        r#"module t;
+            reg s;
+            reg [1:0] v;
+            reg [15:0] s_pos, s_neg, v_pos, v_neg;
+            initial begin
+                s_pos = 0; s_neg = 0; v_pos = 0; v_neg = 0;
+                #1 s = 1'b0; v = 2'b10;   // t=1  x->0
+                #1 s = 1'b1; v = 2'b01;   // t=2  0->1
+                #1 s = 1'bx; v = 2'bxx;   // t=3  1->x
+                #1 s = 1'b0; v = 2'b10;   // t=4  x->0
+                #1 s = 1'bz; v = 2'bzz;   // t=5  0->z
+                #1 s = 1'b1; v = 2'b01;   // t=6  z->1
+                #1 s = 1'bz; v = 2'bzz;   // t=7  1->z
+                #1 s = 1'bx; v = 2'bxx;   // t=8  z->x
+                #1 s = 1'bz; v = 2'bzz;   // t=9  x->z
+                #1 s = 1'b0; v = 2'b10;   // t=10 z->0
+                #1 s = 1'bx; v = 2'bxx;   // t=11 0->x
+                #1 s = 1'b1; v = 2'b01;   // t=12 x->1
+                #1 s = 1'b0; v = 2'b10;   // t=13 1->0
+                #1 $finish;
+            end
+            always @(posedge s) s_pos = s_pos | (16'd1 << $time);
+            always @(negedge s) s_neg = s_neg | (16'd1 << $time);
+            always @(posedge v) v_pos = v_pos | (16'd1 << $time);
+            always @(negedge v) v_neg = v_neg | (16'd1 << $time);
+        endmodule"#,
+        "t",
+    );
+    let posedges = times_mask(&[2, 5, 6, 11, 12]);
+    let negedges = times_mask(&[1, 3, 4, 7, 10, 13]);
+    assert_eq!(value(&sim, "s_pos"), Some(posedges), "posedge s");
+    assert_eq!(value(&sim, "s_neg"), Some(negedges), "negedge s");
+    assert_eq!(value(&sim, "v_pos"), Some(posedges), "posedge v");
+    assert_eq!(value(&sim, "v_neg"), Some(negedges), "negedge v");
+}

@@ -250,6 +250,16 @@ impl Store {
         self.dir.join("sessions").join(format!("{id}.jsonl"))
     }
 
+    /// The id of every session log in the store, sorted.
+    pub fn sessions(&self) -> io::Result<Vec<String>> {
+        let mut ids: Vec<String> = segments_of(&self.dir.join("sessions"))?
+            .iter()
+            .filter_map(|p| Some(p.file_stem()?.to_str()?.to_string()))
+            .collect();
+        ids.sort();
+        Ok(ids)
+    }
+
     /// Reads a session log (empty when none exists yet), skipping
     /// damaged records.
     pub fn load_session(&self, id: &str) -> io::Result<(Vec<JsonValue>, SegmentHealth)> {
@@ -998,9 +1008,11 @@ mod tests {
             .unwrap()
             .write_record(&live)
             .unwrap();
+        assert_eq!(store.sessions().unwrap(), ["done", "live"]);
         store.gc().unwrap();
         assert!(!store.session_path("done").exists());
         assert!(store.session_path("live").exists());
+        assert_eq!(store.sessions().unwrap(), ["live"]);
     }
 
     #[test]

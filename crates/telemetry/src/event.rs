@@ -73,21 +73,6 @@ pub struct SimStats {
     pub peak_queue_depth: u64,
 }
 
-/// One static-analysis diagnostic (a lint finding).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LintEvent {
-    /// Module the diagnostic is anchored in.
-    pub module: String,
-    /// Stable diagnostic code, e.g. `"multiple-drivers"`.
-    pub code: String,
-    /// `"error"` or `"warning"`.
-    pub severity: String,
-    /// AST node id the diagnostic points at.
-    pub node_id: u64,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
 /// One persistent-store operation (PR 4's `cirfix-store`): cache hits
 /// and write-throughs, session checkpoints and resumes, and detected
 /// damage.
@@ -110,7 +95,7 @@ pub struct StoreEvent {
 
 /// The classified conclusion of one fresh candidate evaluation — the
 /// fault-containment taxonomy (clean run, simulator guard trip,
-/// per-candidate budget expiry, contained panic, resource cap, static
+/// per-candidate budget expiry, contained panic, resource cap, bloat
 /// rejection).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalOutcomeEvent {
@@ -197,8 +182,6 @@ pub enum Event {
     FaultLoc(FaultLocEvent),
     /// One simulation run's effort counters.
     Sim(SimStats),
-    /// One static-analysis diagnostic.
-    Lint(LintEvent),
     /// One persistent-store operation.
     Store(StoreEvent),
     /// The classified conclusion of one fresh candidate evaluation.
@@ -221,7 +204,6 @@ impl Event {
             Event::Candidate(_) => "candidate",
             Event::FaultLoc(_) => "fault_loc",
             Event::Sim(_) => "sim",
-            Event::Lint(_) => "lint",
             Event::Store(_) => "store",
             Event::EvalOutcome(_) => "eval_outcome",
             Event::Span(_) => "span",
@@ -234,15 +216,13 @@ impl Event {
     /// Serializes the event as a single-line JSON object with a
     /// `"type"` tag followed by the variant's fields.
     pub fn to_json(&self) -> String {
-        self.to_json_tagged(&[])
+        self.to_value().to_json()
     }
 
-    /// [`Event::to_json`] with extra string fields appended after the
-    /// variant's own — used by the daemon to scope events to a job
-    /// (`{"type":"heartbeat",...,"job":"4f09a1d2e6b3"}`) in an
-    /// aggregate trace shared by every session. Tag keys must not
-    /// collide with event fields; callers pick reserved names.
-    pub fn to_json_tagged(&self, tags: &[(&str, &str)]) -> String {
+    /// The event as the JSON object a trace line holds: the `"type"`
+    /// tag followed by the variant's fields. In-process readers fold
+    /// this value directly instead of parsing [`Event::to_json`] back.
+    pub fn to_value(&self) -> JsonValue {
         let mut pairs = vec![("type", JsonValue::Str(self.kind().into()))];
         match self {
             Event::Generation(g) => {
@@ -278,13 +258,6 @@ impl Event {
                     JsonValue::Uint(s.process_resumptions),
                 ));
                 pairs.push(("peak_queue_depth", JsonValue::Uint(s.peak_queue_depth)));
-            }
-            Event::Lint(l) => {
-                pairs.push(("module", JsonValue::Str(l.module.clone())));
-                pairs.push(("code", JsonValue::Str(l.code.clone())));
-                pairs.push(("severity", JsonValue::Str(l.severity.clone())));
-                pairs.push(("node_id", JsonValue::Uint(l.node_id)));
-                pairs.push(("message", JsonValue::Str(l.message.clone())));
             }
             Event::Store(st) => {
                 pairs.push(("op", JsonValue::Str(st.op.clone())));
@@ -335,17 +308,14 @@ impl Event {
                 ));
             }
         }
-        for &(key, value) in tags {
-            pairs.push((key, JsonValue::Str(value.into())));
-        }
-        JsonValue::obj(pairs).to_json()
+        JsonValue::obj(pairs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json_line;
+    use crate::json::{parse_json, validate_json_line};
 
     #[test]
     fn every_variant_serializes_to_valid_json() {
@@ -364,13 +334,6 @@ mod tests {
             }),
             Event::FaultLoc(FaultLocEvent::default()),
             Event::Sim(SimStats::default()),
-            Event::Lint(LintEvent {
-                module: "cnt".into(),
-                code: "multiple-drivers".into(),
-                severity: "error".into(),
-                node_id: 42,
-                message: "`q` is driven from 2 places".into(),
-            }),
             Event::Store(StoreEvent {
                 op: "hit".into(),
                 key: "6c62272e07bb014262b821756295c58d".into(),
@@ -408,6 +371,8 @@ mod tests {
             let line = e.to_json();
             validate_json_line(&line).expect("valid JSON");
             assert!(line.contains(&format!("\"type\":\"{}\"", e.kind())));
+            // The in-process value is exactly what a trace reader parses.
+            assert_eq!(parse_json(&line), Ok(e.to_value()), "{line}");
         }
     }
 }

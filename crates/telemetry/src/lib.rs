@@ -16,13 +16,15 @@
 //!   log-buckets whole-evaluation latencies.
 //! * **Sinks** — the [`TelemetrySink`] trait and its implementations:
 //!   [`NullSink`] (default, near-zero overhead), [`JsonLinesSink`]
-//!   (machine-readable event stream), [`SummarySink`] (human-readable
-//!   end-of-run report), [`TimingFreeSink`] (scrubs wall-clock payloads
-//!   so traces are byte-identical across `--jobs`), and [`FanoutSink`]
-//!   (several at once).
-//! * **JSON** — the [`JsonValue`] writer every event serializes through,
-//!   and its reading half [`parse_json`] (with [`field`] accessors),
-//!   which the store, the trace reader and the daemon protocol share.
+//!   (machine-readable event stream), [`TimingFreeSink`] (scrubs
+//!   wall-clock payloads so traces are byte-identical across `--jobs`),
+//!   and [`FanoutSink`] (several at once). Reading the stream back —
+//!   the end-of-run report behind `--metrics`, `cirfix report` and
+//!   `cirfix watch` — is `cirfix::report::RunReport`'s single fold.
+//! * **JSON** — the [`JsonValue`] writer every event serializes through
+//!   ([`Event::to_value`]), and its reading half [`parse_json`] (with
+//!   [`field`] accessors), which the store, the trace reader and the
+//!   daemon protocol share.
 //!
 //! Producers hold an [`Observer`] — a cloneable `Arc` handle that fits
 //! inside config structs — and call [`Observer::emit`] with a closure
@@ -38,7 +40,7 @@ mod sink;
 
 pub use event::{
     CandidateEvent, EvalOutcomeEvent, Event, FaultLocEvent, GenerationStats, HeartbeatEvent,
-    HistogramEvent, LintEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
+    HistogramEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
 };
 pub use json::{
     field, field_f64, field_str, field_u64, json_f64, parse_json, validate_json_line, JsonValue,
@@ -47,6 +49,5 @@ pub use metrics::Span;
 pub use observer::Observer;
 pub use profiler::{Phase, PhaseGuard, Profiler};
 pub use sink::{
-    FanoutSink, JsonLinesSink, NullSink, SummarySink, TaggedJsonLinesSink, TelemetrySink,
-    TimingFreeSink,
+    FanoutSink, JsonLinesSink, NullSink, TaggedJsonLinesSink, TelemetrySink, TimingFreeSink,
 };

@@ -3,19 +3,19 @@
 //! Repairs the counter sensitivity-list benchmark while streaming every
 //! telemetry event (generation statistics, candidate evaluations, fault
 //! localization, simulator effort, spans) to `trace_repair.jsonl`, then
-//! prints a per-event-type tally plus the aggregate summary report.
+//! reads the trace back and prints its run report — what `cirfix report
+//! trace_repair.jsonl` prints.
 //!
 //! ```sh
 //! cargo run --release --example trace_repair
 //! jq 'select(.type == "generation")' trace_repair.jsonl
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cirfix::{repair, Observer, RepairConfig};
+use cirfix::{repair, Observer, RepairConfig, RunReport};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::{validate_json_line, FanoutSink, JsonLinesSink, SummarySink, TelemetrySink};
+use cirfix_telemetry::JsonLinesSink;
 
 fn main() {
     let scenario = scenario("counter_sens_list").expect("benchmark exists");
@@ -23,9 +23,7 @@ fn main() {
 
     let trace_path = std::path::Path::new("trace_repair.jsonl");
     let trace = JsonLinesSink::create(trace_path).expect("trace file opens");
-    let summary = Arc::new(SummarySink::new());
-    let sinks: Vec<Box<dyn TelemetrySink>> = vec![Box::new(trace), Box::new(Arc::clone(&summary))];
-    let observer = Observer::new(Arc::new(FanoutSink::new(sinks)));
+    let observer = Observer::new(Arc::new(trace));
 
     // The search is stochastic; retry a few seeds under the fast budget.
     let mut plausible = false;
@@ -47,27 +45,12 @@ fn main() {
     }
     observer.flush();
 
-    // Read the trace back: every line must be valid JSON with a type tag.
+    // Read the trace back: every line must fold.
     let text = std::fs::read_to_string(trace_path).expect("trace readable");
-    let mut tally: BTreeMap<String, u64> = BTreeMap::new();
-    for line in text.lines() {
-        validate_json_line(line).expect("trace lines are valid JSON");
-        let tag = line
-            .split_once("\"type\":\"")
-            .and_then(|(_, rest)| rest.split('"').next())
-            .unwrap_or("?");
-        *tally.entry(tag.to_string()).or_insert(0) += 1;
-    }
-    println!(
-        "\ntrace written to {} ({} events):",
-        trace_path.display(),
-        text.lines().count()
-    );
-    for (tag, count) in &tally {
-        println!("  {tag:<12} {count:>8}");
-    }
-    println!();
-    print!("{}", summary.report());
+    let report = RunReport::from_trace(&text);
+    assert_eq!(report.malformed_lines, 0, "trace lines are valid JSON");
+    println!("\ntrace written to {}\n", trace_path.display());
+    print!("{}", report.render());
     if !plausible {
         println!("no repair under the fast budget; the trace still shows the search");
     }

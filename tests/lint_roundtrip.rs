@@ -9,7 +9,7 @@ use cirfix::{all_stmt_ids, apply_patch, fault_localization, mutate, MutationPara
 use cirfix_ast::print::source_to_string;
 use cirfix_ast::SourceFile;
 use cirfix_benchmarks::{projects, scenarios};
-use cirfix_lint::{diagnostic_event, lint_modules};
+use cirfix_lint::{diagnostic_json, lint_modules};
 use cirfix_telemetry::validate_json_line;
 use rand::SeedableRng;
 
@@ -106,8 +106,8 @@ fn faulty_benchmarks_lint_dirtier_than_golden() {
     );
 }
 
-/// Every lint finding over the whole suite serializes to a valid
-/// telemetry JSON line.
+/// Every lint finding over the whole suite serializes to a valid JSON
+/// line.
 #[test]
 fn lint_events_are_valid_json_lines() {
     let mut lines = 0u32;
@@ -115,7 +115,7 @@ fn lint_events_are_valid_json_lines() {
         let project = cirfix_benchmarks::project(s.project).unwrap();
         let modules = project.design_module_names();
         for (module, diag) in lint_modules(&s.faulty_design_file().unwrap(), &modules) {
-            let line = diagnostic_event(&module, &diag).to_json();
+            let line = diagnostic_json(&module, &diag);
             validate_json_line(&line).unwrap_or_else(|e| panic!("{}: {e}\n{line}", s.id));
             lines += 1;
         }

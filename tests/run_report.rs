@@ -101,7 +101,7 @@ fn assert_trace_is_worker_independent(input: (&str, u64)) -> RepairResult {
 #[test]
 fn seeded_report_matches_the_golden_fixture() {
     let (trace, _) = timing_free_trace(GOLDEN_INPUT, 1);
-    let report = RunReport::from_trace(&trace).expect("trace folds");
+    let report = RunReport::from_trace(&trace);
     let rendered = report.render();
     // `UPDATE_GOLDEN=1 cargo test` rewrites the fixture.
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -118,16 +118,13 @@ fn seeded_report_matches_the_golden_fixture() {
          if the change is intentional, update the fixture"
     );
     // And the report itself is stable under re-folding.
-    assert_eq!(
-        RunReport::from_trace(&trace).expect("trace folds").render(),
-        rendered
-    );
+    assert_eq!(RunReport::from_trace(&trace).render(), rendered);
 }
 
 #[test]
 fn report_json_round_trips_through_the_store_parser() {
     let (trace, _) = timing_free_trace(GOLDEN_INPUT, 1);
-    let report = RunReport::from_trace(&trace).expect("trace folds");
+    let report = RunReport::from_trace(&trace);
     let json = report.to_json();
     let parsed = cirfix_store::parse_json(&json).expect("report JSON parses");
     assert_eq!(
@@ -151,7 +148,7 @@ fn non_finite_fitness_survives_trace_to_report() {
         r#"{"type":"candidate","patch_len":1,"growth_factor":1.0,"fitness":0.5,"cached":false,"op":"mutation"}"#,
         "\n",
     );
-    let report = RunReport::from_trace(trace).expect("trace folds");
+    let report = RunReport::from_trace(trace);
     let op = report
         .operators
         .iter()
