@@ -99,36 +99,61 @@ fn batch_reference(args: &[&str], result_out: &Path) {
     );
 }
 
-/// Starts `cirfix serve` on a Unix socket and waits for it to come up.
-fn start_daemon(store: &Path, sock: &Path, extra: &[&str]) -> Child {
-    // A SIGKILLed predecessor leaves its socket file behind; remove it
-    // so "the socket exists" below means "the new daemon is up".
-    let _ = std::fs::remove_file(sock);
-    let child = Command::new(env!("CARGO_BIN_EXE_cirfix"))
-        .arg("serve")
-        .arg(store)
-        .arg("--socket")
-        .arg(sock)
-        .args(extra)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("daemon spawns");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !sock.exists() {
-        assert!(Instant::now() < deadline, "daemon socket never appeared");
-        std::thread::sleep(Duration::from_millis(20));
+/// A running `cirfix serve`, killed and reaped when dropped, so a test
+/// that fails midway does not leak its daemon.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
-    child
 }
 
-/// Sends `shutdown` and reaps the daemon process.
-fn stop_daemon(mut child: Child, sock: &Path) {
+/// Starts `cirfix serve` on a Unix socket and waits until it answers.
+/// The socket file appears when the daemon binds, before it listens, so
+/// readiness is a `status` request that succeeds, not the file.
+fn start_daemon(store: &Path, sock: &Path, extra: &[&str]) -> Daemon {
+    // A SIGKILLed predecessor leaves its socket file behind.
+    let _ = std::fs::remove_file(sock);
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_cirfix"))
+            .arg("serve")
+            .arg(store)
+            .arg("--socket")
+            .arg(sock)
+            .args(extra)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon spawns"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cirfix(&["status", "--socket", sock.to_str().unwrap()])
+        .status
+        .success()
+    {
+        let exited = daemon.0.try_wait().expect("wait works");
+        assert!(
+            exited.is_none(),
+            "daemon exited before answering: {exited:?}"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "daemon never answered on its socket"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    daemon
+}
+
+/// Sends `shutdown` and waits for the daemon to exit.
+fn stop_daemon(mut daemon: Daemon, sock: &Path) {
     let out = cirfix(&["shutdown", "--socket", sock.to_str().unwrap()]);
     stdout_of(&out);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if child.try_wait().expect("wait works").is_some() {
+        if daemon.0.try_wait().expect("wait works").is_some() {
             return;
         }
         assert!(
@@ -321,8 +346,8 @@ fn killed_daemon_resumes_the_job_on_restart() {
         ],
     );
     wait_for_state(&sock, &job, &["interrupted"]);
-    daemon.kill().expect("SIGKILL lands");
-    daemon.wait().expect("reaped");
+    daemon.0.kill().expect("SIGKILL lands");
+    daemon.0.wait().expect("reaped");
     assert!(!result.exists(), "interrupted job has no result yet");
 
     // Second daemon over the same store: the registry re-enqueues the

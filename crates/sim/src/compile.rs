@@ -4,14 +4,16 @@
 //! processes suspend at delays and event controls and resume later. We
 //! compile each `always`/`initial` body into a flat list of [`Op`]s with a
 //! program counter; every suspension point is its own op, so resuming is
-//! just continuing from `pc`.
+//! just continuing from `pc`. Every expression an op evaluates is
+//! compiled to [`ExprCode`] here too, straight from the AST.
 
 use std::collections::BTreeSet;
 
 use cirfix_ast::{CaseKind, Expr, LValue, Sensitivity, Stmt};
-use cirfix_logic::EdgeKind;
+use cirfix_logic::{EdgeKind, LogicVec};
 
-use crate::design::{Scope, ScopeEntry, SignalId, SignalKind, Target};
+use crate::code::{compile_expr, target_bits, ExprCode};
+use crate::design::{NameMap, Scope, ScopeEntry, Signal, SignalId, SignalKind, Target};
 
 /// A compiled process body.
 #[derive(Debug, Clone, Default)]
@@ -29,6 +31,16 @@ pub struct WaitSpec {
     pub edge: EdgeKind,
 }
 
+/// One argument of a system task.
+#[derive(Debug, Clone)]
+pub enum SysArg {
+    /// A string literal, kept as text (a format string or a `%s`
+    /// argument).
+    Text(String),
+    /// Any other argument.
+    Value(ExprCode),
+}
+
 /// One operation of a compiled process.
 #[derive(Debug, Clone)]
 pub enum Op {
@@ -37,12 +49,12 @@ pub enum Op {
         /// Resolved target.
         target: Target,
         /// Source expression.
-        rhs: Expr,
+        rhs: ExprCode,
     },
     /// First half of `lhs = #d rhs`: evaluate `rhs` into the pending slot.
     EvalPending {
         /// Source expression.
-        rhs: Expr,
+        rhs: ExprCode,
     },
     /// Second half of `lhs = #d rhs`: write the pending value.
     CommitPending {
@@ -56,14 +68,14 @@ pub enum Op {
         /// time, per IEEE 1364).
         target: Target,
         /// Source expression.
-        rhs: Expr,
+        rhs: ExprCode,
         /// Optional intra-assignment delay.
-        delay: Option<Expr>,
+        delay: Option<ExprCode>,
     },
     /// Suspend for `amount` time units.
     WaitDelay {
         /// Delay expression.
-        amount: Expr,
+        amount: ExprCode,
     },
     /// Suspend until one of the events fires.
     WaitEvent {
@@ -74,7 +86,7 @@ pub enum Op {
     /// signals and re-check on every change.
     WaitCond {
         /// The condition.
-        cond: Expr,
+        cond: ExprCode,
         /// Signals to watch while false.
         watch: Vec<SignalId>,
     },
@@ -87,13 +99,13 @@ pub enum Op {
     SysTask {
         /// Task name without `$`.
         name: String,
-        /// Arguments (may include `Expr::Str`).
-        args: Vec<Expr>,
+        /// Arguments.
+        args: Vec<SysArg>,
     },
     /// Conditional branch: jump when the condition is not true.
     JumpIfFalse {
         /// Condition.
-        cond: Expr,
+        cond: ExprCode,
         /// Target pc when false/unknown.
         target: usize,
     },
@@ -105,18 +117,18 @@ pub enum Op {
     /// `case` dispatch: jump to the first matching arm.
     CaseJump {
         /// Scrutinee.
-        subject: Expr,
+        subject: ExprCode,
         /// Matching flavor.
         kind: CaseKind,
         /// (labels, target) per arm, in source order.
-        arms: Vec<(Vec<Expr>, usize)>,
+        arms: Vec<(Vec<ExprCode>, usize)>,
         /// Target when nothing matches (the default arm or the exit).
         default_target: usize,
     },
     /// `repeat` entry: evaluate the count and push it.
     RepeatInit {
         /// Iteration count expression.
-        count: Expr,
+        count: ExprCode,
     },
     /// `repeat` loop head: exit and pop when the counter is 0, else
     /// decrement and fall through.
@@ -139,7 +151,10 @@ impl CompileError {
     }
 }
 
-/// Compiles a process body. `loop_forever` is true for `always` blocks.
+/// Compiles a process body. `params` are the instance's parameters (the
+/// names a part-select target's bounds may use), `signals` the design's
+/// signals so far (every signal `scope` names); `loop_forever` is true
+/// for `always` blocks.
 ///
 /// # Errors
 ///
@@ -149,13 +164,15 @@ impl CompileError {
 pub fn compile_process(
     body: &Stmt,
     scope: &Scope,
-    signal_kinds: &[SignalKind],
+    params: &NameMap<LogicVec>,
+    signals: &[Signal],
     loop_forever: bool,
 ) -> Result<Program, CompileError> {
     let mut c = Compiler {
         ops: Vec::new(),
         scope,
-        signal_kinds,
+        params,
+        signals,
     };
     c.compile_stmt(body)?;
     if loop_forever {
@@ -169,10 +186,15 @@ pub fn compile_process(
 struct Compiler<'a> {
     ops: Vec<Op>,
     scope: &'a Scope,
-    signal_kinds: &'a [SignalKind],
+    params: &'a NameMap<LogicVec>,
+    signals: &'a [Signal],
 }
 
 impl Compiler<'_> {
+    fn expr(&self, expr: &Expr) -> ExprCode {
+        compile_expr(expr, self.scope, self.signals)
+    }
+
     fn here(&self) -> usize {
         self.ops.len()
     }
@@ -206,7 +228,7 @@ impl Compiler<'_> {
                 ..
             } => {
                 self.ops.push(Op::JumpIfFalse {
-                    cond: cond.clone(),
+                    cond: self.expr(cond),
                     target: usize::MAX,
                 });
                 let cond_jump = self.ops.len() - 1;
@@ -235,7 +257,7 @@ impl Compiler<'_> {
                 ..
             } => {
                 self.ops.push(Op::CaseJump {
-                    subject: subject.clone(),
+                    subject: self.expr(subject),
                     kind: *kind,
                     arms: Vec::new(),
                     default_target: usize::MAX,
@@ -244,7 +266,8 @@ impl Compiler<'_> {
                 let mut arm_targets = Vec::new();
                 let mut exit_jumps = Vec::new();
                 for arm in arms {
-                    arm_targets.push((arm.labels.clone(), self.here()));
+                    let labels = arm.labels.iter().map(|l| self.expr(l)).collect();
+                    arm_targets.push((labels, self.here()));
                     self.compile_stmt(&arm.body)?;
                     exit_jumps.push(self.emit_jump_placeholder());
                 }
@@ -279,7 +302,7 @@ impl Compiler<'_> {
                 self.compile_stmt(init)?;
                 let head = self.here();
                 self.ops.push(Op::JumpIfFalse {
-                    cond: cond.clone(),
+                    cond: self.expr(cond),
                     target: usize::MAX,
                 });
                 let exit_jump = self.ops.len() - 1;
@@ -293,7 +316,7 @@ impl Compiler<'_> {
             Stmt::While { cond, body, .. } => {
                 let head = self.here();
                 self.ops.push(Op::JumpIfFalse {
-                    cond: cond.clone(),
+                    cond: self.expr(cond),
                     target: usize::MAX,
                 });
                 let exit_jump = self.ops.len() - 1;
@@ -305,7 +328,7 @@ impl Compiler<'_> {
             }
             Stmt::Repeat { count, body, .. } => {
                 self.ops.push(Op::RepeatInit {
-                    count: count.clone(),
+                    count: self.expr(count),
                 });
                 let head = self.here();
                 self.ops.push(Op::RepeatTest { exit: usize::MAX });
@@ -326,14 +349,14 @@ impl Compiler<'_> {
                 lhs, delay, rhs, ..
             } => {
                 let target = self.resolve_lvalue(lhs)?;
+                let rhs = self.expr(rhs);
                 match delay {
-                    None => self.ops.push(Op::Assign {
-                        target,
-                        rhs: rhs.clone(),
-                    }),
+                    None => self.ops.push(Op::Assign { target, rhs }),
                     Some(d) => {
-                        self.ops.push(Op::EvalPending { rhs: rhs.clone() });
-                        self.ops.push(Op::WaitDelay { amount: d.clone() });
+                        self.ops.push(Op::EvalPending { rhs });
+                        self.ops.push(Op::WaitDelay {
+                            amount: self.expr(d),
+                        });
                         self.ops.push(Op::CommitPending { target });
                     }
                 }
@@ -345,14 +368,14 @@ impl Compiler<'_> {
                 let target = self.resolve_lvalue(lhs)?;
                 self.ops.push(Op::NonBlocking {
                     target,
-                    rhs: rhs.clone(),
-                    delay: delay.clone(),
+                    rhs: self.expr(rhs),
+                    delay: delay.as_ref().map(|d| self.expr(d)),
                 });
                 Ok(())
             }
             Stmt::Delay { amount, body, .. } => {
                 self.ops.push(Op::WaitDelay {
-                    amount: amount.clone(),
+                    amount: self.expr(amount),
                 });
                 if let Some(b) = body {
                     self.compile_stmt(b)?;
@@ -423,7 +446,7 @@ impl Compiler<'_> {
                 Ok(())
             }
             Stmt::EventTrigger { name, .. } => match self.scope.lookup(name) {
-                Some(ScopeEntry::Sig(sig)) if self.signal_kinds[*sig] == SignalKind::Event => {
+                Some(ScopeEntry::Sig(sig)) if self.signals[*sig].kind == SignalKind::Event => {
                     self.ops.push(Op::Trigger { sig: *sig });
                     Ok(())
                 }
@@ -440,7 +463,7 @@ impl Compiler<'_> {
                     }
                 }
                 self.ops.push(Op::WaitCond {
-                    cond: cond.clone(),
+                    cond: self.expr(cond),
                     watch,
                 });
                 if let Some(b) = body {
@@ -449,9 +472,16 @@ impl Compiler<'_> {
                 Ok(())
             }
             Stmt::SysCall { name, args, .. } => {
+                let args = args
+                    .iter()
+                    .map(|a| match a {
+                        Expr::Str { value, .. } => SysArg::Text(value.clone()),
+                        e => SysArg::Value(self.expr(e)),
+                    })
+                    .collect();
                 self.ops.push(Op::SysTask {
                     name: name.clone(),
-                    args: args.clone(),
+                    args,
                 });
                 Ok(())
             }
@@ -481,12 +511,12 @@ impl Compiler<'_> {
                     self.check_writable(*sig, base)?;
                     Ok(Target::BitDyn {
                         sig: *sig,
-                        index: index.clone(),
+                        index: self.expr(index),
                     })
                 }
                 Some(ScopeEntry::Mem(mem)) => Ok(Target::Word {
                     mem: *mem,
-                    index: index.clone(),
+                    index: self.expr(index),
                 }),
                 Some(ScopeEntry::Param(_)) => Err(CompileError::new(format!(
                     "cannot assign parameter `{base}`"
@@ -496,31 +526,12 @@ impl Compiler<'_> {
             LValue::Range { base, msb, lsb, .. } => match self.scope.lookup(base) {
                 Some(ScopeEntry::Sig(sig)) => {
                     self.check_writable(*sig, base)?;
-                    // Part-select bounds must be elaboration constants; the
-                    // scope's params are the only names allowed.
-                    let params: std::collections::HashMap<_, _> = self
-                        .scope
-                        .entries
-                        .iter()
-                        .filter_map(|(k, v)| match v {
-                            ScopeEntry::Param(value) => Some((k.clone(), value.clone())),
-                            _ => None,
-                        })
-                        .collect();
-                    let hi = crate::eval::eval_const_u64(msb, &params)
+                    let (msb, lsb) = target_bits(msb, lsb, self.signals[*sig].lsb, self.params)
                         .map_err(|e| CompileError::new(e.0))?;
-                    let lo = crate::eval::eval_const_u64(lsb, &params)
-                        .map_err(|e| CompileError::new(e.0))?;
-                    if hi < lo {
-                        return Err(CompileError::new("part-select msb < lsb"));
-                    }
-                    if hi - lo + 1 > crate::eval::MAX_SELECT_WIDTH {
-                        return Err(CompileError::new("part-select exceeds the width limit"));
-                    }
                     Ok(Target::Bits {
                         sig: *sig,
-                        msb: hi as usize,
-                        lsb: lo as usize,
+                        msb,
+                        lsb,
                     })
                 }
                 Some(_) => Err(CompileError::new(format!(
@@ -539,7 +550,7 @@ impl Compiler<'_> {
     }
 
     fn check_writable(&self, sig: SignalId, name: &str) -> Result<(), CompileError> {
-        match self.signal_kinds[sig] {
+        match self.signals[sig].kind {
             SignalKind::Reg => Ok(()),
             SignalKind::Wire => Err(CompileError::new(format!(
                 "procedural assignment to wire `{name}`"
@@ -670,8 +681,9 @@ mod tests {
     use super::*;
     use cirfix_parser::parse;
 
-    /// Builds a scope + kinds from a module's declarations, minimally.
-    fn scope_for(src: &str) -> (Scope, Vec<SignalKind>, Stmt, bool) {
+    /// Builds a scope + signals from a module's declarations, minimally
+    /// (every signal one bit wide from bit 0).
+    fn scope_for(src: &str) -> (Scope, Vec<Signal>, Stmt, bool) {
         let file = parse(src).expect("parse");
         let module = &file.modules[0];
         let mut scope = Scope::default();
@@ -702,14 +714,24 @@ mod tests {
                 _ => None,
             })
             .expect("has process");
-        (scope, kinds, body, is_always)
+        let signals = kinds
+            .into_iter()
+            .map(|kind| Signal {
+                name: String::new(),
+                width: 1,
+                lsb: 0,
+                kind,
+                init: None,
+            })
+            .collect();
+        (scope, signals, body, is_always)
     }
 
     #[test]
     fn compiles_if_else_with_correct_targets() {
         let (scope, kinds, body, always) =
             scope_for("module m; reg a, c; always @(c) if (c) a = 1'b1; else a = 1'b0; endmodule");
-        let p = compile_process(&body, &scope, &kinds, always).unwrap();
+        let p = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap();
         // WaitEvent, JumpIfFalse, Assign, Jump, Assign, Jump(0)
         assert!(matches!(p.ops[0], Op::WaitEvent { .. }));
         let Op::JumpIfFalse { target, .. } = &p.ops[1] else {
@@ -724,7 +746,7 @@ mod tests {
         let (scope, kinds, body, always) = scope_for(
             "module m; reg [1:0] s; reg q; always @(s) case (s) 2'd0: q = 1'b0; 2'd1, 2'd2: q = 1'b1; default: q = 1'bx; endcase endmodule",
         );
-        let p = compile_process(&body, &scope, &kinds, always).unwrap();
+        let p = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap();
         let case = p
             .ops
             .iter()
@@ -746,7 +768,7 @@ mod tests {
     fn rejects_procedural_assignment_to_wire() {
         let (scope, kinds, body, always) =
             scope_for("module m; wire w; reg c; always @(c) w = c; endmodule");
-        let err = compile_process(&body, &scope, &kinds, always).unwrap_err();
+        let err = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap_err();
         assert!(err.0.contains("wire"));
     }
 
@@ -754,14 +776,14 @@ mod tests {
     fn rejects_undeclared_sensitivity() {
         let (scope, kinds, body, always) =
             scope_for("module m; reg q; always @(ghost) q = 1'b0; endmodule");
-        assert!(compile_process(&body, &scope, &kinds, always).is_err());
+        assert!(compile_process(&body, &scope, &NameMap::default(), &kinds, always).is_err());
     }
 
     #[test]
     fn star_sensitivity_collects_reads() {
         let (scope, kinds, body, always) =
             scope_for("module m; reg a, b, q; always @* q = a & b; endmodule");
-        let p = compile_process(&body, &scope, &kinds, always).unwrap();
+        let p = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap();
         let Op::WaitEvent { events } = &p.ops[0] else {
             panic!("expected wait");
         };
@@ -773,7 +795,7 @@ mod tests {
     fn intra_assignment_delay_splits_into_three_ops() {
         let (scope, kinds, body, always) =
             scope_for("module m; reg a, b; initial a = #5 b; endmodule");
-        let p = compile_process(&body, &scope, &kinds, always).unwrap();
+        let p = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap();
         assert!(matches!(p.ops[0], Op::EvalPending { .. }));
         assert!(matches!(p.ops[1], Op::WaitDelay { .. }));
         assert!(matches!(p.ops[2], Op::CommitPending { .. }));
@@ -783,7 +805,7 @@ mod tests {
     fn repeat_compiles_to_counted_loop() {
         let (scope, kinds, body, always) =
             scope_for("module m; reg a; initial repeat (3) a = ~a; endmodule");
-        let p = compile_process(&body, &scope, &kinds, always).unwrap();
+        let p = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap();
         assert!(matches!(p.ops[0], Op::RepeatInit { .. }));
         assert!(matches!(p.ops[1], Op::RepeatTest { .. }));
     }
@@ -792,10 +814,10 @@ mod tests {
     fn trigger_requires_event() {
         let (scope, kinds, body, always) =
             scope_for("module m; event go; initial -> go; endmodule");
-        let p = compile_process(&body, &scope, &kinds, always).unwrap();
+        let p = compile_process(&body, &scope, &NameMap::default(), &kinds, always).unwrap();
         assert!(matches!(p.ops[0], Op::Trigger { .. }));
         let (scope, kinds, body, always) = scope_for("module m; reg go; initial -> go; endmodule");
-        assert!(compile_process(&body, &scope, &kinds, always).is_err());
+        assert!(compile_process(&body, &scope, &NameMap::default(), &kinds, always).is_err());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The elaborated design: flattened signals, memories, scopes, compiled
-//! processes and continuous assignments.
+//! processes and continuous assignments. Every expression in it is
+//! already compiled ([`ExprCode`]); a simulator runs the design as is.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
-use cirfix_ast::Expr;
 use cirfix_logic::LogicVec;
 
+use crate::code::ExprCode;
 use crate::compile::Program;
 
 /// FNV-1a, the hasher for the design's name tables. These are small
@@ -141,15 +142,15 @@ pub enum Target {
     BitDyn {
         /// Target signal.
         sig: SignalId,
-        /// Index expression, evaluated in the owner's scope at run time.
-        index: Expr,
+        /// Index expression, evaluated at run time.
+        index: ExprCode,
     },
     /// A memory word, `mem[addr]`.
     Word {
         /// Target memory.
         mem: MemId,
         /// Address expression.
-        index: Expr,
+        index: ExprCode,
     },
     /// A concatenation of targets; the first receives the MSBs.
     Concat(Vec<Target>),
@@ -161,8 +162,8 @@ pub struct ContAssign {
     /// Resolved target (always a wire).
     pub target: Target,
     /// Driving expression.
-    pub rhs: Expr,
-    /// Scope for evaluating `rhs` (and any dynamic indices in `target`).
+    pub rhs: ExprCode,
+    /// The instance scope `rhs` was compiled in.
     pub scope: Rc<Scope>,
     /// Human-readable origin for diagnostics.
     pub origin: String,
@@ -182,7 +183,8 @@ pub enum ProcessKind {
 pub struct Process {
     /// Compiled operations.
     pub program: Program,
-    /// Scope for evaluation.
+    /// The instance scope the program was compiled in (`%m` prints its
+    /// path).
     pub scope: Rc<Scope>,
     /// `always` vs `initial`.
     pub kind: ProcessKind,
@@ -201,6 +203,11 @@ pub struct Design {
     pub processes: Vec<Process>,
     /// All continuous assignments (including port connections).
     pub cassigns: Vec<ContAssign>,
+    /// Per signal, the continuous assignments whose right-hand side names
+    /// it, in assignment order: the ones a change of the signal
+    /// re-evaluates. Only [`crate::elaborate`] fills it, one entry per
+    /// signal.
+    pub(crate) cassign_deps: Vec<Vec<usize>>,
     /// Hierarchical signal name → id.
     pub by_name: NameMap<SignalId>,
 }

@@ -12,6 +12,7 @@ use std::rc::Rc;
 use cirfix_ast::{Decl, DeclKind, Expr, Item, LValue, Module, SourceFile};
 use cirfix_logic::LogicVec;
 
+use crate::code::{compile_expr, target_bits};
 use crate::compile::compile_process;
 use crate::design::{
     ContAssign, Design, Memory, NameMap, Process, ProcessKind, Scope, ScopeEntry, Signal, SignalId,
@@ -19,6 +20,7 @@ use crate::design::{
 };
 use crate::error::SimError;
 use crate::eval::{eval_const, eval_const_u64};
+use crate::width::MAX_SELECT_WIDTH;
 
 /// Maximum instantiation depth, guarding against recursive hierarchies.
 const MAX_DEPTH: usize = 64;
@@ -48,6 +50,8 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, SimError> {
         design: Design::default(),
     };
     elab.instantiate(top_module, String::new(), NameMap::default(), 0)?;
+    let n_signals = elab.design.signals.len();
+    elab.design.cassign_deps.resize(n_signals, Vec::new());
     Ok(elab.design)
 }
 
@@ -220,7 +224,6 @@ impl<'a> Elaborator<'a> {
         }
 
         let scope = Rc::new(scope);
-        let signal_kinds: Vec<SignalKind> = self.design.signals.iter().map(|s| s.kind).collect();
 
         // Pass 2: behaviour.
         for item in &module.items {
@@ -228,16 +231,14 @@ impl<'a> Elaborator<'a> {
                 Item::Decl(_) | Item::Param(_) => {}
                 Item::Assign { lhs, rhs, .. } => {
                     let target = self.resolve_net_target(lhs, &scope, &params, &module.name)?;
-                    self.design.cassigns.push(ContAssign {
-                        target,
-                        rhs: rhs.clone(),
-                        scope: Rc::clone(&scope),
-                        origin: format!("assign in {}", module.name),
-                    });
+                    self.push_cassign(target, rhs, &scope, format!("assign in {}", module.name));
                 }
                 Item::Always { body, .. } => {
-                    let program = compile_process(body, &scope, &signal_kinds, true)
-                        .map_err(|e| SimError::elab(format!("in `{}`: {}", module.name, e.0)))?;
+                    let program =
+                        compile_process(body, &scope, &params, &self.design.signals, true)
+                            .map_err(|e| {
+                                SimError::elab(format!("in `{}`: {}", module.name, e.0))
+                            })?;
                     self.design.processes.push(Process {
                         program,
                         scope: Rc::clone(&scope),
@@ -246,8 +247,11 @@ impl<'a> Elaborator<'a> {
                     });
                 }
                 Item::Initial { body, .. } => {
-                    let program = compile_process(body, &scope, &signal_kinds, false)
-                        .map_err(|e| SimError::elab(format!("in `{}`: {}", module.name, e.0)))?;
+                    let program =
+                        compile_process(body, &scope, &params, &self.design.signals, false)
+                            .map_err(|e| {
+                                SimError::elab(format!("in `{}`: {}", module.name, e.0))
+                            })?;
                     self.design.processes.push(Process {
                         program,
                         scope: Rc::clone(&scope),
@@ -270,12 +274,8 @@ impl<'a> Elaborator<'a> {
                             let Some(sig) = scope.signal(&v.name) else {
                                 continue;
                             };
-                            self.design.cassigns.push(ContAssign {
-                                target: Target::Sig(sig),
-                                rhs: init.clone(),
-                                scope: Rc::clone(&scope),
-                                origin: format!("wire init in {}", module.name),
-                            });
+                            let origin = format!("wire init in {}", module.name);
+                            self.push_cassign(Target::Sig(sig), init, &scope, origin);
                         }
                     }
                 }
@@ -283,6 +283,30 @@ impl<'a> Elaborator<'a> {
         }
 
         Ok(scope)
+    }
+
+    /// Compiles `rhs` in `scope` and records the assignment as a reader
+    /// of every signal `rhs` names.
+    fn push_cassign(&mut self, target: Target, rhs: &Expr, scope: &Rc<Scope>, origin: String) {
+        let ci = self.design.cassigns.len();
+        let deps = &mut self.design.cassign_deps;
+        for name in rhs.identifiers() {
+            if let Some(sig) = scope.signal(name) {
+                if deps.len() <= sig {
+                    deps.resize(sig + 1, Vec::new());
+                }
+                if deps[sig].last() != Some(&ci) {
+                    deps[sig].push(ci);
+                }
+            }
+        }
+        let rhs = compile_expr(rhs, scope, &self.design.signals);
+        self.design.cassigns.push(ContAssign {
+            target,
+            rhs,
+            scope: Rc::clone(scope),
+            origin,
+        });
     }
 
     fn push_signal(&mut self, sig: Signal) -> SignalId {
@@ -318,7 +342,7 @@ impl<'a> Elaborator<'a> {
                         module.name
                     ))
                 })?;
-                if width > crate::eval::MAX_SELECT_WIDTH {
+                if width > MAX_SELECT_WIDTH {
                     return Err(SimError::elab(format!(
                         "range [{hi}:{lo}] in `{}` exceeds the width limit",
                         module.name
@@ -424,27 +448,17 @@ impl<'a> Elaborator<'a> {
             LValue::Range { base, msb, lsb, .. } => match scope.lookup(base) {
                 Some(ScopeEntry::Sig(sig)) => {
                     self.check_net(*sig, base, module_name)?;
-                    let hi = eval_const_u64(msb, params).map_err(|e| {
-                        SimError::elab(format!("part select in `{module_name}`: {}", e.0))
-                    })?;
-                    let lo = eval_const_u64(lsb, params).map_err(|e| {
-                        SimError::elab(format!("part select in `{module_name}`: {}", e.0))
-                    })?;
-                    let width = crate::width::part_select_width(hi, lo).ok_or_else(|| {
+                    let (msb, lsb) = target_bits(msb, lsb, self.design.signals[*sig].lsb, params)
+                        .map_err(|e| {
                         SimError::elab(format!(
-                            "part-select msb < lsb on `{base}` in `{module_name}`"
+                            "part select on `{base}` in `{module_name}`: {}",
+                            e.0
                         ))
                     })?;
-                    if width > crate::eval::MAX_SELECT_WIDTH {
-                        return Err(SimError::elab(format!(
-                            "part-select on `{base}` in `{module_name}` exceeds the width limit"
-                        )));
-                    }
-                    let off = self.design.signals[*sig].lsb as u64;
                     Ok(Target::Bits {
                         sig: *sig,
-                        msb: hi.wrapping_sub(off) as usize,
-                        lsb: lo.wrapping_sub(off) as usize,
+                        msb,
+                        lsb,
                     })
                 }
                 _ => Err(SimError::elab(format!(
@@ -596,12 +610,8 @@ impl<'a> Elaborator<'a> {
             match dir {
                 DeclKind::Input => {
                     // child_port = parent_expr, evaluated in the parent.
-                    self.design.cassigns.push(ContAssign {
-                        target: Target::Sig(child_sig),
-                        rhs: expr.clone(),
-                        scope: Rc::clone(parent_scope),
-                        origin: format!("input port {port} of {}", inst.name),
-                    });
+                    let origin = format!("input port {port} of {}", inst.name);
+                    self.push_cassign(Target::Sig(child_sig), expr, parent_scope, origin);
                 }
                 DeclKind::Output => {
                     // parent_lvalue = child_port.
@@ -613,13 +623,9 @@ impl<'a> Elaborator<'a> {
                     })?;
                     let target =
                         self.resolve_net_target(&lv, parent_scope, parent_params, &parent.name)?;
-                    let mut ids = cirfix_ast::NodeIdGen::new();
-                    self.design.cassigns.push(ContAssign {
-                        target,
-                        rhs: Expr::ident(&mut ids, port.clone()),
-                        scope: Rc::clone(&child_scope),
-                        origin: format!("output port {port} of {}", inst.name),
-                    });
+                    let rhs = Expr::ident(&mut cirfix_ast::NodeIdGen::new(), port.clone());
+                    let origin = format!("output port {port} of {}", inst.name);
+                    self.push_cassign(target, &rhs, &child_scope, origin);
                 }
                 _ => {
                     return Err(SimError::elab(format!(

@@ -9,16 +9,16 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use cirfix_ast::{Expr, SourceFile};
+use cirfix_ast::SourceFile;
 use cirfix_logic::{EdgeKind, Logic, LogicVec};
 
 use crate::cancel::CancelToken;
-use crate::code::{compile_expr, compile_program, exec_code, ExprCode, ProcCode};
-use crate::compile::{Op, Program};
+use crate::code::{exec_code, ExprCode, STRING_AS_VALUE};
+use crate::compile::{Op, SysArg};
 use crate::design::{Design, Scope, SignalId, Store, Target};
 use crate::elab::elaborate;
 use crate::error::SimError;
-use crate::eval::{eval_expr, EvalCtx, EvalFault, Lcg};
+use crate::eval::{EvalCtx, EvalFault, Lcg};
 use crate::probe::{ProbeSchedule, ProbeSpec, Trace};
 
 /// Resource limits and stop conditions for one simulation run.
@@ -179,7 +179,7 @@ struct ProbeState {
 }
 
 struct MonitorState {
-    args: Vec<Expr>,
+    args: Vec<SysArg>,
     scope: Rc<Scope>,
     last: Option<String>,
 }
@@ -204,13 +204,11 @@ struct MonitorState {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Simulator {
-    design: Design,
+    /// Shared with the interpreter loops, which hold a clone of the `Rc`
+    /// while they mutate the run state.
+    design: Rc<Design>,
     store: Store,
     config: SimConfig,
-    progs: Vec<Rc<Program>>,
-    scopes: Vec<Rc<Scope>>,
-    codes: Vec<Rc<ProcCode>>,
-    cassign_codes: Vec<Option<Rc<ExprCode>>>,
     scratch: Vec<LogicVec>,
     count_scratch: Vec<u64>,
     wake_scratch: Vec<usize>,
@@ -218,7 +216,6 @@ pub struct Simulator {
     procs: Vec<ProcState>,
     watchers: Vec<Vec<Watcher>>,
     probe_edges: Vec<Vec<(usize, EdgeKind)>>,
-    cassign_deps: Vec<Vec<usize>>,
     cassign_queued: Vec<bool>,
     probes: Vec<ProbeState>,
     monitor: Option<MonitorState>,
@@ -263,19 +260,10 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Builds a simulator from an already elaborated design.
+    /// Builds a simulator from an already elaborated (and compiled)
+    /// design.
     pub fn from_design(design: Design, config: SimConfig) -> Simulator {
         let store = Store::new(&design);
-        let progs = design
-            .processes
-            .iter()
-            .map(|p| Rc::new(p.program.clone()))
-            .collect::<Vec<_>>();
-        let scopes = design
-            .processes
-            .iter()
-            .map(|p| Rc::clone(&p.scope))
-            .collect::<Vec<_>>();
         let procs = design
             .processes
             .iter()
@@ -288,45 +276,15 @@ impl Simulator {
             })
             .collect();
         let n_sigs = design.signals.len();
-        let mut cassign_deps = vec![Vec::new(); n_sigs];
-        for (ci, ca) in design.cassigns.iter().enumerate() {
-            let mut reads: Vec<SignalId> = Vec::new();
-            for name in ca.rhs.identifiers() {
-                if let Some(sig) = ca.scope.signal(name) {
-                    if !reads.contains(&sig) {
-                        reads.push(sig);
-                    }
-                }
-            }
-            // Dynamic indices inside the target are also dependencies.
-            collect_target_reads(&ca.target, &ca.scope, &mut reads);
-            for sig in reads {
-                cassign_deps[sig].push(ci);
-            }
-        }
-        let sig_lsb: Vec<usize> = design.signals.iter().map(|s| s.lsb).collect();
-        let codes = design
-            .processes
-            .iter()
-            .map(|p| Rc::new(compile_program(&p.program, &p.scope, &sig_lsb)))
-            .collect();
-        let cassign_codes = design
-            .cassigns
-            .iter()
-            .map(|ca| compile_expr(&ca.rhs, &ca.scope, &sig_lsb).map(Rc::new))
-            .collect();
+        let sig_lsb = design.signals.iter().map(|s| s.lsb).collect();
         let mem_offset = design.memories.iter().map(|m| m.offset).collect();
         let mem_widths = design.memories.iter().map(|m| m.width).collect();
         let seed = config.seed;
         let n_cassigns = design.cassigns.len();
         Simulator {
-            design,
+            design: Rc::new(design),
             store,
             config,
-            progs,
-            scopes,
-            codes,
-            cassign_codes,
             scratch: Vec::new(),
             count_scratch: Vec::new(),
             wake_scratch: Vec::new(),
@@ -334,7 +292,6 @@ impl Simulator {
             procs,
             watchers: vec![Vec::new(); n_sigs],
             probe_edges: vec![Vec::new(); n_sigs],
-            cassign_deps,
             cassign_queued: vec![false; n_cassigns],
             probes: Vec::new(),
             monitor: None,
@@ -698,64 +655,26 @@ impl Simulator {
 
     // -- expression / target helpers ------------------------------------
 
-    fn eval_in(&mut self, expr: &Expr, scope: &Scope) -> Result<LogicVec, EvalFault> {
+    fn exec(&mut self, code: &ExprCode) -> Result<LogicVec, EvalFault> {
         let mut ctx = EvalCtx {
-            scope,
             store: &self.store,
             sig_lsb: &self.sig_lsb,
             mem_offset: &self.mem_offset,
             time: self.now,
             rng: &mut self.rng,
         };
-        eval_expr(expr, &mut ctx)
+        exec_code(code, &mut ctx, &mut self.scratch, &mut self.count_scratch)
     }
 
-    /// Runs compiled bytecode when the site compiled, else tree-walks
-    /// `expr`. Both paths are semantically identical, including fault
-    /// messages and `$random` LCG draws.
-    fn eval_either(
-        &mut self,
-        expr: &Expr,
-        code: Option<&ExprCode>,
-        scope: &Scope,
-    ) -> Result<LogicVec, EvalFault> {
-        match code {
-            Some(code) => self.exec_compiled(code, scope),
-            None => self.eval_in(expr, scope),
-        }
-    }
-
-    fn exec_compiled(&mut self, code: &ExprCode, scope: &Scope) -> Result<LogicVec, EvalFault> {
-        let mut stack = std::mem::take(&mut self.scratch);
-        let mut counts = std::mem::take(&mut self.count_scratch);
-        let mut ctx = EvalCtx {
-            scope,
-            store: &self.store,
-            sig_lsb: &self.sig_lsb,
-            mem_offset: &self.mem_offset,
-            time: self.now,
-            rng: &mut self.rng,
-        };
-        let r = exec_code(code, &mut ctx, &mut stack, &mut counts);
-        self.scratch = stack;
-        self.count_scratch = counts;
-        r
-    }
-
-    fn resolve_target(
-        &mut self,
-        target: &Target,
-        scope: &Scope,
-    ) -> Result<Vec<ConcreteTarget>, EvalFault> {
+    fn resolve_target(&mut self, target: &Target) -> Result<Vec<ConcreteTarget>, EvalFault> {
         let mut parts = Vec::new();
-        self.resolve_target_into(target, scope, &mut parts)?;
+        self.resolve_target_into(target, &mut parts)?;
         Ok(parts)
     }
 
     fn resolve_target_into(
         &mut self,
         target: &Target,
-        scope: &Scope,
         out: &mut Vec<ConcreteTarget>,
     ) -> Result<(), EvalFault> {
         match target {
@@ -773,7 +692,7 @@ impl Simulator {
                 lsb: *lsb,
             }),
             Target::BitDyn { sig, index } => {
-                let idx = self.eval_in(index, scope)?;
+                let idx = self.exec(index)?;
                 match idx.to_u64() {
                     Some(i) => {
                         let raw = i.wrapping_sub(self.sig_lsb[*sig] as u64) as usize;
@@ -791,7 +710,7 @@ impl Simulator {
                 }
             }
             Target::Word { mem, index } => {
-                let idx = self.eval_in(index, scope)?;
+                let idx = self.exec(index)?;
                 let slot = idx.to_u64().and_then(|i| {
                     let raw = i.wrapping_sub(self.mem_offset[*mem]) as usize;
                     (raw < self.store.memories[*mem].len()).then_some(raw)
@@ -803,7 +722,7 @@ impl Simulator {
             }
             Target::Concat(parts) => {
                 for p in parts {
-                    self.resolve_target_into(p, scope, out)?;
+                    self.resolve_target_into(p, out)?;
                 }
             }
         }
@@ -814,15 +733,10 @@ impl Simulator {
     /// `value` — the allocation-free path for targets that are consumed
     /// immediately (blocking assigns, continuous assigns). Non-blocking
     /// assigns keep an owned part list because updates are queued.
-    fn write_target(
-        &mut self,
-        target: &Target,
-        scope: &Scope,
-        value: LogicVec,
-    ) -> Result<(), EvalFault> {
+    fn write_target(&mut self, target: &Target, value: LogicVec) -> Result<(), EvalFault> {
         let mut parts = std::mem::take(&mut self.target_scratch);
         parts.clear();
-        let resolved = self.resolve_target_into(target, scope, &mut parts);
+        let resolved = self.resolve_target_into(target, &mut parts);
         if resolved.is_ok() {
             self.apply_write(&parts, value);
         }
@@ -916,9 +830,9 @@ impl Simulator {
             }
         }
 
-        // Re-evaluate dependent continuous assignments.
-        for k in 0..self.cassign_deps[sig].len() {
-            let ci = self.cassign_deps[sig][k];
+        // Re-evaluate dependent continuous assignments (a design that
+        // `elaborate` did not build has no reader lists).
+        for &ci in self.design.cassign_deps.get(sig).into_iter().flatten() {
             if !self.cassign_queued[ci] {
                 self.cassign_queued[ci] = true;
                 self.active.push_back(Ev::EvalCassign(ci));
@@ -934,23 +848,14 @@ impl Simulator {
 
     fn eval_cassign(&mut self, ci: usize) -> Result<(), SimError> {
         self.cassign_queued[ci] = false;
-        let scope = Rc::clone(&self.design.cassigns[ci].scope);
-        let code = self.cassign_codes[ci].clone();
-        let value = match code {
-            Some(code) => self.exec_compiled(&code, &scope),
-            None => {
-                let rhs = self.design.cassigns[ci].rhs.clone();
-                self.eval_in(&rhs, &scope)
-            }
-        }
-        .map_err(|e| self.runtime(e))?;
-        match self.design.cassigns[ci].target {
+        let design = Rc::clone(&self.design);
+        let ca = &design.cassigns[ci];
+        let value = self.exec(&ca.rhs).map_err(|e| self.runtime(e))?;
+        match ca.target {
             Target::Sig(sig) => self.set_signal(sig, value),
-            ref target => {
-                let target = target.clone();
-                self.write_target(&target, &scope, value)
-                    .map_err(|e| self.runtime(e))?;
-            }
+            ref target => self
+                .write_target(target, value)
+                .map_err(|e| self.runtime(e))?,
         }
         Ok(())
     }
@@ -963,9 +868,8 @@ impl Simulator {
         }
         self.metrics.process_resumptions += 1;
         self.procs[p].status = ProcStatus::Ready;
-        let prog = Rc::clone(&self.progs[p]);
-        let scope = Rc::clone(&self.scopes[p]);
-        let code = Rc::clone(&self.codes[p]);
+        let design = Rc::clone(&self.design);
+        let process = &design.processes[p];
         let mut ops_this_resume: u64 = 0;
         loop {
             ops_this_resume += 1;
@@ -980,25 +884,19 @@ impl Simulator {
                 self.check_cancel()?;
             }
             let pc = self.procs[p].pc;
-            let Some(op) = prog.ops.get(pc) else {
+            let Some(op) = process.program.ops.get(pc) else {
                 self.procs[p].status = ProcStatus::Done;
                 return Ok(());
             };
-            // Compiled code is parallel to the program ops.
-            let oc = &code.ops[pc];
             match op {
                 Op::Assign { target, rhs } => {
-                    let value = self
-                        .eval_either(rhs, oc.a.as_ref(), &scope)
-                        .map_err(|e| self.runtime(e))?;
-                    self.write_target(target, &scope, value)
+                    let value = self.exec(rhs).map_err(|e| self.runtime(e))?;
+                    self.write_target(target, value)
                         .map_err(|e| self.runtime(e))?;
                     self.procs[p].pc += 1;
                 }
                 Op::EvalPending { rhs } => {
-                    let value = self
-                        .eval_either(rhs, oc.a.as_ref(), &scope)
-                        .map_err(|e| self.runtime(e))?;
+                    let value = self.exec(rhs).map_err(|e| self.runtime(e))?;
                     self.procs[p].pending = Some(value);
                     self.procs[p].pc += 1;
                 }
@@ -1007,20 +905,16 @@ impl Simulator {
                         .pending
                         .take()
                         .unwrap_or_else(|| LogicVec::unknown(1));
-                    self.write_target(target, &scope, value)
+                    self.write_target(target, value)
                         .map_err(|e| self.runtime(e))?;
                     self.procs[p].pc += 1;
                 }
                 Op::NonBlocking { target, rhs, delay } => {
-                    let value = self
-                        .eval_either(rhs, oc.a.as_ref(), &scope)
-                        .map_err(|e| self.runtime(e))?;
-                    let parts = self
-                        .resolve_target(target, &scope)
-                        .map_err(|e| self.runtime(e))?;
+                    let value = self.exec(rhs).map_err(|e| self.runtime(e))?;
+                    let parts = self.resolve_target(target).map_err(|e| self.runtime(e))?;
                     let d = match delay {
                         Some(d) => self
-                            .eval_either(d, oc.b.as_ref(), &scope)
+                            .exec(d)
                             .map_err(|e| self.runtime(e))?
                             .to_u64()
                             .unwrap_or(0),
@@ -1037,7 +931,7 @@ impl Simulator {
                 }
                 Op::WaitDelay { amount } => {
                     let d = self
-                        .eval_either(amount, oc.a.as_ref(), &scope)
+                        .exec(amount)
                         .map_err(|e| self.runtime(e))?
                         .to_u64()
                         .unwrap_or(0);
@@ -1066,9 +960,7 @@ impl Simulator {
                     return Ok(());
                 }
                 Op::WaitCond { cond, watch } => {
-                    let v = self
-                        .eval_either(cond, oc.a.as_ref(), &scope)
-                        .map_err(|e| self.runtime(e))?;
+                    let v = self.exec(cond).map_err(|e| self.runtime(e))?;
                     if v.truth().as_bool() {
                         self.procs[p].pc += 1;
                     } else {
@@ -1093,18 +985,14 @@ impl Simulator {
                     self.procs[p].pc += 1;
                 }
                 Op::SysTask { name, args } => {
-                    let name = name.clone();
-                    let args = args.clone();
-                    self.sys_task(&name, &args, &scope)?;
+                    self.sys_task(name, args, &process.scope)?;
                     self.procs[p].pc += 1;
                     if self.finished {
                         return Ok(());
                     }
                 }
                 Op::JumpIfFalse { cond, target } => {
-                    let v = self
-                        .eval_either(cond, oc.a.as_ref(), &scope)
-                        .map_err(|e| self.runtime(e))?;
+                    let v = self.exec(cond).map_err(|e| self.runtime(e))?;
                     if v.truth().as_bool() {
                         self.procs[p].pc += 1;
                     } else {
@@ -1120,16 +1008,11 @@ impl Simulator {
                     arms,
                     default_target,
                 } => {
-                    let sv = self
-                        .eval_either(subject, oc.a.as_ref(), &scope)
-                        .map_err(|e| self.runtime(e))?;
+                    let sv = self.exec(subject).map_err(|e| self.runtime(e))?;
                     let mut jumped = false;
-                    'arms: for (ai, (labels, target)) in arms.iter().enumerate() {
-                        for (li, label) in labels.iter().enumerate() {
-                            let lc = oc.labels.get(ai).and_then(|ls| ls.get(li));
-                            let lv = self
-                                .eval_either(label, lc.and_then(Option::as_ref), &scope)
-                                .map_err(|e| self.runtime(e))?;
+                    'arms: for (labels, target) in arms {
+                        for label in labels {
+                            let lv = self.exec(label).map_err(|e| self.runtime(e))?;
                             let hit = match kind {
                                 cirfix_ast::CaseKind::Case => sv.case_match(&lv),
                                 cirfix_ast::CaseKind::Casez => sv.casez_match(&lv),
@@ -1148,7 +1031,7 @@ impl Simulator {
                 }
                 Op::RepeatInit { count } => {
                     let n = self
-                        .eval_either(count, oc.a.as_ref(), &scope)
+                        .exec(count)
                         .map_err(|e| self.runtime(e))?
                         .to_u64()
                         .unwrap_or(0);
@@ -1176,7 +1059,7 @@ impl Simulator {
         }
     }
 
-    fn sys_task(&mut self, name: &str, args: &[Expr], scope: &Rc<Scope>) -> Result<(), SimError> {
+    fn sys_task(&mut self, name: &str, args: &[SysArg], scope: &Rc<Scope>) -> Result<(), SimError> {
         match name {
             "display" | "write" | "strobe" => {
                 let text = self.format_args(args, scope).map_err(|e| self.runtime(e))?;
@@ -1204,12 +1087,20 @@ impl Simulator {
         }
     }
 
-    fn format_args(&mut self, args: &[Expr], scope: &Scope) -> Result<String, EvalFault> {
+    /// Evaluates a system-task argument; a string literal in a value
+    /// position faults as any string used as a value does.
+    fn eval_arg(&mut self, arg: &SysArg) -> Result<LogicVec, EvalFault> {
+        match arg {
+            SysArg::Value(code) => self.exec(code),
+            SysArg::Text(_) => Err(EvalFault::new(STRING_AS_VALUE)),
+        }
+    }
+
+    fn format_args(&mut self, args: &[SysArg], scope: &Scope) -> Result<String, EvalFault> {
         let Some(first) = args.first() else {
             return Ok(String::new());
         };
-        if let Expr::Str { value, .. } = first {
-            let fmt = value.clone();
+        if let SysArg::Text(fmt) = first {
             let mut out = String::new();
             let mut rest = args[1..].iter();
             let mut chars = fmt.chars().peekable();
@@ -1231,16 +1122,16 @@ impl Simulator {
                         &scope.path
                     }),
                     's' => match rest.next() {
-                        Some(Expr::Str { value, .. }) => out.push_str(value),
-                        Some(e) => {
-                            let v = self.eval_in(e, scope)?;
+                        Some(SysArg::Text(text)) => out.push_str(text),
+                        Some(arg) => {
+                            let v = self.eval_arg(arg)?;
                             out.push_str(&format_value(&v, 'd'));
                         }
                         None => out.push_str("%s"),
                     },
                     k @ ('d' | 'b' | 'h' | 'o' | 't' | 'c') => match rest.next() {
-                        Some(e) => {
-                            let v = self.eval_in(e, scope)?;
+                        Some(arg) => {
+                            let v = self.eval_arg(arg)?;
                             out.push_str(&format_value(&v, k));
                         }
                         None => {
@@ -1255,44 +1146,24 @@ impl Simulator {
                 }
             }
             // Any leftover arguments are appended space-separated.
-            for e in rest {
-                let v = self.eval_in(e, scope)?;
+            for arg in rest {
+                let v = self.eval_arg(arg)?;
                 out.push(' ');
                 out.push_str(&format_value(&v, 'd'));
             }
             Ok(out)
         } else {
             let mut parts = Vec::new();
-            for e in args {
-                match e {
-                    Expr::Str { value, .. } => parts.push(value.clone()),
-                    _ => {
-                        let v = self.eval_in(e, scope)?;
+            for arg in args {
+                match arg {
+                    SysArg::Text(text) => parts.push(text.clone()),
+                    SysArg::Value(code) => {
+                        let v = self.exec(code)?;
                         parts.push(format_value(&v, 'd'));
                     }
                 }
             }
             Ok(parts.join(" "))
-        }
-    }
-}
-
-fn collect_target_reads(target: &Target, scope: &Scope, out: &mut Vec<SignalId>) {
-    match target {
-        Target::Sig(_) | Target::Bits { .. } => {}
-        Target::BitDyn { index, .. } | Target::Word { index, .. } => {
-            for name in index.identifiers() {
-                if let Some(sig) = scope.signal(name) {
-                    if !out.contains(&sig) {
-                        out.push(sig);
-                    }
-                }
-            }
-        }
-        Target::Concat(parts) => {
-            for p in parts {
-                collect_target_reads(p, scope, out);
-            }
         }
     }
 }

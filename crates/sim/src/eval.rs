@@ -1,16 +1,17 @@
-//! Expression evaluation against the signal store.
+//! The evaluation context, and elaboration constants.
+//!
+//! Expressions evaluate only as compiled bytecode ([`crate::code`]);
+//! this module holds what an evaluation touches and the constant
+//! evaluator the elaborator (and lint) call.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
-use cirfix_ast::{BinaryOp, Expr, UnaryOp};
-use cirfix_logic::{Logic, LogicVec};
+use cirfix_ast::Expr;
+use cirfix_logic::LogicVec;
 
-use crate::design::{Scope, ScopeEntry, Store};
-
-/// Hard cap on the width of any evaluated part select. Mutated designs
-/// can request astronomically wide slices (e.g. `s0[32'h5a5a5a5a:0]`);
-/// anything beyond this is a runtime fault rather than an allocation.
-pub const MAX_SELECT_WIDTH: u64 = 1 << 16;
+use crate::code::{const_u64, const_value};
+use crate::design::Store;
 
 /// A deterministic linear congruential generator backing `$random`.
 #[derive(Debug, Clone)]
@@ -48,10 +49,9 @@ impl EvalFault {
     }
 }
 
-/// Everything an expression evaluation can touch.
+/// Everything compiled code can touch at run time (names were resolved
+/// when it was compiled).
 pub struct EvalCtx<'a> {
-    /// The instance symbol table.
-    pub scope: &'a Scope,
     /// Current signal/memory values.
     pub store: &'a Store,
     /// Declared LSB offsets per signal (parallel to the store).
@@ -64,229 +64,20 @@ pub struct EvalCtx<'a> {
     pub rng: &'a mut Lcg,
 }
 
-/// Evaluates an expression to a four-state value.
-///
-/// # Errors
-///
-/// Returns an [`EvalFault`] for names not in scope, whole-memory reads,
-/// and unsupported system functions.
-pub fn eval_expr(expr: &Expr, ctx: &mut EvalCtx<'_>) -> Result<LogicVec, EvalFault> {
-    match expr {
-        Expr::Literal { value, .. } => Ok(value.clone()),
-        Expr::Str { .. } => Err(EvalFault::new("string used as a value")),
-        Expr::Ident { name, .. } => match ctx.scope.lookup(name) {
-            Some(ScopeEntry::Sig(id)) => Ok(ctx.store.signals[*id].clone()),
-            Some(ScopeEntry::Param(v)) => Ok(v.clone()),
-            Some(ScopeEntry::Mem(_)) => {
-                Err(EvalFault::new(format!("cannot read whole memory `{name}`")))
-            }
-            None => Err(EvalFault::new(format!("undeclared identifier `{name}`"))),
-        },
-        Expr::Unary { op, arg, .. } => {
-            let v = eval_expr(arg, ctx)?;
-            Ok(apply_unary(*op, v))
-        }
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let a = eval_expr(lhs, ctx)?;
-            let b = eval_expr(rhs, ctx)?;
-            Ok(apply_binary(*op, &a, &b))
-        }
-        Expr::Cond {
-            cond,
-            then_e,
-            else_e,
-            ..
-        } => {
-            let c = eval_expr(cond, ctx)?;
-            let t = eval_expr(then_e, ctx)?;
-            let e = eval_expr(else_e, ctx)?;
-            Ok(c.select(&t, &e))
-        }
-        Expr::Index { base, index, .. } => {
-            let idx = eval_expr(index, ctx)?;
-            match ctx.scope.lookup(base) {
-                Some(ScopeEntry::Sig(id)) => {
-                    let sig = &ctx.store.signals[*id];
-                    match idx.to_u64() {
-                        Some(i) => {
-                            let raw = i.wrapping_sub(ctx.sig_lsb[*id] as u64);
-                            Ok(LogicVec::scalar(sig.bit(raw as usize)))
-                        }
-                        None => Ok(LogicVec::scalar(Logic::X)),
-                    }
-                }
-                Some(ScopeEntry::Mem(mid)) => {
-                    let words = &ctx.store.memories[*mid];
-                    let width = words.first().map_or(1, LogicVec::width);
-                    match idx.to_u64() {
-                        Some(i) => {
-                            let raw = i.wrapping_sub(ctx.mem_offset[*mid]) as usize;
-                            Ok(words
-                                .get(raw)
-                                .cloned()
-                                .unwrap_or_else(|| LogicVec::unknown(width)))
-                        }
-                        None => Ok(LogicVec::unknown(width)),
-                    }
-                }
-                Some(ScopeEntry::Param(v)) => match idx.to_u64() {
-                    Some(i) => Ok(LogicVec::scalar(v.bit(i as usize))),
-                    None => Ok(LogicVec::scalar(Logic::X)),
-                },
-                None => Err(EvalFault::new(format!("undeclared identifier `{base}`"))),
-            }
-        }
-        Expr::Range { base, msb, lsb, .. } => {
-            let hi = eval_expr(msb, ctx)?
-                .to_u64()
-                .ok_or_else(|| EvalFault::new("part-select bound is unknown"))?;
-            let lo = eval_expr(lsb, ctx)?
-                .to_u64()
-                .ok_or_else(|| EvalFault::new("part-select bound is unknown"))?;
-            let width = crate::width::part_select_width(hi, lo)
-                .ok_or_else(|| EvalFault::new("part-select msb < lsb"))?;
-            if width > MAX_SELECT_WIDTH {
-                return Err(EvalFault::new(format!(
-                    "part-select [{hi}:{lo}] exceeds the width limit"
-                )));
-            }
-            match ctx.scope.lookup(base) {
-                Some(ScopeEntry::Sig(id)) => {
-                    let off = ctx.sig_lsb[*id] as u64;
-                    let raw_lo = lo
-                        .checked_sub(off)
-                        .ok_or_else(|| EvalFault::new("part-select below the declared range"))?
-                        as usize;
-                    let raw_hi = raw_lo + (width - 1) as usize;
-                    Ok(ctx.store.signals[*id].slice(raw_hi, raw_lo))
-                }
-                Some(ScopeEntry::Param(v)) => {
-                    Ok(v.slice(lo as usize + (width - 1) as usize, lo as usize))
-                }
-                Some(ScopeEntry::Mem(_)) => {
-                    Err(EvalFault::new(format!("part-select of memory `{base}`")))
-                }
-                None => Err(EvalFault::new(format!("undeclared identifier `{base}`"))),
-            }
-        }
-        Expr::Concat { parts, .. } => {
-            let vals = parts
-                .iter()
-                .map(|p| eval_expr(p, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
-            if vals.is_empty() {
-                return Err(EvalFault::new("empty concatenation"));
-            }
-            Ok(LogicVec::concat(&vals))
-        }
-        Expr::Repeat { count, parts, .. } => {
-            let n = eval_expr(count, ctx)?
-                .to_u64()
-                .ok_or_else(|| EvalFault::new("replication count is unknown"))?;
-            if n == 0 || n > 4096 {
-                return Err(EvalFault::new(format!("bad replication count {n}")));
-            }
-            let vals = parts
-                .iter()
-                .map(|p| eval_expr(p, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
-            if vals.is_empty() {
-                return Err(EvalFault::new("empty replication"));
-            }
-            Ok(LogicVec::concat(&vals).replicate(n as usize))
-        }
-        Expr::SysCall { name, .. } => match name.as_str() {
-            "time" => Ok(LogicVec::from_u64(
-                ctx.time,
-                crate::width::SYSCALL_TIME_WIDTH,
-            )),
-            "random" => Ok(LogicVec::from_u64(
-                u64::from(ctx.rng.next_u32()),
-                crate::width::SYSCALL_RANDOM_WIDTH,
-            )),
-            other => Err(EvalFault::new(format!(
-                "unsupported system function ${other}"
-            ))),
-        },
-    }
-}
-
-/// Applies a unary operator — the single semantics shared by the
-/// tree-walking evaluator and the bytecode dispatch loop.
-pub(crate) fn apply_unary(op: UnaryOp, v: LogicVec) -> LogicVec {
-    match op {
-        UnaryOp::LogicNot => LogicVec::scalar(v.logical_not()),
-        UnaryOp::BitNot => v.bit_not(),
-        UnaryOp::Minus => v.neg(),
-        UnaryOp::Plus => v,
-        UnaryOp::RedAnd => LogicVec::scalar(v.reduce_and()),
-        UnaryOp::RedOr => LogicVec::scalar(v.reduce_or()),
-        UnaryOp::RedXor => LogicVec::scalar(v.reduce_xor()),
-        UnaryOp::RedNand => LogicVec::scalar(v.reduce_nand()),
-        UnaryOp::RedNor => LogicVec::scalar(v.reduce_nor()),
-        UnaryOp::RedXnor => LogicVec::scalar(v.reduce_xnor()),
-    }
-}
-
-/// Applies a binary operator — shared with the bytecode dispatch loop.
-pub(crate) fn apply_binary(op: BinaryOp, a: &LogicVec, b: &LogicVec) -> LogicVec {
-    match op {
-        BinaryOp::Add => a.add(b),
-        BinaryOp::Sub => a.sub(b),
-        BinaryOp::Mul => a.mul(b),
-        BinaryOp::Div => a.div(b),
-        BinaryOp::Rem => a.rem(b),
-        BinaryOp::Eq => LogicVec::scalar(a.logic_eq(b)),
-        BinaryOp::Neq => LogicVec::scalar(a.logic_neq(b)),
-        BinaryOp::CaseEq => LogicVec::scalar(a.case_eq(b)),
-        BinaryOp::CaseNeq => LogicVec::scalar(a.case_neq(b)),
-        BinaryOp::Lt => LogicVec::scalar(a.lt(b)),
-        BinaryOp::Le => LogicVec::scalar(a.le(b)),
-        BinaryOp::Gt => LogicVec::scalar(a.gt(b)),
-        BinaryOp::Ge => LogicVec::scalar(a.ge(b)),
-        BinaryOp::LogicAnd => LogicVec::scalar(a.logical_and(b)),
-        BinaryOp::LogicOr => LogicVec::scalar(a.logical_or(b)),
-        BinaryOp::BitAnd => a.bit_and(b),
-        BinaryOp::BitOr => a.bit_or(b),
-        BinaryOp::BitXor => a.bit_xor(b),
-        BinaryOp::BitXnor => a.bit_xnor(b),
-        BinaryOp::Shl => a.shl(b),
-        BinaryOp::Shr => a.shr(b),
-    }
-}
-
 /// Evaluates a constant expression using only parameter bindings — used
 /// during elaboration for ranges, parameter values and replication counts.
+/// The expression compiles against `params` in place (the table is not
+/// copied) and runs with `$time` at 0 and `$random` seeded with 0.
 ///
 /// # Errors
 ///
 /// Returns an [`EvalFault`] if the expression references anything other
 /// than literals and parameters.
-pub fn eval_const<S: std::hash::BuildHasher>(
+pub fn eval_const<S: BuildHasher>(
     expr: &Expr,
     params: &HashMap<String, LogicVec, S>,
 ) -> Result<LogicVec, EvalFault> {
-    let scope = Scope {
-        path: String::new(),
-        entries: params
-            .iter()
-            .map(|(k, v)| (k.clone(), ScopeEntry::Param(v.clone())))
-            .collect(),
-    };
-    let store = Store {
-        signals: Vec::new(),
-        memories: Vec::new(),
-    };
-    let mut rng = Lcg::new(0);
-    let mut ctx = EvalCtx {
-        scope: &scope,
-        store: &store,
-        sig_lsb: &[],
-        mem_offset: &[],
-        time: 0,
-        rng: &mut rng,
-    };
-    eval_expr(expr, &mut ctx)
+    const_value(expr, params)
 }
 
 /// Evaluates a constant expression to a `u64`.
@@ -294,161 +85,16 @@ pub fn eval_const<S: std::hash::BuildHasher>(
 /// # Errors
 ///
 /// As [`eval_const`], plus unknown (`x`/`z`) results.
-pub fn eval_const_u64<S: std::hash::BuildHasher>(
+pub fn eval_const_u64<S: BuildHasher>(
     expr: &Expr,
     params: &HashMap<String, LogicVec, S>,
 ) -> Result<u64, EvalFault> {
-    eval_const(expr, params)?
-        .to_u64()
-        .ok_or_else(|| EvalFault::new("constant expression is unknown"))
+    const_u64(expr, params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cirfix_ast::NodeIdGen;
-
-    fn ctx_with<'a>(
-        scope: &'a Scope,
-        store: &'a Store,
-        sig_lsb: &'a [usize],
-        rng: &'a mut Lcg,
-    ) -> EvalCtx<'a> {
-        EvalCtx {
-            scope,
-            store,
-            sig_lsb,
-            mem_offset: &[],
-            time: 42,
-            rng,
-        }
-    }
-
-    #[test]
-    fn evaluates_signals_and_operators() {
-        let mut g = NodeIdGen::new();
-        let mut scope = Scope::default();
-        scope.entries.insert("a".into(), ScopeEntry::Sig(0));
-        let store = Store {
-            signals: vec![LogicVec::from_u64(5, 4)],
-            memories: vec![],
-        };
-        let mut rng = Lcg::new(1);
-        let mut ctx = ctx_with(&scope, &store, &[0], &mut rng);
-        let a = Expr::ident(&mut g, "a");
-        let one = Expr::literal_u64(&mut g, 1, 4);
-        let e = Expr::binary(&mut g, cirfix_ast::BinaryOp::Add, a, one);
-        assert_eq!(eval_expr(&e, &mut ctx).unwrap().to_u64(), Some(6));
-    }
-
-    #[test]
-    fn undeclared_identifier_faults() {
-        let mut g = NodeIdGen::new();
-        let scope = Scope::default();
-        let store = Store {
-            signals: vec![],
-            memories: vec![],
-        };
-        let mut rng = Lcg::new(1);
-        let mut ctx = ctx_with(&scope, &store, &[], &mut rng);
-        let e = Expr::ident(&mut g, "ghost");
-        assert!(eval_expr(&e, &mut ctx).is_err());
-    }
-
-    #[test]
-    fn index_respects_declared_lsb() {
-        let mut g = NodeIdGen::new();
-        let mut scope = Scope::default();
-        scope.entries.insert("a".into(), ScopeEntry::Sig(0));
-        // a is declared [7:4]; a[4] is the raw bit 0.
-        let store = Store {
-            signals: vec![LogicVec::from_u64(0b0001, 4)],
-            memories: vec![],
-        };
-        let mut rng = Lcg::new(1);
-        let mut ctx = ctx_with(&scope, &store, &[4], &mut rng);
-        let idx = Expr::literal_u64(&mut g, 4, 32);
-        let e = Expr::Index {
-            id: g.fresh(),
-            base: "a".into(),
-            index: Box::new(idx),
-        };
-        assert_eq!(eval_expr(&e, &mut ctx).unwrap().to_u64(), Some(1));
-    }
-
-    #[test]
-    fn memory_reads() {
-        let mut g = NodeIdGen::new();
-        let mut scope = Scope::default();
-        scope.entries.insert("mem".into(), ScopeEntry::Mem(0));
-        let store = Store {
-            signals: vec![],
-            memories: vec![vec![LogicVec::from_u64(7, 8), LogicVec::from_u64(9, 8)]],
-        };
-        let mut rng = Lcg::new(1);
-        let mut ctx = EvalCtx {
-            scope: &scope,
-            store: &store,
-            sig_lsb: &[],
-            mem_offset: &[0],
-            time: 0,
-            rng: &mut rng,
-        };
-        let idx = Expr::literal_u64(&mut g, 1, 32);
-        let e = Expr::Index {
-            id: g.fresh(),
-            base: "mem".into(),
-            index: Box::new(idx),
-        };
-        assert_eq!(eval_expr(&e, &mut ctx).unwrap().to_u64(), Some(9));
-        // Out-of-range read yields x.
-        let idx = Expr::literal_u64(&mut g, 5, 32);
-        let e = Expr::Index {
-            id: g.fresh(),
-            base: "mem".into(),
-            index: Box::new(idx),
-        };
-        assert!(eval_expr(&e, &mut ctx).unwrap().has_unknown());
-    }
-
-    #[test]
-    fn time_and_random() {
-        let mut g = NodeIdGen::new();
-        let scope = Scope::default();
-        let store = Store {
-            signals: vec![],
-            memories: vec![],
-        };
-        let mut rng = Lcg::new(1);
-        let mut ctx = ctx_with(&scope, &store, &[], &mut rng);
-        let t = Expr::SysCall {
-            id: g.fresh(),
-            name: "time".into(),
-            args: vec![],
-        };
-        assert_eq!(eval_expr(&t, &mut ctx).unwrap().to_u64(), Some(42));
-        let r = Expr::SysCall {
-            id: g.fresh(),
-            name: "random".into(),
-            args: vec![],
-        };
-        let a = eval_expr(&r, &mut ctx).unwrap();
-        let b = eval_expr(&r, &mut ctx).unwrap();
-        assert_ne!(a, b, "lcg must advance");
-    }
-
-    #[test]
-    fn const_eval_uses_parameters() {
-        let mut g = NodeIdGen::new();
-        let mut params = HashMap::new();
-        params.insert("WIDTH".into(), LogicVec::from_u64(8, 32));
-        let w = Expr::ident(&mut g, "WIDTH");
-        let one = Expr::literal_u64(&mut g, 1, 32);
-        let e = Expr::binary(&mut g, cirfix_ast::BinaryOp::Sub, w, one);
-        assert_eq!(eval_const_u64(&e, &params).unwrap(), 7);
-        let bad = Expr::ident(&mut g, "clk");
-        assert!(eval_const_u64(&bad, &params).is_err());
-    }
 
     #[test]
     fn lcg_is_deterministic() {

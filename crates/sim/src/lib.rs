@@ -9,8 +9,9 @@
 //! function consumes.
 //!
 //! * [`elaborate`] — hierarchy flattening, parameter resolution, port
-//!   lowering, process compilation ([`SimError::Elaboration`] = the
-//!   "does not compile" signal for candidate repairs);
+//!   lowering, process compilation, with every expression compiled to
+//!   [`code`] bytecode ([`SimError::Elaboration`] = the "does not
+//!   compile" signal for candidate repairs);
 //! * [`Simulator`] — the engine: active/inactive/NBA regions, delta-cycle
 //!   and runaway-process guards (mutants love infinite loops);
 //! * [`ProbeSpec`]/[`Trace`] — testbench instrumentation (§3.2 of the
@@ -50,7 +51,7 @@ pub mod vcd;
 pub mod width;
 
 pub use cancel::CancelToken;
-pub use compile::{CompileError, Op, Program, WaitSpec};
+pub use compile::{CompileError, Op, Program, SysArg, WaitSpec};
 pub use design::{
     ContAssign, Design, FnvHasher, Memory, NameMap, Process, ProcessKind, Scope, ScopeEntry,
     Signal, SignalId, SignalKind, Store, Target,
@@ -58,5 +59,5 @@ pub use design::{
 pub use elab::elaborate;
 pub use engine::{SimConfig, SimMetrics, SimOutcome, Simulator, CANCEL_CHECK_MASK};
 pub use error::SimError;
-pub use eval::{eval_const, eval_const_u64, eval_expr, EvalCtx, EvalFault, Lcg};
+pub use eval::{eval_const, eval_const_u64, EvalCtx, EvalFault, Lcg};
 pub use probe::{ProbeSchedule, ProbeSpec, Trace};

@@ -1,17 +1,23 @@
 //! Static self-determined expression widths (IEEE 1364 §4.4).
 //!
-//! The simulator's [`eval_expr`](crate::eval_expr) determines result
-//! widths dynamically through [`LogicVec`] operations; the lint passes
-//! need the same widths *without* running the design. This module is the
-//! single implementation of the self-determined-width rules, shared by
-//! both: the per-operator rules here mirror the `cirfix_logic` ops
-//! exactly (additions widen to `max`, shifts keep the left operand's
+//! The simulator's expression bytecode ([`crate::code`]) determines
+//! result widths dynamically through [`LogicVec`] operations; the lint
+//! passes need the same widths *without* running the design. This module
+//! is the single implementation of the self-determined-width rules,
+//! shared by both: the per-operator rules here mirror the `cirfix_logic`
+//! ops exactly (additions widen to `max`, shifts keep the left operand's
 //! width, comparisons collapse to a scalar, …), and the evaluator uses
-//! [`part_select_width`] and the `SYSCALL_*_WIDTH` constants so the two
-//! sides cannot drift apart silently.
+//! [`part_select_width`], [`MAX_SELECT_WIDTH`] and the `SYSCALL_*_WIDTH`
+//! constants so the two sides cannot drift apart silently.
 
 use cirfix_ast::{BinaryOp, Expr, UnaryOp};
 use cirfix_logic::LogicVec;
+
+/// Hard cap on the width of any part select or declared range. Mutated
+/// designs can request astronomically wide slices (e.g.
+/// `s0[32'h5a5a5a5a:0]`); anything beyond this is a fault rather than
+/// an allocation.
+pub const MAX_SELECT_WIDTH: u64 = 1 << 16;
 
 /// Width of `$time` results (IEEE 1364 §17.7.1).
 pub const SYSCALL_TIME_WIDTH: usize = 64;

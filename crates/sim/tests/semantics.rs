@@ -465,3 +465,197 @@ fn edge_wakeups_follow_the_ieee_transition_table() {
     assert_eq!(value(&sim, "v_pos"), Some(posedges), "posedge v");
     assert_eq!(value(&sim, "v_neg"), Some(negedges), "negedge v");
 }
+
+#[test]
+fn continuous_assigns_settle_before_inactive_and_after_nba_updates() {
+    // IEEE 1364-2005 §11.6.1: a continuous assign is a process sensitive
+    // to its operands; an operand change adds an *active* update event.
+    // §11.4's reference model runs every active event before it promotes
+    // the inactive (`#0`) region, and promotes the nonblocking-update
+    // region only once the inactive region is empty too. So a `#0`
+    // reader after a blocking write to `a` sees `y` and the assign
+    // chained on it (`z`) already updated; a `#0` reader after `a <= …`
+    // still sees the old `y`, and an `@(y)` reader sees the new one.
+    // Each value below is worked out by hand from those rules.
+    let sim = run(
+        r#"module t;
+            reg [3:0] a;
+            wire [3:0] y, z;
+            reg [3:0] y0, z0, y1, z1, y_nba, y_late, seen, wakes;
+            assign y = a + 4'd1;
+            assign z = {y[1:0], y[3:2]};
+            always @(z) begin seen = z; wakes = wakes + 4'd1; end
+            initial begin
+                wakes = 4'd0;
+                #1 a = 4'd2;          // y = 3, z = 4'b1100
+                #0 y0 = y; z0 = z;
+                a = 4'd5;             // y = 6, z = 4'b1001
+                #0 y1 = y; z1 = z;
+                a <= 4'd9;            // lands in the NBA region: y = 10, z = 4'b1010
+                #0 y_nba = y;
+                @(y) y_late = y;
+                #1 $finish;
+            end
+        endmodule"#,
+        "t",
+    );
+    assert_eq!(value(&sim, "y0"), Some(3), "#0 after a blocking write");
+    assert_eq!(
+        value(&sim, "z0"),
+        Some(0b1100),
+        "assign driven by an assign"
+    );
+    assert_eq!(value(&sim, "y1"), Some(6));
+    assert_eq!(value(&sim, "z1"), Some(0b1001));
+    assert_eq!(
+        value(&sim, "y_nba"),
+        Some(6),
+        "#0 runs before the NBA region"
+    );
+    assert_eq!(value(&sim, "y_late"), Some(10), "@(y) after the NBA update");
+    assert_eq!(value(&sim, "seen"), Some(0b1010));
+    assert_eq!(value(&sim, "wakes"), Some(3), "one wakeup per change of z");
+}
+
+#[test]
+fn blocking_and_nonblocking_chains_on_one_clock_edge() {
+    // IEEE 1364-2005 §11.6.3: a blocking assignment completes before the
+    // next statement of its block runs (§11.4.1: statements of a
+    // begin-end block execute in order), so `b1 = d; b2 = b1; b3 = b2;`
+    // copies `d` into all three on one edge. §11.6.4: a nonblocking
+    // assignment evaluates its right-hand side when it executes and
+    // schedules the update in the NBA region, so `n1 <= d; n2 <= n1;
+    // n3 <= n2;` shifts by one stage per edge. The sampler reads after
+    // `#0`: the always blocks woken by the edge are active events and
+    // have run, while the NBA region, promoted only after the inactive
+    // one (§11.4), has not. One time unit later every update has landed.
+    // The expected words, `{b1, b2, b3, n1, n2, n3}` at `#0` and
+    // `{n1, n2, n3}` a unit later, are written out by hand.
+    let sim = run(
+        r#"module t;
+            reg clk;
+            reg [3:0] d, b1, b2, b3, n1, n2, n3;
+            reg [23:0] mid1, mid2, mid3;
+            reg [11:0] end1, end2, end3;
+            always @(posedge clk) begin b1 = d; b2 = b1; b3 = b2; end
+            always @(posedge clk) begin n1 <= d; n2 <= n1; n3 <= n2; end
+            initial begin
+                clk = 0; d = 4'd1;
+                b1 = 0; b2 = 0; b3 = 0; n1 = 0; n2 = 0; n3 = 0;
+                #1 clk = 1;
+                #0 mid1 = {b1, b2, b3, n1, n2, n3};
+                #1 end1 = {n1, n2, n3};
+                clk = 0; d = 4'd2;
+                #1 clk = 1;
+                #0 mid2 = {b1, b2, b3, n1, n2, n3};
+                #1 end2 = {n1, n2, n3};
+                clk = 0; d = 4'd3;
+                #1 clk = 1;
+                #0 mid3 = {b1, b2, b3, n1, n2, n3};
+                #1 end3 = {n1, n2, n3};
+                $finish;
+            end
+        endmodule"#,
+        "t",
+    );
+    assert_eq!(value(&sim, "mid1"), Some(0x111_000), "edge 1 at #0");
+    assert_eq!(value(&sim, "end1"), Some(0x100), "edge 1 settled");
+    assert_eq!(value(&sim, "mid2"), Some(0x222_100), "edge 2 at #0");
+    assert_eq!(value(&sim, "end2"), Some(0x210), "edge 2 settled");
+    assert_eq!(value(&sim, "mid3"), Some(0x333_210), "edge 3 at #0");
+    assert_eq!(value(&sim, "end3"), Some(0x321), "edge 3 settled");
+}
+
+fn elaboration_error(src: &str) -> String {
+    let file = parse(src).expect("parse");
+    match Simulator::new(&file, "t", SimConfig::default()) {
+        Ok(_) => panic!("expected an elaboration error"),
+        Err(e) => {
+            assert!(e.is_compile_failure(), "{e}");
+            e.to_string()
+        }
+    }
+}
+
+#[test]
+fn procedural_part_select_targets_honour_the_declared_lsb() {
+    // On `reg [8:1]`, `[4:1]` names the four low bits. The part-select
+    // writes must agree with a bit-select loop over the same bits, with
+    // a continuous assign and with a part-select read.
+    let sim = run(
+        r#"module t;
+            reg [8:1] lo, hi, lo_bits, hi_bits;
+            reg [3:0] lo_read, hi_read;
+            wire [8:1] w;
+            integer i;
+            assign w[4:1] = 4'hf;
+            assign w[8:5] = 4'h0;
+            initial begin
+                lo = 8'h00; lo[4:1] = 4'hf;
+                hi = 8'h00; hi[8:5] = 4'hf;
+                lo_bits = 8'h00; hi_bits = 8'h00;
+                for (i = 1; i <= 4; i = i + 1) begin
+                    lo_bits[i] = 1'b1;
+                    hi_bits[i + 4] = 1'b1;
+                end
+                lo_read = lo[4:1];
+                hi_read = hi[8:5];
+            end
+        endmodule"#,
+        "t",
+    );
+    assert_eq!(value(&sim, "lo"), Some(0b0000_1111));
+    assert_eq!(value(&sim, "hi"), Some(0b1111_0000));
+    assert_eq!(value(&sim, "lo_bits"), Some(0b0000_1111));
+    assert_eq!(value(&sim, "hi_bits"), Some(0b1111_0000));
+    assert_eq!(value(&sim, "w"), Some(0b0000_1111));
+    assert_eq!(value(&sim, "lo_read"), Some(0xf));
+    assert_eq!(value(&sim, "hi_read"), Some(0xf));
+}
+
+#[test]
+fn procedural_part_select_target_below_the_declared_range_is_rejected() {
+    let err = elaboration_error("module t; reg [8:1] r; initial r[3:0] = 4'hf; endmodule");
+    assert!(
+        err.contains("part-select below the declared range"),
+        "{err}"
+    );
+}
+
+#[test]
+fn continuous_part_select_target_below_the_declared_range_is_rejected() {
+    let err = elaboration_error("module t; wire [8:1] w; assign w[3:0] = 4'hf; endmodule");
+    assert!(
+        err.contains("part-select below the declared range"),
+        "{err}"
+    );
+}
+
+#[test]
+fn part_select_targets_share_the_read_checks_on_both_paths() {
+    // A target that ends above the declared range keeps its in-range bits
+    // (IEEE 1364-2005 §5.2.1): `r[9:5]` on `reg [8:1]` writes bits 8:5.
+    let sim = run(
+        "module t; reg [8:1] r; initial begin r = 8'h00; r[9:5] = 5'h1f; end endmodule",
+        "t",
+    );
+    assert_eq!(value(&sim, "r"), Some(0b1111_0000));
+    // Bounds a width cannot hold and widths past the limit fail the same
+    // checks, with the same text, procedurally and in an assign.
+    for (select, fault) in [
+        ("[64'hffff_ffff_ffff_ffff:0]", "part-select msb < lsb"),
+        ("[65537:1]", "part-select [65537:1] exceeds the width limit"),
+    ] {
+        let err = elaboration_error(&format!(
+            "module t; reg [8:1] r; initial r{select} = 1'b1; endmodule"
+        ));
+        assert!(err.ends_with(&format!("in `t`: {fault}")), "{err}");
+        let err = elaboration_error(&format!(
+            "module t; wire [8:1] w; assign w{select} = 1'b1; endmodule"
+        ));
+        assert!(
+            err.ends_with(&format!("part select on `w` in `t`: {fault}")),
+            "{err}"
+        );
+    }
+}
