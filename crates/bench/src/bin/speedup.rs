@@ -14,11 +14,13 @@
 //!   the ledger's `table3_gp` workload times: `RepairConfig::fast(42)`,
 //!   one trial, no wall-clock limit) on a fixed scenario set with 1, 2
 //!   and 4 workers, the fastest of five interleaved rounds each.
-//!   Selection, fault localization, patch application,
-//!   fingerprinting and merging run on the coordinating thread while
-//!   the workers wait, so the jobs-2 speedup `S` bounds the serial
-//!   fraction of the loop by Amdahl's law: `2/S - 1`, written as
-//!   `serial_fraction` on the jobs-2 record.
+//!   Selection, fault localization and merging run on the
+//!   coordinating thread, which runs queued work only while it waits,
+//!   so the jobs-2 speedup `S` bounds the serial fraction of the loop
+//!   by Amdahl's law: `2/S - 1`, written as `serial_fraction` on the
+//!   jobs-2 record. The bound charges every parallel inefficiency to
+//!   the serial fraction, so it also rises when the one-worker pass
+//!   gets cheaper.
 //!
 //! Both scans assert that their results are identical for every worker
 //! count. Emits JSON lines (one record per scan and worker count) to

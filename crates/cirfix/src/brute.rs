@@ -8,19 +8,19 @@
 //! arbitrary order and accepts only exact (fitness-1.0) matches, ignoring
 //! partial fitness signals.
 //!
-//! Like the GP engine, the baseline fans its simulations out over the
-//! parallel evaluation pool: patch generation stays serial (RNG draws
-//! unchanged), batches are evaluated across workers, and results merge
-//! back in submission order — so the accepted repair, the evaluation
-//! count, and the best-so-far trajectory are identical for any
-//! [`BruteConfig::jobs`] value.
+//! Like the GP engine, the baseline fans its simulations out over a
+//! pool of evaluation workers spawned once for the run: patch
+//! generation stays serial (RNG draws unchanged), batches are evaluated
+//! across workers, and results merge back in submission order — so the
+//! accepted repair, the evaluation count, and the best-so-far trajectory
+//! are identical for any [`BruteConfig::jobs`] value.
 
 use std::time::{Duration, Instant};
 
 use cirfix_telemetry::{Event, HeartbeatEvent, Observer, Profiler, Span};
 use rand::SeedableRng;
 
-use crate::engine::{resolve_jobs, run_batch};
+use crate::engine::{resolve_jobs, Pool};
 use crate::faultloc::FaultLoc;
 use crate::fitness::FitnessParams;
 use crate::mutation::{all_stmt_ids, mutate, MutationParams};
@@ -71,19 +71,41 @@ impl Default for BruteConfig {
 pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> RepairResult {
     let started = Instant::now();
     let _span = Span::enter("brute_force", config.observer.sink());
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let jobs = resolve_jobs(config.jobs);
+    let original = Original::new(&problem.source, &problem.design_modules);
+    let profiler = config.observer.enabled().then(Profiler::new);
+    std::thread::scope(|scope| {
+        let pool = Pool::new(scope, jobs);
+        search(
+            problem,
+            &config,
+            &pool,
+            jobs,
+            &original,
+            profiler.as_ref(),
+            started,
+        )
+    })
+}
+
+/// The baseline's search, on the run's worker pool.
+fn search<'env>(
+    problem: &'env RepairProblem,
+    config: &'env BruteConfig,
+    pool: &Pool<'env>,
+    jobs: usize,
+    original: &'env Original<'env>,
+    profiler: Option<&'env Profiler>,
+    started: Instant,
+) -> RepairResult {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let batch_size = config.batch_size.max(1);
     let deadline = started.checked_add(config.timeout);
     let mut evals: u64 = 0;
     let mut busy = Duration::ZERO;
     let mut best = (Patch::empty(), 0.0f64);
     let empty_fl = FaultLoc::default();
-    let original = Original::new(&problem.source, &problem.design_modules);
-
     let observer = &config.observer;
-    let profiler = config.observer.enabled().then(Profiler::new);
-    let profiler = profiler.as_ref();
     // Terminal snapshot: one heartbeat plus the per-phase busy profile,
     // mirroring what the GP engine emits at end of run.
     let emit_profile = |best_fitness: f64, evals: u64, wall: Duration| {
@@ -140,9 +162,9 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         }
         // Same containment as the GP loop: a panicking candidate is
         // classified worst-fitness, not mistaken for a deadline cut.
-        let (results, batch_busy) = run_batch(jobs, deadline, &patches[..admit], |patch| {
+        let (results, batch_busy) = pool.run(patches[..admit].to_vec(), deadline, move |patch| {
             contained(problem, 1.0, || {
-                evaluate_profiled(problem, patch, config.fitness, &original, profiler)
+                evaluate_profiled(problem, &patch, config.fitness, original, profiler)
             })
         });
         *busy += batch_busy;

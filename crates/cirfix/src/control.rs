@@ -110,9 +110,9 @@ impl SearchControl {
 
     /// Acquires a dispatch turn, returning a guard that releases it on
     /// drop. Instant for controls without a gate.
-    pub(crate) fn turn(&self) -> TurnGuard<'_> {
-        let gate = self.inner.as_ref().and_then(|i| i.gate.as_deref());
-        if let Some(g) = gate {
+    pub(crate) fn turn(&self) -> TurnGuard {
+        let gate = self.inner.as_ref().and_then(|i| i.gate.clone());
+        if let Some(g) = &gate {
             g.acquire();
         }
         TurnGuard { gate }
@@ -120,13 +120,13 @@ impl SearchControl {
 }
 
 /// RAII guard for one batch-dispatch turn.
-pub(crate) struct TurnGuard<'a> {
-    gate: Option<&'a dyn BatchGate>,
+pub(crate) struct TurnGuard {
+    gate: Option<Arc<dyn BatchGate>>,
 }
 
-impl Drop for TurnGuard<'_> {
+impl Drop for TurnGuard {
     fn drop(&mut self) {
-        if let Some(g) = self.gate {
+        if let Some(g) = &self.gate {
             g.release();
         }
     }

@@ -985,6 +985,61 @@ mod tests {
     }
 
     #[test]
+    fn children_of_a_shared_variant_equal_replays_and_leave_it_intact() {
+        use crate::faultloc::FaultLoc;
+        use crate::mutation::{mutate, MutationParams};
+        use crate::templates::random_template;
+        use rand::{Rng, SeedableRng};
+
+        for (k, scenario) in cirfix_benchmarks::scenarios().iter().enumerate() {
+            let problem = scenario.problem().expect("scenario builds");
+            let (source, design) = (&problem.source, &problem.design_modules);
+            let original = Original::new(source, design);
+            let fl = FaultLoc::default();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED + k as u64);
+            let draw = |parent: &Variant, rng: &mut rand::rngs::StdRng| {
+                if rng.gen_bool(0.5) {
+                    random_template(&parent.file, design, &fl, rng)
+                } else {
+                    mutate(&parent.file, design, &fl, MutationParams::default(), rng)
+                }
+            };
+            // Each generation keeps its children's variants and draws
+            // the next generation from them, so siblings share their
+            // parent's modules until an edit copies one.
+            let mut population: Vec<(Patch, Variant)> =
+                vec![(Patch::empty(), original.unpatched())];
+            for generation in 0..3 {
+                let mut children = Vec::new();
+                for _ in 0..12 {
+                    let (patch, kept) = &population[rng.gen_range(0..population.len())];
+                    let Some(edit) = draw(kept, &mut rng) else {
+                        continue;
+                    };
+                    // The child starts as a copy of the kept variant,
+                    // sharing its modules, and applies its one edit.
+                    let mut child = kept.clone();
+                    child.apply(design, &edit);
+                    let patch = patch.with(edit);
+                    let replayed = original.apply(&patch);
+                    assert_eq!(child.file, replayed.file, "{}: {patch:?}", scenario.id);
+                    assert_eq!(child.ids, replayed.ids, "{}: {patch:?}", scenario.id);
+                    children.push((patch, child));
+                }
+                // Building children left every kept variant as it was.
+                for (patch, kept) in &population {
+                    let replayed = original.apply(patch);
+                    assert_eq!(kept.file, replayed.file, "{} gen {generation}", scenario.id);
+                    assert_eq!(kept.ids, replayed.ids, "{} gen {generation}", scenario.id);
+                }
+                if !children.is_empty() {
+                    population = children;
+                }
+            }
+        }
+    }
+
+    #[test]
     fn testbench_is_never_modified() {
         let (file, mods) = setup();
         // Target a statement inside the testbench: must be a no-op.

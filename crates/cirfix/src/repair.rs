@@ -11,9 +11,10 @@
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cirfix_ast::Module;
+use cirfix_ast::{Module, SourceFile};
 use cirfix_sim::{CancelToken, SimError, SimMetrics};
 use cirfix_store::Digest;
 use cirfix_telemetry::{
@@ -23,8 +24,9 @@ use cirfix_telemetry::{
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::control::SearchControl;
+use crate::control::{SearchControl, TurnGuard};
 use crate::crossover::crossover;
+use crate::engine::{Pool, Submission};
 use crate::faultloc::{fault_loc_event, fault_localization, FaultLoc};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
@@ -32,7 +34,7 @@ use crate::minimize::minimize;
 use crate::mutation::{mutate, MutationParams};
 use crate::oracle::{simulate_with_probe_profiled, RepairProblem};
 use crate::outcome::EvalOutcome;
-use crate::patch::{Original, Patch, Variant};
+use crate::patch::{Edit, Original, Patch, Variant};
 use crate::persist::design_fingerprint;
 use crate::select::{elite_indices, tournament_select};
 use crate::session::{Checkpoint, Counters, ResumeState, SessionRecorder, SharedEvalCache};
@@ -536,7 +538,8 @@ pub struct Repairer<'a> {
     node_budget: usize,
     // The original measured once: first free node id, node counts and
     // design prints that every unedited module of a variant reuses.
-    original: Original<'a>,
+    // Shared with the evaluation workers.
+    original: Arc<Original<'a>>,
     // Fault localization passes run (Algorithm 2), original included.
     localizations: u64,
     // Resolved worker count and cumulative worker busy time.
@@ -560,15 +563,128 @@ pub struct Repairer<'a> {
     session: Option<SessionRecorder>,
     // Checkpoint to restore instead of running the seed phase.
     resume: Option<ResumeState>,
-    // Per-phase busy attribution and eval-latency histogram. Only
-    // allocated when the observer is live, so a disabled observer pays
-    // neither the atomics nor the Instant reads.
-    profiler: Option<Box<Profiler>>,
+    // Per-phase busy attribution and eval-latency histogram, shared
+    // with the evaluation workers. Only allocated when the observer is
+    // live, so a disabled observer pays neither the atomics nor the
+    // Instant reads.
+    profiler: Option<Arc<Profiler>>,
 }
 
-/// What the coordinating thread decided about one batch item before
-/// dispatch. Only `Sim` items occupy a worker; everything else is
-/// settled without simulation.
+/// What the trial's evaluation workers read: the [`Repairer`]'s
+/// constants and shared handles, copied for one submission to the pool.
+struct Evaluator<'a> {
+    problem: &'a RepairProblem,
+    original: Arc<Original<'a>>,
+    params: FitnessParams,
+    budget: Option<Duration>,
+    node_budget: usize,
+    scenario: Option<Digest>,
+    shared: Option<SharedEvalCache>,
+    profiler: Option<Arc<Profiler>>,
+}
+
+impl Evaluator<'_> {
+    /// Phase one of a batch, on a pool thread: builds a child's variant,
+    /// counts its nodes, fingerprints it when a store is attached, peeks
+    /// the shared cache and classifies the child. Only `Prepared::Sim`
+    /// children go on to phase two.
+    fn prepare(&self, base: Base) -> Prepared {
+        let profiler = self.profiler.as_deref();
+        let apply = profiler.map(|p| p.span(Phase::Parse));
+        let variant = match base {
+            Base::Parent(mut variant, edit) => {
+                variant.apply(&self.problem.design_modules, &edit);
+                variant
+            }
+            Base::Original(patch) => self.original.apply(&patch),
+        };
+        drop(apply);
+        let nodes = self.original.node_count(&variant.file);
+        let growth = nodes as f64 / self.original.nodes().max(1) as f64;
+        // Content-addressed lookup in the shared cache: keyed by the
+        // canonical print of the patched design, so it survives node
+        // renumbering, process restarts, and different edit lists that
+        // produce the same variant. Fingerprinting only happens when a
+        // store is attached — the store-free engine is unchanged.
+        let key = self
+            .scenario
+            .map(|s| design_fingerprint(s, self.original.design_prints(&variant.file)));
+        let applied = Applied { variant, nodes };
+        if let (Some(shared), Some(key)) = (&self.shared, key) {
+            let _store = profiler.map(|p| p.span(Phase::Store));
+            if let Some(eval) = shared.peek(key) {
+                return Prepared::StoreHit { eval, key, applied };
+            }
+        }
+        if nodes > self.node_budget {
+            // Bloat rejection: treated like a compile failure, and (like
+            // the serial engine) charged against the evaluation budget.
+            return Prepared::Reject {
+                eval: score_zero(
+                    self.problem,
+                    EvalOutcome::Rejected,
+                    "variant exceeds the AST growth budget".to_string(),
+                    growth,
+                ),
+                key,
+                applied,
+            };
+        }
+        Prepared::Sim {
+            growth,
+            key,
+            applied,
+        }
+    }
+
+    /// Phase two of a batch, on a pool thread: simulates and scores a child
+    /// that phase one classified `Sim`, with its scheduled fault.
+    fn simulate(&self, file: &SourceFile, growth: f64, fault: Option<FaultKind>) -> Evaluation {
+        contained(self.problem, growth, || {
+            evaluate_variant(
+                self.problem,
+                file,
+                growth,
+                self.params,
+                self.budget,
+                fault,
+                self.profiler.as_deref(),
+            )
+        })
+    }
+}
+
+/// What phase one builds a child from.
+enum Base {
+    /// The child's applied parent and the one edit the child adds.
+    Parent(Variant, Edit),
+    /// The original design and the child's whole patch.
+    Original(Patch),
+}
+
+/// A prepared child's applied variant and its AST node count, as phase
+/// one built them.
+struct Applied {
+    variant: Variant,
+    nodes: usize,
+}
+
+/// One entry of the population. It keeps the node count phase one
+/// measured, so the bloat check never applies its patch again; a
+/// trial-cache hit and a resumed population carry none. The applied
+/// variant itself is not kept: one of the largest benchmark designs
+/// holds ~35 KB of private AST, and keeping every member's doubled a
+/// search's peak memory.
+#[derive(Clone)]
+struct Member {
+    patch: Patch,
+    eval: Evaluation,
+    nodes: Option<usize>,
+}
+
+/// How one batch item is settled. Trial-cache hits and in-batch
+/// duplicates are decided on the coordinating thread; phase one decides
+/// the rest on a pool thread, and only `Sim` items are simulated.
 enum Prepared {
     /// Answered from the trial cache.
     Hit(Evaluation),
@@ -578,19 +694,62 @@ enum Prepared {
     /// Answered from the fingerprint-keyed shared cache (persistent
     /// store or cross-trial memory): budget-free, like a cache hit, but
     /// counted separately.
-    StoreHit { eval: Evaluation, key: Digest },
+    StoreHit {
+        eval: Evaluation,
+        key: Digest,
+        applied: Applied,
+    },
     /// Rejected pre-simulation by bloat control; charged against the
     /// evaluation budget like a simulation.
     Reject {
         eval: Evaluation,
         key: Option<Digest>,
+        applied: Applied,
     },
-    /// Needs a simulation: the applied variant and its growth factor.
+    /// Needs a simulation of the applied variant.
     Sim {
-        variant: cirfix_ast::SourceFile,
         growth: f64,
         key: Option<Digest>,
+        applied: Applied,
     },
+}
+
+/// A batch of children in flight on the worker pool.
+///
+/// The coordinating thread looks each child up in the trial cache and
+/// deduplicates identical in-flight patches as the child is added.
+/// Every other child goes to the pool at once, in two phases: phase
+/// one builds and classifies it ([`Evaluator::prepare`]); then this
+/// thread reserves budget slots and claims fault-injection ordinals in
+/// submission order, as both need each item's class; phase two
+/// simulates the `Sim` items. Nothing is committed until the batch
+/// settles, so the trial cache and the shared-cache peeks see the same
+/// state as if every child had been added before any ran. One
+/// scheduling turn spans both phases.
+struct Batch<'p, 'a> {
+    patches: Vec<Patch>,
+    ops: Vec<&'static str>,
+    /// Each item's class; `None` while it is in phase one.
+    classes: Vec<Option<Prepared>>,
+    first_seen: HashMap<Patch, usize>,
+    phase_one: Submission<'p, 'a, Base, Prepared>,
+    phase_two: Submission<'p, 'a, (SourceFile, f64, Option<FaultKind>), Evaluation>,
+    /// The items in phase two, in submission order.
+    simulated: Vec<usize>,
+    /// Items walked by [`Repairer::advance`].
+    reserved: usize,
+    /// Evaluation-budget slots left.
+    budget: u64,
+    /// The first item that found no budget slot.
+    admitted: Option<usize>,
+    turn: Option<TurnGuard>,
+}
+
+impl Batch<'_, '_> {
+    /// Children added so far.
+    fn len(&self) -> usize {
+        self.patches.len()
+    }
 }
 
 /// One child proposed by reproduction, labelled with the operator that
@@ -599,13 +758,13 @@ struct Child {
     patch: Patch,
     op: &'static str,
     /// For a template or mutation child, its applied parent: the child's
-    /// patch is the parent's plus one last edit, so `prepare` applies
+    /// patch is the parent's plus one last edit, so phase one applies
     /// just that edit instead of replaying the patch from the original.
     parent: Option<Variant>,
 }
 
 impl Child {
-    /// A child `prepare` applies from the original.
+    /// A child phase one applies from the original.
     fn replay(patch: Patch, op: &'static str) -> Child {
         Child {
             patch,
@@ -634,10 +793,9 @@ struct OperatorMix {
 /// What reproduction derives from one parent. Both fields are pure
 /// functions of the parent patch and its cached evaluation, so they are
 /// computed at most once per generation however often tournament
-/// selection draws the parent. No AST is kept: each template or
-/// mutation child already carries its applied parent to `prepare` (see
-/// [`Child`]), and keeping the applied parents here as well raised peak
-/// RSS by ~2–3 MB without saving measurable time.
+/// selection draws the parent. No AST is kept here (see [`Member`]):
+/// each template or mutation child carries its applied parent to phase
+/// one instead (see [`Child`]).
 struct ParentContext {
     /// The applied parent outgrows the node budget, so it reproduces
     /// from the original design instead.
@@ -656,9 +814,9 @@ struct ParentMemo {
 }
 
 impl ParentMemo {
-    fn new(popn: &[(Patch, Evaluation)]) -> ParentMemo {
+    fn new(popn: &[Member]) -> ParentMemo {
         ParentMemo {
-            fitnesses: popn.iter().map(|(_, e)| e.score).collect(),
+            fitnesses: popn.iter().map(|m| m.eval.score).collect(),
             contexts: HashMap::new(),
         }
     }
@@ -675,8 +833,8 @@ struct SearchState {
     history: Vec<f64>,
     /// Strictly increasing best-fitness trajectory.
     improvement_steps: Vec<f64>,
-    /// The current population with its evaluations.
-    popn: Vec<(Patch, Evaluation)>,
+    /// The current population.
+    popn: Vec<Member>,
     /// The plausible patch, once found.
     found: Option<Patch>,
 }
@@ -710,7 +868,7 @@ impl<'a> Repairer<'a> {
             counters: Counters::default(),
             started: Instant::now(),
             node_budget,
-            original,
+            original: Arc::new(original),
             localizations: 0,
             jobs,
             busy: Duration::ZERO,
@@ -720,7 +878,7 @@ impl<'a> Repairer<'a> {
             pending_delta: Vec::new(),
             session: None,
             resume: None,
-            profiler: config_enabled.then(|| Box::new(Profiler::new())),
+            profiler: config_enabled.then(|| Arc::new(Profiler::new())),
         }
     }
 
@@ -783,6 +941,29 @@ impl<'a> Repairer<'a> {
         self.profiler.as_deref()
     }
 
+    /// The constants and shared handles one submission to the worker
+    /// pool reads.
+    fn evaluator(&self) -> Evaluator<'a> {
+        Evaluator {
+            problem: self.problem,
+            original: Arc::clone(&self.original),
+            params: self.config.fitness,
+            budget: self.config.eval_timeout,
+            node_budget: self.node_budget,
+            scenario: self.scenario,
+            shared: self.shared.clone(),
+            profiler: self.profiler.clone(),
+        }
+    }
+
+    /// Runs `f` with a pool of [`RepairConfig::jobs`] evaluation
+    /// threads: this one, and workers spawned for this call and joined
+    /// when it returns.
+    fn with_pool<T>(&mut self, f: impl FnOnce(&mut Self, &Pool<'a>) -> T) -> T {
+        let jobs = self.jobs;
+        std::thread::scope(|scope| f(self, &Pool::new(scope, jobs)))
+    }
+
     /// Emits one search-progress snapshot. Called at generation
     /// boundaries and at run end — a deterministic cadence, so the
     /// heartbeat stream is identical for every worker count.
@@ -818,65 +999,6 @@ impl<'a> Repairer<'a> {
         }
         if let Some(hist) = p.eval_histogram() {
             self.config.observer.record(&Event::Histogram(hist));
-        }
-    }
-
-    /// Classifies one patch before dispatch (coordinating thread only):
-    /// cache lookup, patch application and bloat check. Cache hits do
-    /// zero AST work. Only `Prepared::Sim`
-    /// items go on to occupy an evaluation worker.
-    ///
-    /// `parent`, when given, is the applied patch without its last edit
-    /// (see [`Child`]): only that edit is applied, to pointer copies of
-    /// the parent's modules. Otherwise the whole patch is applied to the
-    /// original.
-    fn prepare(&mut self, patch: &Patch, parent: Option<Variant>) -> Prepared {
-        if let Some(e) = self.cache.get(patch) {
-            return Prepared::Hit(e.clone());
-        }
-        let _parse = self.prof().map(|p| p.span(Phase::Parse));
-        let variant = match (parent, patch.edits.last()) {
-            (Some(mut variant), Some(edit)) => {
-                variant.apply(&self.problem.design_modules, edit);
-                variant.file
-            }
-            _ => self.original.apply(patch).file,
-        };
-        drop(_parse);
-        self.counters.patch_applies += 1;
-        // Content-addressed lookup in the shared cache: keyed by the
-        // canonical print of the patched design, so it survives node
-        // renumbering, process restarts, and different edit lists that
-        // produce the same variant. Fingerprinting only happens when a
-        // store is attached — the store-free engine is unchanged.
-        let key = self
-            .scenario
-            .map(|s| design_fingerprint(s, self.original.design_prints(&variant)));
-        if let (Some(shared), Some(key)) = (&self.shared, key) {
-            let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
-            if let Some(eval) = shared.peek(key) {
-                return Prepared::StoreHit { eval, key };
-            }
-        }
-        let variant_nodes = self.original.node_count(&variant);
-        let growth = variant_nodes as f64 / self.original.nodes().max(1) as f64;
-        if variant_nodes > self.node_budget {
-            // Bloat rejection: treated like a compile failure, and (like
-            // the serial engine) charged against the evaluation budget.
-            return Prepared::Reject {
-                eval: score_zero(
-                    self.problem,
-                    EvalOutcome::Rejected,
-                    "variant exceeds the AST growth budget".to_string(),
-                    growth,
-                ),
-                key,
-            };
-        }
-        Prepared::Sim {
-            variant,
-            growth,
-            key,
         }
     }
 
@@ -921,22 +1043,24 @@ impl<'a> Repairer<'a> {
     /// cache. `sim` carries the worker's result for `Prepared::Sim`
     /// items; `None` there means the deadline cancelled the simulation.
     /// `op` labels the candidate's originating operator in telemetry.
+    /// Returns the evaluation and the node count phase one measured;
+    /// the applied variant is dropped here.
     fn commit(
         &mut self,
         patch: &Patch,
         prepared: Prepared,
         sim: Option<Evaluation>,
         op: &str,
-    ) -> Option<Evaluation> {
-        let (eval, key) = match prepared {
+    ) -> Option<(Evaluation, Option<usize>)> {
+        let (eval, key, applied) = match prepared {
             Prepared::Hit(eval) => {
                 self.counters.cache_hits += 1;
                 self.config
                     .observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
-                return Some(eval);
+                return Some((eval, None));
             }
-            Prepared::StoreHit { eval, key } => {
+            Prepared::StoreHit { eval, key, applied } => {
                 // Answered from the shared cache: budget-free, no
                 // simulation, no Sim event — the warm-store tests count
                 // on exactly that.
@@ -952,14 +1076,14 @@ impl<'a> Repairer<'a> {
                     .observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
                 self.insert_evaluation(patch, &eval, Some(key));
-                return Some(eval);
+                return Some((eval, Some(applied.nodes)));
             }
             Prepared::Alias(_) => unreachable!("aliases are resolved by the batch merge"),
-            Prepared::Reject { eval, key } => {
+            Prepared::Reject { eval, key, applied } => {
                 self.counters.evals += 1;
-                (eval, key)
+                (eval, key, applied)
             }
-            Prepared::Sim { key, .. } => {
+            Prepared::Sim { key, applied, .. } => {
                 let eval = sim?;
                 self.counters.evals += 1;
                 // Fault-containment accounting: only fresh simulations
@@ -971,7 +1095,7 @@ impl<'a> Repairer<'a> {
                     EvalOutcome::ResourceExhausted => self.counters.exhausted += 1,
                     _ => {}
                 }
-                (eval, key)
+                (eval, key, applied)
             }
         };
         if self.config.observer.enabled() {
@@ -993,169 +1117,225 @@ impl<'a> Repairer<'a> {
                 )));
         }
         self.insert_evaluation(patch, &eval, key);
-        Some(eval)
+        Some((eval, Some(applied.nodes)))
     }
 
     /// Evaluates one patch synchronously through the trial cache — used
-    /// for the original design and for guaranteed-cached lookups inside
-    /// reproduction. Never consults the evaluation budget. It takes the
-    /// same prepare → dispatch → commit path as a batch of one, so
-    /// panics, injected faults and scheduling turns are handled exactly
-    /// as on the worker pool.
+    /// for the original design. Never consults the evaluation budget.
+    /// It takes the same path as a batch of one, on a pool of its own,
+    /// so panics, injected faults and scheduling turns are handled
+    /// exactly as in a search.
     pub fn evaluate_patch(&mut self, patch: &Patch) -> Evaluation {
-        self.evaluate_labelled(patch, "original")
+        self.with_pool(|r, pool| r.evaluate_labelled(pool, patch, "original"))
     }
 
-    /// [`Repairer::evaluate_patch`] with the operator label `op` for
-    /// telemetry.
-    fn evaluate_labelled(&mut self, patch: &Patch, op: &str) -> Evaluation {
-        let prepared = self.prepare(patch, None);
-        let sim = match &prepared {
-            Prepared::Sim {
-                variant, growth, ..
-            } => self
-                .dispatch(vec![(variant, *growth)], None)
-                .pop()
-                .flatten(),
-            _ => None,
-        };
-        self.commit(patch, prepared, sim, op)
-            .expect("a dispatch without a deadline settles every item")
-    }
-
-    /// Simulates applied variants `(variant, growth)` on the worker pool
-    /// and returns their evaluations in submission order; a `None` slot
-    /// means `deadline` cancelled that item before it started. Every
-    /// simulation of the trial goes through here: fault-injection
-    /// ordinals are claimed serially in submission order (so a chaos
-    /// plan hits the same candidates for every worker count), the
-    /// service-mode scheduling turn is held for exactly the span of the
-    /// dispatch (inert and free for batch runs), and worker busy time
-    /// accrues to the trial.
-    fn dispatch(
+    /// Evaluates one patch on `pool` as an unbudgeted batch of one,
+    /// labelled `op` in telemetry: the original design, the bloat
+    /// fallback's lookup of it, and minimization probes. A trial-cache
+    /// hit takes no turn and no pool thread, so reproduction can look
+    /// the original up while a batch is in flight.
+    fn evaluate_labelled(
         &mut self,
-        variants: Vec<(&cirfix_ast::SourceFile, f64)>,
-        deadline: Option<Instant>,
-    ) -> Vec<Option<Evaluation>> {
-        let faults = self.config.faults.as_ref();
-        let items: Vec<_> = variants
-            .into_iter()
-            .map(|(variant, growth)| (variant, growth, faults.and_then(|f| f.next_eval_fault())))
-            .collect();
-        let problem = self.problem;
-        let params = self.config.fitness;
-        let budget = self.config.eval_timeout;
-        let profiler = self.profiler.as_deref();
-        let (results, busy) = {
-            let _turn = self.config.control.turn();
-            crate::engine::run_batch(self.jobs, deadline, &items, |&(variant, growth, fault)| {
-                contained(problem, growth, || {
-                    evaluate_variant(problem, variant, growth, params, budget, fault, profiler)
-                })
-            })
-        };
-        self.busy += busy;
-        results
+        pool: &Pool<'a>,
+        patch: &Patch,
+        op: &'static str,
+    ) -> Evaluation {
+        let child = Child::replay(patch.clone(), op);
+        self.evaluate_children(pool, vec![child], false)
+            .pop()
+            .flatten()
+            .expect("an unbudgeted batch settles every item")
+            .eval
     }
 
     /// Evaluates a batch of patches across the worker pool and merges
-    /// the results back in submission order.
-    ///
-    /// The returned vector aligns with `patches`; `Some` entries form a
-    /// prefix. A `None` tail means the batch was cut short — either the
-    /// evaluation budget ran out at dispatch time (budget slots are
-    /// reserved in submission order on the coordinating thread, so
-    /// `max_fitness_evals` is never exceeded) or the wall-clock
-    /// deadline cancelled in-flight work. Everything order-sensitive
-    /// (cache inserts, counters, telemetry) happens here, identically
-    /// for every worker count.
+    /// the results back in submission order; see [`Batch`].
     #[cfg(test)]
     fn evaluate_batch(&mut self, patches: &[Patch]) -> Vec<Option<Evaluation>> {
-        let mut batch: Vec<Child> = patches
+        let batch = patches
             .iter()
             .map(|p| Child::replay(p.clone(), ""))
             .collect();
-        self.evaluate_children(&mut batch)
+        self.with_pool(|r, pool| r.evaluate_children(pool, batch, true))
+            .into_iter()
+            .map(|m| m.map(|m| m.eval))
+            .collect()
     }
 
-    /// [`Repairer::evaluate_batch`] over reproduced children, each
-    /// labelled for telemetry with its operator (the labels do not
-    /// influence evaluation). Each child's applied parent is consumed.
-    fn evaluate_children(&mut self, batch: &mut [Child]) -> Vec<Option<Evaluation>> {
-        let mut parents: Vec<Option<Variant>> = batch.iter_mut().map(|c| c.parent.take()).collect();
-        let patches: Vec<&Patch> = batch.iter().map(|c| &c.patch).collect();
-        // Classify in submission order, deduplicating identical
-        // in-flight patches against the first occurrence.
-        let mut first_seen: HashMap<&Patch, usize> = HashMap::new();
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(patches.len());
-        for (i, &patch) in patches.iter().enumerate() {
-            match first_seen.get(patch) {
-                Some(&j) => prepared.push(Prepared::Alias(j)),
+    /// Evaluates `children` as one batch on `pool`; see [`Batch`].
+    fn evaluate_children(
+        &mut self,
+        pool: &Pool<'a>,
+        children: Vec<Child>,
+        budgeted: bool,
+    ) -> Vec<Option<Member>> {
+        let mut batch = self.open_batch(pool, budgeted);
+        for child in children {
+            self.push_child(&mut batch, child);
+        }
+        self.settle(batch)
+    }
+
+    /// Opens an empty batch on `pool`. A budgeted batch reserves slots
+    /// of the evaluation budget and simulates under the trial's
+    /// deadline; an unbudgeted one does neither.
+    fn open_batch<'p>(&self, pool: &'p Pool<'a>, budgeted: bool) -> Batch<'p, 'a> {
+        let (budget, deadline) = if budgeted {
+            (
+                self.config
+                    .max_fitness_evals
+                    .saturating_sub(self.counters.evals),
+                self.started.checked_add(self.config.timeout),
+            )
+        } else {
+            (u64::MAX, None)
+        };
+        let prepare = self.evaluator();
+        let simulate = self.evaluator();
+        Batch {
+            patches: Vec::new(),
+            ops: Vec::new(),
+            classes: Vec::new(),
+            first_seen: HashMap::new(),
+            phase_one: pool.submit(None, move |base| prepare.prepare(base)),
+            phase_two: pool.submit(deadline, move |(file, growth, fault)| {
+                simulate.simulate(&file, growth, fault)
+            }),
+            simulated: Vec::new(),
+            reserved: 0,
+            budget,
+            admitted: None,
+            turn: None,
+        }
+    }
+
+    /// Adds one child to `batch`. A trial-cache hit or a duplicate of an
+    /// earlier child is settled here; any other child goes to phase one
+    /// at once, as (applied parent, last edit) or (original, patch).
+    fn push_child(&mut self, batch: &mut Batch<'_, 'a>, child: Child) {
+        let i = batch.patches.len();
+        let class = if let Some(&j) = batch.first_seen.get(&child.patch) {
+            Some(Prepared::Alias(j))
+        } else {
+            batch.first_seen.insert(child.patch.clone(), i);
+            match self.cache.get(&child.patch) {
+                Some(eval) => Some(Prepared::Hit(eval.clone())),
                 None => {
-                    first_seen.insert(patch, i);
-                    let p = self.prepare(patch, parents[i].take());
-                    prepared.push(p);
+                    self.counters.patch_applies += 1;
+                    if batch.turn.is_none() {
+                        batch.turn = Some(self.config.control.turn());
+                    }
+                    batch
+                        .phase_one
+                        .push(match (child.parent, child.patch.edits.last()) {
+                            (Some(parent), Some(edit)) => Base::Parent(parent, edit.clone()),
+                            _ => Base::Original(child.patch.clone()),
+                        });
+                    None
                 }
             }
-        }
-        // Reserve budget slots in submission order; the first item that
-        // cannot reserve truncates the batch deterministically.
-        let mut budget = self
-            .config
-            .max_fitness_evals
-            .saturating_sub(self.counters.evals);
-        let mut admitted = patches.len();
-        for (i, p) in prepared.iter().enumerate() {
-            if matches!(p, Prepared::Sim { .. } | Prepared::Reject { .. }) {
-                if budget == 0 {
-                    admitted = i;
-                    break;
+        };
+        batch.classes.push(class);
+        batch.patches.push(child.patch);
+        batch.ops.push(child.op);
+    }
+
+    /// Walks `batch` in submission order as far as its classes are
+    /// known: each item reserves a budget slot if it needs one (the
+    /// first that cannot ends the admitted prefix), and each admitted
+    /// `Sim` item claims its fault-injection ordinal and goes to phase
+    /// two. With `wait`, waits for every class still in phase one.
+    fn advance(&mut self, batch: &mut Batch<'_, 'a>, wait: bool) {
+        while batch.reserved < batch.classes.len() {
+            let i = batch.reserved;
+            if batch.classes[i].is_none() {
+                // Phase one returns classes in submission order.
+                if !wait && !batch.phase_one.ready() {
+                    return;
                 }
-                budget -= 1;
+                let class = batch.phase_one.next().expect("phase one has no deadline");
+                batch.classes[i] = Some(class);
+            }
+            batch.reserved += 1;
+            if batch.admitted.is_some() {
+                continue;
+            }
+            let class = batch.classes[i].as_ref().expect("classified above");
+            if matches!(class, Prepared::Sim { .. } | Prepared::Reject { .. }) {
+                if batch.budget == 0 {
+                    batch.admitted = Some(i);
+                    continue;
+                }
+                batch.budget -= 1;
+            }
+            if let Prepared::Sim {
+                growth, applied, ..
+            } = class
+            {
+                let fault = self
+                    .config
+                    .faults
+                    .as_ref()
+                    .and_then(|f| f.next_eval_fault());
+                batch
+                    .phase_two
+                    .push((applied.variant.file.clone(), *growth, fault));
+                batch.simulated.push(i);
             }
         }
-        // Fan the simulations out; everything else never leaves the
-        // coordinating thread.
-        let (sim_index, variants): (Vec<usize>, Vec<_>) = prepared[..admitted]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                Prepared::Sim {
-                    variant, growth, ..
-                } => Some((i, (variant, *growth))),
-                _ => None,
-            })
-            .unzip();
-        let deadline = self.started.checked_add(self.config.timeout);
-        let results = self.dispatch(variants, deadline);
+    }
+
+    /// Finishes `batch`: waits for both phases, then merges every item
+    /// in submission order into a population entry.
+    ///
+    /// The returned entries form a prefix of `Some`s. A `None` tail
+    /// means the batch was cut short — either the evaluation budget ran
+    /// out (so `max_fitness_evals` is never exceeded) or the wall-clock
+    /// deadline cancelled in-flight work; an unbudgeted batch settles
+    /// every item. Everything order-sensitive (cache inserts, counters,
+    /// telemetry) happens here, identically for every worker count.
+    fn settle(&mut self, mut batch: Batch<'_, 'a>) -> Vec<Option<Member>> {
+        self.advance(&mut batch, true);
+        let simulated: Vec<Option<Evaluation>> = (0..batch.phase_two.pending())
+            .map(|_| batch.phase_two.next())
+            .collect();
+        drop(batch.turn.take());
+        self.busy += batch.phase_one.busy() + batch.phase_two.busy();
+        let admitted = batch.admitted.unwrap_or(batch.classes.len());
         let mut sim_results: HashMap<usize, Option<Evaluation>> =
-            sim_index.into_iter().zip(results).collect();
+            batch.simulated.into_iter().zip(simulated).collect();
+
         // Merge in submission order. The first unresolved item (budget
         // or deadline) ends the merge; later items are dropped rather
         // than committed out of order.
-        let mut out: Vec<Option<Evaluation>> = Vec::with_capacity(patches.len());
+        let mut out: Vec<Option<Member>> = Vec::with_capacity(batch.patches.len());
         let mut cut = false;
-        for (i, p) in prepared.into_iter().enumerate() {
+        let items = batch.classes.into_iter().zip(batch.patches).zip(batch.ops);
+        for (i, ((class, patch), op)) in items.enumerate() {
             if cut || i >= admitted {
                 out.push(None);
                 continue;
             }
-            let op = batch[i].op;
-            let merged = match p {
+            let merged = match class.expect("every item is classified") {
                 Prepared::Alias(j) => match &out[j] {
-                    Some(eval) => {
-                        let eval = eval.clone();
+                    Some(first) => {
+                        let eval = first.eval.clone();
                         self.counters.cache_hits += 1;
-                        self.config.observer.emit(|| {
-                            Event::Candidate(eval.candidate_event(patches[i].len(), true, op))
-                        });
-                        Some(eval)
+                        self.config
+                            .observer
+                            .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
+                        Some(Member {
+                            patch,
+                            eval,
+                            nodes: first.nodes,
+                        })
                     }
                     None => None,
                 },
-                p => {
+                class => {
                     let sim = sim_results.remove(&i).flatten();
-                    self.commit(patches[i], p, sim, op)
+                    self.commit(&patch, class, sim, op)
+                        .map(|(eval, nodes)| Member { patch, eval, nodes })
                 }
             };
             if merged.is_none() {
@@ -1194,13 +1374,15 @@ impl<'a> Repairer<'a> {
     /// `memo` must have been built from this `popn`.
     fn reproduce(
         &mut self,
-        popn: &[(Patch, Evaluation)],
+        pool: &Pool<'a>,
+        popn: &[Member],
         memo: &mut ParentMemo,
         original_fl: &Rc<FaultLoc>,
     ) -> Vec<Child> {
         let problem = self.problem;
         let pi = tournament_select(&memo.fitnesses, self.config.tournament_size, &mut self.rng);
-        let mut parent = popn[pi].0.clone();
+        let drawn = &popn[pi];
+        let mut parent = drawn.patch.clone();
         // The applied parent, when the bloat check below had to build it.
         let mut applied = None;
         // Bloat control: over-long lineages, and parents whose variant
@@ -1215,8 +1397,15 @@ impl<'a> Repairer<'a> {
         } else if let Some(ctx) = memo.contexts.get(&parent) {
             ctx.bloated
         } else {
-            let variant = self.original.apply(&parent);
-            let bloated = self.original.node_count(&variant.file) > self.node_budget;
+            let bloated = match drawn.nodes {
+                Some(nodes) => nodes > self.node_budget,
+                None => {
+                    let variant = self.original.apply(&parent);
+                    let bloated = self.original.node_count(&variant.file) > self.node_budget;
+                    applied = (!bloated).then_some(variant);
+                    bloated
+                }
+            };
             memo.contexts.insert(
                 parent.clone(),
                 ParentContext {
@@ -1224,12 +1413,11 @@ impl<'a> Repairer<'a> {
                     fault_loc: None,
                 },
             );
-            applied = (!bloated).then_some(variant);
             bloated
         };
         if bloated {
             parent = Patch::empty();
-            self.evaluate_patch(&parent);
+            self.evaluate_labelled(pool, &parent, "original");
         }
         let parent = &parent;
 
@@ -1238,7 +1426,7 @@ impl<'a> Repairer<'a> {
         if !template && self.rng.gen::<f64>() > self.config.mut_threshold {
             self.mix.crossover += 2;
             let pj = tournament_select(&memo.fitnesses, self.config.tournament_size, &mut self.rng);
-            let parent2 = &popn[pj].0;
+            let parent2 = &popn[pj].patch;
             let (c1, c2) = crossover(parent, parent2, &mut self.rng);
             return vec![
                 Child::replay(c1, "crossover"),
@@ -1263,7 +1451,7 @@ impl<'a> Repairer<'a> {
             match &ctx.fault_loc {
                 Some(fl) => Rc::clone(fl),
                 None => {
-                    let fl = Rc::new(self.localize_variant(&variant.file, &popn[pi].1));
+                    let fl = Rc::new(self.localize_variant(&variant.file, &drawn.eval));
                     ctx.fault_loc = Some(Rc::clone(&fl));
                     fl
                 }
@@ -1303,7 +1491,8 @@ impl<'a> Repairer<'a> {
     /// cancellation arrives, and says which.
     fn fill(
         &mut self,
-        parents: &[(Patch, Evaluation)],
+        pool: &Pool<'a>,
+        parents: &[Member],
         state: &mut SearchState,
         original_fl: &Rc<FaultLoc>,
     ) -> Fill {
@@ -1317,24 +1506,30 @@ impl<'a> Repairer<'a> {
             if self.config.control.is_cancelled() {
                 return Fill::Cancelled;
             }
-            let mut pending: Vec<Child> = Vec::new();
-            while out.len() + pending.len() < self.config.popn_size && pending.len() < batch_size {
-                pending.extend(self.reproduce(parents, &mut memo, original_fl));
+            // Children go to the workers as they are drawn, so phase one
+            // and simulation overlap the rest of the batch's draws.
+            let mut batch = self.open_batch(pool, true);
+            while out.len() + batch.len() < self.config.popn_size && batch.len() < batch_size {
+                for child in self.reproduce(pool, parents, &mut memo, original_fl) {
+                    self.push_child(&mut batch, child);
+                }
+                self.advance(&mut batch, false);
             }
-            let evals = self.evaluate_children(&mut pending);
-            for (child, eval) in pending.into_iter().zip(evals) {
+            for child in self.settle(batch) {
                 // A missing evaluation means the batch was cut short by
                 // the budget or the deadline.
-                let Some(eval) = eval else { return Fill::Cut };
-                let child = child.patch;
-                if eval.score > state.best.1 {
-                    state.best = (child.clone(), eval.score);
-                    state.improvement_steps.push(eval.score);
+                let Some(child) = child else { return Fill::Cut };
+                let score = child.eval.score;
+                if score > state.best.1 {
+                    state.best = (child.patch.clone(), score);
+                    state.improvement_steps.push(score);
                 }
-                let plausible = eval.score >= 1.0;
-                out.push((child.clone(), eval));
+                let plausible = score >= 1.0;
                 if plausible {
-                    state.found = Some(child);
+                    state.found = Some(child.patch.clone());
+                }
+                out.push(child);
+                if plausible {
                     return Fill::Plausible;
                 }
             }
@@ -1348,7 +1543,7 @@ impl<'a> Repairer<'a> {
     /// [`RepairConfig::halt_after`] stops the run here.
     fn close_generation(&mut self, state: &SearchState, elites: u64) -> bool {
         if self.config.observer.enabled() {
-            let scores: Vec<f64> = state.popn.iter().map(|(_, e)| e.score).collect();
+            let scores: Vec<f64> = state.popn.iter().map(|m| m.eval.score).collect();
             let (best, median, mean, distinct) = population_stats(&scores);
             let generation = u64::from(state.generation);
             self.config
@@ -1387,7 +1582,7 @@ impl<'a> Repairer<'a> {
             best: state.best.clone(),
             history: state.history.clone(),
             improvement_steps: state.improvement_steps.clone(),
-            population: state.popn.iter().map(|(p, _)| p.clone()).collect(),
+            population: state.popn.iter().map(|m| m.patch.clone()).collect(),
             found: state.found.clone(),
         };
         // The deltas name evaluations in the store: make those durable
@@ -1447,7 +1642,16 @@ impl<'a> Repairer<'a> {
             best: cp.best,
             history: cp.history,
             improvement_steps: cp.improvement_steps,
-            popn: cp.population.into_iter().zip(resume.population).collect(),
+            popn: cp
+                .population
+                .into_iter()
+                .zip(resume.population)
+                .map(|(patch, eval)| Member {
+                    patch,
+                    eval,
+                    nodes: None,
+                })
+                .collect(),
             found: cp.found,
         };
         (state, original_fl)
@@ -1456,10 +1660,15 @@ impl<'a> Repairer<'a> {
     /// Ends the trial with `status` and builds its result: a plausible
     /// winner is minimized first; an interrupted trial's search state is
     /// on disk, not in the result.
-    fn finish(&mut self, state: SearchState, status: RepairStatus) -> RepairResult {
+    fn finish(
+        &mut self,
+        pool: &Pool<'a>,
+        state: SearchState,
+        status: RepairStatus,
+    ) -> RepairResult {
         let (patch, unminimized_len, repaired_source) = match (&state.found, status) {
             (Some(winning), RepairStatus::Plausible) => {
-                let minimized = self.minimize_patch(winning);
+                let minimized = self.minimize_patch(pool, winning);
                 let repaired = self.original.apply(&minimized).file;
                 let design_only: Vec<_> = self.original.design_prints(&repaired).collect();
                 (minimized, winning.len(), Some(design_only.join("\n")))
@@ -1506,22 +1715,33 @@ impl<'a> Repairer<'a> {
         }
     }
 
-    /// Runs the trial to completion.
+    /// Runs the trial to completion on a pool of [`RepairConfig::jobs`]
+    /// evaluation workers, spawned once for the trial.
     pub fn run(&mut self) -> RepairResult {
+        self.with_pool(|r, pool| r.search(pool))
+    }
+
+    /// The trial itself: the seed phase (or a restored checkpoint), the
+    /// generations, and the result.
+    fn search(&mut self, pool: &Pool<'a>) -> RepairResult {
         let obs = self.config.observer.clone();
         let _span = Span::enter("repair", obs.sink());
 
         let (mut state, original_fl) = match self.resume.take() {
             Some(resume) => self.restore(resume),
             None => {
-                let original_eval = self.evaluate_patch(&Patch::empty());
+                let original_eval = self.evaluate_labelled(pool, &Patch::empty(), "original");
                 let original_fl = Rc::new(self.localize_original(&original_eval));
                 let score = original_eval.score;
                 // Seed population (`seed_popn(C, popnSize)`): the
                 // original plus single-edit variants *of the original* —
                 // matching GenProg's convention of seeding from the
                 // input program. Its only parent is the original.
-                let origin = [(Patch::empty(), original_eval)];
+                let origin = [Member {
+                    patch: Patch::empty(),
+                    eval: original_eval,
+                    nodes: None,
+                }];
                 let mut state = SearchState {
                     generation: 0,
                     best: (Patch::empty(), score),
@@ -1540,14 +1760,14 @@ impl<'a> Repairer<'a> {
                 // restarts the trial from scratch with every
                 // already-persisted evaluation answered from the store.
                 if state.found.is_none()
-                    && self.fill(&origin, &mut state, &original_fl) == Fill::Cancelled
+                    && self.fill(pool, &origin, &mut state, &original_fl) == Fill::Cancelled
                 {
-                    return self.finish(state, RepairStatus::Interrupted);
+                    return self.finish(pool, state, RepairStatus::Interrupted);
                 }
                 // The seed population is "generation 0": every trace
                 // contains at least one GenerationStats event.
                 if self.close_generation(&state, 0) {
-                    return self.finish(state, RepairStatus::Interrupted);
+                    return self.finish(pool, state, RepairStatus::Interrupted);
                 }
                 (state, original_fl)
             }
@@ -1560,17 +1780,17 @@ impl<'a> Repairer<'a> {
             // The population becomes the parents; the children fill its
             // place.
             let parents = std::mem::take(&mut state.popn);
-            match self.fill(&parents, &mut state, &original_fl) {
+            match self.fill(pool, &parents, &mut state, &original_fl) {
                 // Cancellation abandons the partial generation; resume
                 // replays it deterministically from the last checkpoint.
-                Fill::Cancelled => return self.finish(state, RepairStatus::Interrupted),
+                Fill::Cancelled => return self.finish(pool, state, RepairStatus::Interrupted),
                 // So does a budget or deadline cut: no elitism, no
                 // checkpoint.
                 Fill::Cut => break,
                 Fill::Full | Fill::Plausible => {}
             }
             // Elitism: the top e% of the parents survive.
-            let scores: Vec<f64> = parents.iter().map(|(_, e)| e.score).collect();
+            let scores: Vec<f64> = parents.iter().map(|m| m.eval.score).collect();
             let elite = elite_indices(&scores, self.config.elitism_pct);
             let elites = elite.len() as u64;
             let mut next: Vec<_> = elite.into_iter().map(|i| parents[i].clone()).collect();
@@ -1579,7 +1799,7 @@ impl<'a> Repairer<'a> {
             state.generation += 1;
             state.history.push(state.best.1);
             if self.close_generation(&state, elites) {
-                return self.finish(state, RepairStatus::Interrupted);
+                return self.finish(pool, state, RepairStatus::Interrupted);
             }
         }
 
@@ -1588,7 +1808,7 @@ impl<'a> Repairer<'a> {
         } else {
             RepairStatus::Exhausted
         };
-        self.finish(state, status)
+        self.finish(pool, state, status)
     }
 
     /// Minimizes a winning patch (§3.7). Each ddmin probe is an ordinary
@@ -1596,12 +1816,12 @@ impl<'a> Repairer<'a> {
     /// scored during the search are answered from the caches, and every
     /// probe passes the same gates and lands in the same caches,
     /// counters and telemetry as the search's own evaluations.
-    fn minimize_patch(&mut self, patch: &Patch) -> Patch {
+    fn minimize_patch(&mut self, pool: &Pool<'a>, patch: &Patch) -> Patch {
         let observer = self.config.observer.clone();
         let _span = Span::enter("minimize", observer.sink());
         let evals_before = self.counters.evals;
         let minimized = minimize(patch, |p| {
-            self.evaluate_labelled(p, "minimize").score >= 1.0
+            self.evaluate_labelled(pool, p, "minimize").score >= 1.0
         });
         self.counters.minimize_evals += self.counters.evals - evals_before;
         minimized

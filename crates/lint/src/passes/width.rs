@@ -72,3 +72,40 @@ pub fn run(s: &ModuleStructure) -> Vec<Diagnostic> {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::lint_file;
+
+    fn width_findings(rhs: &str) -> Vec<String> {
+        let src =
+            format!("module m (a, y); input [3:0] a; output [3:0] y; assign y = {rhs}; endmodule");
+        let file = cirfix_parser::parse(&src).expect("parses");
+        lint_file(&file)
+            .into_iter()
+            .filter(|(_, d)| d.code == "width-mismatch")
+            .map(|(_, d)| d.message)
+            .collect()
+    }
+
+    #[test]
+    fn replication_counts_past_the_simulator_bound_have_no_width() {
+        // The count times the part width used to overflow: a panic in a
+        // debug build, a width of 0 in a release build.
+        assert_eq!(
+            width_findings("{64'h4000000000000000{a}}"),
+            Vec::<String>::new()
+        );
+        // And a count of 2^64 - 1 read as an 18446744073709551615-bit
+        // expression.
+        assert_eq!(
+            width_findings("{64'hffffffffffffffff{a}}"),
+            Vec::<String>::new()
+        );
+        // A count the simulator accepts is still checked.
+        assert_eq!(
+            width_findings("{2'd2{a}}"),
+            vec!["8-bit expression is truncated to the 4 bit(s) of `y`".to_string()]
+        );
+    }
+}

@@ -133,8 +133,8 @@ impl WidthEnv for ModuleStructure<'_> {
         self.signals.get(name)?.memory_word
     }
 
-    fn const_value(&self, name: &str) -> Option<LogicVec> {
-        self.params.get(name).cloned()
+    fn const_value(&self, name: &str) -> Option<&LogicVec> {
+        self.params.get(name)
     }
 }
 

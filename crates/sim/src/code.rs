@@ -26,7 +26,9 @@ use cirfix_logic::{Logic, LogicVec};
 
 use crate::design::{MemId, Scope, ScopeEntry, Signal, SignalId, Store};
 use crate::eval::{EvalCtx, EvalFault, Lcg};
-use crate::width::{part_select_width, MAX_SELECT_WIDTH, SYSCALL_RANDOM_WIDTH, SYSCALL_TIME_WIDTH};
+use crate::width::{
+    part_select_width, MAX_REPLICATION, MAX_SELECT_WIDTH, SYSCALL_RANDOM_WIDTH, SYSCALL_TIME_WIDTH,
+};
 
 /// The fault raised by evaluating a string literal as a value.
 pub(crate) const STRING_AS_VALUE: &str = "string used as a value";
@@ -556,7 +558,7 @@ fn run(
                 let n = c
                     .to_u64()
                     .ok_or_else(|| EvalFault::new("replication count is unknown"))?;
-                if n == 0 || n > 4096 {
+                if n == 0 || n > MAX_REPLICATION {
                     return Err(EvalFault::new(format!("bad replication count {n}")));
                 }
                 counts.push(n);

@@ -7,17 +7,25 @@
 //! shared by both: the per-operator rules here mirror the `cirfix_logic`
 //! ops exactly (additions widen to `max`, shifts keep the left operand's
 //! width, comparisons collapse to a scalar, …), and the evaluator uses
-//! [`part_select_width`], [`MAX_SELECT_WIDTH`] and the `SYSCALL_*_WIDTH`
-//! constants so the two sides cannot drift apart silently.
+//! [`part_select_width`], [`MAX_SELECT_WIDTH`], [`MAX_REPLICATION`] and
+//! the `SYSCALL_*_WIDTH` constants so the two sides cannot drift apart
+//! silently. Constant operands (part-select bounds, replication counts)
+//! fold with the simulator's own constant evaluator.
 
 use cirfix_ast::{BinaryOp, Expr, UnaryOp};
 use cirfix_logic::LogicVec;
+
+use crate::code::{const_value, Name, Names};
 
 /// Hard cap on the width of any part select or declared range. Mutated
 /// designs can request astronomically wide slices (e.g.
 /// `s0[32'h5a5a5a5a:0]`); anything beyond this is a fault rather than
 /// an allocation.
 pub const MAX_SELECT_WIDTH: u64 = 1 << 16;
+
+/// The largest replication count: `{n{…}}` with `n` of 0 or above this
+/// is a fault in the simulator and an unknown width to lint.
+pub const MAX_REPLICATION: u64 = 4096;
 
 /// Width of `$time` results (IEEE 1364 §17.7.1).
 pub const SYSCALL_TIME_WIDTH: usize = 64;
@@ -101,7 +109,7 @@ pub trait WidthEnv {
 
     /// Constant value of a parameter, for folding part-select bounds and
     /// replication counts.
-    fn const_value(&self, _name: &str) -> Option<LogicVec> {
+    fn const_value(&self, _name: &str) -> Option<&LogicVec> {
         None
     }
 }
@@ -116,63 +124,21 @@ impl WidthEnv for EmptyWidthEnv {
     }
 }
 
-/// Folds a constant expression (literals, parameters, operators) without
-/// a simulator scope. Returns `None` for anything non-constant.
-fn fold_const(expr: &Expr, env: &dyn WidthEnv) -> Option<LogicVec> {
-    match expr {
-        Expr::Literal { value, .. } => Some(value.clone()),
-        Expr::Ident { name, .. } => env.const_value(name),
-        Expr::Unary { op, arg, .. } => {
-            let v = fold_const(arg, env)?;
-            Some(match op {
-                UnaryOp::LogicNot => LogicVec::scalar(v.logical_not()),
-                UnaryOp::BitNot => v.bit_not(),
-                UnaryOp::Minus => v.neg(),
-                UnaryOp::Plus => v,
-                UnaryOp::RedAnd => LogicVec::scalar(v.reduce_and()),
-                UnaryOp::RedOr => LogicVec::scalar(v.reduce_or()),
-                UnaryOp::RedXor => LogicVec::scalar(v.reduce_xor()),
-                UnaryOp::RedNand => LogicVec::scalar(v.reduce_nand()),
-                UnaryOp::RedNor => LogicVec::scalar(v.reduce_nor()),
-                UnaryOp::RedXnor => LogicVec::scalar(v.reduce_xnor()),
-            })
-        }
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let a = fold_const(lhs, env)?;
-            let b = fold_const(rhs, env)?;
-            Some(match op {
-                BinaryOp::Add => a.add(&b),
-                BinaryOp::Sub => a.sub(&b),
-                BinaryOp::Mul => a.mul(&b),
-                BinaryOp::Div => a.div(&b),
-                BinaryOp::Rem => a.rem(&b),
-                BinaryOp::Shl => a.shl(&b),
-                BinaryOp::Shr => a.shr(&b),
-                BinaryOp::BitAnd => a.bit_and(&b),
-                BinaryOp::BitOr => a.bit_or(&b),
-                BinaryOp::BitXor => a.bit_xor(&b),
-                BinaryOp::BitXnor => a.bit_xnor(&b),
-                _ => return None,
-            })
-        }
-        Expr::Cond {
-            cond,
-            then_e,
-            else_e,
-            ..
-        } => {
-            let c = fold_const(cond, env)?;
-            let t = fold_const(then_e, env)?;
-            let e = fold_const(else_e, env)?;
-            Some(c.select(&t, &e))
-        }
-        _ => None,
+/// A [`WidthEnv`]'s parameters as the bytecode compiler's name table:
+/// every other name is undeclared, so it folds to a fault.
+struct Params<'e>(&'e dyn WidthEnv);
+
+impl Names for Params<'_> {
+    fn name(&self, name: &str) -> Option<Name<'_>> {
+        self.0.const_value(name).map(Name::Param)
     }
 }
 
-/// Folds a constant expression to a known `u64`.
+/// Folds a constant expression to a known `u64` with the simulator's
+/// own constant evaluator ([`crate::code`]), so every operator folds as
+/// elaboration folds it. `None` for anything non-constant or unknown.
 pub fn const_u64(expr: &Expr, env: &dyn WidthEnv) -> Option<u64> {
-    fold_const(expr, env)?.to_u64()
+    const_value(expr, &Params(env)).ok()?.to_u64()
 }
 
 /// The self-determined width of `expr`, or `None` when it depends on a
@@ -253,21 +219,22 @@ pub fn self_determined_width(expr: &Expr, env: &dyn WidthEnv) -> Option<usize> {
             if parts.is_empty() {
                 return None;
             }
-            parts
-                .iter()
-                .map(|p| self_determined_width(p, env))
-                .try_fold(0usize, |acc, w| w.map(|w| acc + w))
+            concat_width(parts, env)
         }
         Expr::Repeat { count, parts, .. } => {
-            let n = const_u64(count, env)? as usize;
-            let inner = parts
-                .iter()
-                .map(|p| self_determined_width(p, env))
-                .try_fold(0usize, |acc, w| w.map(|w| acc + w))?;
-            Some(n * inner)
+            let n = const_u64(count, env).filter(|n| (1..=MAX_REPLICATION).contains(n))?;
+            concat_width(parts, env)?.checked_mul(n as usize)
         }
         Expr::SysCall { name, .. } => syscall_width(name),
     }
+}
+
+/// The summed width of concatenated parts; `None` when a part is
+/// unknown or the sum overflows.
+fn concat_width(parts: &[Expr], env: &dyn WidthEnv) -> Option<usize> {
+    parts.iter().try_fold(0usize, |acc, p| {
+        acc.checked_add(self_determined_width(p, env)?)
+    })
 }
 
 #[cfg(test)]
@@ -279,7 +246,12 @@ mod tests {
         Expr::literal_u64(g, v, w)
     }
 
-    struct Env;
+    /// Signals `a` (8 bits), `b` (4 bits), `mem` (16-bit words) and the
+    /// parameters in `params`.
+    struct Env {
+        params: Vec<(&'static str, LogicVec)>,
+    }
+
     impl WidthEnv for Env {
         fn signal_width(&self, name: &str) -> Option<usize> {
             match name {
@@ -293,30 +265,86 @@ mod tests {
             (name == "mem").then_some(16)
         }
 
-        fn const_value(&self, name: &str) -> Option<LogicVec> {
-            (name == "P").then(|| LogicVec::from_u64(3, 32))
+        fn const_value(&self, name: &str) -> Option<&LogicVec> {
+            self.params.iter().find(|(p, _)| *p == name).map(|(_, v)| v)
         }
+    }
+
+    /// The environment with one parameter, `P = 3`.
+    fn env_p3() -> Env {
+        Env {
+            params: vec![("P", LogicVec::from_u64(3, 32))],
+        }
+    }
+
+    /// The width of the right-hand side of `assign y = <src>;` in a
+    /// module declaring parameters `W = 5` and `N = 2`.
+    fn rhs_width(src: &str) -> Option<usize> {
+        let text =
+            format!("module m; parameter W = 5; parameter N = 2; assign y = {src}; endmodule");
+        let file = cirfix_parser::parse(&text).expect("parses");
+        let rhs = file.modules[0]
+            .items
+            .iter()
+            .find_map(|item| match item {
+                cirfix_ast::Item::Assign { rhs, .. } => Some(rhs.clone()),
+                _ => None,
+            })
+            .expect("one assign");
+        let env = Env {
+            params: vec![
+                ("W", LogicVec::from_u64(5, 32)),
+                ("N", LogicVec::from_u64(2, 32)),
+            ],
+        };
+        self_determined_width(&rhs, &env)
+    }
+
+    #[test]
+    fn bounds_and_counts_fold_every_constant_operator() {
+        // A comparison inside a conditional bound, and a comparison plus
+        // an addition as a replication count: `a` is 8 bits wide.
+        assert_eq!(rhs_width("a[(W > 4 ? 7 : 3):0]"), Some(8));
+        assert_eq!(rhs_width("a[(W < 4 ? 7 : 3):0]"), Some(4));
+        assert_eq!(rhs_width("{(N == 2) + 1{b}}"), Some(8));
+        assert_eq!(rhs_width("{(N != 2) || 1'b0 ? 3 : 2{a}}"), Some(16));
+    }
+
+    #[test]
+    fn replication_counts_outside_the_simulator_bound_are_unknown() {
+        // 2^62 copies of a 4-bit value used to overflow the width.
+        assert_eq!(rhs_width("{64'h4000000000000000{b}}"), None);
+        assert_eq!(rhs_width("{64'hffffffffffffffff{b}}"), None);
+        assert_eq!(rhs_width("{0{b}}"), None);
+        assert_eq!(rhs_width("{4097{b}}"), None);
+        assert_eq!(
+            rhs_width("{4096{b}}"),
+            Some(4 * MAX_REPLICATION as usize),
+            "the bound itself is a valid count"
+        );
     }
 
     #[test]
     fn operator_widths_match_the_rules() {
+        let env = env_p3();
         let mut g = NodeIdGen::new();
         let a = Expr::ident(&mut g, "a");
         let b = Expr::ident(&mut g, "b");
         let add = Expr::binary(&mut g, BinaryOp::Add, a.clone(), b.clone());
-        assert_eq!(self_determined_width(&add, &Env), Some(8));
+        assert_eq!(self_determined_width(&add, &env), Some(8));
         let shl = Expr::binary(&mut g, BinaryOp::Shl, b.clone(), a.clone());
-        assert_eq!(self_determined_width(&shl, &Env), Some(4));
+        assert_eq!(self_determined_width(&shl, &env), Some(4));
         let eq = Expr::binary(&mut g, BinaryOp::Eq, a.clone(), b.clone());
-        assert_eq!(self_determined_width(&eq, &Env), Some(1));
+        assert_eq!(self_determined_width(&eq, &env), Some(1));
         let red = Expr::unary(&mut g, UnaryOp::RedXor, a.clone());
-        assert_eq!(self_determined_width(&red, &Env), Some(1));
+        assert_eq!(self_determined_width(&red, &env), Some(1));
         let not = Expr::unary(&mut g, UnaryOp::BitNot, b.clone());
-        assert_eq!(self_determined_width(&not, &Env), Some(4));
+        assert_eq!(self_determined_width(&not, &env), Some(4));
     }
 
     #[test]
     fn selects_concats_and_syscalls() {
+        let env = env_p3();
         let mut g = NodeIdGen::new();
         let range = Expr::Range {
             id: g.fresh(),
@@ -324,51 +352,52 @@ mod tests {
             msb: Box::new(Expr::ident(&mut g, "P")),
             lsb: Box::new(lit(&mut g, 1, 32)),
         };
-        assert_eq!(self_determined_width(&range, &Env), Some(3));
+        assert_eq!(self_determined_width(&range, &env), Some(3));
         let idx = Expr::Index {
             id: g.fresh(),
             base: "mem".into(),
             index: Box::new(lit(&mut g, 0, 4)),
         };
-        assert_eq!(self_determined_width(&idx, &Env), Some(16));
+        assert_eq!(self_determined_width(&idx, &env), Some(16));
         let bit = Expr::Index {
             id: g.fresh(),
             base: "a".into(),
             index: Box::new(lit(&mut g, 0, 4)),
         };
-        assert_eq!(self_determined_width(&bit, &Env), Some(1));
+        assert_eq!(self_determined_width(&bit, &env), Some(1));
         let cat = Expr::Concat {
             id: g.fresh(),
             parts: vec![Expr::ident(&mut g, "a"), Expr::ident(&mut g, "b")],
         };
-        assert_eq!(self_determined_width(&cat, &Env), Some(12));
+        assert_eq!(self_determined_width(&cat, &env), Some(12));
         let rep = Expr::Repeat {
             id: g.fresh(),
             count: Box::new(lit(&mut g, 3, 32)),
             parts: vec![Expr::ident(&mut g, "b")],
         };
-        assert_eq!(self_determined_width(&rep, &Env), Some(12));
+        assert_eq!(self_determined_width(&rep, &env), Some(12));
         let t = Expr::SysCall {
             id: g.fresh(),
             name: "time".into(),
             args: vec![],
         };
-        assert_eq!(self_determined_width(&t, &Env), Some(SYSCALL_TIME_WIDTH));
+        assert_eq!(self_determined_width(&t, &env), Some(SYSCALL_TIME_WIDTH));
     }
 
     #[test]
     fn unknown_names_propagate_to_none() {
+        let env = env_p3();
         let mut g = NodeIdGen::new();
         let unk = Expr::ident(&mut g, "nope");
-        assert_eq!(self_determined_width(&unk, &Env), None);
+        assert_eq!(self_determined_width(&unk, &env), None);
         let a = Expr::ident(&mut g, "a");
         let add = Expr::binary(&mut g, BinaryOp::Add, a, unk);
-        assert_eq!(self_determined_width(&add, &Env), None);
+        assert_eq!(self_determined_width(&add, &env), None);
         // ...but scalar-producing ops stay known.
         let mut g2 = NodeIdGen::new();
         let unk2 = Expr::ident(&mut g2, "nope");
         let red = Expr::unary(&mut g2, UnaryOp::RedOr, unk2);
-        assert_eq!(self_determined_width(&red, &Env), Some(1));
+        assert_eq!(self_determined_width(&red, &env), Some(1));
     }
 
     #[test]
