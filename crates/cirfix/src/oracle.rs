@@ -7,10 +7,14 @@
 //! of the design (§4.1.2); [`oracle_from_golden`] does exactly that.
 
 use cirfix_ast::SourceFile;
-use cirfix_sim::{CancelToken, ProbeSpec, SimConfig, SimError, SimOutcome, Simulator, Trace};
+use cirfix_sim::{
+    elaborate, CancelToken, ProbeSpec, SimConfig, SimError, SimOutcome, Simulator, Trace,
+};
 use cirfix_telemetry::{Phase, Profiler};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+use crate::patch::Original;
 
 /// One automated-repair task: everything Algorithm 1 takes as input.
 #[derive(Debug, Clone)]
@@ -60,15 +64,18 @@ pub fn simulate_with_probe_cancellable(
     sim: &SimConfig,
     cancel: Option<CancelToken>,
 ) -> Result<(SimOutcome, Trace, Vec<String>), SimError> {
-    simulate_with_probe_profiled(source, top, probe, sim, cancel, None)
+    simulate_with_probe_profiled(source, None, top, probe, sim, cancel, None)
 }
 
 /// [`simulate_with_probe_cancellable`] with elaborate/simulate busy
-/// time attributed to a [`Profiler`] via the simulator's own
-/// nanosecond counters. Safe to call from worker threads (the
-/// profiler is atomics only).
+/// time attributed to a [`Profiler`]. `source` is a variant of
+/// `original`, whose elaboration its design derives from; without one,
+/// `source` elaborates as a whole. Either way the elaboration, and the
+/// simulator's construction, count as the `elaborate` phase. Safe to
+/// call from worker threads (the profiler is atomics only).
 pub(crate) fn simulate_with_probe_profiled(
     source: &SourceFile,
+    original: Option<&Original>,
     top: &str,
     probe: &ProbeSpec,
     sim: &SimConfig,
@@ -76,22 +83,15 @@ pub(crate) fn simulate_with_probe_profiled(
     profiler: Option<&Profiler>,
 ) -> Result<(SimOutcome, Trace, Vec<String>), SimError> {
     let t0 = profiler.map(|_| std::time::Instant::now());
-    let mut simulator = match Simulator::new(source, top, sim.clone()) {
-        Ok(s) => {
-            if let Some(p) = profiler {
-                p.record(Phase::Elaborate, s.elaboration_nanos());
-            }
-            s
-        }
-        Err(e) => {
-            // Elaboration failed before a simulator existed; fall back
-            // to the externally measured duration.
-            if let (Some(p), Some(t0)) = (profiler, t0) {
-                p.record(Phase::Elaborate, t0.elapsed().as_nanos() as u64);
-            }
-            return Err(e);
-        }
+    let design = match original {
+        Some(original) => original.elaborate(source, top),
+        None => elaborate(source, top),
     };
+    let simulator = design.map(|d| Simulator::from_design(d, sim.clone()));
+    if let (Some(p), Some(t0)) = (profiler, t0) {
+        p.record(Phase::Elaborate, t0.elapsed().as_nanos() as u64);
+    }
+    let mut simulator = simulator?;
     if let Some(token) = cancel {
         simulator.set_cancel(token);
     }

@@ -12,13 +12,15 @@
 //! copies a shared module only after finding its target there.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 use cirfix_ast::{
     print, visit, BinaryOp, EventExpr, Expr, Module, NodeId, NodeIdGen, Sensitivity, SourceFile,
     Stmt, UnaryOp,
 };
 use cirfix_logic::{EdgeKind, LiteralBase, LogicVec};
+use cirfix_sim::{elaborate, Design, Elaboration, SimError};
 
 /// The sensitivity-list repair templates of Table 1.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -219,15 +221,19 @@ impl Variant {
 
 /// The original design of a repair problem and what every candidate is
 /// measured against, computed once: the first node id free for edits,
-/// each module's node count, and each design module's canonical print.
-/// A variant's module still shared with the original (`Arc::ptr_eq`)
-/// reuses these instead of being walked or printed again.
+/// each module's node count, each design module's canonical print, and,
+/// from the first simulation on, the original's elaboration. A variant's
+/// module still shared with the original (`Arc::ptr_eq`) reuses these
+/// instead of being walked, printed or compiled again.
 pub(crate) struct Original<'a> {
     source: &'a SourceFile,
     design_modules: &'a [String],
     first_free: NodeId,
     module_nodes: Vec<usize>,
     prints: Vec<Option<String>>,
+    /// The base every variant's design derives from; `None` when the
+    /// original does not elaborate.
+    base: OnceLock<Option<Elaboration>>,
 }
 
 impl<'a> Original<'a> {
@@ -258,6 +264,27 @@ impl<'a> Original<'a> {
             first_free: max + 1,
             module_nodes,
             prints,
+            base: OnceLock::new(),
+        }
+    }
+
+    /// The elaborated design of `variant`, a variant of the original,
+    /// with `top` (the problem's top module, the same on every call) as
+    /// top: derived from the original's elaboration, which the first
+    /// call builds, or elaborated as a whole when the original does not
+    /// elaborate (or its elaboration panics). Equal to
+    /// [`elaborate`]`(variant, top)`, error text included.
+    pub(crate) fn elaborate(&self, variant: &SourceFile, top: &str) -> Result<Design, SimError> {
+        let base = self.base.get_or_init(|| {
+            // A panic here would fail every candidate, not only those
+            // that keep what makes the original's elaboration panic.
+            catch_unwind(AssertUnwindSafe(|| Elaboration::new(self.source, top)))
+                .ok()
+                .and_then(Result::ok)
+        });
+        match base {
+            Some(base) => base.derive(variant),
+            None => elaborate(variant, top),
         }
     }
 

@@ -302,17 +302,27 @@ impl RepairResult {
 pub(crate) const TIMEOUT_ERROR: &str = "evaluation exceeded its wall-clock budget";
 
 /// Evaluates one patch against a repair problem: apply → simulate →
-/// fitness. Compile failures and runtime errors score 0.
+/// fitness. Compile failures and runtime errors score 0. The variant
+/// elaborates as a whole: keeping the original's elaboration as a base
+/// would elaborate twice for one evaluation.
 pub fn evaluate(problem: &RepairProblem, patch: &Patch, params: FitnessParams) -> Evaluation {
     let original = Original::new(&problem.source, &problem.design_modules);
-    evaluate_profiled(problem, patch, params, &original, None)
+    let variant = original.apply(patch).file;
+    let growth = original.node_count(&variant) as f64 / original.nodes().max(1) as f64;
+    let candidate = Candidate {
+        file: &variant,
+        growth,
+        original: None,
+    };
+    evaluate_variant(problem, candidate, params, None, None, None)
 }
 
-/// [`evaluate`] with optional per-phase busy attribution (the
-/// brute-force baseline's instrumentation hook). `original` is
-/// `problem.source` measured once, which bulk callers do once rather
-/// than once per patch. A panic propagates; the bulk callers run this
-/// under [`contained`] at growth 1.0.
+/// [`evaluate`] for bulk callers, with optional per-phase busy
+/// attribution (the brute-force baseline's instrumentation hook).
+/// `original` is `problem.source` measured once, and elaborated once,
+/// which bulk callers do once rather than once per patch. A panic
+/// propagates; the bulk callers run this under [`contained`] at growth
+/// 1.0.
 pub(crate) fn evaluate_profiled(
     problem: &RepairProblem,
     patch: &Patch,
@@ -324,7 +334,23 @@ pub(crate) fn evaluate_profiled(
     let variant = original.apply(patch).file;
     let growth = original.node_count(&variant) as f64 / original.nodes().max(1) as f64;
     drop(parse_span);
-    evaluate_variant(problem, &variant, growth, params, None, None, profiler)
+    let candidate = Candidate {
+        file: &variant,
+        growth,
+        original: Some(original),
+    };
+    evaluate_variant(problem, candidate, params, None, None, profiler)
+}
+
+/// An applied candidate as [`evaluate_variant`] takes it.
+struct Candidate<'c> {
+    /// The patched source file.
+    file: &'c SourceFile,
+    /// Its AST size over the original's.
+    growth: f64,
+    /// The original it was applied to, whose elaboration its design
+    /// derives from; `None` elaborates it as a whole.
+    original: Option<&'c Original<'c>>,
 }
 
 /// The simulation half of [`evaluate`]: scores an already-applied
@@ -342,13 +368,13 @@ pub(crate) fn evaluate_profiled(
 /// record concurrently).
 fn evaluate_variant(
     problem: &RepairProblem,
-    variant: &cirfix_ast::SourceFile,
-    growth: f64,
+    candidate: Candidate,
     params: FitnessParams,
     budget: Option<Duration>,
     fault: Option<FaultKind>,
     profiler: Option<&Profiler>,
 ) -> Evaluation {
+    let growth = candidate.growth;
     let started = profiler.map(|_| Instant::now());
     let deadline = budget.map(|b| Instant::now() + b);
     let eval = match fault {
@@ -374,7 +400,8 @@ fn evaluate_variant(
             },
         ),
         None => match simulate_with_probe_profiled(
-            variant,
+            candidate.file,
+            candidate.original,
             &problem.top,
             &problem.probe,
             &problem.sim,
@@ -641,10 +668,14 @@ impl Evaluator<'_> {
     /// that phase one classified `Sim`, with its scheduled fault.
     fn simulate(&self, file: &SourceFile, growth: f64, fault: Option<FaultKind>) -> Evaluation {
         contained(self.problem, growth, || {
-            evaluate_variant(
-                self.problem,
+            let candidate = Candidate {
                 file,
                 growth,
+                original: Some(&self.original),
+            };
+            evaluate_variant(
+                self.problem,
+                candidate,
                 self.params,
                 self.budget,
                 fault,

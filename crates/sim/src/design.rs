@@ -1,10 +1,14 @@
 //! The elaborated design: flattened signals, memories, scopes, compiled
 //! processes and continuous assignments. Every expression in it is
 //! already compiled ([`ExprCode`]); a simulator runs the design as is.
+//! Its parts sit behind [`Arc`]s, so a variant's design shares every
+//! part its edits did not change with the original's
+//! ([`crate::Elaboration`]).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
+use std::ops::Index;
+use std::sync::Arc;
 
 use cirfix_logic::LogicVec;
 
@@ -98,7 +102,7 @@ pub enum ScopeEntry {
     Param(LogicVec),
 }
 
-/// The symbol table of one module instance. Shared (via `Rc`) by all
+/// The symbol table of one module instance. Shared (via `Arc`) by all
 /// processes and continuous assignments of the instance.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
@@ -164,7 +168,7 @@ pub struct ContAssign {
     /// Driving expression.
     pub rhs: ExprCode,
     /// The instance scope `rhs` was compiled in.
-    pub scope: Rc<Scope>,
+    pub scope: Arc<Scope>,
     /// Human-readable origin for diagnostics.
     pub origin: String,
 }
@@ -185,37 +189,107 @@ pub struct Process {
     pub program: Program,
     /// The instance scope the program was compiled in (`%m` prints its
     /// path).
-    pub scope: Rc<Scope>,
+    pub scope: Arc<Scope>,
     /// `always` vs `initial`.
     pub kind: ProcessKind,
     /// Human-readable origin for diagnostics.
     pub origin: String,
 }
 
-/// The fully elaborated design, ready to simulate.
+/// A design's processes or continuous assignments: an elaborated list,
+/// shared, with the entries a derived design recompiled in place of
+/// theirs. A derived design touches no reference count but the list's
+/// own, so simulations on other threads never contend for the shared
+/// entries.
+#[derive(Debug, Clone)]
+pub struct SharedList<T> {
+    shared: Arc<[T]>,
+    /// Replaced entries as (index, entry), by index.
+    replaced: Vec<(usize, T)>,
+}
+
+impl<T> SharedList<T> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.shared.len()
+    }
+
+    /// `true` when there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.shared.is_empty()
+    }
+
+    /// The entries in order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        (0..self.len()).map(|i| &self[i])
+    }
+
+    /// Puts `entry` in place of entry `i`.
+    pub(crate) fn replace(&mut self, i: usize, entry: T) {
+        match self.replaced.binary_search_by_key(&i, |(j, _)| *j) {
+            Ok(k) => self.replaced[k].1 = entry,
+            Err(k) => self.replaced.insert(k, (i, entry)),
+        }
+    }
+}
+
+impl<T> Index<usize> for SharedList<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match self.replaced.iter().find(|(j, _)| *j == i) {
+            Some((_, entry)) => entry,
+            None => &self.shared[i],
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for SharedList<T> {
+    fn from(entries: Vec<T>) -> SharedList<T> {
+        SharedList {
+            shared: entries.into(),
+            replaced: Vec::new(),
+        }
+    }
+}
+
+impl<T> Default for SharedList<T> {
+    fn default() -> SharedList<T> {
+        Vec::new().into()
+    }
+}
+
+/// The fully elaborated design, ready to simulate. Its parts are shared:
+/// cloning it copies pointers (and a derived design's recompiled
+/// entries).
 #[derive(Debug, Clone, Default)]
 pub struct Design {
     /// All signals, flattened across the hierarchy.
-    pub signals: Vec<Signal>,
+    pub signals: Arc<[Signal]>,
     /// All memories.
-    pub memories: Vec<Memory>,
+    pub memories: Arc<[Memory]>,
     /// All processes.
-    pub processes: Vec<Process>,
+    pub processes: SharedList<Process>,
     /// All continuous assignments (including port connections).
-    pub cassigns: Vec<ContAssign>,
+    pub cassigns: SharedList<ContAssign>,
     /// Per signal, the continuous assignments whose right-hand side names
     /// it, in assignment order: the ones a change of the signal
-    /// re-evaluates. Only [`crate::elaborate`] fills it, one entry per
-    /// signal.
-    pub(crate) cassign_deps: Vec<Vec<usize>>,
+    /// re-evaluates. Only elaboration fills it, one entry per signal.
+    pub(crate) cassign_deps: Arc<[Vec<usize>]>,
     /// Hierarchical signal name → id.
-    pub by_name: NameMap<SignalId>,
+    pub by_name: Arc<NameMap<SignalId>>,
 }
 
 impl Design {
     /// Looks up a signal by hierarchical name.
     pub fn signal_named(&self, name: &str) -> Option<SignalId> {
         self.by_name.get(name).copied()
+    }
+
+    /// The continuous assignments whose right-hand side names `sig`, in
+    /// assignment order (empty for a design elaboration did not build).
+    pub fn readers(&self, sig: SignalId) -> &[usize] {
+        self.cassign_deps.get(sig).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -272,13 +346,15 @@ mod tests {
                     kind: SignalKind::Event,
                     init: None,
                 },
-            ],
+            ]
+            .into(),
             memories: vec![Memory {
                 name: "mem".into(),
                 width: 8,
                 size: 4,
                 offset: 0,
-            }],
+            }]
+            .into(),
             ..Design::default()
         };
         let store = Store::new(&design);

@@ -5,9 +5,14 @@
 //! signals/memories with hierarchical names, lowers port connections into
 //! continuous assignments, and compiles all processes. Any failure here is
 //! a *compile failure* in CirFix terms.
+//!
+//! An [`Elaboration`] keeps one design's elaboration as a base for its
+//! variants: a variant that changed only `always`, `initial` and
+//! `assign` items recompiles just those items, in every instance of
+//! their module, and shares everything else with the base.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use cirfix_ast::{Decl, DeclKind, Expr, Item, LValue, Module, SourceFile};
 use cirfix_logic::LogicVec;
@@ -25,6 +30,9 @@ use crate::width::MAX_SELECT_WIDTH;
 /// Maximum instantiation depth, guarding against recursive hierarchies.
 const MAX_DEPTH: usize = 64;
 
+/// Most words a memory may have.
+const MAX_MEMORY_WORDS: u64 = 1 << 20;
+
 /// Elaborates `top` (and everything it instantiates) from `file`.
 ///
 /// # Errors
@@ -33,31 +41,332 @@ const MAX_DEPTH: usize = 64;
 /// names, bad port connections, non-constant ranges, recursive
 /// instantiation, `inout` ports, and semantic errors inside processes.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, SimError> {
-    let modules: HashMap<&str, &Module> = file
-        .modules
-        .iter()
-        .map(|m| (m.name.as_str(), &**m))
-        .collect();
-    if file.modules.len() != modules.len() {
-        return Err(SimError::elab("duplicate module names"));
+    Elaboration::new(file, top).map(|e| e.design)
+}
+
+/// A design's elaboration kept as the base its variants' designs are
+/// built from.
+///
+/// Besides the [`Design`], it records each module instance (its scope
+/// and parameters) and, for every process and continuous assign compiled
+/// from an `always`/`initial`/`assign` item, the item and the instance
+/// it came from. [`Elaboration::derive`] compares a variant with the
+/// base module by module (`Arc::ptr_eq`, then item by item) and
+/// recompiles only the changed items, in elaboration order, stopping at
+/// the first error, so the result and any error text equal
+/// [`elaborate`]'s. Signals, memories, scopes, the name table and every
+/// other site's compiled code are shared with the base. A change to
+/// anything else (a declaration, a parameter, an instance, a port list,
+/// the item count) goes through [`elaborate`].
+///
+/// # Examples
+///
+/// ```
+/// use cirfix_sim::{elaborate, Elaboration};
+///
+/// let original = cirfix_parser::parse("module t; reg q; initial q = 1; endmodule")?;
+/// let base = Elaboration::new(&original, "t")?;
+/// let variant = cirfix_parser::parse("module t; reg q; initial q = 0; endmodule")?;
+/// let derived = base.derive(&variant)?;
+/// let whole = elaborate(&variant, "t")?;
+/// let ops = |d: &cirfix_sim::Design| format!("{:?}", d.processes[0].program.ops);
+/// assert_eq!(ops(&derived), ops(&whole));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct Elaboration {
+    top: String,
+    /// The elaborated file's modules, which a variant's unchanged
+    /// modules still point to.
+    modules: Vec<Arc<Module>>,
+    design: Design,
+    instances: Vec<Instance>,
+    sites: Vec<Site>,
+    /// The signals each continuous assign's right-hand side names, in
+    /// assign order: assign `i` reads `reads[read_ends[i - 1]..read_ends[i]]`.
+    reads: Vec<SignalId>,
+    read_ends: Vec<usize>,
+}
+
+/// One module instance: what its behavioural items compile against.
+#[derive(Debug)]
+struct Instance {
+    scope: Arc<Scope>,
+    params: Arc<NameMap<LogicVec>>,
+}
+
+/// A process or continuous assign compiled from a module item.
+#[derive(Debug)]
+struct Site {
+    /// Index of the item's module in the file.
+    module: usize,
+    /// Index of the item in its module.
+    item: usize,
+    /// Index of the instance it was compiled in.
+    instance: usize,
+    compiled: Slot,
+}
+
+/// Where a site's compiled code sits in the design.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Process(usize),
+    Assign(usize),
+}
+
+/// A behavioural item compiled in one instance.
+enum Compiled {
+    Process(Process),
+    Assign(ContAssign),
+}
+
+impl Elaboration {
+    /// Elaborates `top` from `file` and keeps the result as a base.
+    ///
+    /// # Errors
+    ///
+    /// As [`elaborate`].
+    pub fn new(file: &SourceFile, top: &str) -> Result<Elaboration, SimError> {
+        let mut modules: HashMap<&str, (usize, &Module)> = HashMap::new();
+        for (i, m) in file.modules.iter().enumerate() {
+            modules.insert(m.name.as_str(), (i, &**m));
+        }
+        if file.modules.len() != modules.len() {
+            return Err(SimError::elab("duplicate module names"));
+        }
+        let top_module = modules
+            .get(top)
+            .copied()
+            .ok_or_else(|| SimError::elab(format!("top module `{top}` not found")))?;
+        let mut elab = Elaborator {
+            modules,
+            signals: Vec::new(),
+            memories: Vec::new(),
+            processes: Vec::new(),
+            cassigns: Vec::new(),
+            by_name: NameMap::default(),
+            instances: Vec::new(),
+            sites: Vec::new(),
+            reads: Vec::new(),
+            read_ends: Vec::new(),
+        };
+        elab.instantiate(top_module, String::new(), NameMap::default(), 0)?;
+        let Elaborator {
+            signals,
+            memories,
+            processes,
+            cassigns,
+            by_name,
+            instances,
+            sites,
+            reads,
+            read_ends,
+            ..
+        } = elab;
+        let cassign_deps = readers(signals.len(), assign_reads(&reads, &read_ends)).into();
+        Ok(Elaboration {
+            top: top.to_string(),
+            modules: file.modules.clone(),
+            design: Design {
+                signals: signals.into(),
+                memories: memories.into(),
+                processes: processes.into(),
+                cassigns: cassigns.into(),
+                cassign_deps,
+                by_name: Arc::new(by_name),
+            },
+            instances,
+            sites,
+            reads,
+            read_ends,
+        })
     }
-    let top_module = modules
-        .get(top)
-        .copied()
-        .ok_or_else(|| SimError::elab(format!("top module `{top}` not found")))?;
-    let mut elab = Elaborator {
-        modules,
-        design: Design::default(),
+
+    /// The base's own design (the unchanged original), sharing every
+    /// part with the base.
+    pub fn design(&self) -> Design {
+        self.design.clone()
+    }
+
+    /// The design of `variant`, a copy of the base's file with some
+    /// modules edited: equal to [`elaborate`]`(variant, top)`, error
+    /// text included.
+    ///
+    /// # Errors
+    ///
+    /// As [`elaborate`].
+    pub fn derive(&self, variant: &SourceFile) -> Result<Design, SimError> {
+        let Some(changed) = self.changed_items(variant) else {
+            return elaborate(variant, &self.top);
+        };
+        let mut design = self.design.clone();
+        if changed.is_empty() {
+            return Ok(design);
+        }
+        // New reads of the recompiled assigns, in assign order (sites
+        // are in elaboration order, as assign indices are).
+        let mut new_reads: Vec<(usize, Vec<SignalId>)> = Vec::new();
+        for site in &self.sites {
+            if !changed.contains(&(site.module, site.item)) {
+                continue;
+            }
+            let module = &variant.modules[site.module];
+            let mut reads = Vec::new();
+            let compiled = compile_item(
+                &module.items[site.item],
+                &module.name,
+                &self.instances[site.instance],
+                &design.signals,
+                &mut reads,
+            )?;
+            match (compiled, site.compiled) {
+                (Some(Compiled::Process(p)), Slot::Process(i)) => design.processes.replace(i, p),
+                (Some(Compiled::Assign(a)), Slot::Assign(i)) => {
+                    design.cassigns.replace(i, a);
+                    new_reads.push((i, reads));
+                }
+                _ => unreachable!("a changed item keeps its kind"),
+            }
+        }
+        if !new_reads.is_empty() {
+            let base = assign_reads(&self.reads, &self.read_ends);
+            let reads = base.enumerate().map(|(i, old)| {
+                match new_reads.binary_search_by_key(&i, |(j, _)| *j) {
+                    Ok(k) => new_reads[k].1.as_slice(),
+                    Err(_) => old,
+                }
+            });
+            design.cassign_deps = readers(design.signals.len(), reads).into();
+        }
+        Ok(design)
+    }
+
+    /// The `always`/`initial`/`assign` items `variant` changed, as
+    /// (module, item) indices; `None` when it changed anything else.
+    fn changed_items(&self, variant: &SourceFile) -> Option<Vec<(usize, usize)>> {
+        if variant.modules.len() != self.modules.len() {
+            return None;
+        }
+        let mut changed = Vec::new();
+        for (m, (old, new)) in self.modules.iter().zip(&variant.modules).enumerate() {
+            if Arc::ptr_eq(old, new) {
+                continue;
+            }
+            if old.name != new.name || old.ports != new.ports || old.items.len() != new.items.len()
+            {
+                return None;
+            }
+            for (i, (a, b)) in old.items.iter().zip(&new.items).enumerate() {
+                if a == b {
+                    continue;
+                }
+                match (a, b) {
+                    (Item::Always { .. }, Item::Always { .. })
+                    | (Item::Initial { .. }, Item::Initial { .. })
+                    | (Item::Assign { .. }, Item::Assign { .. }) => changed.push((m, i)),
+                    _ => return None,
+                }
+            }
+        }
+        Some(changed)
+    }
+}
+
+/// Splits flat per-assign read lists at their ends.
+fn assign_reads<'r>(
+    reads: &'r [SignalId],
+    ends: &'r [usize],
+) -> impl Iterator<Item = &'r [SignalId]> + 'r {
+    ends.iter().scan(0, move |start, &end| {
+        let slice = &reads[*start..end];
+        *start = end;
+        Some(slice)
+    })
+}
+
+/// Per signal, the continuous assigns that read it, in assign order,
+/// from each assign's reads in assign order.
+fn readers<'r>(n_signals: usize, reads: impl Iterator<Item = &'r [SignalId]>) -> Vec<Vec<usize>> {
+    let mut deps = vec![Vec::new(); n_signals];
+    for (ci, sigs) in reads.enumerate() {
+        for &sig in sigs {
+            let list = &mut deps[sig];
+            if list.last() != Some(&ci) {
+                list.push(ci);
+            }
+        }
+    }
+    deps
+}
+
+/// Compiles one behavioural module item in an instance: an `always` or
+/// `initial` process, or an `assign` (whose reads go to `reads`). Both
+/// whole-design elaboration and [`Elaboration::derive`] compile items
+/// here. Other items compile to nothing.
+fn compile_item(
+    item: &Item,
+    module: &str,
+    instance: &Instance,
+    signals: &[Signal],
+    reads: &mut Vec<SignalId>,
+) -> Result<Option<Compiled>, SimError> {
+    let scope = &instance.scope;
+    let (body, kind, what) = match item {
+        Item::Assign { lhs, rhs, .. } => {
+            let target = resolve_net_target(lhs, scope, &instance.params, module, signals)?;
+            let origin = format!("assign in {module}");
+            let assign = cassign(target, rhs, scope, signals, origin, reads);
+            return Ok(Some(Compiled::Assign(assign)));
+        }
+        Item::Always { body, .. } => (body, ProcessKind::Always, "always"),
+        Item::Initial { body, .. } => (body, ProcessKind::Initial, "initial"),
+        Item::Decl(_) | Item::Param(_) | Item::Instance(_) => return Ok(None),
     };
-    elab.instantiate(top_module, String::new(), NameMap::default(), 0)?;
-    let n_signals = elab.design.signals.len();
-    elab.design.cassign_deps.resize(n_signals, Vec::new());
-    Ok(elab.design)
+    let always = kind == ProcessKind::Always;
+    let program = compile_process(body, scope, &instance.params, signals, always)
+        .map_err(|e| SimError::elab(format!("in `{module}`: {}", e.0)))?;
+    Ok(Some(Compiled::Process(Process {
+        program,
+        scope: Arc::clone(scope),
+        kind,
+        origin: format!("{what} in {module}"),
+    })))
+}
+
+/// Compiles `rhs` in `scope` as a continuous assignment to `target`,
+/// appending every signal `rhs` names to `reads`.
+fn cassign(
+    target: Target,
+    rhs: &Expr,
+    scope: &Arc<Scope>,
+    signals: &[Signal],
+    origin: String,
+    reads: &mut Vec<SignalId>,
+) -> ContAssign {
+    reads.extend(
+        rhs.identifiers()
+            .into_iter()
+            .filter_map(|name| scope.signal(name)),
+    );
+    ContAssign {
+        target,
+        rhs: compile_expr(rhs, scope, signals),
+        scope: Arc::clone(scope),
+        origin,
+    }
 }
 
 struct Elaborator<'a> {
-    modules: HashMap<&'a str, &'a Module>,
-    design: Design,
+    modules: HashMap<&'a str, (usize, &'a Module)>,
+    signals: Vec<Signal>,
+    memories: Vec<Memory>,
+    processes: Vec<Process>,
+    cassigns: Vec<ContAssign>,
+    by_name: NameMap<SignalId>,
+    instances: Vec<Instance>,
+    sites: Vec<Site>,
+    reads: Vec<SignalId>,
+    read_ends: Vec<usize>,
 }
 
 /// Aggregated declaration info for one name (Verilog allows split
@@ -75,15 +384,15 @@ struct NameInfo {
 }
 
 impl<'a> Elaborator<'a> {
-    /// Instantiates `module` under hierarchical `path` (empty for top).
-    /// Returns the instance scope.
+    /// Instantiates `module` (the file's `index`-th) under hierarchical
+    /// `path` (empty for top). Returns the instance scope.
     fn instantiate(
         &mut self,
-        module: &'a Module,
+        (index, module): (usize, &'a Module),
         path: String,
         param_overrides: NameMap<LogicVec>,
         depth: usize,
-    ) -> Result<Rc<Scope>, SimError> {
+    ) -> Result<Arc<Scope>, SimError> {
         if depth > MAX_DEPTH {
             return Err(SimError::elab(format!(
                 "instantiation of `{}` exceeds depth {MAX_DEPTH} (recursive hierarchy?)",
@@ -169,19 +478,19 @@ impl<'a> Elaborator<'a> {
             };
             if let Some((a, b)) = info.array {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                if hi - lo + 1 > (1 << 20) {
+                let Some(size) = (hi - lo).checked_add(1).filter(|&n| n <= MAX_MEMORY_WORDS) else {
                     return Err(SimError::elab(format!(
                         "memory `{full}` exceeds the size limit"
                     )));
-                }
+                };
                 let mem = Memory {
                     name: full,
                     width,
-                    size: (hi - lo + 1) as usize,
+                    size: size as usize,
                     offset: lo,
                 };
-                self.design.memories.push(mem);
-                let mid = self.design.memories.len() - 1;
+                self.memories.push(mem);
+                let mid = self.memories.len() - 1;
                 scope.entries.insert(name.clone(), ScopeEntry::Mem(mid));
                 continue;
             }
@@ -223,46 +532,41 @@ impl<'a> Elaborator<'a> {
             }
         }
 
-        let scope = Rc::new(scope);
+        let scope = Arc::new(scope);
+        let instance = self.instances.len();
+        let params = Arc::new(params);
+        self.instances.push(Instance {
+            scope: Arc::clone(&scope),
+            params: Arc::clone(&params),
+        });
 
         // Pass 2: behaviour.
-        for item in &module.items {
-            match item {
-                Item::Decl(_) | Item::Param(_) => {}
-                Item::Assign { lhs, rhs, .. } => {
-                    let target = self.resolve_net_target(lhs, &scope, &params, &module.name)?;
-                    self.push_cassign(target, rhs, &scope, format!("assign in {}", module.name));
-                }
-                Item::Always { body, .. } => {
-                    let program =
-                        compile_process(body, &scope, &params, &self.design.signals, true)
-                            .map_err(|e| {
-                                SimError::elab(format!("in `{}`: {}", module.name, e.0))
-                            })?;
-                    self.design.processes.push(Process {
-                        program,
-                        scope: Rc::clone(&scope),
-                        kind: ProcessKind::Always,
-                        origin: format!("always in {}", module.name),
-                    });
-                }
-                Item::Initial { body, .. } => {
-                    let program =
-                        compile_process(body, &scope, &params, &self.design.signals, false)
-                            .map_err(|e| {
-                                SimError::elab(format!("in `{}`: {}", module.name, e.0))
-                            })?;
-                    self.design.processes.push(Process {
-                        program,
-                        scope: Rc::clone(&scope),
-                        kind: ProcessKind::Initial,
-                        origin: format!("initial in {}", module.name),
-                    });
-                }
-                Item::Instance(inst) => {
-                    self.elaborate_instance(inst, module, &scope, &params, &prefix, depth)?;
-                }
+        for (i, item) in module.items.iter().enumerate() {
+            if let Item::Instance(inst) = item {
+                self.elaborate_instance(inst, module, &scope, &params, &prefix, depth)?;
+                continue;
             }
+            let compiled = compile_item(
+                item,
+                &module.name,
+                &self.instances[instance],
+                &self.signals,
+                &mut self.reads,
+            )?;
+            let compiled = match compiled {
+                Some(Compiled::Process(p)) => {
+                    self.processes.push(p);
+                    Slot::Process(self.processes.len() - 1)
+                }
+                Some(Compiled::Assign(a)) => Slot::Assign(self.push_assign(a)),
+                None => continue,
+            };
+            self.sites.push(Site {
+                module: index,
+                item: i,
+                instance,
+                compiled,
+            });
         }
 
         // Wire initializers become continuous assignments.
@@ -285,34 +589,25 @@ impl<'a> Elaborator<'a> {
         Ok(scope)
     }
 
-    /// Compiles `rhs` in `scope` and records the assignment as a reader
-    /// of every signal `rhs` names.
-    fn push_cassign(&mut self, target: Target, rhs: &Expr, scope: &Rc<Scope>, origin: String) {
-        let ci = self.design.cassigns.len();
-        let deps = &mut self.design.cassign_deps;
-        for name in rhs.identifiers() {
-            if let Some(sig) = scope.signal(name) {
-                if deps.len() <= sig {
-                    deps.resize(sig + 1, Vec::new());
-                }
-                if deps[sig].last() != Some(&ci) {
-                    deps[sig].push(ci);
-                }
-            }
-        }
-        let rhs = compile_expr(rhs, scope, &self.design.signals);
-        self.design.cassigns.push(ContAssign {
-            target,
-            rhs,
-            scope: Rc::clone(scope),
-            origin,
-        });
+    /// Compiles a port connection or wire initializer as a continuous
+    /// assign.
+    fn push_cassign(&mut self, target: Target, rhs: &Expr, scope: &Arc<Scope>, origin: String) {
+        let assign = cassign(target, rhs, scope, &self.signals, origin, &mut self.reads);
+        self.push_assign(assign);
+    }
+
+    /// Adds a compiled continuous assign whose reads were just appended
+    /// to `reads`; returns its index.
+    fn push_assign(&mut self, assign: ContAssign) -> usize {
+        self.cassigns.push(assign);
+        self.read_ends.push(self.reads.len());
+        self.cassigns.len() - 1
     }
 
     fn push_signal(&mut self, sig: Signal) -> SignalId {
-        let id = self.design.signals.len();
-        self.design.by_name.insert(sig.name.clone(), id);
-        self.design.signals.push(sig);
+        let id = self.signals.len();
+        self.by_name.insert(sig.name.clone(), id);
+        self.signals.push(sig);
         id
     }
 
@@ -402,107 +697,25 @@ impl<'a> Elaborator<'a> {
         Ok(())
     }
 
-    /// Resolves a continuous-assignment (or output-port) target: must be a
-    /// wire with constant select bounds.
-    fn resolve_net_target(
-        &self,
-        lv: &LValue,
-        scope: &Scope,
-        params: &NameMap<LogicVec>,
-        module_name: &str,
-    ) -> Result<Target, SimError> {
-        match lv {
-            LValue::Ident { name, .. } => match scope.lookup(name) {
-                Some(ScopeEntry::Sig(sig)) => {
-                    self.check_net(*sig, name, module_name)?;
-                    Ok(Target::Sig(*sig))
-                }
-                Some(_) => Err(SimError::elab(format!(
-                    "continuous assignment to non-net `{name}` in `{module_name}`"
-                ))),
-                None => Err(SimError::elab(format!(
-                    "undeclared identifier `{name}` in `{module_name}`"
-                ))),
-            },
-            LValue::Index { base, index, .. } => match scope.lookup(base) {
-                Some(ScopeEntry::Sig(sig)) => {
-                    self.check_net(*sig, base, module_name)?;
-                    let i = eval_const_u64(index, params).map_err(|e| {
-                        SimError::elab(format!(
-                            "bit select on `{base}` in `{module_name}`: {}",
-                            e.0
-                        ))
-                    })?;
-                    let lsb = self.design.signals[*sig].lsb as u64;
-                    let raw = i.wrapping_sub(lsb) as usize;
-                    Ok(Target::Bits {
-                        sig: *sig,
-                        msb: raw,
-                        lsb: raw,
-                    })
-                }
-                _ => Err(SimError::elab(format!(
-                    "bad continuous assignment target `{base}` in `{module_name}`"
-                ))),
-            },
-            LValue::Range { base, msb, lsb, .. } => match scope.lookup(base) {
-                Some(ScopeEntry::Sig(sig)) => {
-                    self.check_net(*sig, base, module_name)?;
-                    let (msb, lsb) = target_bits(msb, lsb, self.design.signals[*sig].lsb, params)
-                        .map_err(|e| {
-                        SimError::elab(format!(
-                            "part select on `{base}` in `{module_name}`: {}",
-                            e.0
-                        ))
-                    })?;
-                    Ok(Target::Bits {
-                        sig: *sig,
-                        msb,
-                        lsb,
-                    })
-                }
-                _ => Err(SimError::elab(format!(
-                    "bad continuous assignment target `{base}` in `{module_name}`"
-                ))),
-            },
-            LValue::Concat { parts, .. } => {
-                let targets = parts
-                    .iter()
-                    .map(|p| self.resolve_net_target(p, scope, params, module_name))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Target::Concat(targets))
-            }
-        }
-    }
-
-    fn check_net(&self, sig: SignalId, name: &str, module_name: &str) -> Result<(), SimError> {
-        match self.design.signals[sig].kind {
-            SignalKind::Wire => Ok(()),
-            _ => Err(SimError::elab(format!(
-                "continuous assignment to non-net `{name}` in `{module_name}`"
-            ))),
-        }
-    }
-
     fn elaborate_instance(
         &mut self,
         inst: &cirfix_ast::Instance,
         parent: &'a Module,
-        parent_scope: &Rc<Scope>,
+        parent_scope: &Arc<Scope>,
         parent_params: &NameMap<LogicVec>,
         prefix: &str,
         depth: usize,
     ) -> Result<(), SimError> {
-        let child = self
-            .modules
-            .get(inst.module.as_str())
-            .copied()
-            .ok_or_else(|| {
-                SimError::elab(format!(
-                    "unknown module `{}` instantiated in `{}`",
-                    inst.module, parent.name
-                ))
-            })?;
+        let (child_index, child) =
+            self.modules
+                .get(inst.module.as_str())
+                .copied()
+                .ok_or_else(|| {
+                    SimError::elab(format!(
+                        "unknown module `{}` instantiated in `{}`",
+                        inst.module, parent.name
+                    ))
+                })?;
 
         // Parameter overrides, evaluated in the parent's constant context.
         let child_param_names: Vec<&str> = child
@@ -538,7 +751,8 @@ impl<'a> Elaborator<'a> {
         }
 
         let child_path = format!("{prefix}{}", inst.name);
-        let child_scope = self.instantiate(child, child_path, overrides, depth + 1)?;
+        let child_scope =
+            self.instantiate((child_index, child), child_path, overrides, depth + 1)?;
 
         // Child port directions.
         let mut directions: HashMap<&str, DeclKind> = HashMap::new();
@@ -621,8 +835,13 @@ impl<'a> Elaborator<'a> {
                             inst.name
                         ))
                     })?;
-                    let target =
-                        self.resolve_net_target(&lv, parent_scope, parent_params, &parent.name)?;
+                    let target = resolve_net_target(
+                        &lv,
+                        parent_scope,
+                        parent_params,
+                        &parent.name,
+                        &self.signals,
+                    )?;
                     let rhs = Expr::ident(&mut cirfix_ast::NodeIdGen::new(), port.clone());
                     let origin = format!("output port {port} of {}", inst.name);
                     self.push_cassign(target, &rhs, &child_scope, origin);
@@ -636,6 +855,92 @@ impl<'a> Elaborator<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// Resolves a continuous-assignment (or output-port) target: must be a
+/// wire with constant select bounds.
+fn resolve_net_target(
+    lv: &LValue,
+    scope: &Scope,
+    params: &NameMap<LogicVec>,
+    module_name: &str,
+    signals: &[Signal],
+) -> Result<Target, SimError> {
+    match lv {
+        LValue::Ident { name, .. } => match scope.lookup(name) {
+            Some(ScopeEntry::Sig(sig)) => {
+                check_net(signals, *sig, name, module_name)?;
+                Ok(Target::Sig(*sig))
+            }
+            Some(_) => Err(SimError::elab(format!(
+                "continuous assignment to non-net `{name}` in `{module_name}`"
+            ))),
+            None => Err(SimError::elab(format!(
+                "undeclared identifier `{name}` in `{module_name}`"
+            ))),
+        },
+        LValue::Index { base, index, .. } => match scope.lookup(base) {
+            Some(ScopeEntry::Sig(sig)) => {
+                check_net(signals, *sig, base, module_name)?;
+                let i = eval_const_u64(index, params).map_err(|e| {
+                    SimError::elab(format!(
+                        "bit select on `{base}` in `{module_name}`: {}",
+                        e.0
+                    ))
+                })?;
+                let lsb = signals[*sig].lsb as u64;
+                let raw = i.wrapping_sub(lsb) as usize;
+                Ok(Target::Bits {
+                    sig: *sig,
+                    msb: raw,
+                    lsb: raw,
+                })
+            }
+            _ => Err(SimError::elab(format!(
+                "bad continuous assignment target `{base}` in `{module_name}`"
+            ))),
+        },
+        LValue::Range { base, msb, lsb, .. } => match scope.lookup(base) {
+            Some(ScopeEntry::Sig(sig)) => {
+                check_net(signals, *sig, base, module_name)?;
+                let (msb, lsb) = target_bits(msb, lsb, signals[*sig].lsb, params).map_err(|e| {
+                    SimError::elab(format!(
+                        "part select on `{base}` in `{module_name}`: {}",
+                        e.0
+                    ))
+                })?;
+                Ok(Target::Bits {
+                    sig: *sig,
+                    msb,
+                    lsb,
+                })
+            }
+            _ => Err(SimError::elab(format!(
+                "bad continuous assignment target `{base}` in `{module_name}`"
+            ))),
+        },
+        LValue::Concat { parts, .. } => {
+            let targets = parts
+                .iter()
+                .map(|p| resolve_net_target(p, scope, params, module_name, signals))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(Target::Concat(targets))
+        }
+    }
+}
+
+fn check_net(
+    signals: &[Signal],
+    sig: SignalId,
+    name: &str,
+    module_name: &str,
+) -> Result<(), SimError> {
+    match signals[sig].kind {
+        SignalKind::Wire => Ok(()),
+        _ => Err(SimError::elab(format!(
+            "continuous assignment to non-net `{name}` in `{module_name}`"
+        ))),
     }
 }
 
@@ -807,6 +1112,207 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.signals[0].kind, SignalKind::Reg);
+    }
+
+    #[test]
+    fn memory_bounds_at_the_u64_limit_exceed_the_size_limit() {
+        for bounds in ["[0:64'hffffffffffffffff]", "[64'hffffffffffffffff:0]"] {
+            let src = format!("module t; reg [7:0] m {bounds}; endmodule");
+            let err = elab(&src, "t").unwrap_err();
+            assert_eq!(
+                err,
+                SimError::elab("memory `m` exceeds the size limit"),
+                "{bounds}"
+            );
+        }
+    }
+
+    /// The canonical dump of a design: what simulating it reads.
+    fn dump(d: &Design) -> String {
+        let mut out = String::new();
+        for s in d.signals.iter() {
+            out += &format!("signal {s:?}\n");
+        }
+        for m in d.memories.iter() {
+            out += &format!("memory {m:?}\n");
+        }
+        for p in d.processes.iter() {
+            out += &format!(
+                "process {} {:?} {:?}\n",
+                p.scope.path, p.origin, p.program.ops
+            );
+        }
+        for a in d.cassigns.iter() {
+            out += &format!(
+                "assign {} {:?} {:?} {:?}\n",
+                a.scope.path, a.origin, a.target, a.rhs
+            );
+        }
+        for sig in 0..d.signals.len() {
+            out += &format!("readers {sig} {:?}\n", d.readers(sig));
+        }
+        out
+    }
+
+    /// A copy of `original` with the listed (module, item) items taken
+    /// from `donor`; every other module stays shared with `original`.
+    fn splice(original: &SourceFile, donor: &str, items: &[(usize, usize)]) -> SourceFile {
+        let donor = parse(donor).expect("parse");
+        let mut variant = original.clone();
+        for &(m, i) in items {
+            Arc::make_mut(&mut variant.modules[m]).items[i] = donor.modules[m].items[i].clone();
+        }
+        variant
+    }
+
+    /// Derives `variant` from `base` and checks it against whole-design
+    /// elaboration; returns the derived design and whether it shares the
+    /// base's signals (was built incrementally).
+    fn derive_checked(base: &Elaboration, variant: &SourceFile, top: &str) -> (Design, bool) {
+        let derived = base.derive(variant).expect("variant elaborates");
+        assert_eq!(dump(&derived), dump(&elaborate(variant, top).unwrap()));
+        let incremental = Arc::ptr_eq(&derived.signals, &base.design().signals);
+        (derived, incremental)
+    }
+
+    const TWO_WIDTHS: &str = r#"
+        module cell (q);
+            parameter W = 2;
+            output [W-1:0] q;
+            reg [W-1:0] r;
+            assign q = r;
+            always #1 r = r + 1;
+        endmodule
+        module top;
+            wire [3:0] a;
+            wire [7:0] b;
+            cell #(.W(4)) c0 (a);
+            cell #(.W(8)) c1 (b);
+        endmodule
+    "#;
+
+    #[test]
+    fn an_edited_process_recompiles_in_every_instance_with_its_own_widths() {
+        let original = parse(TWO_WIDTHS).unwrap();
+        let base = Elaboration::new(&original, "top").unwrap();
+        let edited = TWO_WIDTHS.replace("r = r + 1", "r = r - 3");
+        let variant = splice(&original, &edited, &[(0, 4)]);
+        let (derived, incremental) = derive_checked(&base, &variant, "top");
+        assert!(incremental);
+        let programs: Vec<String> = derived
+            .processes
+            .iter()
+            .map(|p| format!("{:?}", p.program.ops))
+            .collect();
+        assert_eq!(programs.len(), 2);
+        assert_ne!(
+            programs[0], programs[1],
+            "each instance compiles at its own width"
+        );
+        let original = base.design();
+        for (p, old) in derived.processes.iter().zip(original.processes.iter()) {
+            assert!(
+                !std::ptr::eq(p, old),
+                "`{}` kept the original's code",
+                p.scope.path
+            );
+        }
+        // The assigns were not edited: they stay shared with the base.
+        for (a, old) in derived.cassigns.iter().zip(original.cassigns.iter()) {
+            assert!(std::ptr::eq(a, old));
+        }
+    }
+
+    const REWIRED: &str = r#"
+        module top;
+            reg a, b;
+            wire w;
+            assign w = a;
+            initial begin a = 0; b = 0; #1 b = 1; #1 b = 0; #1 b = 1; end
+        endmodule
+    "#;
+
+    #[test]
+    fn an_edited_assign_rewires_the_reader_lists() {
+        let original = parse(REWIRED).unwrap();
+        let base = Elaboration::new(&original, "top").unwrap();
+        let edited = REWIRED.replace("assign w = a;", "assign w = b;");
+        let variant = splice(&original, &edited, &[(0, 2)]);
+        let (derived, incremental) = derive_checked(&base, &variant, "top");
+        assert!(incremental);
+        let (a, b) = (
+            derived.signal_named("a").unwrap(),
+            derived.signal_named("b").unwrap(),
+        );
+        assert_eq!(base.design().readers(a), &[0]);
+        assert!(derived.readers(a).is_empty());
+        assert_eq!(derived.readers(b), &[0]);
+        // Only `b` toggles after time 0: the wire follows it.
+        let mut sim = crate::Simulator::from_design(derived, crate::SimConfig::default());
+        sim.run().unwrap();
+        assert_eq!(sim.signal("w").unwrap().to_u64(), Some(1));
+    }
+
+    const TWO_FAILURES: &str = r#"
+        module child (y);
+            output y;
+            reg r;
+            assign y = r;
+            always #1 r = ~r;
+        endmodule
+        module top;
+            wire y;
+            reg q;
+            child c0 (y);
+            always #1 q = ~q;
+        endmodule
+    "#;
+
+    #[test]
+    fn two_failing_edits_report_the_first_error_in_elaboration_order() {
+        let original = parse(TWO_FAILURES).unwrap();
+        let base = Elaboration::new(&original, "top").unwrap();
+        // The child's process elaborates inside the instance item, before
+        // the top's process that follows it.
+        let edited = TWO_FAILURES
+            .replace("always #1 r = ~r;", "always #1 ghost_r = ~r;")
+            .replace("always #1 q = ~q;", "always #1 ghost_q = ~q;");
+        let variant = splice(&original, &edited, &[(0, 3), (1, 3)]);
+        let derived = base.derive(&variant).unwrap_err();
+        let whole = elaborate(&variant, "top").unwrap_err();
+        assert_eq!(derived, whole);
+        assert!(derived.to_string().contains("ghost_r"), "{derived}");
+    }
+
+    #[test]
+    fn declaration_parameter_and_instance_edits_fall_back() {
+        let original = parse(TWO_WIDTHS).unwrap();
+        let base = Elaboration::new(&original, "top").unwrap();
+        let edits = [
+            // A declaration: the cell's register narrows.
+            (
+                TWO_WIDTHS.replace("reg [W-1:0] r;", "reg [W-2:0] r;"),
+                (0, 2),
+            ),
+            // A parameter default.
+            (
+                TWO_WIDTHS.replace("parameter W = 2;", "parameter W = 3;"),
+                (0, 0),
+            ),
+            // An instance connection and override.
+            (
+                TWO_WIDTHS.replace("cell #(.W(8)) c1 (b);", "cell #(.W(6)) c1 (a);"),
+                (1, 3),
+            ),
+        ];
+        for (edited, item) in &edits {
+            let variant = splice(&original, edited, &[*item]);
+            let (_, incremental) = derive_checked(&base, &variant, "top");
+            assert!(!incremental, "{item:?} must elaborate as a whole");
+        }
+        // Unchanged, the base's own design is what a variant derives.
+        let (_, incremental) = derive_checked(&base, &original.clone(), "top");
+        assert!(incremental);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cirfix_ast::SourceFile;
 use cirfix_logic::{EdgeKind, Logic, LogicVec};
@@ -180,7 +181,7 @@ struct ProbeState {
 
 struct MonitorState {
     args: Vec<SysArg>,
-    scope: Rc<Scope>,
+    scope: Arc<Scope>,
     last: Option<String>,
 }
 
@@ -830,9 +831,8 @@ impl Simulator {
             }
         }
 
-        // Re-evaluate dependent continuous assignments (a design that
-        // `elaborate` did not build has no reader lists).
-        for &ci in self.design.cassign_deps.get(sig).into_iter().flatten() {
+        // Re-evaluate dependent continuous assignments.
+        for &ci in self.design.readers(sig) {
             if !self.cassign_queued[ci] {
                 self.cassign_queued[ci] = true;
                 self.active.push_back(Ev::EvalCassign(ci));
@@ -1059,7 +1059,12 @@ impl Simulator {
         }
     }
 
-    fn sys_task(&mut self, name: &str, args: &[SysArg], scope: &Rc<Scope>) -> Result<(), SimError> {
+    fn sys_task(
+        &mut self,
+        name: &str,
+        args: &[SysArg],
+        scope: &Arc<Scope>,
+    ) -> Result<(), SimError> {
         match name {
             "display" | "write" | "strobe" => {
                 let text = self.format_args(args, scope).map_err(|e| self.runtime(e))?;
@@ -1069,7 +1074,7 @@ impl Simulator {
             "monitor" => {
                 self.monitor = Some(MonitorState {
                     args: args.to_vec(),
-                    scope: Rc::clone(scope),
+                    scope: Arc::clone(scope),
                     last: None,
                 });
                 Ok(())

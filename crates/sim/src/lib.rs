@@ -11,7 +11,9 @@
 //! * [`elaborate`] — hierarchy flattening, parameter resolution, port
 //!   lowering, process compilation, with every expression compiled to
 //!   [`code`] bytecode ([`SimError::Elaboration`] = the "does not
-//!   compile" signal for candidate repairs);
+//!   compile" signal for candidate repairs); [`Elaboration`] keeps one
+//!   design's elaboration as a base and builds each variant's design by
+//!   recompiling only the processes and assigns its edits changed;
 //! * [`Simulator`] — the engine: active/inactive/NBA regions, delta-cycle
 //!   and runaway-process guards (mutants love infinite loops);
 //! * [`ProbeSpec`]/[`Trace`] — testbench instrumentation (§3.2 of the
@@ -54,9 +56,9 @@ pub use cancel::CancelToken;
 pub use compile::{CompileError, Op, Program, SysArg, WaitSpec};
 pub use design::{
     ContAssign, Design, FnvHasher, Memory, NameMap, Process, ProcessKind, Scope, ScopeEntry,
-    Signal, SignalId, SignalKind, Store, Target,
+    SharedList, Signal, SignalId, SignalKind, Store, Target,
 };
-pub use elab::elaborate;
+pub use elab::{elaborate, Elaboration};
 pub use engine::{SimConfig, SimMetrics, SimOutcome, Simulator, CANCEL_CHECK_MASK};
 pub use error::SimError;
 pub use eval::{eval_const, eval_const_u64, EvalCtx, EvalFault, Lcg};

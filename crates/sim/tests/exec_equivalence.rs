@@ -20,7 +20,7 @@ mod tree_walk;
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use cirfix_ast::{print::expr_to_string, DeclKind, Expr, Item, LValue, SourceFile, Stmt};
 use cirfix_logic::{Logic, LogicVec};
@@ -350,7 +350,7 @@ const KINDS: [Kind; 4] = [Kind::Value, Kind::TargetIndex, Kind::SysArg, Kind::Co
 struct Site<'a> {
     kind: Kind,
     expr: &'a Expr,
-    scope: Rc<Scope>,
+    scope: Arc<Scope>,
 }
 
 /// Every expression site of `file` elaborated from `top`. Instances are
@@ -358,7 +358,7 @@ struct Site<'a> {
 /// design's processes and continuous assigns (an instance with neither
 /// evaluates nothing at run time, and its constants are skipped).
 fn sites<'a>(file: &'a SourceFile, top: &'a str, design: &Design) -> Vec<Site<'a>> {
-    let scopes: HashMap<&str, &Rc<Scope>> = design
+    let scopes: HashMap<&str, &Arc<Scope>> = design
         .processes
         .iter()
         .map(|p| &p.scope)
@@ -389,7 +389,7 @@ fn sites<'a>(file: &'a SourceFile, top: &'a str, design: &Design) -> Vec<Site<'a
         out.extend(found.into_iter().map(|(kind, expr)| Site {
             kind,
             expr,
-            scope: Rc::clone(scope),
+            scope: Arc::clone(scope),
         }));
     }
     out
