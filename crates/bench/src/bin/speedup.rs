@@ -13,9 +13,15 @@
 //! * `speedup_gp` — runs the GP loop (`repair_with_trials`, the call
 //!   the ledger's `table3_gp` workload times: `RepairConfig::fast(42)`,
 //!   one trial, no wall-clock limit) on a fixed scenario set with 1, 2
-//!   and 4 workers, the fastest of five interleaved rounds each.
-//!   Selection, fault localization and merging run on the
-//!   coordinating thread, which runs queued work only while it waits.
+//!   and 4 workers, the fastest of five interleaved rounds each. The
+//!   coordinating thread draws every child (selection, applying a
+//!   template or mutation parent to draw its edit, fault localization),
+//!   reserves budget and merges results in submission order; a pool
+//!   thread builds, scores and frees each child, and the coordinating
+//!   thread runs such items too whenever it waits for a result. At one
+//!   worker the coordinating thread is the pool, and applying a parent
+//!   that the child's replay applies again is the price of building
+//!   each child on one thread.
 //!   The speedup is not turned into a serial fraction: a cheaper
 //!   one-worker pass lowers it as surely as a longer coordinator share
 //!   does, so only a profiler phase of the coordinator's own can say

@@ -16,13 +16,17 @@
 //! Items are handed over one at a time through a [`Submission`], so the
 //! workers start on a batch's first child while later ones are still
 //! being drawn, and results come back **in submission order**. A GP
-//! child passes through two submissions: the pool first builds,
-//! fingerprints and classifies it, then simulates it if it needs a
-//! simulation. Everything order-sensitive — cache inserts, budget
-//! accounting, fault-injection ordinals, telemetry emission,
-//! best/`found` tracking — happens on the coordinating thread between
-//! and after the two phases, in submission order, so `jobs = 1` and
-//! `jobs = 8` produce identical `RepairResult`s for the same seed.
+//! child goes to the pool as its patch, and one pool item builds,
+//! fingerprints and classifies it; when the batch's budget covers every
+//! child it can take and no fault plan is set, the same item simulates
+//! and scores it too, so each variant is built and freed on one thread.
+//! Otherwise a second submission simulates the child once the
+//! coordinating thread has reserved its budget slot and claimed its
+//! fault-injection ordinal. Everything order-sensitive — cache inserts,
+//! budget accounting, fault-injection ordinals, telemetry emission,
+//! best/`found` tracking — happens on the coordinating thread, in
+//! submission order, so `jobs = 1` and `jobs = 8` produce identical
+//! `RepairResult`s for the same seed.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

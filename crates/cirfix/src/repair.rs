@@ -34,7 +34,7 @@ use crate::minimize::minimize;
 use crate::mutation::{mutate, MutationParams};
 use crate::oracle::{simulate_with_probe_profiled, RepairProblem};
 use crate::outcome::EvalOutcome;
-use crate::patch::{Edit, Original, Patch, Variant};
+use crate::patch::{Original, Patch};
 use crate::persist::design_fingerprint;
 use crate::select::{elite_indices, tournament_select};
 use crate::session::{Checkpoint, Counters, ResumeState, SessionRecorder, SharedEvalCache};
@@ -83,10 +83,13 @@ pub struct RepairConfig {
     /// [`std::thread::available_parallelism`]. The search result is
     /// bit-identical for every value — only wall-clock time changes.
     pub jobs: usize,
-    /// Scheduling quantum: how many children accumulate before a batch
-    /// is dispatched to the worker pool. Deliberately *independent* of
-    /// [`RepairConfig::jobs`] so batch composition (and therefore the
-    /// result) does not depend on the worker count.
+    /// Scheduling quantum: how many children one batch takes (a
+    /// crossover's second child may take it one past). Children go to
+    /// the worker pool as they are drawn; a batch settles in submission
+    /// order (budget, cache inserts, telemetry) once it is full.
+    /// Deliberately *independent* of [`RepairConfig::jobs`] so batch
+    /// composition (and therefore the result) does not depend on the
+    /// worker count.
     pub batch_size: usize,
     /// Stop right after writing the checkpoint for this generation
     /// (0 = the seed population), returning
@@ -611,22 +614,20 @@ struct Evaluator<'a> {
 }
 
 impl Evaluator<'_> {
-    /// Phase one of a batch, on a pool thread: builds a child's variant,
-    /// counts its nodes, fingerprints it when a store is attached, peeks
-    /// the shared cache and classifies the child. Only `Prepared::Sim`
-    /// children go on to phase two.
-    fn prepare(&self, base: Base) -> Prepared {
+    /// Phase one of a batch, on a pool thread: replays a child's patch
+    /// from the original, counts its nodes, fingerprints it when a store
+    /// is attached, peeks the shared cache and classifies the child.
+    ///
+    /// `inline` is `Some(deadline)` when the child's budget slot is
+    /// already certain: then this thread also simulates a `Sim` child,
+    /// unless the trial `deadline` has passed, and frees the variant it
+    /// built. Otherwise a `Sim` child keeps its variant for phase two.
+    fn prepare(&self, patch: &Patch, inline: Option<Option<Instant>>) -> Prepared {
         let profiler = self.profiler.as_deref();
         let apply = profiler.map(|p| p.span(Phase::Parse));
-        let variant = match base {
-            Base::Parent(mut variant, edit) => {
-                variant.apply(&self.problem.design_modules, &edit);
-                variant
-            }
-            Base::Original(patch) => self.original.apply(&patch),
-        };
+        let variant = self.original.apply(patch).file;
         drop(apply);
-        let nodes = self.original.node_count(&variant.file);
+        let nodes = self.original.node_count(&variant);
         let growth = nodes as f64 / self.original.nodes().max(1) as f64;
         // Content-addressed lookup in the shared cache: keyed by the
         // canonical print of the patched design, so it survives node
@@ -635,12 +636,11 @@ impl Evaluator<'_> {
         // store is attached — the store-free engine is unchanged.
         let key = self
             .scenario
-            .map(|s| design_fingerprint(s, self.original.design_prints(&variant.file)));
-        let applied = Applied { variant, nodes };
+            .map(|s| design_fingerprint(s, self.original.design_prints(&variant)));
         if let (Some(shared), Some(key)) = (&self.shared, key) {
             let _store = profiler.map(|p| p.span(Phase::Store));
             if let Some(eval) = shared.peek(key) {
-                return Prepared::StoreHit { eval, key, applied };
+                return Prepared::StoreHit { eval, key, nodes };
             }
         }
         if nodes > self.node_budget {
@@ -654,18 +654,26 @@ impl Evaluator<'_> {
                     growth,
                 ),
                 key,
-                applied,
+                nodes,
             };
         }
+        let (variant, eval) = match inline {
+            Some(deadline) if deadline.is_some_and(|d| Instant::now() >= d) => (None, None),
+            Some(_) => (None, Some(self.simulate(&variant, growth, None))),
+            None => (Some(variant), None),
+        };
         Prepared::Sim {
             growth,
             key,
-            applied,
+            nodes,
+            variant,
+            eval,
         }
     }
 
-    /// Phase two of a batch, on a pool thread: simulates and scores a child
-    /// that phase one classified `Sim`, with its scheduled fault.
+    /// Simulates and scores a child that phase one classified `Sim`,
+    /// with its scheduled fault: in phase one when its budget slot was
+    /// certain, in phase two otherwise.
     fn simulate(&self, file: &SourceFile, growth: f64, fault: Option<FaultKind>) -> Evaluation {
         contained(self.problem, growth, || {
             let candidate = Candidate {
@@ -685,21 +693,6 @@ impl Evaluator<'_> {
     }
 }
 
-/// What phase one builds a child from.
-enum Base {
-    /// The child's applied parent and the one edit the child adds.
-    Parent(Variant, Edit),
-    /// The original design and the child's whole patch.
-    Original(Patch),
-}
-
-/// A prepared child's applied variant and its AST node count, as phase
-/// one built them.
-struct Applied {
-    variant: Variant,
-    nodes: usize,
-}
-
 /// One entry of the population. It keeps the node count phase one
 /// measured, so the bloat check never applies its patch again; a
 /// trial-cache hit and a resumed population carry none. The applied
@@ -715,7 +708,8 @@ struct Member {
 
 /// How one batch item is settled. Trial-cache hits and in-batch
 /// duplicates are decided on the coordinating thread; phase one decides
-/// the rest on a pool thread, and only `Sim` items are simulated.
+/// the rest on a pool thread, and only `Sim` items are simulated. Each
+/// item phase one built carries its node count.
 enum Prepared {
     /// Answered from the trial cache.
     Hit(Evaluation),
@@ -728,20 +722,26 @@ enum Prepared {
     StoreHit {
         eval: Evaluation,
         key: Digest,
-        applied: Applied,
+        nodes: usize,
     },
     /// Rejected pre-simulation by bloat control; charged against the
     /// evaluation budget like a simulation.
     Reject {
         eval: Evaluation,
         key: Option<Digest>,
-        applied: Applied,
+        nodes: usize,
     },
-    /// Needs a simulation of the applied variant.
+    /// Needs a simulation.
     Sim {
         growth: f64,
         key: Option<Digest>,
-        applied: Applied,
+        nodes: usize,
+        /// The applied variant, until phase two takes it; `None` when
+        /// phase one simulated the child itself.
+        variant: Option<SourceFile>,
+        /// The child's evaluation once simulated; `None` when the trial
+        /// deadline passed first.
+        eval: Option<Evaluation>,
     },
 }
 
@@ -749,11 +749,15 @@ enum Prepared {
 ///
 /// The coordinating thread looks each child up in the trial cache and
 /// deduplicates identical in-flight patches as the child is added.
-/// Every other child goes to the pool at once, in two phases: phase
-/// one builds and classifies it ([`Evaluator::prepare`]); then this
-/// thread reserves budget slots and claims fault-injection ordinals in
-/// submission order, as both need each item's class; phase two
-/// simulates the `Sim` items. Nothing is committed until the batch
+/// Every other child goes to the pool at once as its patch, and phase
+/// one builds and classifies it there ([`Evaluator::prepare`]). This
+/// thread then reserves budget slots and claims fault-injection
+/// ordinals in submission order, as both need each item's class. When
+/// the batch opens with no fault plan and budget for every child it can
+/// take, every slot is certain and phase one also simulates its `Sim`
+/// children, so each variant is built, scored and freed by one thread.
+/// Otherwise (a trial's last batch, a chaos run) phase two simulates
+/// the admitted `Sim` items. Nothing is committed until the batch
 /// settles, so the trial cache and the shared-cache peeks see the same
 /// state as if every child had been added before any ran. One
 /// scheduling turn spans both phases.
@@ -763,7 +767,7 @@ struct Batch<'p, 'a> {
     /// Each item's class; `None` while it is in phase one.
     classes: Vec<Option<Prepared>>,
     first_seen: HashMap<Patch, usize>,
-    phase_one: Submission<'p, 'a, Base, Prepared>,
+    phase_one: Submission<'p, 'a, Patch, Prepared>,
     phase_two: Submission<'p, 'a, (SourceFile, f64, Option<FaultKind>), Evaluation>,
     /// The items in phase two, in submission order.
     simulated: Vec<usize>,
@@ -788,30 +792,6 @@ impl Batch<'_, '_> {
 struct Child {
     patch: Patch,
     op: &'static str,
-    /// For a template or mutation child, its applied parent: the child's
-    /// patch is the parent's plus one last edit, so phase one applies
-    /// just that edit instead of replaying the patch from the original.
-    parent: Option<Variant>,
-}
-
-impl Child {
-    /// A child phase one applies from the original.
-    fn replay(patch: Patch, op: &'static str) -> Child {
-        Child {
-            patch,
-            op,
-            parent: None,
-        }
-    }
-
-    /// A child one edit past its applied `parent`.
-    fn derived(patch: Patch, op: &'static str, parent: Variant) -> Child {
-        Child {
-            patch,
-            op,
-            parent: Some(parent),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -824,9 +804,7 @@ struct OperatorMix {
 /// What reproduction derives from one parent. Both fields are pure
 /// functions of the parent patch and its cached evaluation, so they are
 /// computed at most once per generation however often tournament
-/// selection draws the parent. No AST is kept here (see [`Member`]):
-/// each template or mutation child carries its applied parent to phase
-/// one instead (see [`Child`]).
+/// selection draws the parent. No AST is kept here (see [`Member`]).
 struct ParentContext {
     /// The applied parent outgrows the node budget, so it reproduces
     /// from the original design instead.
@@ -1071,19 +1049,17 @@ impl<'a> Repairer<'a> {
 
     /// Settles one prepared item (coordinating thread, submission
     /// order): counts budgets, emits telemetry, and inserts into the
-    /// cache. `sim` carries the worker's result for `Prepared::Sim`
-    /// items; `None` there means the deadline cancelled the simulation.
-    /// `op` labels the candidate's originating operator in telemetry.
-    /// Returns the evaluation and the node count phase one measured;
-    /// the applied variant is dropped here.
+    /// cache. A `Prepared::Sim` item without an evaluation was cut by
+    /// the deadline, and settles nothing. `op` labels the candidate's
+    /// originating operator in telemetry. Returns the evaluation and the
+    /// node count phase one measured.
     fn commit(
         &mut self,
         patch: &Patch,
         prepared: Prepared,
-        sim: Option<Evaluation>,
         op: &str,
     ) -> Option<(Evaluation, Option<usize>)> {
-        let (eval, key, applied) = match prepared {
+        let (eval, key, nodes) = match prepared {
             Prepared::Hit(eval) => {
                 self.counters.cache_hits += 1;
                 self.config
@@ -1091,7 +1067,7 @@ impl<'a> Repairer<'a> {
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
                 return Some((eval, None));
             }
-            Prepared::StoreHit { eval, key, applied } => {
+            Prepared::StoreHit { eval, key, nodes } => {
                 // Answered from the shared cache: budget-free, no
                 // simulation, no Sim event — the warm-store tests count
                 // on exactly that.
@@ -1107,15 +1083,17 @@ impl<'a> Repairer<'a> {
                     .observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
                 self.insert_evaluation(patch, &eval, Some(key));
-                return Some((eval, Some(applied.nodes)));
+                return Some((eval, Some(nodes)));
             }
             Prepared::Alias(_) => unreachable!("aliases are resolved by the batch merge"),
-            Prepared::Reject { eval, key, applied } => {
+            Prepared::Reject { eval, key, nodes } => {
                 self.counters.evals += 1;
-                (eval, key, applied)
+                (eval, key, nodes)
             }
-            Prepared::Sim { key, applied, .. } => {
-                let eval = sim?;
+            Prepared::Sim {
+                key, nodes, eval, ..
+            } => {
+                let eval = eval?;
                 self.counters.evals += 1;
                 // Fault-containment accounting: only fresh simulations
                 // count, so cached answers never double-count and the
@@ -1126,7 +1104,7 @@ impl<'a> Repairer<'a> {
                     EvalOutcome::ResourceExhausted => self.counters.exhausted += 1,
                     _ => {}
                 }
-                (eval, key, applied)
+                (eval, key, nodes)
             }
         };
         if self.config.observer.enabled() {
@@ -1148,7 +1126,7 @@ impl<'a> Repairer<'a> {
                 )));
         }
         self.insert_evaluation(patch, &eval, key);
-        Some((eval, Some(applied.nodes)))
+        Some((eval, Some(nodes)))
     }
 
     /// Evaluates one patch synchronously through the trial cache — used
@@ -1171,7 +1149,10 @@ impl<'a> Repairer<'a> {
         patch: &Patch,
         op: &'static str,
     ) -> Evaluation {
-        let child = Child::replay(patch.clone(), op);
+        let child = Child {
+            patch: patch.clone(),
+            op,
+        };
         self.evaluate_children(pool, vec![child], false)
             .pop()
             .flatten()
@@ -1185,7 +1166,10 @@ impl<'a> Repairer<'a> {
     fn evaluate_batch(&mut self, patches: &[Patch]) -> Vec<Option<Evaluation>> {
         let batch = patches
             .iter()
-            .map(|p| Child::replay(p.clone(), ""))
+            .map(|p| Child {
+                patch: p.clone(),
+                op: "",
+            })
             .collect();
         self.with_pool(|r, pool| r.evaluate_children(pool, batch, true))
             .into_iter()
@@ -1200,17 +1184,18 @@ impl<'a> Repairer<'a> {
         children: Vec<Child>,
         budgeted: bool,
     ) -> Vec<Option<Member>> {
-        let mut batch = self.open_batch(pool, budgeted);
+        let mut batch = self.open_batch(pool, budgeted, children.len());
         for child in children {
             self.push_child(&mut batch, child);
         }
         self.settle(batch)
     }
 
-    /// Opens an empty batch on `pool`. A budgeted batch reserves slots
-    /// of the evaluation budget and simulates under the trial's
-    /// deadline; an unbudgeted one does neither.
-    fn open_batch<'p>(&self, pool: &'p Pool<'a>, budgeted: bool) -> Batch<'p, 'a> {
+    /// Opens an empty batch on `pool` that will take at most `capacity`
+    /// children. A budgeted batch reserves slots of the evaluation
+    /// budget and simulates under the trial's deadline; an unbudgeted
+    /// one does neither.
+    fn open_batch<'p>(&self, pool: &'p Pool<'a>, budgeted: bool, capacity: usize) -> Batch<'p, 'a> {
         let (budget, deadline) = if budgeted {
             (
                 self.config
@@ -1221,6 +1206,11 @@ impl<'a> Repairer<'a> {
         } else {
             (u64::MAX, None)
         };
+        // Every budget slot is certain when the budget covers the whole
+        // batch; a fault plan still needs each ordinal claimed here, in
+        // submission order, after the child is classified.
+        let inline =
+            (self.config.faults.is_none() && budget >= capacity as u64).then_some(deadline);
         let prepare = self.evaluator();
         let simulate = self.evaluator();
         Batch {
@@ -1228,7 +1218,7 @@ impl<'a> Repairer<'a> {
             ops: Vec::new(),
             classes: Vec::new(),
             first_seen: HashMap::new(),
-            phase_one: pool.submit(None, move |base| prepare.prepare(base)),
+            phase_one: pool.submit(None, move |patch: Patch| prepare.prepare(&patch, inline)),
             phase_two: pool.submit(deadline, move |(file, growth, fault)| {
                 simulate.simulate(&file, growth, fault)
             }),
@@ -1242,7 +1232,7 @@ impl<'a> Repairer<'a> {
 
     /// Adds one child to `batch`. A trial-cache hit or a duplicate of an
     /// earlier child is settled here; any other child goes to phase one
-    /// at once, as (applied parent, last edit) or (original, patch).
+    /// at once, as its patch.
     fn push_child(&mut self, batch: &mut Batch<'_, 'a>, child: Child) {
         let i = batch.patches.len();
         let class = if let Some(&j) = batch.first_seen.get(&child.patch) {
@@ -1256,12 +1246,7 @@ impl<'a> Repairer<'a> {
                     if batch.turn.is_none() {
                         batch.turn = Some(self.config.control.turn());
                     }
-                    batch
-                        .phase_one
-                        .push(match (child.parent, child.patch.edits.last()) {
-                            (Some(parent), Some(edit)) => Base::Parent(parent, edit.clone()),
-                            _ => Base::Original(child.patch.clone()),
-                        });
+                    batch.phase_one.push(child.patch.clone());
                     None
                 }
             }
@@ -1274,8 +1259,9 @@ impl<'a> Repairer<'a> {
     /// Walks `batch` in submission order as far as its classes are
     /// known: each item reserves a budget slot if it needs one (the
     /// first that cannot ends the admitted prefix), and each admitted
-    /// `Sim` item claims its fault-injection ordinal and goes to phase
-    /// two. With `wait`, waits for every class still in phase one.
+    /// `Sim` item that phase one did not simulate claims its
+    /// fault-injection ordinal and goes to phase two. With `wait`,
+    /// waits for every class still in phase one.
     fn advance(&mut self, batch: &mut Batch<'_, 'a>, wait: bool) {
         while batch.reserved < batch.classes.len() {
             let i = batch.reserved;
@@ -1291,7 +1277,7 @@ impl<'a> Repairer<'a> {
             if batch.admitted.is_some() {
                 continue;
             }
-            let class = batch.classes[i].as_ref().expect("classified above");
+            let class = batch.classes[i].as_mut().expect("classified above");
             if matches!(class, Prepared::Sim { .. } | Prepared::Reject { .. }) {
                 if batch.budget == 0 {
                     batch.admitted = Some(i);
@@ -1300,18 +1286,18 @@ impl<'a> Repairer<'a> {
                 batch.budget -= 1;
             }
             if let Prepared::Sim {
-                growth, applied, ..
+                growth, variant, ..
             } = class
             {
-                let fault = self
-                    .config
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.next_eval_fault());
-                batch
-                    .phase_two
-                    .push((applied.variant.file.clone(), *growth, fault));
-                batch.simulated.push(i);
+                if let Some(file) = variant.take() {
+                    let fault = self
+                        .config
+                        .faults
+                        .as_ref()
+                        .and_then(|f| f.next_eval_fault());
+                    batch.phase_two.push((file, *growth, fault));
+                    batch.simulated.push(i);
+                }
             }
         }
     }
@@ -1327,14 +1313,15 @@ impl<'a> Repairer<'a> {
     /// telemetry) happens here, identically for every worker count.
     fn settle(&mut self, mut batch: Batch<'_, 'a>) -> Vec<Option<Member>> {
         self.advance(&mut batch, true);
-        let simulated: Vec<Option<Evaluation>> = (0..batch.phase_two.pending())
-            .map(|_| batch.phase_two.next())
-            .collect();
+        for &i in &batch.simulated {
+            let simulated = batch.phase_two.next();
+            if let Some(Prepared::Sim { eval, .. }) = &mut batch.classes[i] {
+                *eval = simulated;
+            }
+        }
         drop(batch.turn.take());
         self.busy += batch.phase_one.busy() + batch.phase_two.busy();
         let admitted = batch.admitted.unwrap_or(batch.classes.len());
-        let mut sim_results: HashMap<usize, Option<Evaluation>> =
-            batch.simulated.into_iter().zip(simulated).collect();
 
         // Merge in submission order. The first unresolved item (budget
         // or deadline) ends the merge; later items are dropped rather
@@ -1363,11 +1350,11 @@ impl<'a> Repairer<'a> {
                     }
                     None => None,
                 },
-                class => {
-                    let sim = sim_results.remove(&i).flatten();
-                    self.commit(&patch, class, sim, op)
-                        .map(|(eval, nodes)| Member { patch, eval, nodes })
-                }
+                class => self.commit(&patch, class, op).map(|(eval, nodes)| Member {
+                    patch,
+                    eval,
+                    nodes,
+                }),
             };
             if merged.is_none() {
                 cut = true;
@@ -1460,18 +1447,24 @@ impl<'a> Repairer<'a> {
             let parent2 = &popn[pj].patch;
             let (c1, c2) = crossover(parent, parent2, &mut self.rng);
             return vec![
-                Child::replay(c1, "crossover"),
-                Child::replay(c2, "crossover"),
+                Child {
+                    patch: c1,
+                    op: "crossover",
+                },
+                Child {
+                    patch: c2,
+                    op: "crossover",
+                },
             ];
         }
 
-        // Templates and mutations edit the applied parent at its fault
-        // localization, and the child takes the applied parent along.
-        let variant = if parent.is_empty() {
-            self.original.unpatched()
-        } else {
-            applied.unwrap_or_else(|| self.original.apply(parent))
-        };
+        // Templates and mutations draw their edit on the applied parent
+        // at its fault localization. The parent is dropped here, on the
+        // thread that built it: the pool replays the child's whole patch
+        // from the original.
+        let applied = (!parent.is_empty())
+            .then(|| applied.unwrap_or_else(|| self.original.apply(parent)).file);
+        let file = applied.as_ref().unwrap_or(&problem.source);
         let fl = if !self.config.relocalize || parent.is_empty() {
             Rc::clone(original_fl)
         } else {
@@ -1482,32 +1475,33 @@ impl<'a> Repairer<'a> {
             match &ctx.fault_loc {
                 Some(fl) => Rc::clone(fl),
                 None => {
-                    let fl = Rc::new(self.localize_variant(&variant.file, &drawn.eval));
+                    let fl = Rc::new(self.localize_variant(file, &drawn.eval));
                     ctx.fault_loc = Some(Rc::clone(&fl));
                     fl
                 }
             }
         };
 
-        if template {
+        let (op, edit) = if template {
             self.mix.template += 1;
-            match random_template(&variant.file, &problem.design_modules, &fl, &mut self.rng) {
-                Some(edit) => vec![Child::derived(parent.with(edit), "template", variant)],
-                None => vec![Child::replay(parent.clone(), "template")],
-            }
+            let edit = random_template(file, &problem.design_modules, &fl, &mut self.rng);
+            ("template", edit)
         } else {
             self.mix.mutation += 1;
-            match mutate(
-                &variant.file,
+            let edit = mutate(
+                file,
                 &problem.design_modules,
                 &fl,
                 self.config.mutation,
                 &mut self.rng,
-            ) {
-                Some(edit) => vec![Child::derived(parent.with(edit), "mutation", variant)],
-                None => vec![Child::replay(parent.clone(), "mutation")],
-            }
-        }
+            );
+            ("mutation", edit)
+        };
+        let patch = match edit {
+            Some(edit) => parent.with(edit),
+            None => parent.clone(),
+        };
+        vec![Child { patch, op }]
     }
 
     /// Reproduces from `parents` into `state.popn`, one batch at a
@@ -1538,9 +1532,12 @@ impl<'a> Repairer<'a> {
                 return Fill::Cancelled;
             }
             // Children go to the workers as they are drawn, so phase one
-            // and simulation overlap the rest of the batch's draws.
-            let mut batch = self.open_batch(pool, true);
-            while out.len() + batch.len() < self.config.popn_size && batch.len() < batch_size {
+            // and simulation overlap the rest of the batch's draws. The
+            // batch stops taking children at `room`, and a crossover's
+            // second child can take it one past.
+            let room = batch_size.min(self.config.popn_size - out.len());
+            let mut batch = self.open_batch(pool, true, room + 1);
+            while batch.len() < room {
                 for child in self.reproduce(pool, parents, &mut memo, original_fl) {
                     self.push_child(&mut batch, child);
                 }
