@@ -421,345 +421,239 @@ pub fn exprs_of_module(module: &Module) -> Vec<&Expr> {
 // In-place mutation by id.
 // ---------------------------------------------------------------------------
 
-/// Replaces the statement with id `target` by `new`, returning `true` on
-/// success. The first match in pre-order wins.
-pub fn replace_stmt(module: &mut Module, target: NodeId, new: &Stmt) -> bool {
-    for item in &mut module.items {
-        match item {
-            Item::Always { body, .. } | Item::Initial { body, .. } => {
-                if body.id() == target {
-                    *body = new.clone();
-                    return true;
-                }
-                if replace_stmt_rec(body, target, new) {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-fn replace_in_box(slot: &mut Box<Stmt>, target: NodeId, new: &Stmt) -> bool {
-    if slot.id() == target {
-        **slot = new.clone();
-        true
-    } else {
-        replace_stmt_rec(slot, target, new)
-    }
-}
-
-fn replace_in_opt(slot: &mut Option<Box<Stmt>>, target: NodeId, new: &Stmt) -> bool {
+/// Moves `new` into the place of the statement with id `target`; the
+/// first match in pre-order wins. Hands `new` back when the module has
+/// no such statement.
+pub fn replace_stmt(module: &mut Module, target: NodeId, new: Stmt) -> Option<Stmt> {
+    let slot = module.items.iter_mut().find_map(|item| match item {
+        Item::Always { body, .. } | Item::Initial { body, .. } => stmt_mut(body, target),
+        _ => None,
+    });
     match slot {
-        Some(b) => replace_in_box(b, target, new),
-        None => false,
+        Some(slot) => *slot = new,
+        None => return Some(new),
     }
+    None
 }
 
-fn replace_stmt_rec(stmt: &mut Stmt, target: NodeId, new: &Stmt) -> bool {
+/// The statement with id `target` in `stmt`'s subtree, `stmt` included,
+/// in pre-order.
+fn stmt_mut(stmt: &mut Stmt, target: NodeId) -> Option<&mut Stmt> {
+    if stmt.id() == target {
+        return Some(stmt);
+    }
     match stmt {
-        Stmt::Block { stmts, .. } => {
-            for s in stmts.iter_mut() {
-                if s.id() == target {
-                    *s = new.clone();
-                    return true;
-                }
-                if replace_stmt_rec(s, target, new) {
-                    return true;
-                }
-            }
-            false
-        }
+        Stmt::Block { stmts, .. } => stmts.iter_mut().find_map(|s| stmt_mut(s, target)),
         Stmt::If { then_s, else_s, .. } => {
-            replace_in_box(then_s, target, new) || replace_in_opt(else_s, target, new)
+            stmt_mut(then_s, target).or_else(|| stmt_mut(else_s.as_mut()?, target))
         }
-        Stmt::Case { arms, default, .. } => {
-            for arm in arms.iter_mut() {
-                if arm.body.id() == target {
-                    arm.body = new.clone();
-                    return true;
-                }
-                if replace_stmt_rec(&mut arm.body, target, new) {
-                    return true;
-                }
-            }
-            replace_in_opt(default, target, new)
-        }
+        Stmt::Case { arms, default, .. } => arms
+            .iter_mut()
+            .find_map(|arm| stmt_mut(&mut arm.body, target))
+            .or_else(|| stmt_mut(default.as_mut()?, target)),
         Stmt::For {
             init, step, body, ..
-        } => {
-            replace_in_box(init, target, new)
-                || replace_in_box(step, target, new)
-                || replace_in_box(body, target, new)
-        }
+        } => stmt_mut(init, target)
+            .or_else(|| stmt_mut(step, target))
+            .or_else(|| stmt_mut(body, target)),
         Stmt::While { body, .. } | Stmt::Repeat { body, .. } | Stmt::Forever { body, .. } => {
-            replace_in_box(body, target, new)
+            stmt_mut(body, target)
         }
         Stmt::Delay { body, .. } | Stmt::EventControl { body, .. } | Stmt::Wait { body, .. } => {
-            replace_in_opt(body, target, new)
+            stmt_mut(body.as_mut()?, target)
         }
         Stmt::Blocking { .. }
         | Stmt::NonBlocking { .. }
         | Stmt::EventTrigger { .. }
         | Stmt::SysCall { .. }
-        | Stmt::Null { .. } => false,
+        | Stmt::Null { .. } => None,
     }
 }
 
-/// Replaces the expression with id `target` by `new` anywhere in the
-/// module (statement expressions, continuous assigns, parameters,
-/// declarations, connections). Returns `true` on success.
-pub fn replace_expr(module: &mut Module, target: NodeId, new: &Expr) -> bool {
-    for item in &mut module.items {
-        let done = match item {
-            Item::Decl(d) => {
-                let mut hit = false;
-                if let Some((msb, lsb)) = &mut d.range {
-                    hit =
-                        replace_expr_slot(msb, target, new) || replace_expr_slot(lsb, target, new);
-                }
-                if !hit {
-                    for v in &mut d.vars {
-                        if let Some((hi, lo)) = &mut v.array {
-                            if replace_expr_slot(hi, target, new)
-                                || replace_expr_slot(lo, target, new)
-                            {
-                                hit = true;
-                                break;
-                            }
-                        }
-                        if let Some(init) = &mut v.init {
-                            if replace_expr_slot(init, target, new) {
-                                hit = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                hit
-            }
-            Item::Param(p) => replace_expr_slot(&mut p.value, target, new),
-            Item::Assign { lhs, rhs, .. } => {
-                replace_expr_in_lvalue(lhs, target, new) || replace_expr_slot(rhs, target, new)
-            }
-            Item::Always { body, .. } | Item::Initial { body, .. } => {
-                replace_expr_in_stmt(body, target, new)
-            }
-            Item::Instance(inst) => {
-                let mut hit = false;
-                for c in inst.params.iter_mut().chain(inst.ports.iter_mut()) {
-                    if let Some(e) = &mut c.expr {
-                        if replace_expr_slot(e, target, new) {
-                            hit = true;
-                            break;
-                        }
-                    }
-                }
-                hit
-            }
-        };
-        if done {
-            return true;
+/// Moves `new` into the place of the expression with id `target`
+/// anywhere in the module (statement expressions, continuous assigns,
+/// parameters, declarations, connections); the first match wins. Hands
+/// `new` back when the module has no such expression.
+pub fn replace_expr(module: &mut Module, target: NodeId, new: Expr) -> Option<Expr> {
+    let slot = module.items.iter_mut().find_map(|item| match item {
+        Item::Decl(d) => pair_mut(d.range.as_mut(), target).or_else(|| {
+            d.vars.iter_mut().find_map(|v| {
+                pair_mut(v.array.as_mut(), target).or_else(|| expr_mut(v.init.as_mut()?, target))
+            })
+        }),
+        Item::Param(p) => expr_mut(&mut p.value, target),
+        Item::Assign { lhs, rhs, .. } => {
+            lvalue_expr_mut(lhs, target).or_else(|| expr_mut(rhs, target))
         }
-    }
-    false
-}
-
-fn replace_expr_slot(slot: &mut Expr, target: NodeId, new: &Expr) -> bool {
-    if slot.id() == target {
-        *slot = new.clone();
-        return true;
-    }
+        Item::Always { body, .. } | Item::Initial { body, .. } => stmt_expr_mut(body, target),
+        Item::Instance(inst) => (inst.params.iter_mut())
+            .chain(inst.ports.iter_mut())
+            .find_map(|c| expr_mut(c.expr.as_mut()?, target)),
+    });
     match slot {
-        Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => false,
-        Expr::Unary { arg, .. } => replace_expr_slot(arg, target, new),
-        Expr::Binary { lhs, rhs, .. } => {
-            replace_expr_slot(lhs, target, new) || replace_expr_slot(rhs, target, new)
-        }
+        Some(slot) => *slot = new,
+        None => return Some(new),
+    }
+    None
+}
+
+/// The expression with id `target` in `expr`'s subtree, `expr`
+/// included, in pre-order.
+fn expr_mut(expr: &mut Expr, target: NodeId) -> Option<&mut Expr> {
+    if expr.id() == target {
+        return Some(expr);
+    }
+    match expr {
+        Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => None,
+        Expr::Unary { arg, .. } => expr_mut(arg, target),
+        Expr::Binary { lhs, rhs, .. } => expr_mut(lhs, target).or_else(|| expr_mut(rhs, target)),
         Expr::Cond {
             cond,
             then_e,
             else_e,
             ..
-        } => {
-            replace_expr_slot(cond, target, new)
-                || replace_expr_slot(then_e, target, new)
-                || replace_expr_slot(else_e, target, new)
-        }
-        Expr::Index { index, .. } => replace_expr_slot(index, target, new),
-        Expr::Range { msb, lsb, .. } => {
-            replace_expr_slot(msb, target, new) || replace_expr_slot(lsb, target, new)
-        }
-        Expr::Concat { parts, .. } => parts.iter_mut().any(|p| replace_expr_slot(p, target, new)),
+        } => expr_mut(cond, target)
+            .or_else(|| expr_mut(then_e, target))
+            .or_else(|| expr_mut(else_e, target)),
+        Expr::Index { index, .. } => expr_mut(index, target),
+        Expr::Range { msb, lsb, .. } => expr_mut(msb, target).or_else(|| expr_mut(lsb, target)),
+        Expr::Concat { parts, .. } => parts.iter_mut().find_map(|p| expr_mut(p, target)),
         Expr::Repeat { count, parts, .. } => {
-            replace_expr_slot(count, target, new)
-                || parts.iter_mut().any(|p| replace_expr_slot(p, target, new))
+            expr_mut(count, target).or_else(|| parts.iter_mut().find_map(|p| expr_mut(p, target)))
         }
-        Expr::SysCall { args, .. } => args.iter_mut().any(|a| replace_expr_slot(a, target, new)),
+        Expr::SysCall { args, .. } => args.iter_mut().find_map(|a| expr_mut(a, target)),
     }
 }
 
-fn replace_expr_in_lvalue(lv: &mut LValue, target: NodeId, new: &Expr) -> bool {
+/// The expression with id `target` in either half of a range.
+fn pair_mut(pair: Option<&mut (Expr, Expr)>, target: NodeId) -> Option<&mut Expr> {
+    let (msb, lsb) = pair?;
+    expr_mut(msb, target).or_else(|| expr_mut(lsb, target))
+}
+
+fn lvalue_expr_mut(lv: &mut LValue, target: NodeId) -> Option<&mut Expr> {
     match lv {
-        LValue::Ident { .. } => false,
-        LValue::Index { index, .. } => replace_expr_slot(index, target, new),
-        LValue::Range { msb, lsb, .. } => {
-            replace_expr_slot(msb, target, new) || replace_expr_slot(lsb, target, new)
-        }
-        LValue::Concat { parts, .. } => parts
-            .iter_mut()
-            .any(|p| replace_expr_in_lvalue(p, target, new)),
+        LValue::Ident { .. } => None,
+        LValue::Index { index, .. } => expr_mut(index, target),
+        LValue::Range { msb, lsb, .. } => expr_mut(msb, target).or_else(|| expr_mut(lsb, target)),
+        LValue::Concat { parts, .. } => parts.iter_mut().find_map(|p| lvalue_expr_mut(p, target)),
     }
 }
 
-fn replace_expr_in_stmt(stmt: &mut Stmt, target: NodeId, new: &Expr) -> bool {
+fn stmt_expr_mut(stmt: &mut Stmt, target: NodeId) -> Option<&mut Expr> {
     match stmt {
-        Stmt::Block { stmts, .. } => stmts
-            .iter_mut()
-            .any(|s| replace_expr_in_stmt(s, target, new)),
+        Stmt::Block { stmts, .. } => stmts.iter_mut().find_map(|s| stmt_expr_mut(s, target)),
         Stmt::If {
             cond,
             then_s,
             else_s,
             ..
-        } => {
-            replace_expr_slot(cond, target, new)
-                || replace_expr_in_stmt(then_s, target, new)
-                || else_s
-                    .as_mut()
-                    .is_some_and(|e| replace_expr_in_stmt(e, target, new))
-        }
+        } => expr_mut(cond, target)
+            .or_else(|| stmt_expr_mut(then_s, target))
+            .or_else(|| stmt_expr_mut(else_s.as_mut()?, target)),
         Stmt::Case {
             subject,
             arms,
             default,
             ..
-        } => {
-            replace_expr_slot(subject, target, new)
-                || arms.iter_mut().any(|arm| {
-                    arm.labels
-                        .iter_mut()
-                        .any(|l| replace_expr_slot(l, target, new))
-                        || replace_expr_in_stmt(&mut arm.body, target, new)
+        } => expr_mut(subject, target)
+            .or_else(|| {
+                arms.iter_mut().find_map(|arm| {
+                    (arm.labels.iter_mut())
+                        .find_map(|l| expr_mut(l, target))
+                        .or_else(|| stmt_expr_mut(&mut arm.body, target))
                 })
-                || default
-                    .as_mut()
-                    .is_some_and(|d| replace_expr_in_stmt(d, target, new))
-        }
+            })
+            .or_else(|| stmt_expr_mut(default.as_mut()?, target)),
         Stmt::For {
             init,
             cond,
             step,
             body,
             ..
-        } => {
-            replace_expr_in_stmt(init, target, new)
-                || replace_expr_slot(cond, target, new)
-                || replace_expr_in_stmt(step, target, new)
-                || replace_expr_in_stmt(body, target, new)
-        }
+        } => stmt_expr_mut(init, target)
+            .or_else(|| expr_mut(cond, target))
+            .or_else(|| stmt_expr_mut(step, target))
+            .or_else(|| stmt_expr_mut(body, target)),
         Stmt::While { cond, body, .. } => {
-            replace_expr_slot(cond, target, new) || replace_expr_in_stmt(body, target, new)
+            expr_mut(cond, target).or_else(|| stmt_expr_mut(body, target))
         }
         Stmt::Repeat { count, body, .. } => {
-            replace_expr_slot(count, target, new) || replace_expr_in_stmt(body, target, new)
+            expr_mut(count, target).or_else(|| stmt_expr_mut(body, target))
         }
-        Stmt::Forever { body, .. } => replace_expr_in_stmt(body, target, new),
+        Stmt::Forever { body, .. } => stmt_expr_mut(body, target),
         Stmt::Blocking {
             lhs, delay, rhs, ..
         }
         | Stmt::NonBlocking {
             lhs, delay, rhs, ..
-        } => {
-            replace_expr_in_lvalue(lhs, target, new)
-                || delay
-                    .as_mut()
-                    .is_some_and(|d| replace_expr_slot(d, target, new))
-                || replace_expr_slot(rhs, target, new)
-        }
+        } => lvalue_expr_mut(lhs, target)
+            .or_else(|| expr_mut(delay.as_mut()?, target))
+            .or_else(|| expr_mut(rhs, target)),
         Stmt::Delay { amount, body, .. } => {
-            replace_expr_slot(amount, target, new)
-                || body
-                    .as_mut()
-                    .is_some_and(|b| replace_expr_in_stmt(b, target, new))
+            expr_mut(amount, target).or_else(|| stmt_expr_mut(body.as_mut()?, target))
         }
         Stmt::EventControl {
             sensitivity, body, ..
         } => {
-            let mut hit = false;
-            if let Sensitivity::List(events) = sensitivity {
-                for ev in events.iter_mut() {
-                    if replace_expr_slot(&mut ev.expr, target, new) {
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-            hit || body
-                .as_mut()
-                .is_some_and(|b| replace_expr_in_stmt(b, target, new))
+            let events = match sensitivity {
+                Sensitivity::List(events) => &mut events[..],
+                _ => &mut [],
+            };
+            (events.iter_mut())
+                .find_map(|ev| expr_mut(&mut ev.expr, target))
+                .or_else(|| stmt_expr_mut(body.as_mut()?, target))
         }
         Stmt::Wait { cond, body, .. } => {
-            replace_expr_slot(cond, target, new)
-                || body
-                    .as_mut()
-                    .is_some_and(|b| replace_expr_in_stmt(b, target, new))
+            expr_mut(cond, target).or_else(|| stmt_expr_mut(body.as_mut()?, target))
         }
-        Stmt::SysCall { args, .. } => args.iter_mut().any(|a| replace_expr_slot(a, target, new)),
-        Stmt::EventTrigger { .. } | Stmt::Null { .. } => false,
+        Stmt::SysCall { args, .. } => args.iter_mut().find_map(|a| expr_mut(a, target)),
+        Stmt::EventTrigger { .. } | Stmt::Null { .. } => None,
     }
 }
 
-/// Inserts `new` immediately after the statement with id `anchor`, which
-/// must be a direct child of a `begin…end` block. Returns `true` on
-/// success.
+/// Moves `new` in immediately after the statement with id `anchor`,
+/// which must be a direct child of a `begin…end` block. Hands `new` back
+/// when the module has no such statement.
 ///
 /// Statements only occur inside `always`/`initial` processes, so a
 /// successful insertion is always into procedural code — the constraint
 /// CirFix's fix localization imposes (§3.6).
-pub fn insert_stmt_after(module: &mut Module, anchor: NodeId, new: &Stmt) -> bool {
-    for item in &mut module.items {
-        if let Item::Always { body, .. } | Item::Initial { body, .. } = item {
-            if insert_after_rec(body, anchor, new) {
-                return true;
-            }
-        }
+pub fn insert_stmt_after(module: &mut Module, anchor: NodeId, new: Stmt) -> Option<Stmt> {
+    let block = module.items.iter_mut().find_map(|item| match item {
+        Item::Always { body, .. } | Item::Initial { body, .. } => block_mut(body, anchor),
+        _ => None,
+    });
+    match block {
+        Some((stmts, pos)) => stmts.insert(pos + 1, new),
+        None => return Some(new),
     }
-    false
+    None
 }
 
-fn insert_after_rec(stmt: &mut Stmt, anchor: NodeId, new: &Stmt) -> bool {
+/// The block in `stmt`'s subtree holding `anchor` as a direct child, and
+/// the anchor's position in it.
+fn block_mut(stmt: &mut Stmt, anchor: NodeId) -> Option<(&mut Vec<Stmt>, usize)> {
     match stmt {
-        Stmt::Block { stmts, .. } => {
-            if let Some(pos) = stmts.iter().position(|s| s.id() == anchor) {
-                stmts.insert(pos + 1, new.clone());
-                return true;
-            }
-            stmts.iter_mut().any(|s| insert_after_rec(s, anchor, new))
-        }
+        Stmt::Block { stmts, .. } => match stmts.iter().position(|s| s.id() == anchor) {
+            Some(pos) => Some((stmts, pos)),
+            None => stmts.iter_mut().find_map(|s| block_mut(s, anchor)),
+        },
         Stmt::If { then_s, else_s, .. } => {
-            insert_after_rec(then_s, anchor, new)
-                || else_s
-                    .as_mut()
-                    .is_some_and(|e| insert_after_rec(e, anchor, new))
+            block_mut(then_s, anchor).or_else(|| block_mut(else_s.as_mut()?, anchor))
         }
-        Stmt::Case { arms, default, .. } => {
-            arms.iter_mut()
-                .any(|arm| insert_after_rec(&mut arm.body, anchor, new))
-                || default
-                    .as_mut()
-                    .is_some_and(|d| insert_after_rec(d, anchor, new))
-        }
+        Stmt::Case { arms, default, .. } => arms
+            .iter_mut()
+            .find_map(|arm| block_mut(&mut arm.body, anchor))
+            .or_else(|| block_mut(default.as_mut()?, anchor)),
         Stmt::For { body, .. }
         | Stmt::While { body, .. }
         | Stmt::Repeat { body, .. }
-        | Stmt::Forever { body, .. } => insert_after_rec(body, anchor, new),
+        | Stmt::Forever { body, .. } => block_mut(body, anchor),
         Stmt::Delay { body, .. } | Stmt::EventControl { body, .. } | Stmt::Wait { body, .. } => {
-            body.as_mut()
-                .is_some_and(|b| insert_after_rec(b, anchor, new))
+            block_mut(body.as_mut()?, anchor)
         }
-        _ => false,
+        _ => None,
     }
 }
 
@@ -1043,11 +937,12 @@ mod tests {
             .find(|id| matches!(find_stmt(&m, **id), Some(Stmt::If { .. })))
             .expect("module has an if");
         let replacement = Stmt::Null { id: g.fresh() };
-        assert!(replace_stmt(&mut m, if_id, &replacement));
+        assert_eq!(replace_stmt(&mut m, if_id, replacement.clone()), None);
         assert!(find_stmt(&m, if_id).is_none());
         assert!(find_stmt(&m, replacement.id()).is_some());
-        // Replacing a missing id fails.
-        assert!(!replace_stmt(&mut m, 9999, &replacement));
+        // Replacing a missing id hands the statement back.
+        let back = replace_stmt(&mut m, 9999, replacement.clone());
+        assert_eq!(back, Some(replacement));
     }
 
     #[test]
@@ -1060,7 +955,7 @@ mod tests {
             .map(|e| e.id())
             .expect("has literal");
         let two = Expr::literal_u64(&mut g, 2, 4);
-        assert!(replace_expr(&mut m, lit_id, &two));
+        assert_eq!(replace_expr(&mut m, lit_id, two.clone()), None);
         let found = find_expr(&m, two.id()).expect("replaced");
         match found {
             Expr::Literal { value, .. } => assert_eq!(value.to_u64(), Some(2)),
@@ -1077,10 +972,11 @@ mod tests {
             .map(|s| s.id())
             .expect("has assignment");
         let new_stmt = Stmt::Null { id: g.fresh() };
-        assert!(insert_stmt_after(&mut m, first, &new_stmt));
+        assert_eq!(insert_stmt_after(&mut m, first, new_stmt.clone()), None);
         // Anchor must be a direct block child: the module id is not.
         let module_id = m.id;
-        assert!(!insert_stmt_after(&mut m, module_id, &new_stmt));
+        let back = insert_stmt_after(&mut m, module_id, new_stmt.clone());
+        assert_eq!(back.as_ref(), Some(&new_stmt));
         // The block now has three statements.
         if let Item::Always { body, .. } = &m.items[0] {
             if let Stmt::Block { stmts, .. } = body {

@@ -65,7 +65,6 @@
 //! ```
 
 mod brute;
-mod control;
 mod crossover;
 mod engine;
 pub mod explain;
@@ -87,7 +86,6 @@ mod verify;
 
 pub use brute::{brute_force_repair, BruteConfig};
 pub use cirfix_telemetry::Observer;
-pub use control::{BatchGate, SearchControl};
 pub use crossover::crossover;
 pub use engine::{evaluate_many, resolve_jobs};
 pub use faultloc::{fault_loc_event, fault_localization, FaultLoc};

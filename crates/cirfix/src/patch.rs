@@ -369,14 +369,14 @@ fn apply_edit(
                 return false;
             };
             visit::renumber_stmt(&mut donor_stmt, ids);
-            replace_stmt_anywhere(file, design_modules, *target, &donor_stmt)
+            replace_stmt_anywhere(file, design_modules, *target, donor_stmt)
         }
         Edit::ReplaceExpr { target, donor } => {
             let Some(mut donor_expr) = find_expr_anywhere(file, design_modules, *donor) else {
                 return false;
             };
             visit::renumber_expr(&mut donor_expr, ids);
-            replace_expr_anywhere(file, design_modules, *target, &donor_expr)
+            replace_expr_anywhere(file, design_modules, *target, donor_expr)
         }
         Edit::InsertStmt { donor, after } => {
             let Some(mut donor_stmt) = find_stmt_anywhere(file, design_modules, *donor) else {
@@ -386,13 +386,14 @@ fn apply_edit(
             edit_design_module(
                 file,
                 design_modules,
+                donor_stmt,
                 |m| visit::find_stmt(m, *after).is_some(),
-                |m| visit::insert_stmt_after(m, *after, &donor_stmt),
+                |m, new| visit::insert_stmt_after(m, *after, new),
             )
         }
         Edit::DeleteStmt { target } => {
             let null = Stmt::Null { id: ids.fresh() };
-            replace_stmt_anywhere(file, design_modules, *target, &null)
+            replace_stmt_anywhere(file, design_modules, *target, null)
         }
         Edit::NegateCond { target } => {
             let Some(stmt) = find_stmt_anywhere(file, design_modules, *target) else {
@@ -425,7 +426,7 @@ fn apply_edit(
                 },
                 _ => return false,
             };
-            replace_stmt_anywhere(file, design_modules, *target, &negated)
+            replace_stmt_anywhere(file, design_modules, *target, negated)
         }
         Edit::SetSensitivity {
             control,
@@ -462,7 +463,7 @@ fn apply_edit(
                 sensitivity,
                 body,
             };
-            replace_stmt_anywhere(file, design_modules, *control, &new_stmt)
+            replace_stmt_anywhere(file, design_modules, *control, new_stmt)
         }
         Edit::BlockingToNonBlocking { target } => {
             let Some(stmt) = find_stmt_anywhere(file, design_modules, *target) else {
@@ -483,7 +484,7 @@ fn apply_edit(
                 delay,
                 rhs,
             };
-            replace_stmt_anywhere(file, design_modules, *target, &new_stmt)
+            replace_stmt_anywhere(file, design_modules, *target, new_stmt)
         }
         Edit::NonBlockingToBlocking { target } => {
             let Some(stmt) = find_stmt_anywhere(file, design_modules, *target) else {
@@ -504,7 +505,7 @@ fn apply_edit(
                 delay,
                 rhs,
             };
-            replace_stmt_anywhere(file, design_modules, *target, &new_stmt)
+            replace_stmt_anywhere(file, design_modules, *target, new_stmt)
         }
         Edit::ReplaceSensitivity { target, donor } => {
             let Some(Stmt::EventControl {
@@ -531,7 +532,7 @@ fn apply_edit(
                 sensitivity,
                 body,
             };
-            replace_stmt_anywhere(file, design_modules, *target, &new_stmt)
+            replace_stmt_anywhere(file, design_modules, *target, new_stmt)
         }
         Edit::IncrementExpr { target } => adjust_expr(file, design_modules, *target, ids, true),
         Edit::DecrementExpr { target } => adjust_expr(file, design_modules, *target, ids, false),
@@ -550,7 +551,7 @@ fn adjust_expr(
     let Some(expr) = find_expr_anywhere(file, design_modules, target) else {
         return false;
     };
-    let new_expr = match &expr {
+    let new_expr = match expr {
         Expr::Literal {
             id,
             value,
@@ -564,10 +565,10 @@ fn adjust_expr(
                 value.sub(&one)
             };
             Expr::Literal {
-                id: *id,
+                id,
                 value: new_value.resized(value.width()),
-                base: *base,
-                sized: *sized,
+                base,
+                sized,
             }
         }
         other => {
@@ -584,12 +585,12 @@ fn adjust_expr(
                 } else {
                     BinaryOp::Sub
                 },
-                lhs: Box::new((*other).clone()),
+                lhs: Box::new(other),
                 rhs: Box::new(one),
             }
         }
     };
-    replace_expr_anywhere(file, design_modules, target, &new_expr)
+    replace_expr_anywhere(file, design_modules, target, new_expr)
 }
 
 /// Finds and clones a statement by id, searching the design modules
@@ -645,13 +646,14 @@ fn replace_stmt_anywhere(
     file: &mut SourceFile,
     design_modules: &[String],
     target: NodeId,
-    new: &Stmt,
+    new: Stmt,
 ) -> bool {
     edit_design_module(
         file,
         design_modules,
+        new,
         |m| visit::find_stmt(m, target).is_some(),
-        |m| visit::replace_stmt(m, target, new),
+        |m, new| visit::replace_stmt(m, target, new),
     )
 }
 
@@ -659,36 +661,38 @@ fn replace_expr_anywhere(
     file: &mut SourceFile,
     design_modules: &[String],
     target: NodeId,
-    new: &Expr,
+    new: Expr,
 ) -> bool {
     edit_design_module(
         file,
         design_modules,
+        new,
         |m| visit::find_expr(m, target).is_some(),
-        |m| visit::replace_expr(m, target, new),
+        |m, new| visit::replace_expr(m, target, new),
     )
 }
 
-/// Runs `edit` on the design modules in order until it succeeds once.
-/// A module shared with another file is copied only after `contains`
-/// finds the edit's target in it, so an edit never copies a module it
-/// misses.
-fn edit_design_module(
+/// Runs `edit` on the design modules in order until it places `new`,
+/// which each miss hands back for the next module. A module shared with
+/// another file is copied only after `contains` finds the edit's target
+/// in it, so an edit never copies a module it misses.
+fn edit_design_module<T>(
     file: &mut SourceFile,
     design_modules: &[String],
+    mut new: T,
     contains: impl Fn(&Module) -> bool,
-    mut edit: impl FnMut(&mut Module) -> bool,
+    edit: impl Fn(&mut Module, T) -> Option<T>,
 ) -> bool {
     for name in design_modules {
         let Some(slot) = file.modules.iter_mut().find(|m| m.name == *name) else {
             continue;
         };
-        let hit = match Arc::get_mut(slot) {
-            Some(module) => edit(module),
-            None => contains(slot) && edit(Arc::make_mut(slot)),
-        };
-        if hit {
-            return true;
+        if Arc::get_mut(slot).is_none() && !contains(slot) {
+            continue;
+        }
+        match edit(Arc::make_mut(slot), new) {
+            Some(back) => new = back,
+            None => return true,
         }
     }
     false

@@ -24,7 +24,6 @@ use cirfix_telemetry::{
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::control::{SearchControl, TurnGuard};
 use crate::crossover::crossover;
 use crate::engine::{Pool, Submission};
 use crate::faultloc::{fault_loc_event, fault_localization, FaultLoc};
@@ -112,12 +111,6 @@ pub struct RepairConfig {
     /// Telemetry destination. Defaults to a disabled observer, in which
     /// case no events are constructed.
     pub observer: Observer,
-    /// External control for service mode: client-initiated cancellation
-    /// (checked at candidate-batch boundaries, returning a resumable
-    /// [`RepairStatus::Interrupted`]) and an optional fair-share batch
-    /// gate through which every worker-pool dispatch takes a turn. The
-    /// inert default adds no overhead and no behaviour change.
-    pub control: SearchControl,
 }
 
 impl RepairConfig {
@@ -146,7 +139,6 @@ impl RepairConfig {
             eval_timeout: None,
             faults: None,
             observer: Observer::none(),
-            control: SearchControl::none(),
         }
     }
 
@@ -759,8 +751,7 @@ enum Prepared {
 /// Otherwise (a trial's last batch, a chaos run) phase two simulates
 /// the admitted `Sim` items. Nothing is committed until the batch
 /// settles, so the trial cache and the shared-cache peeks see the same
-/// state as if every child had been added before any ran. One
-/// scheduling turn spans both phases.
+/// state as if every child had been added before any ran.
 struct Batch<'p, 'a> {
     patches: Vec<Patch>,
     ops: Vec<&'static str>,
@@ -777,7 +768,6 @@ struct Batch<'p, 'a> {
     budget: u64,
     /// The first item that found no budget slot.
     admitted: Option<usize>,
-    turn: Option<TurnGuard>,
 }
 
 impl Batch<'_, '_> {
@@ -857,8 +847,6 @@ enum Fill {
     Plausible,
     /// The evaluation budget or the wall-clock deadline ran out.
     Cut,
-    /// External cancellation arrived at a batch boundary.
-    Cancelled,
 }
 
 impl<'a> Repairer<'a> {
@@ -1132,8 +1120,7 @@ impl<'a> Repairer<'a> {
     /// Evaluates one patch synchronously through the trial cache — used
     /// for the original design. Never consults the evaluation budget.
     /// It takes the same path as a batch of one, on a pool of its own,
-    /// so panics, injected faults and scheduling turns are handled
-    /// exactly as in a search.
+    /// so panics and injected faults are handled exactly as in a search.
     pub fn evaluate_patch(&mut self, patch: &Patch) -> Evaluation {
         self.with_pool(|r, pool| r.evaluate_labelled(pool, patch, "original"))
     }
@@ -1141,8 +1128,8 @@ impl<'a> Repairer<'a> {
     /// Evaluates one patch on `pool` as an unbudgeted batch of one,
     /// labelled `op` in telemetry: the original design, the bloat
     /// fallback's lookup of it, and minimization probes. A trial-cache
-    /// hit takes no turn and no pool thread, so reproduction can look
-    /// the original up while a batch is in flight.
+    /// hit takes no pool thread, so reproduction can look the original
+    /// up while a batch is in flight.
     fn evaluate_labelled(
         &mut self,
         pool: &Pool<'a>,
@@ -1226,7 +1213,6 @@ impl<'a> Repairer<'a> {
             reserved: 0,
             budget,
             admitted: None,
-            turn: None,
         }
     }
 
@@ -1243,9 +1229,6 @@ impl<'a> Repairer<'a> {
                 Some(eval) => Some(Prepared::Hit(eval.clone())),
                 None => {
                     self.counters.patch_applies += 1;
-                    if batch.turn.is_none() {
-                        batch.turn = Some(self.config.control.turn());
-                    }
                     batch.phase_one.push(child.patch.clone());
                     None
                 }
@@ -1319,7 +1302,6 @@ impl<'a> Repairer<'a> {
                 *eval = simulated;
             }
         }
-        drop(batch.turn.take());
         self.busy += batch.phase_one.busy() + batch.phase_two.busy();
         let admitted = batch.admitted.unwrap_or(batch.classes.len());
 
@@ -1509,11 +1491,10 @@ impl<'a> Repairer<'a> {
     /// into batches of [`RepairConfig::batch_size`], scored across the
     /// worker pool, and merged back in submission order into the
     /// population and the best-so-far record. Before each batch the
-    /// budget is checked, then cancellation. Stops when the population
-    /// holds [`RepairConfig::popn_size`] candidates, a child is
-    /// plausible (it becomes `state.found`; nothing beyond its own batch
-    /// is paid for), a budget or deadline cut ends a batch, or
-    /// cancellation arrives, and says which.
+    /// budget is checked. Stops when the population holds
+    /// [`RepairConfig::popn_size`] candidates, a child is plausible (it
+    /// becomes `state.found`; nothing beyond its own batch is paid for),
+    /// or a budget or deadline cut ends a batch, and says which.
     fn fill(
         &mut self,
         pool: &Pool<'a>,
@@ -1527,9 +1508,6 @@ impl<'a> Repairer<'a> {
         while out.len() < self.config.popn_size {
             if self.out_of_budget() {
                 return Fill::Cut;
-            }
-            if self.config.control.is_cancelled() {
-                return Fill::Cancelled;
             }
             // Children go to the workers as they are drawn, so phase one
             // and simulation overlap the rest of the batch's draws. The
@@ -1781,16 +1759,9 @@ impl<'a> Repairer<'a> {
                     // repair.
                     found: (score >= 1.0).then(Patch::empty),
                 };
-                // A cut only ends the seed phase early. Cancellation
-                // returns before any checkpoint is written: a
-                // partial-population checkpoint would desynchronize the
-                // RNG replay on resume, while a checkpoint-free log
-                // restarts the trial from scratch with every
-                // already-persisted evaluation answered from the store.
-                if state.found.is_none()
-                    && self.fill(pool, &origin, &mut state, &original_fl) == Fill::Cancelled
-                {
-                    return self.finish(pool, state, RepairStatus::Interrupted);
+                // A cut only ends the seed phase early.
+                if state.found.is_none() {
+                    self.fill(pool, &origin, &mut state, &original_fl);
                 }
                 // The seed population is "generation 0": every trace
                 // contains at least one GenerationStats event.
@@ -1808,14 +1779,10 @@ impl<'a> Repairer<'a> {
             // The population becomes the parents; the children fill its
             // place.
             let parents = std::mem::take(&mut state.popn);
-            match self.fill(pool, &parents, &mut state, &original_fl) {
-                // Cancellation abandons the partial generation; resume
-                // replays it deterministically from the last checkpoint.
-                Fill::Cancelled => return self.finish(pool, state, RepairStatus::Interrupted),
-                // So does a budget or deadline cut: no elitism, no
-                // checkpoint.
-                Fill::Cut => break,
-                Fill::Full | Fill::Plausible => {}
+            // A budget or deadline cut abandons the partial generation:
+            // no elitism, no checkpoint.
+            if self.fill(pool, &parents, &mut state, &original_fl) == Fill::Cut {
+                break;
             }
             // Elitism: the top e% of the parents survive.
             let scores: Vec<f64> = parents.iter().map(|m| m.eval.score).collect();

@@ -2,8 +2,7 @@
 //! repair run.
 //!
 //! A run describes itself twice. Its telemetry events — a JSON-lines
-//! trace, the daemon's heartbeat stream, or the live observer — record
-//! it event by event; its session log in a store records it checkpoint
+//! trace or the live observer — record it event by event; its session log in a store records it checkpoint
 //! by checkpoint. Neither is pleasant to read raw. [`RunReport`] folds
 //! either into the questions §5 of the paper actually asks of a run:
 //! did fitness converge and how fast (convergence curve per
@@ -13,9 +12,10 @@
 //! operators earned their keep (proposed vs. survived vs. plausible).
 //!
 //! Every reader of events goes through one fold step,
-//! [`RunReport::fold`]: [`RunReport::from_trace`] for `cirfix report`,
-//! both `cirfix watch` paths, and the [`ReportSink`] behind `--metrics`,
-//! which folds each [`Event::to_value`] without serializing it. Session
+//! `RunReport::fold`: [`RunReport::from_trace`] for `cirfix report`,
+//! [`RunReport::fold_line`] for `cirfix watch`, and the [`ReportSink`]
+//! behind `--metrics`, which folds each [`Event::to_value`] without
+//! serializing it. Session
 //! logs are decoded by the session codec itself (`Checkpoint::from_json`),
 //! the same one a resume reads.
 //!
@@ -160,7 +160,7 @@ impl RunReport {
         r
     }
 
-    /// Folds one trace line, like [`RunReport::fold`]. Blank lines are
+    /// Folds one trace line through the one fold step. Blank lines are
     /// skipped; non-empty lines that are not valid JSON — truncated
     /// tails from a killed writer, interleaved garbage — are counted in
     /// [`RunReport::malformed_lines`] rather than aborting the fold.
@@ -183,7 +183,7 @@ impl RunReport {
     /// counted and otherwise ignored (traces may grow new event kinds).
     /// Returns the event's heartbeat, if it was one: what a live viewer
     /// redraws.
-    pub fn fold(&mut self, v: &JsonValue) -> Option<HeartbeatEvent> {
+    pub(crate) fn fold(&mut self, v: &JsonValue) -> Option<HeartbeatEvent> {
         self.events += 1;
         let text = |key| field_str(v, key).unwrap_or("");
         let uint = |key| field_u64(v, key).unwrap_or(0);

@@ -802,8 +802,8 @@ pub fn repair_session(
         std::fs::remove_file(&log_path)?;
     }
 
-    // Lease the log for the whole run: a concurrent `Store::gc` (the
-    // daemon's background sweep, or an operator's `cirfix store gc`)
+    // Lease the log for the whole run: a concurrent `Store::gc` (an
+    // operator's `cirfix store gc` beside other sessions on the store)
     // must neither reap this session nor truncate an append in flight.
     let _session_lease = store.session_lease(&session.to_hex())?;
     let mut recorder = SessionRecorder::new(store.session_writer(&session.to_hex())?);

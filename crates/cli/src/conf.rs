@@ -1,26 +1,23 @@
 //! The `repair.conf` format and the builders that turn a parsed config
-//! into a [`RepairProblem`] / [`RepairConfig`].
-//!
-//! This module used to live in the CLI; the daemon moved it here so
-//! `cirfix serve` can build jobs from the same config files (and the
-//! same `--key value` override syntax) that `cirfix repair` takes —
-//! submitting a conf to the daemon and running it in batch mode are,
-//! by construction, the same computation.
+//! into a [`RepairProblem`], a [`RepairConfig`] and the run's telemetry.
 //!
 //! The format is simple `key = value` lines, mirroring the
-//! configuration file of the paper's artifact (§A.4).
+//! configuration file of the paper's artifact (§A.4); `--key value`
+//! command-line overrides set the same keys.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cirfix::{
-    oracle_from_golden, FaultInjector, FaultPlan, FitnessParams, RepairConfig, RepairProblem,
+    oracle_from_golden, FaultInjector, FaultPlan, FitnessParams, Observer, RepairConfig,
+    RepairProblem, ReportSink,
 };
 use cirfix_ast::SourceFile;
 use cirfix_sim::{ProbeSpec, SimConfig};
-use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
+use cirfix_telemetry::{FanoutSink, JsonLinesSink, TelemetrySink, TimingFreeSink};
 
 /// A parsed repair configuration file.
 ///
@@ -168,8 +165,7 @@ impl Config {
         Config::parse(&text, base)
     }
 
-    /// Overrides a key (`--key value` command-line overrides and the
-    /// daemon's submitted overrides).
+    /// Overrides a key (`--key value` command-line overrides).
     ///
     /// # Errors
     ///
@@ -178,11 +174,6 @@ impl Config {
         check_key(key)?;
         self.values.insert(key.to_string(), value.to_string());
         Ok(())
-    }
-
-    /// Removes a key, exposing the default again.
-    pub fn unset(&mut self, key: &str) {
-        self.values.remove(key);
     }
 
     /// A required string value.
@@ -256,18 +247,16 @@ impl Config {
 
 /// Config keys that are valueless switches in `--key` override syntax;
 /// everything else is a `--key value` pair.
-pub const BOOL_FLAGS: &[&str] = &["metrics", "resume"];
+const BOOL_FLAGS: &[&str] = &["metrics", "resume"];
 
-/// Parses `--key value` (and bare `--flag` for [`BOOL_FLAGS`]) command
-/// line overrides into `(key, value)` pairs. `cirfix repair` (through
-/// [`apply_overrides`]) and `cirfix submit` share this, so a submitted
-/// job accepts exactly the batch CLI's syntax.
+/// Applies `--key value` (and bare `--flag` for [`BOOL_FLAGS`]) command
+/// line overrides to `config`.
 ///
 /// # Errors
 ///
-/// Malformed switches, unknown keys and missing values.
-pub fn parse_overrides(overrides: &[String]) -> Result<Vec<(String, String)>, ConfigError> {
-    let mut pairs = Vec::new();
+/// Malformed switches, unknown keys (named before any value is read)
+/// and missing values.
+pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), ConfigError> {
     let mut i = 0;
     while i < overrides.len() {
         let key = overrides[i]
@@ -277,37 +266,21 @@ pub fn parse_overrides(overrides: &[String]) -> Result<Vec<(String, String)>, Co
         let key = key.replace('-', "_");
         check_key(&key)?;
         if BOOL_FLAGS.contains(&key.as_str()) {
-            pairs.push((key, "true".to_string()));
+            config.set(&key, "true")?;
             i += 1;
             continue;
         }
         let value = overrides
             .get(i + 1)
             .ok_or_else(|| ConfigError(format!("--{key} needs a value")))?;
-        pairs.push((key, value.clone()));
+        config.set(&key, value)?;
         i += 2;
-    }
-    Ok(pairs)
-}
-
-/// Applies [`parse_overrides`]' pairs to `config`.
-///
-/// # Errors
-///
-/// As [`parse_overrides`].
-pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), ConfigError> {
-    for (key, value) in parse_overrides(overrides)? {
-        config.set(&key, &value)?;
     }
     Ok(())
 }
 
 /// Parses the `design` and `testbench` sources named by `config`.
-///
-/// # Errors
-///
-/// I/O and parse errors.
-pub fn load_sources(config: &Config) -> Result<(SourceFile, SourceFile), ConfigError> {
+fn load_sources(config: &Config) -> Result<(SourceFile, SourceFile), ConfigError> {
     let read = |key: &str| -> Result<String, ConfigError> {
         let path = config.path(key)?;
         std::fs::read_to_string(&path)
@@ -363,7 +336,7 @@ pub fn build_problem(config: &Config) -> Result<RepairProblem, ConfigError> {
 }
 
 /// Builds the search parameters from a config (everything except the
-/// observer and control, which depend on the execution mode).
+/// observer, which [`telemetry`] builds).
 ///
 /// # Errors
 ///
@@ -398,6 +371,37 @@ pub fn repair_config(config: &Config) -> Result<RepairConfig, ConfigError> {
     Ok(rc)
 }
 
+/// The observability destinations a config asks for: the `trace_out`
+/// trace and the `metrics` report, behind one observer.
+pub struct Telemetry {
+    /// Every requested sink; disabled when none is.
+    pub observer: Observer,
+    /// The run report's fold, when `metrics` is set.
+    pub metrics: Option<Arc<ReportSink>>,
+}
+
+/// Builds the [`Telemetry`] a config asks for.
+///
+/// # Errors
+///
+/// As [`trace_sink`].
+pub fn telemetry(config: &Config) -> Result<Telemetry, ConfigError> {
+    let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
+    sinks.extend(trace_sink(config)?);
+    let mut metrics = None;
+    if config.flag("metrics") {
+        let sink = Arc::new(ReportSink::default());
+        sinks.push(Box::new(Arc::clone(&sink)));
+        metrics = Some(sink);
+    }
+    let observer = if sinks.is_empty() {
+        Observer::none()
+    } else {
+        Observer::new(Arc::new(FanoutSink::new(sinks)))
+    };
+    Ok(Telemetry { observer, metrics })
+}
+
 /// The JSON-lines trace sink a config asks for with `trace_out`, in the
 /// `trace_timing` mode it names; `None` when no trace is requested.
 /// Like `output`, the trace path is a run artifact and resolves against
@@ -407,7 +411,7 @@ pub fn repair_config(config: &Config) -> Result<RepairConfig, ConfigError> {
 /// # Errors
 ///
 /// An unknown `trace_timing` mode or an unopenable trace path.
-pub fn trace_sink(config: &Config) -> Result<Option<Box<dyn TelemetrySink>>, ConfigError> {
+fn trace_sink(config: &Config) -> Result<Option<Box<dyn TelemetrySink>>, ConfigError> {
     let Ok(path) = config.required("trace_out") else {
         return Ok(None);
     };
@@ -474,8 +478,6 @@ mod tests {
         let mut c = Config::parse("top = a\n", Path::new(".")).unwrap();
         c.set("top", "b").unwrap();
         assert_eq!(c.required("top").unwrap(), "b");
-        c.unset("top");
-        assert!(c.required("top").is_err());
     }
 
     #[test]
@@ -492,7 +494,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&trace).unwrap(), "kept\n");
         c.set("trace_timing", "off").unwrap();
         assert!(trace_sink(&c).unwrap().is_some());
-        c.unset("trace_out");
+        let c = Config::default();
         assert!(trace_sink(&c).unwrap().is_none(), "no trace_out, no sink");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -531,14 +533,12 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        names_key(parse_overrides(&args).unwrap_err(), "static_filter");
         let mut c = Config::default();
         names_key(apply_overrides(&mut c, &args).unwrap_err(), "static_filter");
     }
 
     #[test]
-    fn a_submitted_unknown_key_is_an_error() {
-        // The daemon applies a job's submitted overrides with `set`.
+    fn setting_an_unknown_key_is_an_error() {
         let mut c = Config::default();
         names_key(
             c.set("mined_patterns", "patterns.jsonl").unwrap_err(),

@@ -26,21 +26,6 @@
 //!                                                 emit a generated scenario tranche
 //! ```
 //!
-//! Repair as a service (see `crates/serve`):
-//!
-//! ```text
-//! cirfix serve <store-dir> [--socket PATH|tcp:ADDR] [--max-active N]
-//!              [--max-queue N] [--max-evals-per-job N]
-//!              [--max-seconds-per-job N] [--trace-out PATH]
-//!              [--gc-interval-s N]                run the repair daemon
-//! cirfix submit <repair.conf> [--socket ADDR] [--key value ...]
-//!                                                 queue a repair job
-//! cirfix status [JOB] [--socket ADDR]             list jobs (or one)
-//! cirfix watch <JOB> --socket ADDR [--once]       stream a job's heartbeats
-//! cirfix cancel <JOB> [--socket ADDR]             stop a job (resumably)
-//! cirfix shutdown [--socket ADDR]                 drain and stop the daemon
-//! ```
-//!
 //! Observability flags (for `repair` and `simulate`):
 //!
 //! ```text
@@ -86,24 +71,23 @@
 //!                      (used by the CI determinism checks)
 //! ```
 //!
-//! See [`cirfix_serve::conf::Config`] for the recognized keys.
+//! See [`conf::Config`] for the recognized keys.
+
+mod conf;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use cirfix::report::render_heartbeat;
 use cirfix::{
     apply_patch, evaluate, fault_localization, repair_session, repair_with_trials,
-    result_to_canonical_json, FitnessParams, Observer, Patch, RepairStatus, ReportSink, RunReport,
+    result_to_canonical_json, FitnessParams, Patch, RepairStatus, RunReport,
 };
 use cirfix_ast::print;
-use cirfix_serve::conf::{self, Config, ConfigError};
-use cirfix_serve::{Client, Request, ServeAddr, ServeOpts};
 use cirfix_sim::{ProbeSpec, SimConfig};
-use cirfix_store::{field, field_str};
-use cirfix_telemetry::{Event, FanoutSink, HeartbeatEvent, JsonValue, TelemetrySink};
+use cirfix_telemetry::{Event, JsonValue};
+use conf::{Config, ConfigError};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -121,15 +105,10 @@ fn usage() -> String {
      \u{20}      cirfix lint <design.v|repair.conf> [--json]\n\
      \u{20}      cirfix store <ls|verify|gc> <store-dir>\n\
      \u{20}      cirfix report <trace.jsonl|store-dir> [--session NAME] [--json]\n\
-     \u{20}      cirfix watch <trace.jsonl|JOB --socket ADDR> [--interval-ms N] [--once]\n\
+     \u{20}      cirfix watch <trace.jsonl> [--interval-ms N] [--once]\n\
      \u{20}      cirfix fuzz [--seed N] [--budget N] [--jobs N] [--out FILE] [--store DIR]\n\
      \u{20}      cirfix fuzz replay <store-dir|crashes.jsonl> [--jobs N]\n\
-     \u{20}      cirfix fuzz gen --out DIR [--seed N] [--count N] [--classify] [--jobs N]\n\
-     \u{20}      cirfix serve <store-dir> [--socket PATH|tcp:ADDR] [--max-active N] [--max-queue N]\n\
-     \u{20}      cirfix submit <repair.conf> [--socket ADDR] [--key value ...]\n\
-     \u{20}      cirfix status [JOB] [--socket ADDR]\n\
-     \u{20}      cirfix cancel <JOB> [--socket ADDR]\n\
-     \u{20}      cirfix shutdown [--socket ADDR]"
+     \u{20}      cirfix fuzz gen --out DIR [--seed N] [--count N] [--classify] [--jobs N]"
         .to_string()
 }
 
@@ -157,16 +136,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if command == "fuzz" {
         return cmd_fuzz(rest);
     }
-    // The service verbs talk to (or run) a daemon instead of loading a
-    // repair config themselves.
-    match command.as_str() {
-        "serve" => return cmd_serve(rest),
-        "submit" => return cmd_submit(rest),
-        "status" => return cmd_status(rest),
-        "cancel" => return cmd_cancel(rest),
-        "shutdown" => return cmd_shutdown(rest),
-        _ => {}
-    }
     type ConfCommand = fn(&Config) -> Result<(), Box<dyn std::error::Error>>;
     let cmd: ConfCommand = match command.as_str() {
         "repair" => cmd_repair,
@@ -182,33 +151,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     cmd(&config)
 }
 
-/// The observability destinations requested by `trace_out` / `metrics`.
-struct Telemetry {
-    observer: Observer,
-    metrics: Option<Arc<ReportSink>>,
-}
-
-fn build_telemetry(config: &Config) -> Result<Telemetry, Box<dyn std::error::Error>> {
-    let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
-    sinks.extend(conf::trace_sink(config)?);
-    let mut metrics = None;
-    if config.flag("metrics") {
-        let sink = Arc::new(ReportSink::default());
-        sinks.push(Box::new(Arc::clone(&sink)));
-        metrics = Some(sink);
-    }
-    let observer = if sinks.is_empty() {
-        Observer::none()
-    } else {
-        Observer::new(Arc::new(FanoutSink::new(sinks)))
-    };
-    Ok(Telemetry { observer, metrics })
-}
-
 fn cmd_repair(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
     let problem = conf::build_problem(config)?;
     let mut rc = conf::repair_config(config)?;
-    let telemetry = build_telemetry(config)?;
+    let telemetry = conf::telemetry(config)?;
     rc.observer = telemetry.observer.clone();
     let trials = config.num_or("trials", 3u32)?;
     println!(
@@ -314,7 +260,7 @@ fn cmd_simulate(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
         "finished={} end_time={} ops={}",
         outcome.finished, outcome.end_time, outcome.total_ops
     );
-    let telemetry = build_telemetry(config)?;
+    let telemetry = conf::telemetry(config)?;
     telemetry
         .observer
         .emit(|| Event::Sim(cirfix::sim_stats(&outcome.metrics)));
@@ -626,15 +572,13 @@ fn cmd_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `cirfix watch`: live viewer for search heartbeats. With a trace
-/// file, tails the file, redraws the latest heartbeat snapshot as it
-/// arrives, and exits when the run's terminal heartbeat (status other
-/// than `"search"`) appears. With `--socket`, the positional argument
-/// is a daemon job id and heartbeats stream over the socket instead.
+/// `cirfix watch`: live viewer for search heartbeats. Tails a trace
+/// file, redraws the latest heartbeat snapshot as it arrives, and exits
+/// when the run's terminal heartbeat (status other than `"search"`)
+/// appears.
 ///
 /// ```text
 /// cirfix watch <trace.jsonl> [--interval-ms N] [--once]
-/// cirfix watch <JOB> --socket ADDR [--once]
 /// ```
 ///
 /// `--once` processes whatever is available right now and exits —
@@ -643,12 +587,10 @@ fn cmd_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use std::io::{IsTerminal, Read, Seek, SeekFrom};
 
-    let watch_usage = "usage: cirfix watch <trace.jsonl> [--interval-ms N] [--once]\n\
-         \u{20}      cirfix watch <JOB> --socket ADDR [--once]";
+    let watch_usage = "usage: cirfix watch <trace.jsonl> [--interval-ms N] [--once]";
     let (input, flags) = args.split_first().ok_or(watch_usage)?;
     let mut once = false;
     let mut interval = Duration::from_millis(500);
-    let mut socket: Option<String> = None;
     let mut i = 0;
     while i < flags.len() {
         match flags[i].as_str() {
@@ -665,18 +607,8 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 interval = Duration::from_millis(ms.max(1));
                 i += 2;
             }
-            "--socket" => {
-                let addr = flags
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--socket needs a value\n{watch_usage}"))?;
-                socket = Some(addr.clone());
-                i += 2;
-            }
             other => return Err(format!("unknown watch flag `{other}`\n{watch_usage}").into()),
         }
-    }
-    if let Some(addr) = socket {
-        return watch_socket(input, once, &ServeAddr::parse(&addr));
     }
 
     let path = Path::new(input);
@@ -726,7 +658,11 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     path.display(),
                     report.heartbeats
                 );
-                draw_heartbeat(clear_screen, &header, &h);
+                if clear_screen {
+                    print!("\x1b[2J\x1b[H");
+                }
+                println!("{header}");
+                println!("{}", render_heartbeat(&h, "  "));
                 if h.status != "search" {
                     terminal_status = Some(h.status);
                 }
@@ -977,209 +913,6 @@ fn parse_flag_u64(value: Option<&String>, flag: &str) -> Result<u64, String> {
     value
         .parse()
         .map_err(|_| format!("{flag} needs a number, got `{value}`"))
-}
-
-/// Streams a daemon job's heartbeats over the socket, rendering each
-/// snapshot like the file-based watch.
-fn watch_socket(job: &str, once: bool, addr: &ServeAddr) -> Result<(), Box<dyn std::error::Error>> {
-    use std::io::IsTerminal;
-
-    let mut client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))?;
-    let clear_screen = std::io::stdout().is_terminal();
-    let mut report = RunReport::default();
-    let last = client.watch(job, once, |line| {
-        if let Some(h) = field(line, "event").and_then(|event| report.fold(event)) {
-            let state = field_str(line, "state").unwrap_or("?");
-            let header = format!(
-                "watching job {job} at {addr} (heartbeat {}, state {state})",
-                report.heartbeats
-            );
-            draw_heartbeat(clear_screen, &header, &h);
-        }
-    })?;
-    if !cirfix_serve::client::response_ok(&last) {
-        return Err(cirfix_serve::client::response_error(&last).into());
-    }
-    if report.heartbeats == 0 {
-        println!("no heartbeat from job {job} yet");
-    }
-    if matches!(field(&last, "done"), Some(JsonValue::Bool(true))) {
-        let state = field_str(&last, "state").unwrap_or("?");
-        println!("job {state}");
-    }
-    Ok(())
-}
-
-/// Redraws the watch screen: `header` over the latest heartbeat.
-fn draw_heartbeat(clear_screen: bool, header: &str, h: &HeartbeatEvent) {
-    if clear_screen {
-        print!("\x1b[2J\x1b[H");
-    }
-    println!("{header}");
-    println!("{}", render_heartbeat(h, "  "));
-}
-
-/// Shared flag parsing for the client verbs: pulls out `--socket ADDR`
-/// (default `cirfix.sock` in the current directory) and returns the
-/// remaining arguments untouched.
-fn split_socket(args: &[String]) -> Result<(ServeAddr, Vec<String>), Box<dyn std::error::Error>> {
-    let mut addr = ServeAddr::Unix(PathBuf::from("cirfix.sock"));
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--socket" {
-            let value = args.get(i + 1).ok_or("--socket needs a value")?;
-            addr = ServeAddr::parse(value);
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    Ok((addr, rest))
-}
-
-/// Prints a job line from a response's fields. Submit/cancel replies
-/// carry the id under `job`; full records (status listings) under `id`.
-fn print_job_line(line: &JsonValue) {
-    let job = field_str(line, "job")
-        .or_else(|| field_str(line, "id"))
-        .unwrap_or("?");
-    let state = field_str(line, "state").unwrap_or("?");
-    let detail = field_str(line, "detail").unwrap_or("");
-    if detail.is_empty() {
-        println!("{job}  {state}");
-    } else {
-        println!("{job}  {state}  {detail}");
-    }
-}
-
-/// `cirfix serve`: run the repair daemon over a store directory.
-///
-/// Blocks until a client sends `shutdown` (or the process is killed —
-/// the store's job registry makes that safe: the next daemon over the
-/// same store resumes every in-flight job from its checkpoint).
-fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let serve_usage = "usage: cirfix serve <store-dir> [--socket PATH|tcp:ADDR] [--max-active N] \
-                       [--max-queue N] [--max-evals-per-job N] [--max-seconds-per-job N] \
-                       [--trace-out PATH] [--gc-interval-s N]";
-    let (store_dir, flags) = args.split_first().ok_or(serve_usage)?;
-    let (addr, flags) = split_socket(flags)?;
-    let mut opts = ServeOpts::new(store_dir);
-    let mut i = 0;
-    while i < flags.len() {
-        let value = |i: usize| -> Result<&String, Box<dyn std::error::Error>> {
-            flags
-                .get(i + 1)
-                .ok_or_else(|| format!("{} needs a value\n{serve_usage}", flags[i]).into())
-        };
-        match flags[i].as_str() {
-            "--max-active" => opts.max_active = value(i)?.parse()?,
-            "--max-queue" => opts.max_queue = value(i)?.parse()?,
-            "--max-evals-per-job" => opts.max_evals_per_job = Some(value(i)?.parse()?),
-            "--max-seconds-per-job" => opts.max_seconds_per_job = Some(value(i)?.parse()?),
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value(i)?)),
-            "--gc-interval-s" => {
-                opts.gc_interval = Some(Duration::from_secs(value(i)?.parse()?));
-            }
-            other => return Err(format!("unknown serve flag `{other}`\n{serve_usage}").into()),
-        }
-        i += 2;
-    }
-    println!(
-        "cirfix daemon: store {} socket {addr} (max {} active, {} queued)",
-        store_dir, opts.max_active, opts.max_queue
-    );
-    cirfix_serve::serve(&addr, opts)?;
-    println!("daemon stopped");
-    Ok(())
-}
-
-/// `cirfix submit`: queue a repair job on a running daemon. Config
-/// overrides after the conf path are forwarded verbatim, so a daemon
-/// job is specified exactly like a `cirfix repair` invocation.
-fn cmd_submit(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let submit_usage = "usage: cirfix submit <repair.conf> [--socket ADDR] [--key value ...]";
-    let (conf_path, flags) = args.split_first().ok_or(submit_usage)?;
-    let (addr, flags) = split_socket(flags)?;
-    // Same `--key value` grammar as `cirfix repair`, forwarded as
-    // `(key, value)` pairs for the daemon to apply.
-    let overrides = conf::parse_overrides(&flags)?;
-    // The daemon resolves the conf relative to its own cwd; send an
-    // absolute path so submissions work from anywhere.
-    let conf_abs =
-        std::fs::canonicalize(conf_path).map_err(|e| format!("cannot resolve {conf_path}: {e}"))?;
-    let mut client =
-        Client::connect(&addr).map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))?;
-    let line = client.request(&Request::Submit {
-        conf: conf_abs.display().to_string(),
-        overrides,
-    })?;
-    if !cirfix_serve::client::response_ok(&line) {
-        return Err(cirfix_serve::client::response_error(&line).into());
-    }
-    print_job_line(&line);
-    Ok(())
-}
-
-/// `cirfix status`: list the daemon's jobs (or one, by id).
-fn cmd_status(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let (addr, rest) = split_socket(args)?;
-    let job = match rest.as_slice() {
-        [] => None,
-        [id] => Some(id.clone()),
-        _ => return Err("usage: cirfix status [JOB] [--socket ADDR]".into()),
-    };
-    let mut client =
-        Client::connect(&addr).map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))?;
-    let line = client.request(&Request::Status { job })?;
-    if !cirfix_serve::client::response_ok(&line) {
-        return Err(cirfix_serve::client::response_error(&line).into());
-    }
-    match field(&line, "jobs") {
-        Some(JsonValue::Array(jobs)) if !jobs.is_empty() => {
-            for job in jobs {
-                print_job_line(job);
-            }
-        }
-        _ => println!("no jobs"),
-    }
-    Ok(())
-}
-
-/// `cirfix cancel`: stop a queued or running job. The job keeps its
-/// checkpoint — a later daemon over the same store resumes it.
-fn cmd_cancel(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let (addr, rest) = split_socket(args)?;
-    let [job] = rest.as_slice() else {
-        return Err("usage: cirfix cancel <JOB> [--socket ADDR]".into());
-    };
-    let mut client =
-        Client::connect(&addr).map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))?;
-    let line = client.request(&Request::Cancel { job: job.clone() })?;
-    if !cirfix_serve::client::response_ok(&line) {
-        return Err(cirfix_serve::client::response_error(&line).into());
-    }
-    print_job_line(&line);
-    Ok(())
-}
-
-/// `cirfix shutdown`: drain and stop the daemon. Running jobs stop at
-/// their next batch boundary with resumable checkpoints.
-fn cmd_shutdown(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let (addr, rest) = split_socket(args)?;
-    if !rest.is_empty() {
-        return Err("usage: cirfix shutdown [--socket ADDR]".into());
-    }
-    let mut client =
-        Client::connect(&addr).map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))?;
-    let line = client.request(&Request::Shutdown)?;
-    if !cirfix_serve::client::response_ok(&line) {
-        return Err(cirfix_serve::client::response_error(&line).into());
-    }
-    println!("daemon draining");
-    Ok(())
 }
 
 /// `cirfix verify`: simulate the design named by `verify_design` (default:

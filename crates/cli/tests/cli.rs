@@ -154,7 +154,9 @@ fn localize_command_lists_implicated_statements() {
 fn bad_usage_fails_cleanly() {
     let out = cirfix(&[]);
     assert!(!out.status.success());
-    for command in ["bogus", "mine"] {
+    // `mine` and the daemon verbs are retired commands.
+    let retired = ["mine", "serve", "submit", "status", "cancel", "shutdown"];
+    for command in std::iter::once("bogus").chain(retired) {
         let out = cirfix(&[command, "/nonexistent.conf"]);
         assert!(!out.status.success());
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -163,6 +165,10 @@ fn bad_usage_fails_cleanly() {
             "{stderr}"
         );
     }
+    let out = cirfix(&["watch", "t.jsonl", "--socket", "s"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown watch flag `--socket`"), "{stderr}");
     let out = cirfix(&["repair", "/nonexistent.conf"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));

@@ -1,5 +1,5 @@
 //! The on-disk store: directory layout, typed access to the record
-//! families (evaluations, sessions, corpus, jobs), verification, and
+//! families (evaluations, sessions, corpus, crashes), verification, and
 //! garbage collection.
 //!
 //! Layout under the store directory:
@@ -15,7 +15,6 @@
 //! <dir>/sessions/<id>.jsonl       one resumable session log per session id
 //! <dir>/corpus/corpus.jsonl       plausible repairs, one record each
 //! <dir>/crashes/crashes.jsonl     shrunk fuzz findings, one record each
-//! <dir>/jobs/jobs.jsonl           daemon job registry (last state wins)
 //! ```
 //!
 //! Every file is a checksummed segment (see [`crate::segment`]). Each
@@ -25,7 +24,9 @@
 //! scenario could ever hit. Legacy segments, written before the
 //! partitioning, are read by every session and written by none.
 //! [`Store::gc`] compacts each evaluation directory in place, dropping
-//! corrupt records and duplicate keys.
+//! corrupt records and duplicate keys. Directories of retired families
+//! that older stores may hold (`patterns/`, `jobs/`) are neither read,
+//! verified nor collected.
 //!
 //! # Concurrent GC
 //!
@@ -34,8 +35,8 @@
 //! a `.lease` sidecar file naming its PID, and `gc` skips leased
 //! segments whose owner is still alive. Stale leases — left behind by a
 //! `kill -9` — are detected (the PID is gone) and cleaned up, so a
-//! crashed writer never blocks compaction forever. This is what lets a
-//! `cirfix serve` daemon run background GC under live repair jobs.
+//! crashed writer never blocks compaction forever. This is what lets
+//! `cirfix store gc` run beside live `cirfix repair --store` sessions.
 
 use std::collections::HashSet;
 use std::fs;
@@ -148,7 +149,7 @@ pub struct Store {
 impl Store {
     /// Opens (creating if necessary) a store at `dir`.
     pub fn open(dir: &Path) -> io::Result<Store> {
-        for sub in ["evals", "sessions", "corpus", "jobs", "crashes"] {
+        for sub in ["evals", "sessions", "corpus", "crashes"] {
             fs::create_dir_all(dir.join(sub))?;
         }
         Ok(Store {
@@ -203,7 +204,7 @@ impl Store {
     /// order.
     pub fn all_segments(&self) -> io::Result<Vec<PathBuf>> {
         let mut all = self.eval_segments()?;
-        for sub in ["sessions", "corpus", "jobs", "crashes"] {
+        for sub in ["sessions", "corpus", "crashes"] {
             all.extend(segments_of(&self.dir.join(sub))?);
         }
         Ok(all)
@@ -329,40 +330,6 @@ impl Store {
         read_segment(&path)
     }
 
-    // ----- jobs ----------------------------------------------------------
-
-    fn jobs_path(&self) -> PathBuf {
-        self.dir.join("jobs").join("jobs.jsonl")
-    }
-
-    /// Appends one job-state record (its body must carry an `"id"`
-    /// field) and syncs it to stable storage — the daemon's job state
-    /// machine must survive `kill -9`.
-    pub fn append_job(&self, body: &JsonValue) -> io::Result<()> {
-        recover_segment(&self.jobs_path())?;
-        let mut w = SegmentWriter::append(&self.jobs_path())?;
-        w.write_record(body)?;
-        w.sync()
-    }
-
-    /// Reads the daemon job registry in append order, skipping damaged
-    /// records. Folding is the caller's job: the *last* record per job
-    /// id is its current state.
-    pub fn load_jobs(&self) -> io::Result<(Vec<JsonValue>, SegmentHealth)> {
-        let path = self.jobs_path();
-        if !path.exists() {
-            return Ok((Vec::new(), SegmentHealth::default()));
-        }
-        read_segment(&path)
-    }
-
-    /// Marks the job registry as actively written by this process (the
-    /// daemon holds this for its lifetime), so a concurrent
-    /// [`Store::gc`] does not rewrite it between two appends.
-    pub fn jobs_lease(&self) -> io::Result<Lease> {
-        Lease::take(&self.jobs_path())
-    }
-
     // ----- maintenance ---------------------------------------------------
 
     /// Read-only verification of every segment file: reports clean,
@@ -393,13 +360,12 @@ impl Store {
     /// matching the in-memory cache — and rewriting every kept record
     /// into the directory it was read from, so no record ever moves
     /// between partitions), removes session logs whose final record
-    /// marks the session complete, truncates torn tails elsewhere,
-    /// rewrites the corpus without damage, and folds the job registry
-    /// down to one record per job.
+    /// marks the session complete, truncates torn tails elsewhere, and
+    /// rewrites the corpus without damage.
     ///
-    /// Safe under concurrent writers: segments (and session logs, and
-    /// the job registry) held by a live process — advertised by a
-    /// `.lease` sidecar naming a PID that is still running — are left
+    /// Safe under concurrent writers: segments (and session logs) held
+    /// by a live process — advertised by a `.lease` sidecar naming a
+    /// PID that is still running — are left
     /// entirely untouched and counted in
     /// [`GcReport::files_skipped_active`]. Leases whose owner died are
     /// removed and their segments compacted normally.
@@ -515,45 +481,6 @@ impl Store {
                 report.records_kept += bodies.len();
                 report.records_dropped +=
                     health.corrupt.len() + usize::from(health.torn_tail.is_some());
-            }
-        }
-
-        // Jobs: fold to the last record per id — unless a daemon holds
-        // the registry open.
-        let jobs = self.jobs_path();
-        if jobs.exists() {
-            if lease_is_live(&jobs) {
-                report.files_skipped_active += 1;
-            } else {
-                remove_stale_lease(&jobs);
-                let (bodies, health) = read_segment(&jobs)?;
-                let mut last: Vec<(String, JsonValue)> = Vec::new();
-                for body in bodies {
-                    let Some(id) = field_str(&body, "id").map(str::to_string) else {
-                        report.records_dropped += 1;
-                        continue;
-                    };
-                    match last.iter_mut().find(|(i, _)| *i == id) {
-                        Some(slot) => {
-                            slot.1 = body;
-                            report.records_dropped += 1;
-                        }
-                        None => last.push((id, body)),
-                    }
-                }
-                report.records_dropped +=
-                    health.corrupt.len() + usize::from(health.torn_tail.is_some());
-                let tmp = self.dir.join("jobs").join("compact.tmp");
-                let _ = fs::remove_file(&tmp);
-                {
-                    let mut w = SegmentWriter::append(&tmp)?;
-                    for (_, body) in &last {
-                        w.write_record(body)?;
-                    }
-                    w.sync()?;
-                }
-                fs::rename(&tmp, &jobs)?;
-                report.records_kept += last.len();
             }
         }
 
@@ -1033,29 +960,6 @@ mod tests {
         drop(lease);
         store.gc().unwrap();
         assert!(!store.session_path("held").exists());
-    }
-
-    #[test]
-    fn job_registry_appends_and_folds_through_gc() {
-        let store = tmp_store("jobs");
-        let rec = |id: &str, state: &str| {
-            JsonValue::obj(vec![
-                ("id", JsonValue::Str(id.into())),
-                ("state", JsonValue::Str(state.into())),
-            ])
-        };
-        store.append_job(&rec("a", "queued")).unwrap();
-        store.append_job(&rec("b", "queued")).unwrap();
-        store.append_job(&rec("a", "running")).unwrap();
-        store.append_job(&rec("a", "plausible")).unwrap();
-        let (records, health) = store.load_jobs().unwrap();
-        assert!(health.is_clean());
-        assert_eq!(records.len(), 4);
-        store.gc().unwrap();
-        let (records, _) = store.load_jobs().unwrap();
-        assert_eq!(records.len(), 2, "gc folds to last record per id");
-        assert_eq!(field_str(&records[0], "state"), Some("plausible"));
-        assert_eq!(field_str(&records[1], "state"), Some("queued"));
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   `cirfix watch` — is `cirfix::report::RunReport`'s single fold.
 //! * **JSON** — the [`JsonValue`] writer every event serializes through
 //!   ([`Event::to_value`]), and its reading half [`parse_json`] (with
-//!   [`field`] accessors), which the store, the trace reader and the
-//!   daemon protocol share.
+//!   [`field`] accessors), which the store and the trace reader share.
 //!
 //! Producers hold an [`Observer`] — a cloneable `Arc` handle that fits
 //! inside config structs — and call [`Observer::emit`] with a closure
@@ -48,6 +47,4 @@ pub use json::{
 pub use metrics::Span;
 pub use observer::Observer;
 pub use profiler::{Phase, PhaseGuard, Profiler};
-pub use sink::{
-    FanoutSink, JsonLinesSink, NullSink, TaggedJsonLinesSink, TelemetrySink, TimingFreeSink,
-};
+pub use sink::{FanoutSink, JsonLinesSink, NullSink, TelemetrySink, TimingFreeSink};

@@ -13,7 +13,6 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
-use crate::json::JsonValue;
 
 /// A destination for telemetry events.
 ///
@@ -94,49 +93,6 @@ impl<W: Write + Send> TelemetrySink for JsonLinesSink<W> {
         let mut w = self.writer.lock().expect("sink poisoned");
         // Telemetry must never take down a repair run; drop on error.
         let _ = writeln!(w, "{}", event.to_json());
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().expect("sink poisoned").flush();
-    }
-}
-
-/// A [`JsonLinesSink`] over a *shared* writer that scopes every event
-/// with a constant string field, e.g. `"job": "<id>"`. The `cirfix
-/// serve` daemon gives each session its own tag over one aggregate
-/// trace file, so interleaved events from concurrent jobs stay
-/// attributable. Per-job traces stay untagged (and therefore
-/// byte-identical to a batch run's); only the shared stream is tagged.
-pub struct TaggedJsonLinesSink<W: Write + Send> {
-    key: String,
-    value: String,
-    writer: Arc<Mutex<W>>,
-}
-
-impl<W: Write + Send> TaggedJsonLinesSink<W> {
-    /// Tags every event with `key: value` and appends it to the shared
-    /// `writer`. Clones of the `Arc` may back other tags or sinks; each
-    /// line is written atomically under the lock.
-    pub fn new(key: &str, value: &str, writer: Arc<Mutex<W>>) -> TaggedJsonLinesSink<W> {
-        TaggedJsonLinesSink {
-            key: key.to_string(),
-            value: value.to_string(),
-            writer,
-        }
-    }
-}
-
-impl<W: Write + Send> TelemetrySink for TaggedJsonLinesSink<W> {
-    fn record(&self, event: &Event) {
-        // The tag follows the event's own fields; its key must not
-        // collide with theirs, so callers pick a reserved name.
-        let mut line = event.to_value();
-        if let JsonValue::Object(pairs) = &mut line {
-            pairs.push((self.key.clone(), JsonValue::Str(self.value.clone())));
-        }
-        let mut w = self.writer.lock().expect("sink poisoned");
-        // Telemetry must never take down a repair run; drop on error.
-        let _ = writeln!(w, "{}", line.to_json());
     }
 
     fn flush(&self) {

@@ -4,11 +4,14 @@
 //! (flat `evals/*.jsonl` files and key-prefix shards `evals/<k>/`).
 //! Both layouts must keep every warm rerun at zero simulations, before
 //! and after `Store::gc`, and a session whose records sit in the legacy
-//! layout must still resume byte-identically.
+//! layout must still resume byte-identically. Several sessions and a
+//! running `gc` may share one store.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
 use std::time::Duration;
 
 use cirfix::{
@@ -252,53 +255,139 @@ fn legacy_layouts_stay_warm_resumable_and_in_place_through_gc() {
     let _ = fs::remove_dir_all(halt_dir);
 }
 
-/// Stores written before fix-pattern mining was removed may hold a
-/// `patterns/patterns.jsonl` family. The store no longer knows it: it
-/// opens, verifies clean, collects garbage around the stray directory
-/// without touching it, and its sessions still resume.
+/// Stores written before fix-pattern mining and the repair daemon were
+/// removed may hold a `patterns/patterns.jsonl` family, and a
+/// `jobs/jobs.jsonl` job registry with the stale lease of a killed
+/// daemon. The store no longer knows either: it opens, verifies clean,
+/// collects garbage around the stray files without touching them, and
+/// its sessions still resume.
 #[test]
-fn a_leftover_patterns_family_is_left_alone() {
+fn leftover_retired_families_are_left_alone() {
     let p = problem("flip_flop_cond");
-    let full_dir = fresh_dir("patterns-full");
+    let full_dir = fresh_dir("retired-full");
     let full = repair_session(&p, &config(), 2, &full_dir, false).expect("full session runs");
 
-    let dir = fresh_dir("patterns-halt");
+    let dir = fresh_dir("retired-halt");
     let halted_config = RepairConfig {
         halt_after: Some(0),
         ..config()
     };
     let halted = repair_session(&p, &halted_config, 2, &dir, false).expect("halted run");
     assert_eq!(halted.status, RepairStatus::Interrupted);
+    let retired_segment = |path: &Path, records: Vec<JsonValue>| {
+        fs::create_dir_all(path.parent().unwrap()).expect("family dir");
+        let mut w = SegmentWriter::append(path).expect("retired segment");
+        for record in &records {
+            w.write_record(record).expect("record written");
+        }
+        w.sync().expect("segment synced");
+    };
     let patterns = dir.join("patterns").join("patterns.jsonl");
-    fs::create_dir_all(patterns.parent().unwrap()).expect("patterns dir");
-    let mut w = SegmentWriter::append(&patterns).expect("patterns segment");
-    for support in [3, 1] {
-        w.write_record(&JsonValue::obj(vec![
-            ("shape", JsonValue::Str(format!("{support:032x}"))),
-            ("support", JsonValue::Uint(support)),
-        ]))
-        .expect("pattern written");
-    }
-    w.sync().expect("patterns synced");
-    drop(w);
-    let bytes = fs::read(&patterns).expect("patterns read");
+    retired_segment(
+        &patterns,
+        [3, 1]
+            .map(|support| {
+                JsonValue::obj(vec![
+                    ("shape", JsonValue::Str(format!("{support:032x}"))),
+                    ("support", JsonValue::Uint(support)),
+                ])
+            })
+            .into(),
+    );
+    let jobs = dir.join("jobs").join("jobs.jsonl");
+    retired_segment(
+        &jobs,
+        [("0123456789ab", "running"), ("ba9876543210", "queued")]
+            .map(|(id, state)| {
+                JsonValue::obj(vec![
+                    ("id", JsonValue::Str(id.into())),
+                    ("state", JsonValue::Str(state.into())),
+                ])
+            })
+            .into(),
+    );
+    // A lease naming a PID that cannot exist, as a `kill -9` leaves it.
+    let lease = dir.join("jobs").join("jobs.jsonl.lease");
+    fs::write(&lease, "4294967294\n").expect("stale lease");
+    let retired = [patterns, jobs, lease];
+    let bytes: Vec<Vec<u8>> = retired.iter().map(|f| fs::read(f).expect("read")).collect();
 
-    let store = Store::open(&dir).expect("store with a patterns family opens");
+    let store = Store::open(&dir).expect("store with retired families opens");
     let report = store.verify().expect("verify runs");
     assert!(report.is_clean(), "verify: {report:?}");
     store.gc().expect("gc runs");
-    assert_eq!(
-        fs::read(&patterns).expect("patterns still there"),
-        bytes,
-        "gc touched the stray patterns family"
-    );
+    for (file, before) in retired.iter().zip(&bytes) {
+        let after = fs::read(file).expect("retired file still there");
+        assert_eq!(&after, before, "gc touched {}", file.display());
+    }
 
     let resumed = repair_session(&p, &config(), 2, &dir, true).expect("resumed run");
     assert_eq!(
         result_to_canonical_json(&full).to_json(),
         result_to_canonical_json(&resumed).to_json(),
-        "a store with a patterns family must resume to the uninterrupted result"
+        "a store with retired families must resume to the uninterrupted result"
     );
     let _ = fs::remove_dir_all(full_dir);
     let _ = fs::remove_dir_all(dir);
+}
+
+/// Sessions of different scenarios run on one store at once while a
+/// `gc` loops beside them, as `cirfix repair --store` runs and `cirfix
+/// store gc` may. Leases keep every live segment and session log out of
+/// gc's hands, so each result equals its solo run, nothing is damaged,
+/// and every evaluation stays on disk.
+#[test]
+fn concurrent_sessions_and_gc_share_one_store() {
+    let problems: Vec<RepairProblem> = ["flip_flop_cond", "counter_reset", "mux_width"]
+        .into_iter()
+        .map(problem)
+        .collect();
+    let solo: Vec<String> = problems
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let dir = fresh_dir(&format!("solo-{i}"));
+            let result = repair_session(p, &config(), 2, &dir, false).expect("solo session runs");
+            let _ = fs::remove_dir_all(dir);
+            result_to_canonical_json(&result).to_json()
+        })
+        .collect();
+
+    for round in 0..3 {
+        let dir = fresh_dir(&format!("shared-{round}"));
+        let done = AtomicBool::new(false);
+        let (results, gc_passes) = thread::scope(|s| {
+            let gc = s.spawn(|| {
+                let store = Store::open(&dir).expect("store opens");
+                let mut passes = 0;
+                while !done.load(Ordering::SeqCst) {
+                    store.gc().expect("gc runs");
+                    passes += 1;
+                }
+                passes
+            });
+            let sessions: Vec<_> = problems
+                .iter()
+                .map(|p| s.spawn(|| repair_session(p, &config(), 2, &dir, false)))
+                .collect();
+            let results: Vec<String> = sessions
+                .into_iter()
+                .map(|h| h.join().expect("session thread").expect("session runs"))
+                .map(|r| result_to_canonical_json(&r).to_json())
+                .collect();
+            done.store(true, Ordering::SeqCst);
+            (results, gc.join().expect("gc thread"))
+        });
+        assert!(gc_passes > 0, "round {round}: gc never ran");
+        assert_eq!(results, solo, "round {round}: a shared-store result moved");
+        let report = Store::open(&dir)
+            .expect("store opens")
+            .verify()
+            .expect("verify");
+        assert!(report.is_clean(), "round {round}: {report:?}");
+        for p in &problems {
+            assert_warm(p, &dir, &format!("round {round}"));
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
 }
