@@ -16,17 +16,17 @@
 //! Items are handed over one at a time through a [`Submission`], so the
 //! workers start on a batch's first child while later ones are still
 //! being drawn, and results come back **in submission order**. A GP
-//! child goes to the pool as its patch, and one pool item builds,
-//! fingerprints and classifies it; when the batch's budget covers every
-//! child it can take and no fault plan is set, the same item simulates
-//! and scores it too, so each variant is built and freed on one thread.
-//! Otherwise a second submission simulates the child once the
-//! coordinating thread has reserved its budget slot and claimed its
-//! fault-injection ordinal. Everything order-sensitive — cache inserts,
-//! budget accounting, fault-injection ordinals, telemetry emission,
+//! child goes to the pool as its patch and its fault-injection ordinal,
+//! claimed as it is sent. One pool item builds, fingerprints,
+//! classifies, simulates and scores it, so each variant is built and
+//! freed on one thread; that item is the only place a GP child is
+//! simulated. Everything order-sensitive — cache inserts, budget
+//! accounting, fault-injection ordinals, telemetry emission,
 //! best/`found` tracking — happens on the coordinating thread, in
 //! submission order, so `jobs = 1` and `jobs = 8` produce identical
-//! `RepairResult`s for the same seed.
+//! `RepairResult`s for the same seed. Budget slots are reserved as the
+//! batch settles: in the batch where the evaluation budget runs out,
+//! children past the cut are simulated and then dropped unmerged.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -283,12 +283,6 @@ impl<'env, T: Send + 'env, R: Send + 'env> Submission<'_, 'env, T, R> {
     /// Items pushed whose results have not been taken.
     pub(crate) fn pending(&self) -> usize {
         self.pushed - self.taken
-    }
-
-    /// Whether the next result in submission order has arrived. Never
-    /// waits.
-    pub(crate) fn ready(&self) -> bool {
-        lock(&self.inbox.state).arrived.contains_key(&self.taken)
     }
 
     /// The next result in submission order: `None` when the deadline

@@ -2,11 +2,16 @@
 //! pipeline.
 //!
 //! A [`FaultPlan`] schedules faults against *evaluation ordinals*: "the
-//! nth candidate dispatched for simulation panics / hangs / fails".
-//! Ordinals are assigned serially on the coordinating thread before a
-//! batch fans out, so a plan hits the same candidates regardless of the
-//! worker count — the same property that makes the search itself
-//! bit-deterministic makes the chaos runs reproducible.
+//! nth candidate built on the worker pool panics / hangs / fails when
+//! it is simulated". The coordinating thread claims each ordinal as it
+//! sends the candidate to the pool, in submission order, so a plan hits
+//! the same candidates regardless of the worker count — the same
+//! property that makes the search itself bit-deterministic makes the
+//! chaos runs reproducible. A fault at the ordinal of a candidate that
+//! is never simulated (a store hit, a bloat reject) does nothing, and
+//! one on a candidate the evaluation budget cuts from its batch is
+//! contained but never counted: that candidate is simulated and then
+//! dropped unmerged.
 //!
 //! Store-write faults are counted separately (per write attempt) and can
 //! be *transient* (fail once, succeed on retry — exercising the backoff
@@ -30,14 +35,17 @@ pub enum FaultKind {
 }
 
 /// A deterministic schedule of faults, keyed by evaluation ordinal
-/// (0-based, in dispatch order) and store-write ordinal.
+/// (0-based: the nth candidate built on the worker pool) and
+/// store-write ordinal (0-based: the nth write attempt).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Evaluation ordinals whose workers panic.
+    /// Evaluation ordinals whose simulation panics on its pool thread.
     pub panic_at: BTreeSet<u64>,
-    /// Evaluation ordinals that spin until their budget cancels them.
+    /// Evaluation ordinals whose simulation spins until the
+    /// per-candidate budget cancels it.
     pub hang_at: BTreeSet<u64>,
-    /// Evaluation ordinals that fail with a synthetic simulator error.
+    /// Evaluation ordinals whose simulation fails with a synthetic
+    /// simulator error.
     pub sim_error_at: BTreeSet<u64>,
     /// Store-write ordinals that fail with an I/O error.
     pub store_fail_at: BTreeSet<u64>,
@@ -115,8 +123,9 @@ impl FaultInjector {
     }
 
     /// Claims the next evaluation ordinal and returns the fault (if
-    /// any) scheduled for it. Must be called on the coordinating thread
-    /// at dispatch time so ordinals are independent of worker timing.
+    /// any) scheduled for it. Called on the coordinating thread as each
+    /// candidate goes to the pool, so ordinals are independent of
+    /// worker timing.
     pub fn next_eval_fault(&self) -> Option<FaultKind> {
         let n = self.inner.evals.fetch_add(1, Ordering::Relaxed);
         let p = &self.inner.plan;

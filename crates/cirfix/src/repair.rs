@@ -105,8 +105,9 @@ pub struct RepairConfig {
     pub eval_timeout: Option<Duration>,
     /// Deterministic fault injection for chaos testing: scheduled
     /// panics, hangs, simulator errors, and store-write failures keyed
-    /// by evaluation ordinal. `None` (the default) injects nothing;
-    /// production runs never set this.
+    /// by ordinal. An evaluation ordinal counts the children built on
+    /// the worker pool, claimed as each goes there. `None` (the
+    /// default) injects nothing; production runs never set this.
     pub faults: Option<FaultInjector>,
     /// Telemetry destination. Defaults to a disabled observer, in which
     /// case no events are constructed.
@@ -606,15 +607,19 @@ struct Evaluator<'a> {
 }
 
 impl Evaluator<'_> {
-    /// Phase one of a batch, on a pool thread: replays a child's patch
-    /// from the original, counts its nodes, fingerprints it when a store
-    /// is attached, peeks the shared cache and classifies the child.
-    ///
-    /// `inline` is `Some(deadline)` when the child's budget slot is
-    /// already certain: then this thread also simulates a `Sim` child,
-    /// unless the trial `deadline` has passed, and frees the variant it
-    /// built. Otherwise a `Sim` child keeps its variant for phase two.
-    fn prepare(&self, patch: &Patch, inline: Option<Option<Instant>>) -> Prepared {
+    /// Evaluates one child of a batch on a pool thread: replays its
+    /// patch from the original, counts its nodes, fingerprints it when a
+    /// store is attached, peeks the shared cache and classifies it. A
+    /// `Sim` child is then simulated with its scheduled `fault` and
+    /// scored, unless the trial `deadline` has passed, so its variant is
+    /// built, scored and freed by this one thread. This is the only
+    /// place a GP child is simulated.
+    fn prepare(
+        &self,
+        patch: &Patch,
+        fault: Option<FaultKind>,
+        deadline: Option<Instant>,
+    ) -> Prepared {
         let profiler = self.profiler.as_deref();
         let apply = profiler.map(|p| p.span(Phase::Parse));
         let variant = self.original.apply(patch).file;
@@ -649,43 +654,28 @@ impl Evaluator<'_> {
                 nodes,
             };
         }
-        let (variant, eval) = match inline {
-            Some(deadline) if deadline.is_some_and(|d| Instant::now() >= d) => (None, None),
-            Some(_) => (None, Some(self.simulate(&variant, growth, None))),
-            None => (Some(variant), None),
-        };
-        Prepared::Sim {
-            growth,
-            key,
-            nodes,
-            variant,
-            eval,
-        }
-    }
-
-    /// Simulates and scores a child that phase one classified `Sim`,
-    /// with its scheduled fault: in phase one when its budget slot was
-    /// certain, in phase two otherwise.
-    fn simulate(&self, file: &SourceFile, growth: f64, fault: Option<FaultKind>) -> Evaluation {
-        contained(self.problem, growth, || {
-            let candidate = Candidate {
-                file,
-                growth,
-                original: Some(&self.original),
-            };
-            evaluate_variant(
-                self.problem,
-                candidate,
-                self.params,
-                self.budget,
-                fault,
-                self.profiler.as_deref(),
-            )
-        })
+        let eval = deadline.is_none_or(|d| Instant::now() < d).then(|| {
+            contained(self.problem, growth, || {
+                let candidate = Candidate {
+                    file: &variant,
+                    growth,
+                    original: Some(&self.original),
+                };
+                evaluate_variant(
+                    self.problem,
+                    candidate,
+                    self.params,
+                    self.budget,
+                    fault,
+                    profiler,
+                )
+            })
+        });
+        Prepared::Sim { key, nodes, eval }
     }
 }
 
-/// One entry of the population. It keeps the node count phase one
+/// One entry of the population. It keeps the node count the pool
 /// measured, so the bloat check never applies its patch again; a
 /// trial-cache hit and a resumed population carry none. The applied
 /// variant itself is not kept: one of the largest benchmark designs
@@ -699,9 +689,10 @@ struct Member {
 }
 
 /// How one batch item is settled. Trial-cache hits and in-batch
-/// duplicates are decided on the coordinating thread; phase one decides
-/// the rest on a pool thread, and only `Sim` items are simulated. Each
-/// item phase one built carries its node count.
+/// duplicates are decided on the coordinating thread;
+/// [`Evaluator::prepare`] decides the rest on a pool thread, and
+/// simulates the `Sim` items there. Each item the pool built carries
+/// its node count.
 enum Prepared {
     /// Answered from the trial cache.
     Hit(Evaluation),
@@ -723,16 +714,12 @@ enum Prepared {
         key: Option<Digest>,
         nodes: usize,
     },
-    /// Needs a simulation.
+    /// Simulated on the pool.
     Sim {
-        growth: f64,
         key: Option<Digest>,
         nodes: usize,
-        /// The applied variant, until phase two takes it; `None` when
-        /// phase one simulated the child itself.
-        variant: Option<SourceFile>,
-        /// The child's evaluation once simulated; `None` when the trial
-        /// deadline passed first.
+        /// The child's evaluation; `None` when the trial deadline passed
+        /// before its simulation began.
         eval: Option<Evaluation>,
     },
 }
@@ -741,33 +728,24 @@ enum Prepared {
 ///
 /// The coordinating thread looks each child up in the trial cache and
 /// deduplicates identical in-flight patches as the child is added.
-/// Every other child goes to the pool at once as its patch, and phase
-/// one builds and classifies it there ([`Evaluator::prepare`]). This
-/// thread then reserves budget slots and claims fault-injection
-/// ordinals in submission order, as both need each item's class. When
-/// the batch opens with no fault plan and budget for every child it can
-/// take, every slot is certain and phase one also simulates its `Sim`
-/// children, so each variant is built, scored and freed by one thread.
-/// Otherwise (a trial's last batch, a chaos run) phase two simulates
-/// the admitted `Sim` items. Nothing is committed until the batch
-/// settles, so the trial cache and the shared-cache peeks see the same
-/// state as if every child had been added before any ran.
+/// Every other child claims its fault-injection ordinal and goes to the
+/// pool at once as its patch, and one pool thread builds, classifies,
+/// simulates, scores and frees it ([`Evaluator::prepare`]). Budget
+/// slots are reserved when the batch settles, in submission order: in
+/// the batch where the evaluation budget runs out, the children past
+/// the cut were simulated all the same, and are dropped unmerged.
+/// Nothing is committed until the batch settles, so the trial cache and
+/// the shared-cache peeks see the same state as if every child had been
+/// added before any ran.
 struct Batch<'p, 'a> {
     patches: Vec<Patch>,
     ops: Vec<&'static str>,
-    /// Each item's class; `None` while it is in phase one.
+    /// Each item's class; `None` while it is on the pool.
     classes: Vec<Option<Prepared>>,
     first_seen: HashMap<Patch, usize>,
-    phase_one: Submission<'p, 'a, Patch, Prepared>,
-    phase_two: Submission<'p, 'a, (SourceFile, f64, Option<FaultKind>), Evaluation>,
-    /// The items in phase two, in submission order.
-    simulated: Vec<usize>,
-    /// Items walked by [`Repairer::advance`].
-    reserved: usize,
+    prepared: Submission<'p, 'a, (Patch, Option<FaultKind>), Prepared>,
     /// Evaluation-budget slots left.
     budget: u64,
-    /// The first item that found no budget slot.
-    admitted: Option<usize>,
 }
 
 impl Batch<'_, '_> {
@@ -1040,7 +1018,7 @@ impl<'a> Repairer<'a> {
     /// cache. A `Prepared::Sim` item without an evaluation was cut by
     /// the deadline, and settles nothing. `op` labels the candidate's
     /// originating operator in telemetry. Returns the evaluation and the
-    /// node count phase one measured.
+    /// node count the pool measured.
     fn commit(
         &mut self,
         patch: &Patch,
@@ -1078,9 +1056,7 @@ impl<'a> Repairer<'a> {
                 self.counters.evals += 1;
                 (eval, key, nodes)
             }
-            Prepared::Sim {
-                key, nodes, eval, ..
-            } => {
+            Prepared::Sim { key, nodes, eval } => {
                 let eval = eval?;
                 self.counters.evals += 1;
                 // Fault-containment accounting: only fresh simulations
@@ -1171,18 +1147,17 @@ impl<'a> Repairer<'a> {
         children: Vec<Child>,
         budgeted: bool,
     ) -> Vec<Option<Member>> {
-        let mut batch = self.open_batch(pool, budgeted, children.len());
+        let mut batch = self.open_batch(pool, budgeted);
         for child in children {
             self.push_child(&mut batch, child);
         }
         self.settle(batch)
     }
 
-    /// Opens an empty batch on `pool` that will take at most `capacity`
-    /// children. A budgeted batch reserves slots of the evaluation
-    /// budget and simulates under the trial's deadline; an unbudgeted
-    /// one does neither.
-    fn open_batch<'p>(&self, pool: &'p Pool<'a>, budgeted: bool, capacity: usize) -> Batch<'p, 'a> {
+    /// Opens an empty batch on `pool`. A budgeted batch reserves slots
+    /// of the evaluation budget and simulates under the trial's
+    /// deadline; an unbudgeted one does neither.
+    fn open_batch<'p>(&self, pool: &'p Pool<'a>, budgeted: bool) -> Batch<'p, 'a> {
         let (budget, deadline) = if budgeted {
             (
                 self.config
@@ -1193,32 +1168,25 @@ impl<'a> Repairer<'a> {
         } else {
             (u64::MAX, None)
         };
-        // Every budget slot is certain when the budget covers the whole
-        // batch; a fault plan still needs each ordinal claimed here, in
-        // submission order, after the child is classified.
-        let inline =
-            (self.config.faults.is_none() && budget >= capacity as u64).then_some(deadline);
-        let prepare = self.evaluator();
-        let simulate = self.evaluator();
+        let evaluator = self.evaluator();
         Batch {
             patches: Vec::new(),
             ops: Vec::new(),
             classes: Vec::new(),
             first_seen: HashMap::new(),
-            phase_one: pool.submit(None, move |patch: Patch| prepare.prepare(&patch, inline)),
-            phase_two: pool.submit(deadline, move |(file, growth, fault)| {
-                simulate.simulate(&file, growth, fault)
+            // No submission deadline: past it, `prepare` still classifies
+            // a child and skips only its simulation.
+            prepared: pool.submit(None, move |(patch, fault)| {
+                evaluator.prepare(&patch, fault, deadline)
             }),
-            simulated: Vec::new(),
-            reserved: 0,
             budget,
-            admitted: None,
         }
     }
 
     /// Adds one child to `batch`. A trial-cache hit or a duplicate of an
-    /// earlier child is settled here; any other child goes to phase one
-    /// at once, as its patch.
+    /// earlier child is settled here; any other child claims the next
+    /// fault-injection ordinal and goes to the pool at once, as its
+    /// patch.
     fn push_child(&mut self, batch: &mut Batch<'_, 'a>, child: Child) {
         let i = batch.patches.len();
         let class = if let Some(&j) = batch.first_seen.get(&child.patch) {
@@ -1229,7 +1197,12 @@ impl<'a> Repairer<'a> {
                 Some(eval) => Some(Prepared::Hit(eval.clone())),
                 None => {
                     self.counters.patch_applies += 1;
-                    batch.phase_one.push(child.patch.clone());
+                    let fault = self
+                        .config
+                        .faults
+                        .as_ref()
+                        .and_then(|f| f.next_eval_fault());
+                    batch.prepared.push((child.patch.clone(), fault));
                     None
                 }
             }
@@ -1239,99 +1212,56 @@ impl<'a> Repairer<'a> {
         batch.ops.push(child.op);
     }
 
-    /// Walks `batch` in submission order as far as its classes are
-    /// known: each item reserves a budget slot if it needs one (the
-    /// first that cannot ends the admitted prefix), and each admitted
-    /// `Sim` item that phase one did not simulate claims its
-    /// fault-injection ordinal and goes to phase two. With `wait`,
-    /// waits for every class still in phase one.
-    fn advance(&mut self, batch: &mut Batch<'_, 'a>, wait: bool) {
-        while batch.reserved < batch.classes.len() {
-            let i = batch.reserved;
-            if batch.classes[i].is_none() {
-                // Phase one returns classes in submission order.
-                if !wait && !batch.phase_one.ready() {
-                    return;
-                }
-                let class = batch.phase_one.next().expect("phase one has no deadline");
-                batch.classes[i] = Some(class);
-            }
-            batch.reserved += 1;
-            if batch.admitted.is_some() {
-                continue;
-            }
-            let class = batch.classes[i].as_mut().expect("classified above");
-            if matches!(class, Prepared::Sim { .. } | Prepared::Reject { .. }) {
-                if batch.budget == 0 {
-                    batch.admitted = Some(i);
-                    continue;
-                }
-                batch.budget -= 1;
-            }
-            if let Prepared::Sim {
-                growth, variant, ..
-            } = class
-            {
-                if let Some(file) = variant.take() {
-                    let fault = self
-                        .config
-                        .faults
-                        .as_ref()
-                        .and_then(|f| f.next_eval_fault());
-                    batch.phase_two.push((file, *growth, fault));
-                    batch.simulated.push(i);
-                }
-            }
-        }
-    }
-
-    /// Finishes `batch`: waits for both phases, then merges every item
-    /// in submission order into a population entry.
+    /// Finishes `batch`: takes every class from the pool and merges the
+    /// items in submission order into population entries.
     ///
-    /// The returned entries form a prefix of `Some`s. A `None` tail
-    /// means the batch was cut short — either the evaluation budget ran
-    /// out (so `max_fitness_evals` is never exceeded) or the wall-clock
-    /// deadline cancelled in-flight work; an unbudgeted batch settles
-    /// every item. Everything order-sensitive (cache inserts, counters,
-    /// telemetry) happens here, identically for every worker count.
+    /// Each rejection or simulation takes a slot of the evaluation
+    /// budget. The returned entries form a prefix of `Some`s. A `None`
+    /// tail means the batch was cut short: either the budget ran out (so
+    /// `max_fitness_evals` bounds the counted evaluations exactly, and
+    /// the children past the cut are dropped although they were
+    /// simulated) or the wall-clock deadline skipped a simulation; an
+    /// unbudgeted batch settles every item. Everything order-sensitive
+    /// (cache inserts, counters, telemetry) happens here, identically
+    /// for every worker count.
     fn settle(&mut self, mut batch: Batch<'_, 'a>) -> Vec<Option<Member>> {
-        self.advance(&mut batch, true);
-        for &i in &batch.simulated {
-            let simulated = batch.phase_two.next();
-            if let Some(Prepared::Sim { eval, .. }) = &mut batch.classes[i] {
-                *eval = simulated;
-            }
-        }
-        self.busy += batch.phase_one.busy() + batch.phase_two.busy();
-        let admitted = batch.admitted.unwrap_or(batch.classes.len());
+        // Every class is in before anything merges: a merge inserts into
+        // the shared cache, which a child still on the pool would peek.
+        // The pool returns classes in submission order.
+        let classes: Vec<Prepared> = batch
+            .classes
+            .into_iter()
+            .map(|class| {
+                class.unwrap_or_else(|| batch.prepared.next().expect("the pool has no deadline"))
+            })
+            .collect();
+        self.busy += batch.prepared.busy();
 
-        // Merge in submission order. The first unresolved item (budget
-        // or deadline) ends the merge; later items are dropped rather
-        // than committed out of order.
-        let mut out: Vec<Option<Member>> = Vec::with_capacity(batch.patches.len());
-        let mut cut = false;
-        let items = batch.classes.into_iter().zip(batch.patches).zip(batch.ops);
-        for (i, ((class, patch), op)) in items.enumerate() {
-            if cut || i >= admitted {
-                out.push(None);
-                continue;
+        // The first unresolved item (budget or deadline) ends the merge;
+        // later items are dropped rather than committed out of order.
+        let len = classes.len();
+        let mut out: Vec<Option<Member>> = Vec::with_capacity(len);
+        let items = classes.into_iter().zip(batch.patches).zip(batch.ops);
+        for ((class, patch), op) in items {
+            if matches!(class, Prepared::Sim { .. } | Prepared::Reject { .. }) {
+                let Some(left) = batch.budget.checked_sub(1) else {
+                    break;
+                };
+                batch.budget = left;
             }
-            let merged = match class.expect("every item is classified") {
-                Prepared::Alias(j) => match &out[j] {
-                    Some(first) => {
-                        let eval = first.eval.clone();
-                        self.counters.cache_hits += 1;
-                        self.config
-                            .observer
-                            .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
-                        Some(Member {
-                            patch,
-                            eval,
-                            nodes: first.nodes,
-                        })
+            let merged = match class {
+                Prepared::Alias(j) => out[j].as_ref().map(|first| {
+                    let eval = first.eval.clone();
+                    self.counters.cache_hits += 1;
+                    self.config
+                        .observer
+                        .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
+                    Member {
+                        patch,
+                        eval,
+                        nodes: first.nodes,
                     }
-                    None => None,
-                },
+                }),
                 class => self.commit(&patch, class, op).map(|(eval, nodes)| Member {
                     patch,
                     eval,
@@ -1339,10 +1269,11 @@ impl<'a> Repairer<'a> {
                 }),
             };
             if merged.is_none() {
-                cut = true;
+                break;
             }
             out.push(merged);
         }
+        out.resize_with(len, || None);
         out
     }
 
@@ -1509,17 +1440,16 @@ impl<'a> Repairer<'a> {
             if self.out_of_budget() {
                 return Fill::Cut;
             }
-            // Children go to the workers as they are drawn, so phase one
-            // and simulation overlap the rest of the batch's draws. The
-            // batch stops taking children at `room`, and a crossover's
-            // second child can take it one past.
+            // Children go to the workers as they are drawn, so building
+            // and simulating them overlap the rest of the batch's draws.
+            // The batch stops taking children at `room`, and a
+            // crossover's second child can take it one past.
             let room = batch_size.min(self.config.popn_size - out.len());
-            let mut batch = self.open_batch(pool, true, room + 1);
+            let mut batch = self.open_batch(pool, true);
             while batch.len() < room {
                 for child in self.reproduce(pool, parents, &mut memo, original_fl) {
                     self.push_child(&mut batch, child);
                 }
-                self.advance(&mut batch, false);
             }
             for child in self.settle(batch) {
                 // A missing evaluation means the batch was cut short by

@@ -55,7 +55,9 @@
 //!                      (fractions allowed); 0 (the default) = unbudgeted
 //! --sim-step-limit N   cap on total simulator operations per candidate
 //! --chaos SPEC         deterministic fault injection for chaos testing,
-//!                      e.g. "panic@5,hang@7,storefail@2,transient"
+//!                      e.g. "panic@5,hang@7,storefail@2,transient";
+//!                      an ordinal counts the candidates built on the
+//!                      worker pool, the original design first
 //! ```
 //!
 //! Persistent store & resume (for `repair`):

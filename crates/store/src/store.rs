@@ -33,14 +33,16 @@
 //! `gc` is safe to run while other processes (or the calling process
 //! itself) hold open segments: every live writer advertises itself with
 //! a `.lease` sidecar file naming its PID, and `gc` skips leased
-//! segments whose owner is still alive. Stale leases — left behind by a
+//! segments whose owner is still alive. A segment's lease is taken
+//! before the segment itself is created, so `gc` never sees a segment
+//! unleased while its writer appends to it. Stale leases — left behind by a
 //! `kill -9` — are detected (the PID is gone) and cleaned up, so a
 //! crashed writer never blocks compaction forever. This is what lets
 //! `cirfix store gc` run beside live `cirfix repair --store` sessions.
 
 use std::collections::HashSet;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use cirfix_telemetry::JsonValue;
@@ -419,7 +421,8 @@ impl Store {
                     }
                     w.sync()?;
                 }
-                fs::rename(&tmp, claim_segment(&dir.path)?)?;
+                let (segment, _lease) = claim_segment(&dir.path)?;
+                fs::rename(&tmp, segment)?;
                 // The rename must be durable before the old segments'
                 // removal, or a crash could keep only the removal.
                 sync_dir(&dir.path)?;
@@ -507,10 +510,13 @@ fn segments_of(dir: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Creates the next free `evals-<n>.jsonl` in `dir` (and `dir` itself
-/// if need be) as an empty file and returns its path. `create_new`
-/// makes the claim exclusive, so racing writers and a concurrent `gc`
-/// never pick the same segment.
-fn claim_segment(dir: &Path) -> io::Result<PathBuf> {
+/// if need be) as an empty file leased to this process, and returns its
+/// path with the lease. `create_new` makes both claims exclusive, so
+/// racing writers and a concurrent `gc` never pick the same segment.
+/// The lease exists before the segment does: a segment visible unleased
+/// even for a moment could be compacted away by a concurrent `gc` while
+/// its writer appends to it.
+fn claim_segment(dir: &Path) -> io::Result<(PathBuf, Lease)> {
     fs::create_dir_all(dir)?;
     let mut index = segments_of(dir)?
         .iter()
@@ -525,13 +531,19 @@ fn claim_segment(dir: &Path) -> io::Result<PathBuf> {
         .map_or(1, |n| n + 1);
     loop {
         let path = dir.join(format!("evals-{index:05}.jsonl"));
+        index += 1;
+        // Another claimant holds this index; a dropped lease removes
+        // itself when its segment turns out to be taken.
+        let Some(lease) = Lease::claim(&path)? else {
+            continue;
+        };
         match fs::OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(&path)
         {
-            Ok(_) => return Ok(path),
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => index += 1,
+            Ok(_) => return Ok((path, lease)),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
             Err(e) => return Err(e),
         }
     }
@@ -639,6 +651,24 @@ impl Lease {
         fs::write(&path, format!("{}\n", std::process::id()))?;
         Ok(Lease { path })
     }
+
+    /// Takes the lease on `segment` only if no lease file exists yet;
+    /// `None` when one does.
+    fn claim(segment: &Path) -> io::Result<Option<Lease>> {
+        let path = lease_path(segment);
+        let mut file = match fs::OpenOptions::new()
+            .create_new(true)
+            .write(true)
+            .open(&path)
+        {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let lease = Lease { path };
+        file.write_all(format!("{}\n", std::process::id()).as_bytes())?;
+        Ok(Some(lease))
+    }
 }
 
 impl Drop for Lease {
@@ -668,8 +698,7 @@ impl EvalWriter {
         let (writer, _) = match &mut self.segment {
             Some(segment) => segment,
             None => {
-                let path = claim_segment(&self.dir)?;
-                let lease = Lease::take(&path)?;
+                let (path, lease) = claim_segment(&self.dir)?;
                 self.segment.insert((SegmentWriter::append(&path)?, lease))
             }
         };
@@ -898,6 +927,26 @@ mod tests {
         assert_eq!(report.files_skipped_active, 0);
         let (entries, _) = store.load_evals(SCENARIO).unwrap();
         assert_eq!(entries.len(), 3);
+    }
+
+    #[test]
+    fn a_segment_is_leased_before_it_exists() {
+        let store = tmp_store("claim");
+        let dir = store.dir().join("evals").join(SCENARIO.to_hex());
+        let (first, lease) = claim_segment(&dir).unwrap();
+        assert!(
+            lease_is_live(&first),
+            "a gc listing the new segment must find it leased"
+        );
+        // A claimant between its lease and its segment holds the index.
+        let held = Lease::claim(&dir.join("evals-00002.jsonl"))
+            .unwrap()
+            .expect("index 2 is free");
+        let (third, _third_lease) = claim_segment(&dir).unwrap();
+        assert_eq!(third, dir.join("evals-00003.jsonl"));
+        assert!(!dir.join("evals-00002.jsonl").exists());
+        drop((held, lease));
+        assert!(!lease_is_live(&first));
     }
 
     #[test]

@@ -27,9 +27,10 @@ fn scenario_problem() -> cirfix::RepairProblem {
         .expect("scenario builds")
 }
 
-/// A chaos-run configuration: the wall clock pushed out of reach (the
-/// evaluation budget bounds the run), a per-candidate budget so hangs
-/// resolve, and a fresh injector for `plan`.
+/// A chaos-run configuration: the wall clock pushed out of reach (a
+/// trial stops on a repair or at the generation cap, 60 + 3 × 60
+/// children inside its 400 evaluations), a per-candidate budget so
+/// hangs resolve, and a fresh injector for `plan`.
 fn config(jobs: usize, plan: &str) -> RepairConfig {
     let plan = FaultPlan::parse(plan).expect("valid fault plan");
     RepairConfig {
@@ -182,6 +183,53 @@ fn batch_hang_is_contained_for_every_worker_count() {
         assert!(
             elapsed < Duration::from_secs(2),
             "jobs={jobs}: run must not stall on the hang, took {elapsed:?}"
+        );
+    }
+}
+
+/// Fault ordinals count the children built on the pool, and in the
+/// batch where the evaluation budget runs out the children past the cut
+/// are built and simulated, then dropped unmerged. A fault on such a
+/// child leaves no trace: at 20 evaluations, ordinal 25 lands past the
+/// cut, so its panic is contained, never counted, and the run equals
+/// the clean one byte for byte. Ordinal 10 lands inside the budget and
+/// is counted once.
+#[test]
+fn a_fault_on_a_child_the_budget_drops_leaves_no_trace() {
+    let problem = cirfix_benchmarks::scenario("mux_width")
+        .expect("known scenario")
+        .problem()
+        .expect("scenario builds");
+    for jobs in [1usize, 4] {
+        let run = |plan: &str| {
+            let rc = RepairConfig {
+                max_fitness_evals: 20,
+                ..config(jobs, plan)
+            };
+            (repair_with_trials(&problem, &rc, 1), rc.faults)
+        };
+        let (clean, _) = run("");
+        let (dropped, faults) = run("panic@25");
+        let faults = faults.expect("a fault plan");
+        // Had the run left ordinal 25 unclaimed, one of the next 26
+        // claims would draw its panic.
+        assert!(
+            (0..=25).all(|_| faults.next_eval_fault().is_none()),
+            "jobs={jobs}: ordinal 25 must have gone to a child"
+        );
+        assert_eq!(
+            dropped.totals.panics, 0,
+            "jobs={jobs}: a dropped child's panic is never counted"
+        );
+        assert_eq!(
+            result_to_canonical_json(&clean).to_json(),
+            result_to_canonical_json(&dropped).to_json(),
+            "jobs={jobs}: a fault on a dropped child must leave no trace"
+        );
+        let (counted, _) = run("panic@10");
+        assert_eq!(
+            counted.totals.panics, 1,
+            "jobs={jobs}: a fault inside the budget is counted once"
         );
     }
 }

@@ -10,7 +10,10 @@
 //! The cases cover the search's distinct paths:
 //! - `flip_flop_cond` is repaired inside the seed population;
 //! - `flip_flop_branches` is repaired after several generations;
-//! - `mux_width` exhausts all three trials' budgets;
+//! - `mux_width` runs all three trials to the generation cap without
+//!   a repair;
+//! - `mux_width` at 1,000 evaluations runs each trial out of its
+//!   evaluation budget, so the batch the budget runs out in is cut;
 //! - `counter_reset` runs with `relocalize: false`, so every parent
 //!   reuses the original design's fault localization;
 //! - `counter_reset` runs with tight bloat limits, so parents reset to
@@ -27,7 +30,8 @@ use cirfix_store::Fnv128;
 
 /// `RepairConfig::fast(42)` with a timeout no trial comes near, so the
 /// wall clock (the one host-dependent stop condition) never ends a
-/// trial and the evaluation budget bounds the run instead.
+/// trial. A trial stops on a repair or at the generation cap: its
+/// 6,000-evaluation budget outlasts eight generations of 300.
 fn config() -> RepairConfig {
     RepairConfig {
         timeout: Duration::from_secs(3600),
@@ -66,6 +70,18 @@ fn budget_exhausting_search_is_unchanged() {
     assert_eq!(
         trajectory_digest("mux_width", &config()),
         "c066e630171abc0e52144d51c3c4f894"
+    );
+}
+
+#[test]
+fn budget_bound_search_is_unchanged() {
+    let config = RepairConfig {
+        max_fitness_evals: 1000,
+        ..config()
+    };
+    assert_eq!(
+        trajectory_digest("mux_width", &config),
+        "de2be37d40ed1f64849dfb65f7f48031"
     );
 }
 
