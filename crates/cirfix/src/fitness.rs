@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use cirfix_logic::{Logic, LogicVec};
+use cirfix_logic::Logic;
 use cirfix_sim::Trace;
 
 /// Weighting parameters for the fitness function.
@@ -111,51 +111,65 @@ fn bit_weights(expected: Logic, actual: Logic, phi: f64) -> (f64, f64) {
 /// Only cells present in the oracle are compared (the developer may
 /// provide partial expected behaviour — §5.4). A timestamp recorded in
 /// the oracle but absent from the simulation (e.g. the mutant stalled the
-/// testbench) is compared as all-`x`, earning the `φ` mismatch penalty.
+/// testbench) is compared as all-`x`, earning the `φ` mismatch penalty;
+/// so is an oracle variable the simulation did not record.
+///
+/// One pass walks both traces' rows in time order, with each oracle
+/// variable's column in `sim` resolved once. Cells are compared row by
+/// row, in oracle column order, bit by bit from the LSB: the order the
+/// weighted sum accumulates in.
 pub fn fitness(sim: &Trace, oracle: &Trace, params: FitnessParams) -> FitnessReport {
     let phi = params.phi;
     let mut sum = 0.0;
     let mut total = 0.0;
-    let mut mismatched_vars = BTreeSet::new();
     let mut bits_compared = 0;
     let mut bits_matched = 0;
+    let columns: Vec<Option<usize>> = oracle
+        .vars()
+        .iter()
+        .map(|var| sim.vars().iter().position(|v| v == var))
+        .collect();
+    let mut mismatched = vec![false; columns.len()];
 
-    for (time, var, expected) in oracle.cells() {
-        let actual_owned;
-        let actual: &LogicVec = match sim.get(time, var) {
-            Some(v) => v,
-            None => {
-                actual_owned = LogicVec::unknown(expected.width());
-                &actual_owned
+    let mut sim_rows = sim.rows().peekable();
+    for (time, expected_row) in oracle.rows() {
+        while sim_rows.next_if(|&(t, _)| t < time).is_some() {}
+        let actual_row = sim_rows.next_if(|&(t, _)| t == time).map(|(_, row)| row);
+        let cells = expected_row.iter().zip(&columns).zip(&mut mismatched);
+        for ((expected, column), var_mismatch) in cells {
+            // A missing cell reads as all-`x` at the expected width.
+            let actual = actual_row.zip(*column).map(|(row, c)| &row[c]);
+            let width = actual.map_or(expected.width(), |a| a.width().max(expected.width()));
+            for b in 0..width {
+                let e = if b < expected.width() {
+                    expected.bit(b)
+                } else {
+                    Logic::Zero
+                };
+                let a = match actual {
+                    None => Logic::X,
+                    Some(a) if b < a.width() => a.bit(b),
+                    Some(_) => Logic::Zero,
+                };
+                let (s, t) = bit_weights(e, a, phi);
+                sum += s;
+                total += t;
+                bits_compared += 1;
+                if e == a {
+                    bits_matched += 1;
+                } else {
+                    *var_mismatch = true;
+                }
             }
-        };
-        let width = expected.width().max(actual.width());
-        let mut var_mismatch = false;
-        for b in 0..width {
-            let e = if b < expected.width() {
-                expected.bit(b)
-            } else {
-                Logic::Zero
-            };
-            let a = if b < actual.width() {
-                actual.bit(b)
-            } else {
-                Logic::Zero
-            };
-            let (s, t) = bit_weights(e, a, phi);
-            sum += s;
-            total += t;
-            bits_compared += 1;
-            if e == a {
-                bits_matched += 1;
-            } else {
-                var_mismatch = true;
-            }
-        }
-        if var_mismatch {
-            mismatched_vars.insert(var.to_string());
         }
     }
+    let mismatched_vars = oracle
+        .vars()
+        .iter()
+        .zip(&mismatched)
+        .filter(|&(_, &m)| m)
+        .map(|(var, _)| var.clone())
+        .collect();
 
     let score = if total <= 0.0 {
         // An empty oracle cannot distinguish candidates.
@@ -178,6 +192,141 @@ pub fn fitness(sim: &Trace, oracle: &Trace, params: FitnessParams) -> FitnessRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cirfix_logic::LogicVec;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-cell algorithm `fitness` replaced, kept as its oracle:
+    /// every oracle cell looked up in `sim` by time and name.
+    fn fitness_per_cell(sim: &Trace, oracle: &Trace, params: FitnessParams) -> FitnessReport {
+        let phi = params.phi;
+        let mut sum = 0.0;
+        let mut total = 0.0;
+        let mut mismatched_vars = BTreeSet::new();
+        let mut bits_compared = 0;
+        let mut bits_matched = 0;
+        for (time, var, expected) in oracle.cells() {
+            let missing = LogicVec::unknown(expected.width());
+            let actual = sim.get(time, var).unwrap_or(&missing);
+            let width = expected.width().max(actual.width());
+            let mut var_mismatch = false;
+            for b in 0..width {
+                let e = if b < expected.width() {
+                    expected.bit(b)
+                } else {
+                    Logic::Zero
+                };
+                let a = if b < actual.width() {
+                    actual.bit(b)
+                } else {
+                    Logic::Zero
+                };
+                let (s, t) = bit_weights(e, a, phi);
+                sum += s;
+                total += t;
+                bits_compared += 1;
+                if e == a {
+                    bits_matched += 1;
+                } else {
+                    var_mismatch = true;
+                }
+            }
+            if var_mismatch {
+                mismatched_vars.insert(var.to_string());
+            }
+        }
+        let score = if total <= 0.0 {
+            1.0
+        } else if sum < 0.0 {
+            0.0
+        } else {
+            sum / total
+        };
+        FitnessReport {
+            sum,
+            total,
+            score,
+            mismatched_vars,
+            bits_compared,
+            bits_matched,
+        }
+    }
+
+    /// A random value, mostly near `like` so that many cells match.
+    fn value(rng: &mut StdRng, like: Option<&LogicVec>) -> LogicVec {
+        const BITS: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
+        let width = match like {
+            Some(v) if rng.gen_bool(0.9) => v.width(),
+            _ => rng.gen_range(1..=9usize),
+        };
+        let bits = (0..width)
+            .map(|b| match like {
+                Some(v) if b < v.width() && rng.gen_bool(0.8) => v.bit(b),
+                _ => BITS[rng.gen_range(0..4usize)],
+            })
+            .collect();
+        LogicVec::from_bits_lsb(bits)
+    }
+
+    #[test]
+    fn one_pass_fitness_matches_the_per_cell_algorithm() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..400 {
+            let n = rng.gen_range(0..5usize);
+            let vars: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+            let mut oracle = Trace::new(vars.clone());
+            let times: Vec<u64> = (0..rng.gen_range(0..12u64))
+                .map(|i| i * 10 + rng.gen_range(0..3u64))
+                .collect();
+            for &t in &times {
+                oracle.record(t, (0..n).map(|_| value(&mut rng, None)).collect());
+            }
+            // The simulation records the oracle's variables in another
+            // order, sometimes without one of them and with an extra one.
+            let mut sim_vars = vars.clone();
+            sim_vars.shuffle(&mut rng);
+            if n > 0 && rng.gen_bool(0.3) {
+                sim_vars.remove(rng.gen_range(0..n));
+            }
+            if rng.gen_bool(0.3) {
+                let at = rng.gen_range(0..=sim_vars.len());
+                sim_vars.insert(at, "extra".into());
+            }
+            let mut sim = Trace::new(sim_vars.clone());
+            // Missing rows, and extra rows between and after them.
+            let mut sim_times: Vec<u64> = times
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.8))
+                .collect();
+            sim_times.extend((0..rng.gen_range(0..4usize)).map(|_| rng.gen_range(0..130u64)));
+            for t in sim_times {
+                let row = sim_vars
+                    .iter()
+                    .map(|v| {
+                        let expected = vars
+                            .iter()
+                            .position(|o| o == v)
+                            .and_then(|c| oracle.row(t).map(|row| &row[c]));
+                        value(&mut rng, expected)
+                    })
+                    .collect();
+                sim.record(t, row);
+            }
+            for phi in [2.0, 1.0, 0.5] {
+                let params = FitnessParams { phi };
+                let got = fitness(&sim, &oracle, params);
+                let want = fitness_per_cell(&sim, &oracle, params);
+                assert_eq!(got.sum.to_bits(), want.sum.to_bits(), "case {case}");
+                assert_eq!(got.total.to_bits(), want.total.to_bits(), "case {case}");
+                assert_eq!(got.score.to_bits(), want.score.to_bits(), "case {case}");
+                assert_eq!(got.mismatched_vars, want.mismatched_vars, "case {case}");
+                assert_eq!(got.bits_compared, want.bits_compared, "case {case}");
+                assert_eq!(got.bits_matched, want.bits_matched, "case {case}");
+            }
+        }
+    }
 
     fn trace_of(var: &str, rows: &[(u64, LogicVec)]) -> Trace {
         let mut t = Trace::new(vec![var.to_string()]);

@@ -105,7 +105,7 @@ pub use persist::{
 };
 pub use repair::{
     evaluate, panic_message, repair, repair_with_trials, sim_stats, strip_hierarchy, Evaluation,
-    RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals,
+    RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals, Scored,
 };
 pub use report::{ReportSink, RunReport};
 pub use select::{elite_indices, tournament_select};

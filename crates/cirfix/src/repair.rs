@@ -8,7 +8,7 @@
 //! plausible repair (fitness 1.0) or when resources are exhausted, and
 //! the winning patch is minimized.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -177,6 +177,79 @@ pub struct Evaluation {
     /// How the evaluation concluded — every candidate gets exactly one
     /// classification from the unified taxonomy.
     pub outcome: EvalOutcome,
+}
+
+/// What the search keeps of a settled candidate: the fields its later
+/// readers use (selection, best-so-far, elitism, fault localization of
+/// a parent, cache-hit telemetry and minimization). A fresh
+/// [`Evaluation`] lives only until its candidate commits: the commit
+/// emits its events and writes its store record, then keeps this.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scored {
+    /// Normalized fitness in `[0, 1]`.
+    pub score: f64,
+    /// Variant AST size relative to the original (1.0 = unchanged).
+    pub growth: f64,
+    /// Mismatched variables (leaf names) for fault localization, shared
+    /// by every record of a trial that has the same set.
+    pub mismatched: Arc<BTreeSet<String>>,
+    /// How the evaluation concluded.
+    pub outcome: EvalOutcome,
+    /// `false` when the variant failed to elaborate or was rejected.
+    pub compiled: bool,
+}
+
+impl Scored {
+    /// The telemetry payload describing this candidate; see
+    /// [`Evaluation::candidate_event`].
+    pub(crate) fn candidate_event(
+        &self,
+        patch_len: usize,
+        cached: bool,
+        op: &str,
+    ) -> cirfix_telemetry::CandidateEvent {
+        candidate_event(self.score, self.growth, patch_len, cached, op)
+    }
+}
+
+/// One shared copy of each distinct mismatched set, so records with
+/// equal sets hold one `Arc` between them.
+#[derive(Default)]
+pub(crate) struct Interner(HashSet<Arc<BTreeSet<String>>>);
+
+impl Interner {
+    /// The lean record of `eval`, holding the shared copy of its
+    /// mismatched set (a copy is made only for a set not seen before).
+    pub(crate) fn scored(&mut self, eval: &Evaluation) -> Scored {
+        let mismatched = match self.0.get(&eval.mismatched) {
+            Some(shared) => Arc::clone(shared),
+            None => self.share(Arc::new(eval.mismatched.clone())),
+        };
+        Scored {
+            score: eval.score,
+            growth: eval.growth,
+            mismatched,
+            outcome: eval.outcome,
+            compiled: eval.compiled,
+        }
+    }
+
+    /// `scored`, holding the shared copy of its mismatched set; its own
+    /// set becomes that copy when it is new.
+    fn canonical(&mut self, scored: Scored) -> Scored {
+        Scored {
+            mismatched: self.share(scored.mismatched),
+            ..scored
+        }
+    }
+
+    fn share(&mut self, set: Arc<BTreeSet<String>>) -> Arc<BTreeSet<String>> {
+        if let Some(shared) = self.0.get(&*set) {
+            return Arc::clone(shared);
+        }
+        self.0.insert(Arc::clone(&set));
+        set
+    }
 }
 
 /// Why the search stopped.
@@ -539,13 +612,23 @@ impl Evaluation {
         cached: bool,
         op: &str,
     ) -> cirfix_telemetry::CandidateEvent {
-        cirfix_telemetry::CandidateEvent {
-            patch_len: patch_len as u64,
-            growth_factor: self.growth,
-            fitness: self.score,
-            cached,
-            op: op.to_string(),
-        }
+        candidate_event(self.score, self.growth, patch_len, cached, op)
+    }
+}
+
+fn candidate_event(
+    score: f64,
+    growth: f64,
+    patch_len: usize,
+    cached: bool,
+    op: &str,
+) -> cirfix_telemetry::CandidateEvent {
+    cirfix_telemetry::CandidateEvent {
+        patch_len: patch_len as u64,
+        growth_factor: growth,
+        fitness: score,
+        cached,
+        op: op.to_string(),
     }
 }
 
@@ -553,7 +636,10 @@ impl Evaluation {
 pub struct Repairer<'a> {
     problem: &'a RepairProblem,
     config: RepairConfig,
-    cache: HashMap<Patch, Evaluation>,
+    // The trial cache: the lean record of every patch settled so far.
+    cache: HashMap<Patch, Scored>,
+    // The trial's one copy of each distinct mismatched set.
+    sets: Interner,
     rng: rand::rngs::StdRng,
     // Everything a checkpoint counts, as one value.
     counters: Counters,
@@ -675,16 +761,16 @@ impl Evaluator<'_> {
     }
 }
 
-/// One entry of the population. It keeps the node count the pool
-/// measured, so the bloat check never applies its patch again; a
-/// trial-cache hit and a resumed population carry none. The applied
-/// variant itself is not kept: one of the largest benchmark designs
-/// holds ~35 KB of private AST, and keeping every member's doubled a
-/// search's peak memory.
+/// One entry of the population: its patch, its lean record and the
+/// node count the pool measured, so the bloat check never applies its
+/// patch again; a trial-cache hit and a resumed population carry none.
+/// Neither the applied variant nor the full [`Evaluation`] is kept: one
+/// of the largest benchmark designs holds ~35 KB of private AST, and
+/// keeping every member's doubled a search's peak memory.
 #[derive(Clone)]
 struct Member {
     patch: Patch,
-    eval: Evaluation,
+    eval: Scored,
     nodes: Option<usize>,
 }
 
@@ -692,10 +778,11 @@ struct Member {
 /// duplicates are decided on the coordinating thread;
 /// [`Evaluator::prepare`] decides the rest on a pool thread, and
 /// simulates the `Sim` items there. Each item the pool built carries
-/// its node count.
+/// its node count. A hit carries the cached lean record; a rejection or
+/// simulation carries its full [`Evaluation`] until it commits.
 enum Prepared {
     /// Answered from the trial cache.
-    Hit(Evaluation),
+    Hit(Scored),
     /// Duplicate of an earlier item in the same batch (an in-flight
     /// dedup: it becomes a cache hit once that item merges).
     Alias(usize),
@@ -703,7 +790,7 @@ enum Prepared {
     /// store or cross-trial memory): budget-free, like a cache hit, but
     /// counted separately.
     StoreHit {
-        eval: Evaluation,
+        eval: Scored,
         key: Digest,
         nodes: usize,
     },
@@ -839,6 +926,7 @@ impl<'a> Repairer<'a> {
             problem,
             config,
             cache: HashMap::new(),
+            sets: Interner::default(),
             rng,
             counters: Counters::default(),
             started: Instant::now(),
@@ -977,20 +1065,20 @@ impl<'a> Repairer<'a> {
         }
     }
 
-    /// Inserts a settled evaluation into the trial cache and, when a
-    /// key is known, writes the evaluation through to the shared cache
-    /// and (in a session) records the (patch, fingerprint) pair for the
-    /// next cache-delta log record. Returns without any store work when
-    /// no store is attached.
-    fn insert_evaluation(&mut self, patch: &Patch, eval: &Evaluation, key: Option<Digest>) {
-        self.cache.insert(patch.clone(), eval.clone());
-        let Some(key) = key else { return };
-        if self.session.is_some() {
-            self.pending_delta.push((patch.clone(), key));
-        }
-        if let Some(shared) = &self.shared {
+    /// Settles a fresh evaluation: keeps its lean record in the trial
+    /// cache and, when a key is known, in the shared cache, whose store
+    /// (if any) writes the full evaluation as the key's record. The full
+    /// evaluation is dropped here. Returns the lean record.
+    fn insert_evaluation(
+        &mut self,
+        patch: &Patch,
+        eval: Evaluation,
+        key: Option<Digest>,
+    ) -> Scored {
+        let scored = self.sets.scored(&eval);
+        if let (Some(shared), Some(key)) = (&self.shared, key) {
             let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
-            if shared.insert(key, eval) {
+            if shared.insert(key, &eval, scored.clone()) {
                 self.counters.store_writes += 1;
                 self.config.observer.emit(|| {
                     Event::Store(StoreEvent {
@@ -1011,20 +1099,32 @@ impl<'a> Repairer<'a> {
                 });
             }
         }
+        self.remember(patch, scored, key)
+    }
+
+    /// Keeps `scored` in the trial cache as `patch`'s record and, in a
+    /// session, records the (patch, fingerprint) pair for the next
+    /// cache-delta log record. Returns the record.
+    fn remember(&mut self, patch: &Patch, scored: Scored, key: Option<Digest>) -> Scored {
+        self.cache.insert(patch.clone(), scored.clone());
+        if let (Some(key), Some(_)) = (key, &self.session) {
+            self.pending_delta.push((patch.clone(), key));
+        }
+        scored
     }
 
     /// Settles one prepared item (coordinating thread, submission
     /// order): counts budgets, emits telemetry, and inserts into the
-    /// cache. A `Prepared::Sim` item without an evaluation was cut by
+    /// caches. A `Prepared::Sim` item without an evaluation was cut by
     /// the deadline, and settles nothing. `op` labels the candidate's
-    /// originating operator in telemetry. Returns the evaluation and the
-    /// node count the pool measured.
+    /// originating operator in telemetry. Returns the lean record and
+    /// the node count the pool measured.
     fn commit(
         &mut self,
         patch: &Patch,
         prepared: Prepared,
         op: &str,
-    ) -> Option<(Evaluation, Option<usize>)> {
+    ) -> Option<(Scored, Option<usize>)> {
         let (eval, key, nodes) = match prepared {
             Prepared::Hit(eval) => {
                 self.counters.cache_hits += 1;
@@ -1048,8 +1148,13 @@ impl<'a> Repairer<'a> {
                 self.config
                     .observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
-                self.insert_evaluation(patch, &eval, Some(key));
-                return Some((eval, Some(nodes)));
+                // The shared cache holds this key already: only the trial
+                // cache learns it. Filing the hit is store work, one
+                // `store` span per hit as for a fresh write.
+                let profiler = self.profiler.clone();
+                let _store = profiler.as_deref().map(|p| p.span(Phase::Store));
+                let eval = self.sets.canonical(eval);
+                return Some((self.remember(patch, eval, Some(key)), Some(nodes)));
             }
             Prepared::Alias(_) => unreachable!("aliases are resolved by the batch merge"),
             Prepared::Reject { eval, key, nodes } => {
@@ -1089,15 +1194,14 @@ impl<'a> Repairer<'a> {
                     op,
                 )));
         }
-        self.insert_evaluation(patch, &eval, key);
-        Some((eval, Some(nodes)))
+        Some((self.insert_evaluation(patch, eval, key), Some(nodes)))
     }
 
     /// Evaluates one patch synchronously through the trial cache — used
     /// for the original design. Never consults the evaluation budget.
     /// It takes the same path as a batch of one, on a pool of its own,
     /// so panics and injected faults are handled exactly as in a search.
-    pub fn evaluate_patch(&mut self, patch: &Patch) -> Evaluation {
+    pub fn evaluate_patch(&mut self, patch: &Patch) -> Scored {
         self.with_pool(|r, pool| r.evaluate_labelled(pool, patch, "original"))
     }
 
@@ -1106,12 +1210,7 @@ impl<'a> Repairer<'a> {
     /// fallback's lookup of it, and minimization probes. A trial-cache
     /// hit takes no pool thread, so reproduction can look the original
     /// up while a batch is in flight.
-    fn evaluate_labelled(
-        &mut self,
-        pool: &Pool<'a>,
-        patch: &Patch,
-        op: &'static str,
-    ) -> Evaluation {
+    fn evaluate_labelled(&mut self, pool: &Pool<'a>, patch: &Patch, op: &'static str) -> Scored {
         let child = Child {
             patch: patch.clone(),
             op,
@@ -1126,7 +1225,7 @@ impl<'a> Repairer<'a> {
     /// Evaluates a batch of patches across the worker pool and merges
     /// the results back in submission order; see [`Batch`].
     #[cfg(test)]
-    fn evaluate_batch(&mut self, patches: &[Patch]) -> Vec<Option<Evaluation>> {
+    fn evaluate_batch(&mut self, patches: &[Patch]) -> Vec<Option<Scored>> {
         let batch = patches
             .iter()
             .map(|p| Child {
@@ -1277,11 +1376,7 @@ impl<'a> Repairer<'a> {
         out
     }
 
-    fn localize_variant(
-        &mut self,
-        variant: &cirfix_ast::SourceFile,
-        eval: &Evaluation,
-    ) -> FaultLoc {
+    fn localize_variant(&mut self, variant: &cirfix_ast::SourceFile, eval: &Scored) -> FaultLoc {
         self.localizations += 1;
         fault_localization(
             &design_modules_of(variant, &self.problem.design_modules),
@@ -1290,7 +1385,7 @@ impl<'a> Repairer<'a> {
     }
 
     /// Localizes the original design and reports it in telemetry.
-    fn localize_original(&mut self, eval: &Evaluation) -> FaultLoc {
+    fn localize_original(&mut self, eval: &Scored) -> FaultLoc {
         let problem = self.problem;
         let fl = self.localize_variant(&problem.source, eval);
         self.config.observer.emit(|| {
@@ -1555,7 +1650,10 @@ impl<'a> Repairer<'a> {
         self.started = Instant::now()
             .checked_sub(cp.elapsed)
             .unwrap_or_else(Instant::now);
-        self.cache.extend(resume.l1);
+        for (patch, scored) in resume.l1 {
+            let scored = self.sets.canonical(scored);
+            self.cache.insert(patch, scored);
+        }
         // Fault localization of the original is derived state:
         // recompute it silently (the FaultLoc event is already in the
         // pre-interruption trace).
@@ -1584,7 +1682,7 @@ impl<'a> Repairer<'a> {
                 .zip(resume.population)
                 .map(|(patch, eval)| Member {
                     patch,
-                    eval,
+                    eval: self.sets.canonical(eval),
                     nodes: None,
                 })
                 .collect(),
@@ -1901,6 +1999,82 @@ endmodule";
         assert!(out[0].is_some(), "cache hits bypass the exhausted budget");
         assert_eq!(r.fitness_evals(), 1);
         assert_eq!(r.cache_hits(), 1);
+    }
+
+    #[test]
+    fn a_lean_record_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<Scored>() <= 32);
+    }
+
+    /// Fresh evaluations, in-batch aliases, trial-cache hits and store
+    /// hits all return the lean record of [`evaluate`]'s evaluation, and
+    /// a trial keeps one `Arc` per distinct mismatched set.
+    #[test]
+    fn every_answer_is_the_lean_record_of_a_fresh_evaluation() {
+        let problem = problem();
+        let config = RepairConfig::fast(1);
+        let scenario = crate::persist::problem_digest(&problem, &config);
+        let mut patches = vec![Patch::empty()];
+        patches.extend(delete_patches(&problem, 6));
+        let n = patches.len() as u64;
+        let want: Vec<Evaluation> = patches
+            .iter()
+            .map(|p| evaluate(&problem, p, config.fitness))
+            .collect();
+        let check = |got: &[Option<Scored>], what: &str| {
+            assert_eq!(got.len(), want.len(), "{what}");
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let got = got.as_ref().expect("an unbudgeted answer");
+                assert_eq!(got.score.to_bits(), want.score.to_bits(), "{what} {i}");
+                assert_eq!(got.growth.to_bits(), want.growth.to_bits(), "{what} {i}");
+                assert_eq!(got.outcome, want.outcome, "{what} {i}");
+                assert_eq!(got.compiled, want.compiled, "{what} {i}");
+                assert_eq!(*got.mismatched, want.mismatched, "{what} {i}");
+            }
+        };
+        let one_arc_per_set = |records: &[Scored]| {
+            for a in records {
+                for b in records {
+                    if a.mismatched == b.mismatched {
+                        assert!(Arc::ptr_eq(&a.mismatched, &b.mismatched));
+                    }
+                }
+            }
+        };
+        let shared = SharedEvalCache::memory();
+        let mut first =
+            Repairer::new(&problem, config.clone()).with_store(shared.clone(), scenario);
+        // Each patch twice: fresh, then an in-batch alias of itself.
+        let doubled: Vec<Patch> = patches
+            .iter()
+            .flat_map(|p| [p.clone(), p.clone()])
+            .collect();
+        let out = first.evaluate_batch(&doubled);
+        let (fresh, aliases): (Vec<_>, Vec<_>) =
+            out.chunks(2).map(|p| (p[0].clone(), p[1].clone())).unzip();
+        check(&fresh, "fresh");
+        check(&aliases, "alias");
+        check(&first.evaluate_batch(&patches), "trial-cache hit");
+        assert_eq!(first.fitness_evals(), n);
+        assert_eq!(first.cache_hits(), 2 * n);
+        let mut records: Vec<Scored> = first.cache.values().cloned().collect();
+        records.extend(fresh.into_iter().flatten());
+        one_arc_per_set(&records);
+        let distinct: BTreeSet<_> = first
+            .cache
+            .values()
+            .map(|s| Arc::as_ptr(&s.mismatched))
+            .collect();
+        assert!(distinct.len() < first.cache.len(), "records share sets");
+
+        let mut second = Repairer::new(&problem, config).with_store(shared, scenario);
+        let out = second.evaluate_batch(&patches);
+        check(&out, "store hit");
+        assert_eq!(second.fitness_evals(), 0);
+        assert_eq!(second.counters.store_hits, n);
+        let mut records: Vec<Scored> = second.cache.values().cloned().collect();
+        records.extend(out.into_iter().flatten());
+        one_arc_per_set(&records);
     }
 
     #[test]

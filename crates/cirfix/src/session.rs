@@ -21,6 +21,7 @@
 //! into extra simulations, never into a wrong cached fitness or a
 //! crash.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -37,7 +38,9 @@ use crate::persist::{
     evaluation_from_json, evaluation_to_json, patch_from_json, patch_to_json, problem_digest,
     session_digest, totals_from_json, totals_to_json,
 };
-use crate::repair::{Evaluation, RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals};
+use crate::repair::{
+    Evaluation, Interner, RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals, Scored,
+};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -85,7 +88,7 @@ const STORE_WRITE_BACKOFF: [Duration; 3] = [
 ];
 
 struct CacheInner {
-    mem: std::sync::Mutex<HashMap<u128, Evaluation>>,
+    mem: std::sync::Mutex<HashMap<u128, Scored>>,
     writer: Option<std::sync::Mutex<EvalWriter>>,
     // Set once the disk backing has failed past its retry budget: the
     // cache keeps serving (and absorbing) evaluations from memory, but
@@ -101,6 +104,10 @@ struct CacheInner {
 /// A fingerprint-keyed evaluation cache shared across trials — and,
 /// when opened over a [`Store`], across processes: lookups answer from
 /// memory, inserts write through to an append-only on-disk segment.
+///
+/// Memory holds one lean [`Scored`] record per key; only the disk holds
+/// the full [`Evaluation`]. The first write of a key wins, in memory as
+/// on disk: a repeat insert changes nothing.
 ///
 /// Cloning is cheap (an `Arc`); all clones share one cache.
 #[derive(Clone)]
@@ -126,20 +133,22 @@ impl SharedEvalCache {
     /// Opens scenario `scenario`'s persistent cache in `store`, loading
     /// every intact evaluation record of its partition and of the
     /// legacy segments (see [`Store::load_evals`]); records of other
-    /// scenarios can never hit, so they are not read. Returns the cache
-    /// and the number of damaged or undecodable records that were
-    /// skipped.
+    /// scenarios can never hit, so they are not read. Each record is
+    /// decoded and checked in full, and its lean record kept. Returns
+    /// the cache and the number of damaged or undecodable records that
+    /// were skipped.
     pub fn open(store: &Store, scenario: Digest) -> io::Result<(SharedEvalCache, u64)> {
         let (entries, health) = store.load_evals(scenario)?;
         let mut damaged = (health.corrupt + health.torn) as u64;
         let mut mem = HashMap::new();
+        let mut sets = Interner::default();
         for (key, body) in entries {
             match field(&body, "eval").map(evaluation_from_json) {
                 Some(Ok(eval)) => {
                     // Evaluations are deterministic in their key, so
                     // duplicate records (e.g. two writer processes) are
                     // interchangeable; first record wins.
-                    mem.entry(key.0).or_insert(eval);
+                    mem.entry(key.0).or_insert_with(|| sets.scored(&eval));
                 }
                 _ => damaged += 1,
             }
@@ -192,8 +201,8 @@ impl SharedEvalCache {
             .swap(false, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Looks up an evaluation by fingerprint.
-    pub fn peek(&self, key: Digest) -> Option<Evaluation> {
+    /// Looks up the lean record of an evaluation by fingerprint.
+    pub fn peek(&self, key: Digest) -> Option<Scored> {
         self.inner
             .mem
             .lock()
@@ -212,26 +221,24 @@ impl SharedEvalCache {
         self.len() == 0
     }
 
-    /// Inserts an evaluation, writing it through to disk when the
-    /// cache is store-backed. Returns `true` only when a record was
-    /// persisted (a new key on a disk-backed cache); repeat inserts
-    /// and memory-only caches return `false`.
+    /// Inserts `scored`, the lean record of `eval`, under a new key,
+    /// and writes `eval` through to disk when the cache is store-backed.
+    /// A key already present keeps its first record, in memory as on
+    /// disk. Returns `true` only when a record was persisted (a new key
+    /// on a disk-backed cache); repeat inserts and memory-only caches
+    /// return `false`.
     ///
     /// Transient I/O failures are retried with a bounded backoff
     /// (`STORE_WRITE_ATTEMPTS` attempts). A write that fails every
     /// attempt degrades the whole cache to memory-only — the search
     /// continues, only durability is lost — rather than aborting the
     /// run.
-    pub fn insert(&self, key: Digest, eval: &Evaluation) -> bool {
-        let newly = self
-            .inner
-            .mem
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.0, eval.clone())
-            .is_none();
-        if !newly {
-            return false;
+    pub fn insert(&self, key: Digest, eval: &Evaluation, scored: Scored) -> bool {
+        match self.inner.mem.lock().expect("cache poisoned").entry(key.0) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(slot) => {
+                slot.insert(scored);
+            }
         }
         let Some(writer) = &self.inner.writer else {
             return false;
@@ -616,11 +623,11 @@ pub(crate) struct ResumeState {
     pub trial: u32,
     /// The generation boundary to continue from.
     pub checkpoint: Checkpoint,
-    /// The evaluations of the checkpoint's population, in order.
-    pub population: Vec<Evaluation>,
+    /// The lean records of the checkpoint's population, in order.
+    pub population: Vec<Scored>,
     /// Every trial-cache entry at the boundary (already logged — the
     /// engine must not re-log them).
-    pub l1: HashMap<Patch, Evaluation>,
+    pub l1: HashMap<Patch, Scored>,
     /// Totals accumulated by completed earlier trials.
     pub totals: RunTotals,
 }
@@ -964,6 +971,32 @@ mod tests {
             ),
             other => panic!("a checkpoint is an object, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_first_insert_of_a_key_wins_in_memory() {
+        let evaluation = |score: f64| Evaluation {
+            score,
+            compiled: true,
+            mismatched: ["q".to_string()].into(),
+            report: None,
+            error: None,
+            growth: 1.0,
+            sim_metrics: None,
+            outcome: crate::EvalOutcome::Ok,
+        };
+        let (a, b) = (evaluation(0.25), evaluation(0.75));
+        let mut sets = Interner::default();
+        let cache = SharedEvalCache::memory();
+        let key = Digest(7);
+        assert!(
+            !cache.insert(key, &a, sets.scored(&a)),
+            "memory writes no record"
+        );
+        assert!(!cache.insert(key, &b, sets.scored(&b)));
+        let kept = cache.peek(key).expect("the key is cached");
+        assert_eq!(kept.score.to_bits(), a.score.to_bits());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -134,6 +134,12 @@ impl Trace {
         Some(&self.rows[i].1)
     }
 
+    /// Iterates the rows in ascending time order: each sample time with
+    /// its values in [`Trace::vars`] order.
+    pub fn rows(&self) -> impl Iterator<Item = (u64, &[LogicVec])> + '_ {
+        self.rows.iter().map(|(t, row)| (*t, row.as_slice()))
+    }
+
     /// Iterates `(time, var, value)` over every recorded cell.
     pub fn cells(&self) -> impl Iterator<Item = (u64, &str, &LogicVec)> + '_ {
         self.rows.iter().flat_map(move |&(t, ref row)| {
@@ -193,6 +199,17 @@ mod tests {
         assert!(t.get(15, "a").is_none());
         assert!(t.get(10, "zz").is_none());
         assert_eq!(t.times().collect::<Vec<_>>(), vec![10, 20]);
+    }
+
+    #[test]
+    fn rows_iterate_in_time_order() {
+        let mut t = Trace::new(vec!["a".into(), "b".into()]);
+        t.record(5, vec![LogicVec::from_u64(1, 1), LogicVec::from_u64(2, 2)]);
+        t.record(3, vec![LogicVec::from_u64(0, 1), LogicVec::from_u64(1, 2)]);
+        let rows: Vec<_> = t.rows().map(|(time, row)| (time, row.to_vec())).collect();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].0, 3);
+        assert_eq!(rows[1], (5, t.row(5).unwrap().to_vec()));
     }
 
     #[test]
